@@ -17,7 +17,6 @@ from .monotone import (  # noqa: F401
     YosidaGraph,
     ZeroGraph,
     resolvent_oracle,
-    yosida_nonlocal_sign,
 )
 from .potentials import (  # noqa: F401
     PotentialSpec,
@@ -25,9 +24,8 @@ from .potentials import (  # noqa: F401
     logarithmic_potential,
     obstacle_potential,
     regular_potential,
-    split,
 )
-from .spectral import SpectralBasis, build_basis, from_grid, norms, project, to_grid  # noqa: F401
+from .spectral import SpectralBasis, build_basis, from_grid, norms, to_grid  # noqa: F401
 from .dynamics import (  # noqa: F401
     BlowUpError,
     FieldCoeffs,
@@ -42,7 +40,6 @@ from .dynamics import (  # noqa: F401
     mollify_forcing,
     prepare_initial,
     solve,
-    step,
 )
 from .estimates import (  # noqa: F401
     ContractionData,

@@ -1,7 +1,8 @@
 """Command-line interface: scenario runs, parameter sweeps, graph self-tests.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant or acceptance
-failure, 4 numerical blow-up.
+failure, 4 numerical failure (blow-up, step-control collapse, or a resolvent
+root-find that does not converge).
 
 All deterministic outputs (trajectory.csv, plot.csv, report.json, sweep.*)
 are byte-identical across repeated runs with the same config and seed; wall
@@ -28,6 +29,7 @@ from .estimates import (
     galerkin_convergence,
     yosida_convergence,
 )
+from .monotone import ResolventError
 from .scenarios import get_scenario, scenario_names, scenario_text, SCENARIOS
 from .selftest import run_selftest
 
@@ -171,7 +173,6 @@ def _cmd_sweep(args):
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    threads = args.threads
 
     if args.axis == "n":
         values = _parse_values(args.values, int)
@@ -182,7 +183,7 @@ def _cmd_sweep(args):
             return p, i
 
         _, _, schedule = build_problem(cfg)
-        rep = galerkin_convergence(factory, values, schedule, threads=threads)
+        rep = galerkin_convergence(factory, values, schedule)
         payload = rep.to_dict()
     elif args.axis == "eps":
         values = _parse_values(args.values, float)
@@ -195,8 +196,7 @@ def _cmd_sweep(args):
 
         _, _, schedule = build_problem(cfg)
         track = cfg.potential == "obstacle"
-        rep = yosida_convergence(factory, values, schedule,
-                                 track_overshoot=track, threads=threads)
+        rep = yosida_convergence(factory, values, schedule, track_overshoot=track)
         payload = rep.to_dict()
     elif args.axis == "delta":
         if cfg.alpha != cfg.ell:
@@ -205,7 +205,7 @@ def _cmd_sweep(args):
         params, initial, schedule = build_problem(cfg)
         data = ContractionData(initial=initial, eta_star=params.eta_star,
                                forcing=params.forcing)
-        rep = contraction_sweep(params, data, values, schedule, threads=threads)
+        rep = contraction_sweep(params, data, values, schedule)
         payload = rep.to_dict()
     else:
         raise ConfigError(f"unknown sweep axis {args.axis!r}")
@@ -288,8 +288,6 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
         p.add_argument("--method", choices=("imex", "rk4", "rk45"), default=None,
                        help="override the integrator")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel member solves in sweeps")
 
     p_run = sub.add_parser("run", help="solve one scenario and write reports")
     add_common(p_run)
@@ -322,7 +320,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, StepFailure) as exc:
+    except (BlowUpError, StepFailure, ResolventError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except LadderMemberError as exc:

@@ -339,8 +339,8 @@ def build_problem(cfg):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    star = spectral.project(basis, star_grid)
-    f_coeffs = spectral.project(basis, forcing_grid)
+    star = spectral.from_grid(basis, star_grid)
+    f_coeffs = spectral.from_grid(basis, forcing_grid)
     forcing = Forcing.constant(f_coeffs, cfg.t_final)
     if cfg.mollify_forcing:
         forcing = forcing.mollified(cfg.eps, n_samples=257)

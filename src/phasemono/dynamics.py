@@ -43,7 +43,6 @@ __all__ = [
     "mollify_forcing",
     "prepare_initial",
     "assemble_rhs",
-    "step",
     "solve",
 ]
 
@@ -227,8 +226,8 @@ def prepare_initial(basis, eta0_grid, phi0_grid, potential, eps):
             f"initial order parameter leaves the potential domain "
             f"(max |phi0| = {worst:.6g} > {dhi:g})")
     beta_l1 = spectral.grid_integral(basis, potential.beta_hat(phi0_grid))
-    phi0_c = spectral.project(basis, phi0_grid)
-    eta0_c = spectral.project(basis, eta0_grid)
+    phi0_c = spectral.from_grid(basis, phi0_grid)
+    eta0_c = spectral.from_grid(basis, eta0_grid)
     diff = phi0_grid - spectral.to_grid(basis, phi0_c)
     n_phi0 = math.sqrt(max(spectral.grid_integral(basis, phi0_grid ** 2), 0.0))
     n_proj = spectral.h_norm(basis, phi0_c)
@@ -275,7 +274,7 @@ class Schedule:
 
 @dataclass(frozen=True, eq=False)
 class SolutionTrajectory:
-    """Sampled trajectory with the realized graph selections and the exact
+    """Sampled trajectory with the realized selection terms and the exact
     semidiscrete time derivatives at the samples."""
 
     times: np.ndarray
@@ -328,11 +327,9 @@ class _Rhs:
         piv = spectral.from_grid(self.basis, self.p.potential.pi(grid))
         return xi, piv
 
-    def selections(self, a, b):
-        eta = b - self.dm * a
-        return self.graph_term(eta), self.phi_nonlin(a)[0]
-
     def explicit_parts(self, t, a, b):
+        """Explicit parts of both equations, followed by the graph selection
+        zeta and the Yosida term xi they were assembled from."""
         p = self.p
         self.evals += 1
         eta = b - self.dm * a
@@ -341,47 +338,37 @@ class _Rhs:
         f = p.forcing.at(t)
         ex_b = p.k * p.ell * self.lam * a - zeta + f + self.neg_k_lap_star
         ex_a = -xi - piv + p.gamma * (b - p.ell * a + self.star)
-        return ex_a, ex_b
+        return ex_a, ex_b, zeta, xi
 
     def full(self, t, a, b):
+        """(d phi/dt, d theta/dt, zeta, xi) at one state."""
         p = self.p
-        ex_a, ex_b = self.explicit_parts(t, a, b)
+        ex_a, ex_b, zeta, xi = self.explicit_parts(t, a, b)
         da = -p.nu * self.lam * a + ex_a
         db = -p.k * self.lam * b + ex_b
-        return da, db
-
-    def full_eta(self, t, a, e):
-        """Equivalent assembly in the (phi, eta) variables, kept for
-        cross-checking the change of variable."""
-        p = self.p
-        self.evals += 1
-        zeta = self.graph_term(e)
-        xi, piv = self.phi_nonlin(a)
-        f = p.forcing.at(t)
-        da = -p.nu * self.lam * a - xi - piv + p.gamma * (e - p.alpha * a + self.star)
-        de = (-p.k * self.lam * e + p.k * p.alpha * self.lam * a - zeta + f
-              + self.neg_k_lap_star - self.dm * da)
-        return da, de
+        return da, db, zeta, xi
 
 
 def assemble_rhs(params, state):
     """Right-hand side (d phi/dt, d theta/dt) of the Galerkin system."""
-    return _Rhs(params).full(state.t, np.asarray(state.a, float), np.asarray(state.b, float))
+    da, db, _, _ = _Rhs(params).full(
+        state.t, np.asarray(state.a, float), np.asarray(state.b, float))
+    return da, db
 
 
 def _imex_step(ctx, t, a, b, dt):
     p = ctx.p
-    ex_a, ex_b = ctx.explicit_parts(t, a, b)
+    ex_a, ex_b, _, _ = ctx.explicit_parts(t, a, b)
     b1 = (b + dt * ex_b) / (1.0 + dt * p.k * ctx.lam)
     a1 = (a + dt * ex_a) / (1.0 + dt * p.nu * ctx.lam)
     return a1, b1
 
 
 def _rk4_step(rhs, t, a, b, dt):
-    k1a, k1b = rhs(t, a, b)
-    k2a, k2b = rhs(t + 0.5 * dt, a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
-    k3a, k3b = rhs(t + 0.5 * dt, a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
-    k4a, k4b = rhs(t + dt, a + dt * k3a, b + dt * k3b)
+    k1a, k1b, _, _ = rhs(t, a, b)
+    k2a, k2b, _, _ = rhs(t + 0.5 * dt, a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
+    k3a, k3b, _, _ = rhs(t + 0.5 * dt, a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
+    k4a, k4b, _, _ = rhs(t + dt, a + dt * k3a, b + dt * k3b)
     a1 = a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
     b1 = b + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
     return a1, b1
@@ -410,13 +397,13 @@ def _dp45_step(rhs, t, a, b, dt, tol):
         for j, w in enumerate(_DP_A[i]):
             aa = aa + dt * w * ka[j]
             bb = bb + dt * w * kb[j]
-        da, db = rhs(t + ci * dt, aa, bb)
+        da, db, _, _ = rhs(t + ci * dt, aa, bb)
         ka.append(da)
         kb.append(db)
     a5 = a + dt * sum(w * v for w, v in zip(_DP_B5, ka))
     b5 = b + dt * sum(w * v for w, v in zip(_DP_B5, kb))
     # FSAL stage at the fifth-order solution closes the fourth-order weights
-    da7, db7 = rhs(t + dt, a5, b5)
+    da7, db7, _, _ = rhs(t + dt, a5, b5)
     a4 = a + dt * (sum(w * v for w, v in zip(_DP_B4[:6], ka)) + _DP_B4[6] * da7)
     b4 = b + dt * (sum(w * v for w, v in zip(_DP_B4[:6], kb)) + _DP_B4[6] * db7)
     scale_a = tol + tol * np.maximum(np.abs(a), np.abs(a5))
@@ -427,24 +414,6 @@ def _dp45_step(rhs, t, a, b, dt, tol):
     return a5, b5, err
 
 
-def step(params, state, dt, method="imex"):
-    """Advance one state by a single step of the chosen method."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if method not in ("imex", "rk4", "rk45"):
-        raise ValueError(f"unknown method {method!r}")
-    ctx = _Rhs(params)
-    a = np.asarray(state.a, dtype=float)
-    b = np.asarray(state.b, dtype=float)
-    if method == "imex":
-        a1, b1 = _imex_step(ctx, state.t, a, b, dt)
-    elif method == "rk4":
-        a1, b1 = _rk4_step(ctx.full, state.t, a, b, dt)
-    else:
-        a1, b1, _ = _dp45_step(ctx.full, state.t, a, b, dt, tol=1e-8)
-    return GalerkinState(state.t + dt, a1, b1)
-
-
 def _check_state(t, a, b, ceiling):
     worst = max(float(np.max(np.abs(a), initial=0.0)),
                 float(np.max(np.abs(b), initial=0.0)))
@@ -452,24 +421,13 @@ def _check_state(t, a, b, ceiling):
         raise BlowUpError(t, worst)
 
 
-def solve(params, initial, schedule, formulation="theta"):
-    """Integrate the Galerkin system on [0, T] and sample the trajectory.
-
-    ``formulation`` selects the working variables: "theta" (default) solves
-    the diagonally-stiff form; "eta" integrates the algebraically identical
-    system in (phi, eta) for cross-validation (explicit methods only).
-    """
-    if formulation not in ("theta", "eta"):
-        raise ValueError(f"unknown formulation {formulation!r}")
-    if formulation == "eta" and schedule.method == "imex":
-        raise ValueError("the eta formulation is only wired to explicit methods")
+def solve(params, initial, schedule):
+    """Integrate the Galerkin system on [0, T] and sample the trajectory."""
     ctx = _Rhs(params)
     ts = np.linspace(0.0, params.t_final, schedule.n_saves)
     m = params.basis.total_modes
     a = np.asarray(initial.phi0.coeffs, dtype=float).copy()
-    eta0 = np.asarray(initial.eta0.coeffs, dtype=float)
-    y = eta0 + ctx.dm * a if formulation == "theta" else eta0.copy()
-    rhs = ctx.full if formulation == "theta" else ctx.full_eta
+    b = np.asarray(initial.eta0.coeffs, dtype=float) + ctx.dm * a
 
     n_saves = schedule.n_saves
     PHI = np.empty((n_saves, m))
@@ -479,17 +437,12 @@ def solve(params, initial, schedule, formulation="theta"):
     DPHI = np.empty((n_saves, m))
     DTH = np.empty((n_saves, m))
 
-    def record(j, t, a, y):
-        theta = y if formulation == "theta" else y + ctx.dm * a
-        da, dy = rhs(t, a, y)
-        dtheta = dy if formulation == "theta" else dy + ctx.dm * da
+    def record(j, t, a, b):
         PHI[j] = a
-        TH[j] = theta
-        DPHI[j] = da
-        DTH[j] = dtheta
-        Z[j], XI[j] = ctx.selections(a, theta)
+        TH[j] = b
+        DPHI[j], DTH[j], Z[j], XI[j] = ctx.full(t, a, b)
 
-    record(0, 0.0, a, y)
+    record(0, 0.0, a, b)
     steps = rejected = 0
     h_adaptive = None
     for j in range(n_saves - 1):
@@ -500,23 +453,23 @@ def solve(params, initial, schedule, formulation="theta"):
             t = t0
             for _ in range(nsub):
                 if schedule.method == "imex":
-                    a, y = _imex_step(ctx, t, a, y, h)
+                    a, b = _imex_step(ctx, t, a, b, h)
                 else:
-                    a, y = _rk4_step(rhs, t, a, y, h)
+                    a, b = _rk4_step(ctx.full, t, a, b, h)
                 t += h
                 steps += 1
-                _check_state(t, a, y, params.blowup_ceiling)
+                _check_state(t, a, b, params.blowup_ceiling)
         else:
             t = t0
             h = h_adaptive if h_adaptive is not None else (t1 - t0) / 8.0
             while t < t1 - 1e-12 * params.t_final:
                 h = min(h, t1 - t)
-                a5, y5, err = _dp45_step(rhs, t, a, y, h, schedule.tol)
+                a5, b5, err = _dp45_step(ctx.full, t, a, b, h, schedule.tol)
                 if math.isfinite(err) and (err <= 1.0 or h <= 1e-13 * params.t_final):
                     t += h
-                    a, y = a5, y5
+                    a, b = a5, b5
                     steps += 1
-                    _check_state(t, a, y, params.blowup_ceiling)
+                    _check_state(t, a, b, params.blowup_ceiling)
                     grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                     h = h * grow
                 else:
@@ -526,11 +479,10 @@ def solve(params, initial, schedule, formulation="theta"):
                     if h < 1e-14 * params.t_final:
                         raise StepFailure(t)
             h_adaptive = h
-        record(j + 1, t1, a, y)
+        record(j + 1, t1, a, b)
 
     stats = {
         "method": schedule.method,
-        "formulation": formulation,
         "steps": steps,
         "rejected": rejected,
         "rhs_evals": ctx.evals,

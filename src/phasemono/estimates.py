@@ -36,7 +36,6 @@ without asserting their ordering.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -348,7 +347,7 @@ def contraction_check(params, data1, data2, schedule):
         c_gronwall=stability_constants(params)["C4"],
     )
 
-    # monotone pair dissipation of the two realized selections
+    # monotone pair dissipation of the two realized selection terms
     pair_eta = np.sum(basis.mass * (t1.zeta - t2.zeta) * (eta1 - eta2), axis=1)
     pair_phi = np.sum(basis.mass * (t1.xi - t2.xi) * (t1.phi - t2.phi), axis=1)
     report_args["pair_dissipation_eta_min"] = float(np.min(_cumtrapz(ts, pair_eta)))
@@ -394,7 +393,7 @@ class ContractionSweepReport:
         }
 
 
-def contraction_sweep(params, data, deltas, schedule, mode_index=1, threads=1):
+def contraction_sweep(params, data, deltas, schedule, mode_index=1):
     """Dyadic perturbation study of the continuous-dependence inequality."""
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
 
@@ -402,7 +401,7 @@ def contraction_sweep(params, data, deltas, schedule, mode_index=1, threads=1):
         return contraction_check(
             params, data, perturb_initial(params, data, delta, mode_index), schedule)
 
-    reports = _run_many(one, deltas, threads)
+    reports = _run_many(one, deltas)
     sol = np.array([r.sol_total for r in reports])
     dat = np.array([r.data_total for r in reports])
     c_obs = np.array([r.c_observed for r in reports], dtype=float)
@@ -422,19 +421,15 @@ class LadderMemberError(RuntimeError):
         self.cause = cause
 
 
-def _run_many(fn, values, threads):
-    def call(v):
+def _run_many(fn, values):
+    """Apply fn to each member in order; a failure names its member."""
+    results = []
+    for v in values:
         try:
-            return fn(v)
-        except LadderMemberError:
-            raise
+            results.append(fn(v))
         except Exception as exc:
             raise LadderMemberError(v, exc) from exc
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(call, values))
-    return [call(v) for v in values]
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,13 +502,13 @@ def _ladder_report(axis, values, runs, trajs, extras=None):
         rate=rate, extras=extras or {})
 
 
-def galerkin_convergence(factory, ns, schedule, threads=1):
+def galerkin_convergence(factory, ns, schedule):
     """Truncation-level ladder: factory(n) -> (params, initial).  Reports the
     C0([0,T];H) differences between consecutive levels; levels must share the
     domain, the sample grid and all coefficients."""
     ns = sorted(int(n) for n in ns)
     runs = {n: factory(n) for n in ns}
-    trajs = _run_many(lambda n: solve(runs[n][0], runs[n][1], schedule), ns, threads)
+    trajs = _run_many(lambda n: solve(runs[n][0], runs[n][1], schedule), ns)
     return _ladder_report("n", ns, [runs[n] for n in ns], trajs)
 
 
@@ -526,14 +521,13 @@ def constraint_overshoot(traj, basis):
     return max(worst, 0.0)
 
 
-def yosida_convergence(factory, eps_values, schedule, track_overshoot=False, threads=1):
+def yosida_convergence(factory, eps_values, schedule, track_overshoot=False):
     """Regularization ladder: factory(eps) -> (params, initial), fixed basis.
     Reports consecutive trajectory differences (Cauchy check) and optionally
     the constraint overshoot of the order parameter."""
     eps_values = sorted((float(e) for e in eps_values), reverse=True)
     runs = {e: factory(e) for e in eps_values}
-    trajs = _run_many(lambda e: solve(runs[e][0], runs[e][1], schedule),
-                      eps_values, threads)
+    trajs = _run_many(lambda e: solve(runs[e][0], runs[e][1], schedule), eps_values)
     run_list = [runs[e] for e in eps_values]
     extras = {}
     if track_overshoot:

@@ -34,7 +34,6 @@ __all__ = [
     "DomainError",
     "solve_increasing",
     "resolvent_oracle",
-    "yosida_nonlocal_sign",
 ]
 
 RESOLVENT_TOL = 1e-12
@@ -363,11 +362,6 @@ class NonlocalSign(MonotoneGraph):
         if s == 0.0:
             return np.zeros_like(v)
         return v / s
-
-
-def yosida_nonlocal_sign(eps, field, mass=None):
-    """Yosida map of the nonlocal Sign graph on a coefficient vector."""
-    return NonlocalSign().yosida(eps, field, mass=mass)
 
 
 class YosidaGraph(MonotoneGraph):

@@ -22,7 +22,6 @@ __all__ = [
     "regular_potential",
     "logarithmic_potential",
     "obstacle_potential",
-    "split",
     "envelope",
 ]
 
@@ -103,11 +102,6 @@ def logarithmic_potential(c0):
 
 def obstacle_potential(c0):
     return PotentialSpec("obstacle", float(c0))
-
-
-def split(spec):
-    """Return the (convex part, Lipschitz perturbation derivative) pair."""
-    return spec.beta_hat, spec.pi
 
 
 def envelope(spec, eps, r):

@@ -29,17 +29,13 @@ __all__ = [
     "build_basis",
     "to_grid",
     "from_grid",
-    "project",
     "norms",
     "h_norm",
     "v_norm",
     "w_norm",
-    "h_inner",
     "laplacian_coeffs",
     "grid_integral",
     "embed_coeffs",
-    "mode_samples",
-    "gram_matrix",
 ]
 
 
@@ -138,11 +134,6 @@ def from_grid(basis, values):
     return ch.ravel() / basis.amp
 
 
-def project(basis, grid_function):
-    """Orthogonal projection of a grid function onto the truncated span."""
-    return from_grid(basis, grid_function)
-
-
 def norms(basis, coeffs):
     """Return (H-norm, V-norm, Dirichlet energy) of a coefficient vector."""
     c = np.asarray(coeffs, dtype=float)
@@ -166,10 +157,6 @@ def w_norm(basis, coeffs):
     c = np.asarray(coeffs, dtype=float)
     lam = basis.eigenvalues
     return math.sqrt(float(np.sum(basis.mass * (1.0 + lam + lam * lam) * c * c)))
-
-
-def h_inner(basis, c1, c2):
-    return float(np.sum(basis.mass * np.asarray(c1, dtype=float) * np.asarray(c2, dtype=float)))
 
 
 def laplacian_coeffs(basis, coeffs):
@@ -200,16 +187,3 @@ def embed_coeffs(src, dst, coeffs):
     ch[: src.n, : src.n] = (c * src.amp).reshape(src.n, src.n)
     return ch.ravel() / dst.amp
 
-
-def mode_samples(basis):
-    """Matrix of all basis functions sampled on the full grid, one column per
-    (flattened) mode; intended for diagnostics on small bases."""
-    if basis.dims == 1:
-        return basis.mats[0] * basis.amp
-    return np.kron(basis.mats[0], basis.mats[1]) * basis.amp
-
-
-def gram_matrix(basis):
-    """Quadrature Gram matrix of the basis functions."""
-    w = mode_samples(basis)
-    return basis.cell * (w.T @ w)

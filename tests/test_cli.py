@@ -91,6 +91,24 @@ class TestRun:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 4
 
+    def test_resolvent_failure_exit_code(self, tmp_path, capsys):
+        # the quartic-well resolvent root-find cannot meet its absolute
+        # tolerance at |phi| = 1e12 and gives up at its iteration cap
+        cfg = with_overrides(get_scenario("regular_sign"), phi0="constant 1e12")
+        path = tmp_path / "huge.cfg"
+        path.write_text(serialize_config(cfg))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
+    def test_threads_option_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--scenario", "zero", "--out", str(tmp_path / "o"),
+                      "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_invariant_failure_exit_code(self, tmp_path, monkeypatch):
         import dataclasses
 
@@ -128,8 +146,7 @@ class TestSweep:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert cli.main(["sweep", "--scenario", "obstacle_sign", "--axis", "eps",
-                             "--values", "1e-1 1e-2", "--out", str(out),
-                             "--threads", "2"]) == 0
+                             "--values", "1e-1 1e-2", "--out", str(out)]) == 0
         assert (a / "sweep.json").read_bytes() == (b / "sweep.json").read_bytes()
 
     def test_delta_sweep_requires_matched_coefficients(self, tmp_path):

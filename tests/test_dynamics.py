@@ -13,6 +13,7 @@ from phasemono.dynamics import (
     FieldCoeffs,
     Forcing,
     GalerkinState,
+    InitialData,
     ModelParams,
     Schedule,
     StepFailure,
@@ -20,7 +21,6 @@ from phasemono.dynamics import (
     mollify_forcing,
     prepare_initial,
     solve,
-    step,
 )
 from phasemono.monotone import ScalarSign, ZeroGraph
 from phasemono.potentials import obstacle_potential, regular_potential
@@ -40,6 +40,60 @@ def make_params(n=4, L=math.pi, gamma=0.0, graph=None, potential=None,
         graph=graph or ZeroGraph(),
         potential=potential or regular_potential(),
         eps=eps)
+
+
+def one_step(p, a, b, dt, method):
+    """(phi, theta) after solving from (a, b) at t = 0 to t = dt with one
+    save interval: exactly one step for imex/rk4, the adaptive path for rk45."""
+    dm = p.ell - p.alpha
+    init = InitialData(eta0=FieldCoeffs(b - dm * a), phi0=FieldCoeffs(a),
+                       phi0_grid=None, beta_hat_l1=0.0, q_eps=0.0)
+    traj = solve(dataclasses.replace(p, t_final=dt), init,
+                 Schedule(method=method, dt=dt, n_saves=2))
+    return traj.phi[-1], traj.theta[-1]
+
+
+def eta_form_rhs(p):
+    """Right-hand side (d phi/dt, d eta/dt) of the Galerkin system in the
+    original (phi, eta) variables for a pointwise graph, assembled
+    independently of the solver's (phi, theta) form."""
+    basis = p.basis
+    lam = basis.eigenvalues
+    dm = p.ell - p.alpha
+    star = p.eta_star.coeffs
+    beta = p.potential.beta_graph()
+
+    def rhs(t, a, e):
+        grid = spectral.to_grid(basis, a)
+        xi = spectral.from_grid(basis, beta.yosida(p.eps, grid))
+        piv = spectral.from_grid(basis, p.potential.pi(grid))
+        zeta = spectral.from_grid(basis, p.graph.yosida(p.eps, spectral.to_grid(basis, e)))
+        da = -p.nu * lam * a - xi - piv + p.gamma * (e - p.alpha * a + star)
+        de = (-p.k * lam * e + p.k * p.alpha * lam * a - zeta + p.forcing.at(t)
+              + p.k * lam * star - dm * da)
+        return da, de
+
+    return rhs
+
+
+def rk4_samples(rhs, a, e, ts, dt):
+    """Classical RK4 with the solver's substep rule, sampled at ts."""
+    phis, etas = [a], [e]
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        nsub = max(1, math.ceil((t1 - t0) / dt - 1e-12))
+        h = (t1 - t0) / nsub
+        t = t0
+        for _ in range(nsub):
+            k1 = rhs(t, a, e)
+            k2 = rhs(t + h / 2, a + h / 2 * k1[0], e + h / 2 * k1[1])
+            k3 = rhs(t + h / 2, a + h / 2 * k2[0], e + h / 2 * k2[1])
+            k4 = rhs(t + h, a + h * k3[0], e + h * k3[1])
+            a = a + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            e = e + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            t += h
+        phis.append(a)
+        etas.append(e)
+    return np.array(phis), np.array(etas)
 
 
 class TestMollifier:
@@ -125,9 +179,9 @@ class TestAssembly:
         a = np.array([c * sqrt_l, 0, 0, 0])
         b = np.array([d * sqrt_l, 0, 0, 0])
         for method in ("imex", "rk4", "rk45"):
-            out = step(p, GalerkinState(0.0, a, b), 1e-2, method)
-            assert np.max(np.abs(out.a - a)) <= 1e-13
-            assert np.max(np.abs(out.b - b)) <= 1e-13
+            a1, b1 = one_step(p, a, b, 1e-2, method)
+            assert np.max(np.abs(a1 - a)) <= 1e-13
+            assert np.max(np.abs(b1 - b)) <= 1e-13
 
 
 class TestStep:
@@ -135,16 +189,15 @@ class TestStep:
         p = make_params(gamma=0.0)
         b = np.array([0.0, 1.0, 0.0, 0.0])
         dt = 0.05
-        out = step(p, GalerkinState(0.0, np.zeros(4), b), dt, "imex")
+        _, b1 = one_step(p, np.zeros(4), b, dt, "imex")
         lam1 = p.basis.eigenvalues[1]
-        assert out.b[1] == pytest.approx(1.0 / (1.0 + dt * p.k * lam1), abs=1e-15)
+        assert b1[1] == pytest.approx(1.0 / (1.0 + dt * p.k * lam1), abs=1e-15)
 
     def test_zero_state_stays_zero(self):
         p = make_params(gamma=0.5, graph=ScalarSign())
-        z = GalerkinState(0.0, np.zeros(4), np.zeros(4))
         for method in ("imex", "rk4", "rk45"):
-            out = step(p, z, 1e-2, method)
-            assert np.all(out.a == 0.0) and np.all(out.b == 0.0)
+            a1, b1 = one_step(p, np.zeros(4), np.zeros(4), 1e-2, method)
+            assert np.all(a1 == 0.0) and np.all(b1 == 0.0)
 
     def test_rk4_local_error_scaling(self):
         # one fourth-order step has local error ~ dt^5: halving dt divides
@@ -152,7 +205,6 @@ class TestStep:
         p = make_params(gamma=0.6, nu=0.3, k=0.4)
         a0 = np.array([0.3, -0.2, 0.1, 0.05])
         b0 = np.array([0.5, 0.1, -0.3, 0.2])
-        state = GalerkinState(0.0, a0, b0)
 
         def exact(dt):
             sched = Schedule(method="rk45", dt=dt, tol=1e-13, n_saves=2)
@@ -166,8 +218,8 @@ class TestStep:
         errs = []
         for dt in (0.2, 0.1):
             ea, eb = exact(dt)
-            out = step(p, state, dt, "rk4")
-            errs.append(max(np.max(np.abs(out.a - ea)), np.max(np.abs(out.b - eb))))
+            a1, b1 = one_step(p, a0, b0, dt, "rk4")
+            errs.append(max(np.max(np.abs(a1 - ea)), np.max(np.abs(b1 - eb))))
         ratio = errs[0] / errs[1]
         assert 20 <= ratio <= 48
 
@@ -232,10 +284,11 @@ class TestSolve:
     def test_change_of_variable_consistency(self):
         cfg = with_overrides(get_scenario("regular_sign"), method="rk4")
         params, init, sched = build_problem(cfg)
-        t_theta = solve(params, init, sched, formulation="theta")
-        t_eta = solve(params, init, sched, formulation="eta")
-        assert np.max(np.abs(t_theta.eta - t_eta.eta)) <= 1e-9
-        assert np.max(np.abs(t_theta.phi - t_eta.phi)) <= 1e-9
+        traj = solve(params, init, sched)
+        phi, eta = rk4_samples(eta_form_rhs(params), init.phi0.coeffs,
+                               init.eta0.coeffs, traj.times, sched.dt)
+        assert np.max(np.abs(traj.eta - eta)) <= 1e-9
+        assert np.max(np.abs(traj.phi - phi)) <= 1e-9
 
     def test_normalization_invariance(self):
         cfg = get_scenario("regular_sign")

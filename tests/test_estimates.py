@@ -261,15 +261,3 @@ class TestLadders:
     def test_overshoot_helper(self):
         params, _, _, traj = run_scenario("obstacle_sign")
         assert constraint_overshoot(traj, params.basis) > 0.0
-
-    def test_threaded_ladder_matches_serial(self):
-        cfg = get_scenario("tanh_front")
-
-        def factory(n):
-            p, i, _ = build_problem(with_overrides(cfg, modes=n, quadrature=None))
-            return p, i
-
-        _, _, schedule = build_problem(cfg)
-        ser = galerkin_convergence(factory, [8, 16], schedule, threads=1)
-        par = galerkin_convergence(factory, [8, 16], schedule, threads=2)
-        assert np.array_equal(ser.consecutive_total, par.consecutive_total)

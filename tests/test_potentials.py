@@ -12,7 +12,6 @@ from phasemono.potentials import (
     logarithmic_potential,
     obstacle_potential,
     regular_potential,
-    split,
 )
 from phasemono.selftest import builtin_potentials, potential_checks
 
@@ -20,11 +19,10 @@ from phasemono.selftest import builtin_potentials, potential_checks
 class TestSplit:
     def test_regular_stationary_at_one(self):
         spec = regular_potential()
-        beta_hat, pi = split(spec)
         # derivative bookkeeping: F'(1) = beta(1) + pi(1) = 1 - 1 = 0
         assert spec.beta_graph().minimal_section(1.0) == pytest.approx(1.0)
-        assert pi(1.0) == pytest.approx(-1.0)
-        assert beta_hat(1.0) == pytest.approx(0.25)
+        assert spec.pi(1.0) == pytest.approx(-1.0)
+        assert spec.beta_hat(1.0) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("spec", [
         regular_potential(), logarithmic_potential(1.5), obstacle_potential(0.7)])

@@ -56,16 +56,16 @@ class TestRandomSmooth:
         # only resolves more of it
         b8 = spectral.build_basis(1, 1.0, 8)
         b16 = spectral.build_basis(1, 1.0, 16)
-        f8 = spectral.project(b8, profile_grid(b8, "random-smooth 0.5",
-                                               np.random.default_rng(5)))
-        f16 = spectral.project(b16, profile_grid(b16, "random-smooth 0.5",
+        f8 = spectral.from_grid(b8, profile_grid(b8, "random-smooth 0.5",
                                                  np.random.default_rng(5)))
+        f16 = spectral.from_grid(b16, profile_grid(b16, "random-smooth 0.5",
+                                                   np.random.default_rng(5)))
         assert np.allclose(f8, f16[:8], atol=1e-12)
 
     def test_amplitude_is_master_norm(self, basis):
         vals = profile_grid(basis, "random-smooth 0.5 0.5",
                             np.random.default_rng(1))
-        c = spectral.project(basis, vals)
+        c = spectral.from_grid(basis, vals)
         assert spectral.h_norm(basis, c) <= 0.5 + 1e-12
 
 
