@@ -1,8 +1,9 @@
 """Maximal monotone graphs with exact resolvents and Yosida regularizations.
 
-Scalar graphs act elementwise on floats or numpy arrays; the nonlocal Sign
-graph acts on a whole coefficient vector through its L2 norm.  Every graph
-exposes
+Scalar graphs act elementwise on floats or numpy arrays, and their ``eps``
+may be a positive scalar or an array of positive values of the same shape as
+``x`` (one regularization level per point); the nonlocal Sign graph acts on a
+whole coefficient vector through its L2 norm.  Every graph exposes
 
 * ``resolvent(eps, x)``   -- J_eps = (I + eps*A)^{-1}, a contraction with
   J_eps(0) = 0,
@@ -13,6 +14,11 @@ exposes
 together with a set-valued description ``value_interval`` from which the
 independent bisection oracle :func:`resolvent_oracle` solves the inclusion
 x in u + eps*A(u) without touching any closed form.
+
+Most resolvents are closed forms, the quartic well's among them (the real
+root of a depressed cubic).  The logarithmic well, the weighted power with
+q != 1/2 and :class:`YosidaGraph` solve their scalar equation by an inner
+root-find, which raises :class:`ResolventError` when it does not converge.
 """
 
 from __future__ import annotations
@@ -48,6 +54,12 @@ class DomainError(ValueError):
     """Point outside the effective domain of the graph."""
 
 
+def _check_eps(eps):
+    # the float test keeps the common scalar case off numpy's dispatch
+    if eps <= 0 if isinstance(eps, float) else np.any(np.asarray(eps) <= 0):
+        raise ValueError("eps must be positive")
+
+
 def _restore(x, out):
     """Return a python float when the input was scalar."""
     if np.ndim(x) == 0:
@@ -55,15 +67,15 @@ def _restore(x, out):
     return out
 
 
-def solve_increasing(fun, target, lo, hi, deriv=None,
-                     tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):
-    """Solve fun(u) = target for an increasing map with slope >= 1.
+def solve_increasing(fun, target, lo, hi, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):
+    """Solve fun(u) = target by bisection, for an increasing map with slope >= 1.
 
-    Safeguarded bisection, optionally accelerated by Newton steps that are
-    accepted only while they stay strictly inside the current bracket.  The
-    maps solved here all have the form u + eps*A(u) with A monotone, so the
-    residual |fun(u) - target| bounds the error |u - u*| directly and serves
-    as a second convergence criterion next to the bracket width.
+    The maps solved here all have the form u + eps*A(u) with A monotone, so
+    the residual |fun(u) - target| bounds the error |u - u*| directly and
+    serves as a second convergence criterion next to the bracket width.  Both
+    are scale-aware: the residual is measured against tol*max(1, |target|)
+    and the bracket width against tol*max(1, |u|), so that a tolerance below
+    the float spacing near a large root still stops.
     """
     t = np.asarray(target, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).astype(float).copy()
@@ -74,24 +86,19 @@ def solve_increasing(fun, target, lo, hi, deriv=None,
         t = np.where(finite, t, 0.0)
         lo = np.where(finite, lo, 0.0)
         hi = np.where(finite, hi, 0.0)
-        out = solve_increasing(fun, t, lo, hi, deriv=deriv, tol=tol, max_iter=max_iter)
+        out = solve_increasing(fun, t, lo, hi, tol=tol, max_iter=max_iter)
         return np.where(finite, out, np.nan)
+    res_tol = tol * np.maximum(1.0, np.abs(t))
     u = 0.5 * (lo + hi)
     for _ in range(max_iter):
         r = fun(u) - t
         hi = np.where(r >= 0.0, u, hi)
         lo = np.where(r <= 0.0, u, lo)
-        small_res = np.abs(r) <= tol
-        small_gap = (hi - lo) <= tol
+        small_res = np.abs(r) <= res_tol
+        small_gap = (hi - lo) <= tol * np.maximum(1.0, np.abs(u))
         if np.all(small_res | small_gap):
             return np.where(small_res, u, 0.5 * (lo + hi))
-        if deriv is not None:
-            d = deriv(u)
-            cand = u - r / d
-            ok = np.isfinite(cand) & (cand > lo) & (cand < hi)
-            u = np.where(ok, cand, 0.5 * (lo + hi))
-        else:
-            u = 0.5 * (lo + hi)
+        u = 0.5 * (lo + hi)
     width = float(np.max(hi - lo))
     res = float(np.max(np.abs(fun(0.5 * (lo + hi)) - t)))
     raise ResolventError(
@@ -121,8 +128,7 @@ class MonotoneGraph:
         raise NotImplementedError
 
     def yosida(self, eps, x):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        _check_eps(eps)
         arr = np.asarray(x, dtype=float)
         j = np.asarray(self.resolvent(eps, x), dtype=float)
         return _restore(x, (arr - j) / eps)
@@ -168,8 +174,7 @@ class ZeroGraph(MonotoneGraph):
         return _restore(x, arr.copy())
 
     def yosida(self, eps, x):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        _check_eps(eps)
         return _restore(x, np.zeros_like(np.asarray(x, dtype=float)))
 
 
@@ -191,8 +196,7 @@ class ScalarSign(MonotoneGraph):
         return _restore(x, out)
 
     def yosida(self, eps, x):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        _check_eps(eps)
         arr = np.asarray(x, dtype=float)
         return _restore(x, np.clip(arr / eps, -1.0, 1.0))
 
@@ -259,11 +263,65 @@ class WeightedPower(MonotoneGraph):
         return _restore(x, np.sign(arr) * t)
 
 
+def _cubic_root(eps, x):
+    """The real root u of u + eps*u**3 = x, elementwise.
+
+    Hyperbolic form of Cardano's formula for the depressed cubic
+    u**3 + u/eps - x/eps = 0, whose only real root is
+    u = (2/k) sinh(asinh(1.5*k*x)/3) with k = sqrt(3*eps).  It is exactly
+    odd in x, has no cancellation at small |x|, and leaves a residual below
+    1e-14*|x|.  Non-finite x gives NaN.
+    """
+    k = np.sqrt(3.0 * eps)
+    z = 1.5 * k * x
+    u = (2.0 / k) * np.sinh(np.arcsinh(z) / 3.0)
+    if np.all(np.isfinite(u)):
+        return u
+    # where 1.5*k*x overflowed for a finite x, asinh(z) = log(2|z|) exactly
+    # in double precision and is taken in logs
+    finite = np.isfinite(x)
+    big = finite & ~np.isfinite(z)
+    ax = np.abs(np.where(big, x, 1.0))
+    t = np.where(big, np.sign(x) * (np.log(3.0 * k) + np.log(ax)), np.arcsinh(z))
+    return np.where(finite, (2.0 / k) * np.sinh(t / 3.0), np.nan)
+
+
+def _log_root(eps, x, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):
+    """The root u in (-1, 1) of u + eps*log((1+u)/(1-u)) = x, elementwise.
+
+    The substitution u = tanh(s) turns the equation for |x| into
+    h(s) = tanh(s) + 2*eps*s = |x|, with h increasing and concave on s >= 0,
+    so Newton steps started below the root climb to it monotonically and
+    need no bracket.  The start (|x| - 1)/(2*eps) is below the root because
+    tanh < 1.  The left side maps (-1, 1) onto R, but the largest float
+    below 1 caps the representable roots: |x| beyond its image saturates
+    there.  NaN x gives NaN.
+    """
+    top = np.nextafter(1.0, 0.0)
+    y = np.minimum(np.abs(x), top + 2.0 * eps * np.arctanh(top))
+    res_tol = tol * np.maximum(1.0, y)
+    s = np.maximum(0.0, (y - 1.0) / (2.0 * eps))
+    for _ in range(max_iter):
+        r = y - np.tanh(s) - 2.0 * eps * s
+        c = np.cosh(s)
+        s = s + r / (1.0 / (c * c) + 2.0 * eps)
+        # once the residual is small, the step just taken leaves an error of
+        # its square; written so that NaN entries count as converged
+        if not np.any(np.abs(r) > res_tol):
+            return np.copysign(np.minimum(np.tanh(s), top), x)
+    raise ResolventError(
+        f"logarithmic resolvent hit the {max_iter}-iteration cap "
+        f"(residual {float(np.nanmax(np.abs(r))):.3e})")
+
+
 class SubdiffBetaHat(MonotoneGraph):
     """Subdifferential of the convex part of a double-well potential.
 
     ``variant`` selects the branch: 'regular' gives r^3, 'logarithmic' gives
     log((1+r)/(1-r)) on (-1, 1), 'obstacle' gives the normal cone of [-1, 1].
+    The regular and obstacle resolvents are closed forms (the real root of
+    u + eps*u^3 = x, and the clip to [-1, 1]); the logarithmic one is a
+    Newton iteration without bracket, see :func:`_log_root`.
     """
 
     VARIANTS = ("regular", "logarithmic", "obstacle")
@@ -296,26 +354,8 @@ class SubdiffBetaHat(MonotoneGraph):
         if self.variant == "obstacle":
             return _restore(x, np.clip(arr, -1.0, 1.0))
         if self.variant == "regular":
-            out = solve_increasing(
-                lambda u: u + eps * u ** 3, arr,
-                np.minimum(arr, 0.0), np.maximum(arr, 0.0),
-                deriv=lambda u: 1.0 + 3.0 * eps * u * u)
-            return _restore(x, out)
-        # logarithmic: increasing and surjective from (-1, 1) onto R, but the
-        # largest representable image point sits at 1 - ulp; saturate beyond it
-        lo0 = np.nextafter(-1.0, 0.0)
-        hi0 = np.nextafter(1.0, 0.0)
-
-        def g(u):
-            return u + eps * (np.log1p(u) - np.log1p(-u))
-
-        glo, ghi = g(lo0), g(hi0)
-        clipped = np.clip(arr, glo, ghi)
-        core = solve_increasing(
-            g, clipped, lo0, hi0,
-            deriv=lambda u: 1.0 + eps * (1.0 / (1.0 + u) + 1.0 / (1.0 - u)))
-        out = np.where(arr >= ghi, hi0, np.where(arr <= glo, lo0, core))
-        return _restore(x, out)
+            return _restore(x, _cubic_root(eps, arr))
+        return _restore(x, _log_root(eps, arr))
 
 
 class NonlocalSign(MonotoneGraph):
@@ -405,8 +445,7 @@ def resolvent_oracle(graph, eps, x, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_IT
     soon as the inclusion holds.  Nonlocal graphs are reduced to their radial
     scalar profile along the input direction.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if graph.is_nonlocal:
         v = np.asarray(x, dtype=float)
         s = float(np.sqrt(np.sum(v * v)))

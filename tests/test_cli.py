@@ -7,6 +7,7 @@ import pytest
 
 from phasemono import cli
 from phasemono.config import ConfigError, parse_config, serialize_config, with_overrides
+from phasemono.monotone import ResolventError, SubdiffBetaHat
 from phasemono.scenarios import get_scenario, scenario_names, scenario_text
 
 
@@ -91,16 +92,29 @@ class TestRun:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 4
 
-    def test_resolvent_failure_exit_code(self, tmp_path, capsys):
-        # the quartic-well resolvent root-find cannot meet its absolute
-        # tolerance at |phi| = 1e12 and gives up at its iteration cap
+    def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an inner resolvent root-find that gives up ends the run with exit
+        # 4, not a traceback
+        def give_up(self, eps, x):
+            raise ResolventError("resolvent root-find hit the 200-iteration cap")
+
+        monkeypatch.setattr(SubdiffBetaHat, "resolvent", give_up)
+        code = cli.main(["run", "--scenario", "regular_sign", "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
+    def test_huge_state_exits_as_blow_up(self, tmp_path, capsys):
+        # the quartic-well resolvent is a closed form and solves |phi| = 1e12;
+        # the run then stops at the blow-up ceiling
         cfg = with_overrides(get_scenario("regular_sign"), phi0="constant 1e12")
         path = tmp_path / "huge.cfg"
         path.write_text(serialize_config(cfg))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 4
         err = capsys.readouterr().err
-        assert "numerical failure" in err
+        assert "blow-up" in err
         assert "Traceback" not in err
 
     def test_threads_option_rejected(self, tmp_path):

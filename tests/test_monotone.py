@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from phasemono import monotone
 from phasemono.monotone import (
+    RESOLVENT_TOL,
     DomainError,
     NonlocalSign,
     ResolventError,
@@ -232,6 +234,118 @@ class TestSolver:
             inner = np.abs(x) <= 1.0 + eps  # away from float saturation
             resid = u + eps * (np.log1p(u) - np.log1p(-u)) - x
             assert np.max(np.abs(resid[inner])) <= 1e-10
+
+    def test_logarithmic_resolvent_odd_and_saturating(self):
+        g = SubdiffBetaHat("logarithmic")
+        x = np.geomspace(1e-12, 1e12, 601)
+        for eps in (1e-6, 0.05, 3.0):
+            assert np.array_equal(np.asarray(g.resolvent(eps, -x)),
+                                  -np.asarray(g.resolvent(eps, x)))
+        out = np.asarray(g.resolvent(0.1, np.array([np.nan, np.inf, -np.inf])))
+        assert math.isnan(out[0])
+        assert out[1] == -out[2] == np.nextafter(1.0, 0.0)
+
+
+class TestScaleAwareStopping:
+    def test_yosida_of_stefan_at_large_x(self):
+        # the bracket closes to a few ulp of 848, above an absolute 1e-13
+        g = YosidaGraph(Stefan(1.3, 0.7), 0.2)
+        u = g.resolvent(1.0, 1370.0)
+        assert abs(u + g.base.yosida(0.2, u) - 1370.0) <= 1e-12 * 1370.0
+
+    def test_yosida_of_quartic_at_large_x(self):
+        g = YosidaGraph(SubdiffBetaHat("regular"), 0.2)
+        x = np.array([1e7, -3e9, 1e12])
+        u = np.asarray(g.resolvent(1.0, x))
+        resid = u + np.asarray(g.base.yosida(0.2, u)) - x
+        assert np.all(np.abs(resid) <= 1e-12 * np.abs(x))
+
+    def test_large_root_of_generic_map(self):
+        u = solve_increasing(lambda u: u + u ** 3, 1e12, 0.0, 1e12)
+        assert abs(u + u ** 3 - 1e12) <= 1e-12 * 1e12
+
+
+class TestQuarticClosedForm:
+    """The real root of u + eps*u^3 = x, used by SubdiffBetaHat('regular')."""
+
+    g = SubdiffBetaHat("regular")
+    x = np.geomspace(1e-12, 1e12, 2401)
+
+    def test_scaled_residual(self):
+        for eps in np.geomspace(1e-6, 100.0, 25):
+            for x in (self.x, -self.x):
+                u = np.asarray(self.g.resolvent(eps, x))
+                assert np.max(np.abs(u + eps * u ** 3 - x) / np.abs(x)) <= 1e-14
+
+    def test_exactly_odd_and_fixes_zero(self):
+        for eps in (1e-6, 0.05, 1.0, 100.0):
+            assert np.array_equal(np.asarray(self.g.resolvent(eps, -self.x)),
+                                  -np.asarray(self.g.resolvent(eps, self.x)))
+            assert self.g.resolvent(eps, 0.0) == 0.0
+
+    def test_monotone_on_dense_grid(self):
+        grid = np.concatenate([np.linspace(-50.0, 50.0, 200001),
+                               np.linspace(-1e-9, 1e-9, 20001)])
+        grid.sort()
+        for eps in (1e-6, 1e-3, 0.3, 7.0, 100.0):
+            assert np.all(np.diff(np.asarray(self.g.resolvent(eps, grid))) >= 0.0)
+
+    def test_non_finite_inputs_give_nan(self):
+        out = np.asarray(self.g.resolvent(0.3, np.array([np.inf, -np.inf, np.nan, 2.0])))
+        assert np.all(np.isnan(out[:3]))
+        assert np.isfinite(out[3])
+        for bad in (np.inf, -np.inf, np.nan):
+            assert math.isnan(self.g.resolvent(0.3, bad))
+
+    def test_huge_inputs_stay_finite(self):
+        u = self.g.resolvent(0.05, 1e300)
+        assert math.isfinite(u)
+        assert abs(u + 0.05 * u ** 3 - 1e300) <= 1e-13 * 1e300
+        # 1.5*sqrt(3*eps)*x overflows here; the root is taken in logs
+        with np.errstate(over="ignore"):
+            u = np.asarray(self.g.resolvent(100.0, np.array([1e308, -1e308, 1.0])))
+        assert np.all(np.isfinite(u))
+        assert u[1] == -u[0]
+        assert abs(u[0] + 100.0 * u[0] ** 3 - 1e308) <= 1e-12 * 1e308
+
+    def test_does_not_root_find(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_increasing called")
+
+        monkeypatch.setattr(monotone, "solve_increasing", forbidden)
+        assert self.g.resolvent(1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestArrayEps:
+    # the graphs whose resolvent is an inner root-find rather than a closed form
+    ROOT_FINDS = ("weighted_power(q=0.3,w=2)", "beta_logarithmic")
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n, g in builtin_graphs().items() if not g.is_nonlocal))
+    def test_matches_pointwise_loop(self, name):
+        g = builtin_graphs()[name]
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-5.0, 5.0, 400)
+        eps = 10.0 ** rng.uniform(-3.0, 0.0, 400)
+        j = np.asarray(g.resolvent(eps, x))
+        a = np.asarray(g.yosida(eps, x))
+        j_loop = np.array([g.resolvent(e, v) for e, v in zip(eps, x)])
+        a_loop = np.array([g.yosida(e, v) for e, v in zip(eps, x)])
+        if name in self.ROOT_FINDS:
+            # each result lies within the stopping tolerance
+            # RESOLVENT_TOL*max(1, |x|) of the root
+            bound = 2.0 * RESOLVENT_TOL * np.maximum(1.0, np.abs(x))
+            assert np.all(np.abs(j - j_loop) <= bound)
+            assert np.all(eps * np.abs(a - a_loop) <= bound + 1e-15 * np.abs(x))
+        else:
+            assert np.array_equal(j, j_loop)
+            assert np.array_equal(a, a_loop)
+
+    def test_nonpositive_entry_rejected(self):
+        with pytest.raises(ValueError):
+            ScalarSign().yosida(np.array([0.1, 0.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            resolvent_oracle(Stefan(1.0, 1.0), np.array([0.1, -1.0]), np.array([1.0, 2.0]))
 
 
 class TestZeroGraph:
