@@ -55,8 +55,7 @@ class DomainError(ValueError):
 
 
 def _check_eps(eps):
-    # the float test keeps the common scalar case off numpy's dispatch
-    if eps <= 0 if isinstance(eps, float) else np.any(np.asarray(eps) <= 0):
+    if (np.asarray(eps) <= 0).any():
         raise ValueError("eps must be positive")
 
 
@@ -71,11 +70,10 @@ def solve_increasing(fun, target, lo, hi, tol=RESOLVENT_TOL, max_iter=RESOLVENT_
     """Solve fun(u) = target by bisection, for an increasing map with slope >= 1.
 
     The maps solved here all have the form u + eps*A(u) with A monotone, so
-    the residual |fun(u) - target| bounds the error |u - u*| directly and
-    serves as a second convergence criterion next to the bracket width.  Both
-    are scale-aware: the residual is measured against tol*max(1, |target|)
-    and the bracket width against tol*max(1, |u|), so that a tolerance below
-    the float spacing near a large root still stops.
+    the residual |fun(u) - target| bounds the error |u - u*| directly and is
+    the convergence criterion: it stops at tol, or at a few float spacings of
+    |target| where those exceed tol.  Where rounding keeps the residual above
+    that, the bracket closing to a few float spacings of u stops instead.
     """
     t = np.asarray(target, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).astype(float).copy()
@@ -88,14 +86,14 @@ def solve_increasing(fun, target, lo, hi, tol=RESOLVENT_TOL, max_iter=RESOLVENT_
         hi = np.where(finite, hi, 0.0)
         out = solve_increasing(fun, t, lo, hi, tol=tol, max_iter=max_iter)
         return np.where(finite, out, np.nan)
-    res_tol = tol * np.maximum(1.0, np.abs(t))
+    res_tol = np.maximum(tol, 4.0 * np.spacing(np.abs(t)))
     u = 0.5 * (lo + hi)
     for _ in range(max_iter):
         r = fun(u) - t
         hi = np.where(r >= 0.0, u, hi)
         lo = np.where(r <= 0.0, u, lo)
         small_res = np.abs(r) <= res_tol
-        small_gap = (hi - lo) <= tol * np.maximum(1.0, np.abs(u))
+        small_gap = (hi - lo) <= 4.0 * np.spacing(np.abs(u))
         if np.all(small_res | small_gap):
             return np.where(small_res, u, 0.5 * (lo + hi))
         u = 0.5 * (lo + hi)
@@ -286,7 +284,7 @@ def _cubic_root(eps, x):
     return np.where(finite, (2.0 / k) * np.sinh(t / 3.0), np.nan)
 
 
-def _log_root(eps, x, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):
+def _log_root(eps, x):
     """The root u in (-1, 1) of u + eps*log((1+u)/(1-u)) = x, elementwise.
 
     The substitution u = tanh(s) turns the equation for |x| into
@@ -299,9 +297,9 @@ def _log_root(eps, x, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):
     """
     top = np.nextafter(1.0, 0.0)
     y = np.minimum(np.abs(x), top + 2.0 * eps * np.arctanh(top))
-    res_tol = tol * np.maximum(1.0, y)
+    res_tol = RESOLVENT_TOL * np.maximum(1.0, y)
     s = np.maximum(0.0, (y - 1.0) / (2.0 * eps))
-    for _ in range(max_iter):
+    for _ in range(RESOLVENT_MAX_ITER):
         r = y - np.tanh(s) - 2.0 * eps * s
         c = np.cosh(s)
         s = s + r / (1.0 / (c * c) + 2.0 * eps)
@@ -310,7 +308,7 @@ def _log_root(eps, x, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):
         if not np.any(np.abs(r) > res_tol):
             return np.copysign(np.minimum(np.tanh(s), top), x)
     raise ResolventError(
-        f"logarithmic resolvent hit the {max_iter}-iteration cap "
+        f"logarithmic resolvent hit the {RESOLVENT_MAX_ITER}-iteration cap "
         f"(residual {float(np.nanmax(np.abs(r))):.3e})")
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from phasemono import monotone
 from phasemono.monotone import (
-    RESOLVENT_TOL,
     DomainError,
     NonlocalSign,
     ResolventError,
@@ -332,11 +331,8 @@ class TestArrayEps:
         j_loop = np.array([g.resolvent(e, v) for e, v in zip(eps, x)])
         a_loop = np.array([g.yosida(e, v) for e, v in zip(eps, x)])
         if name in self.ROOT_FINDS:
-            # each result lies within the stopping tolerance
-            # RESOLVENT_TOL*max(1, |x|) of the root
-            bound = 2.0 * RESOLVENT_TOL * np.maximum(1.0, np.abs(x))
-            assert np.all(np.abs(j - j_loop) <= bound)
-            assert np.all(eps * np.abs(a - a_loop) <= bound + 1e-15 * np.abs(x))
+            assert np.all(np.abs(j - j_loop) <= 1e-12)
+            assert np.all(eps * np.abs(a - a_loop) <= 1e-12)
         else:
             assert np.array_equal(j, j_loop)
             assert np.array_equal(a, a_loop)
