@@ -127,9 +127,11 @@ def _cmd_run(args):
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     params, initial, schedule = build_problem(cfg)
+    t1 = time.perf_counter()
     traj = solve(params, initial, schedule)
+    t2 = time.perf_counter()
     report = energy_monitor(traj, params)
-    wall = time.perf_counter() - t0
+    t3 = time.perf_counter()
 
     failures = _invariant_failures(report)
     eta_T = traj.eta[-1]
@@ -152,7 +154,13 @@ def _cmd_run(args):
     _write_trajectory_csv(out / "trajectory.csv", traj, params.basis)
     _write_plot_csv(out / "plot.csv", report)
     _json_dump(out / "report.json", payload)
-    _json_dump(out / "timing.json", {"wall_clock_seconds": wall})
+    _json_dump(out / "timing.json", {
+        "wall_clock_seconds": t3 - t0,
+        "build_s": t1 - t0,
+        "solve_s": t2 - t1,
+        "monitor_s": t3 - t2,
+        "write_s": time.perf_counter() - t3,
+    })
 
     print(f"run: {traj.stats['steps']} steps, "
           f"final |eta|_H = {payload['trajectory']['final_eta_h']:.6g}, "

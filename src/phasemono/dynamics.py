@@ -48,12 +48,16 @@ __all__ = [
 
 
 class BlowUpError(RuntimeError):
-    """Solution norm exceeded the configured ceiling."""
+    """Solution norm exceeded the configured ceiling.  ``member`` is the
+    index of the first stacked member over it, or None for a single state."""
 
-    def __init__(self, time, norm):
-        super().__init__(f"blow-up detected at t = {time:.6g} (norm {norm:.3e})")
+    def __init__(self, time, norm, member=None):
+        where = "" if member is None else f" in stack row {member}"
+        super().__init__(
+            f"blow-up detected{where} at t = {time:.6g} (norm {norm:.3e})")
         self.time = time
         self.norm = norm
+        self.member = member
 
 
 class StepFailure(RuntimeError):
@@ -340,13 +344,17 @@ class _Rhs:
         ex_a = -xi - piv + p.gamma * (b - p.ell * a + self.star)
         return ex_a, ex_b, zeta, xi
 
-    def full(self, t, a, b):
-        """(d phi/dt, d theta/dt, zeta, xi) at one state."""
+    def diffused(self, a, b, ex_a, ex_b):
+        """(d phi/dt, d theta/dt) from the explicit parts at the state."""
         p = self.p
-        ex_a, ex_b, zeta, xi = self.explicit_parts(t, a, b)
         da = -p.nu * self.lam * a + ex_a
         db = -p.k * self.lam * b + ex_b
-        return da, db, zeta, xi
+        return da, db
+
+    def full(self, t, a, b):
+        """(d phi/dt, d theta/dt, zeta, xi) at one state."""
+        ex_a, ex_b, zeta, xi = self.explicit_parts(t, a, b)
+        return self.diffused(a, b, ex_a, ex_b) + (zeta, xi)
 
 
 def assemble_rhs(params, state):
@@ -356,16 +364,19 @@ def assemble_rhs(params, state):
     return da, db
 
 
-def _imex_step(ctx, t, a, b, dt):
+# Each step takes its first stage, the evaluation at (t, a, b), from the
+# caller: explicit parts for IMEX, the full right-hand side for RK4 and DP45.
+
+def _imex_step(ctx, a, b, dt, first):
     p = ctx.p
-    ex_a, ex_b, _, _ = ctx.explicit_parts(t, a, b)
+    ex_a, ex_b = first[0], first[1]
     b1 = (b + dt * ex_b) / (1.0 + dt * p.k * ctx.lam)
     a1 = (a + dt * ex_a) / (1.0 + dt * p.nu * ctx.lam)
     return a1, b1
 
 
-def _rk4_step(rhs, t, a, b, dt):
-    k1a, k1b, _, _ = rhs(t, a, b)
+def _rk4_step(rhs, t, a, b, dt, first):
+    k1a, k1b = first[0], first[1]
     k2a, k2b, _, _ = rhs(t + 0.5 * dt, a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
     k3a, k3b, _, _ = rhs(t + 0.5 * dt, a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
     k4a, k4b, _, _ = rhs(t + dt, a + dt * k3a, b + dt * k3b)
@@ -388,74 +399,101 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _dp45_step(rhs, t, a, b, dt, tol):
-    """One embedded Dormand-Prince step.  Returns the fifth-order update and
-    a scaled error estimate (accept when <= 1)."""
-    ka, kb = [], []
-    for i, ci in enumerate(_DP_C):
+def _dp45_step(rhs, t, a, b, dt, tol, first):
+    """One embedded Dormand-Prince step.  Returns the fifth-order update, a
+    scaled error estimate (accept when <= 1), and the FSAL evaluation at the
+    update, which is the first stage of the next step.  The estimate is the
+    RMS over modes of each member, maximized over the members of a stack."""
+    ka, kb = [first[0]], [first[1]]
+    for i in range(1, len(_DP_C)):
         aa, bb = a, b
         for j, w in enumerate(_DP_A[i]):
             aa = aa + dt * w * ka[j]
             bb = bb + dt * w * kb[j]
-        da, db, _, _ = rhs(t + ci * dt, aa, bb)
+        da, db, _, _ = rhs(t + _DP_C[i] * dt, aa, bb)
         ka.append(da)
         kb.append(db)
     a5 = a + dt * sum(w * v for w, v in zip(_DP_B5, ka))
     b5 = b + dt * sum(w * v for w, v in zip(_DP_B5, kb))
     # FSAL stage at the fifth-order solution closes the fourth-order weights
-    da7, db7, _, _ = rhs(t + dt, a5, b5)
+    fsal = rhs(t + dt, a5, b5)
+    da7, db7 = fsal[0], fsal[1]
     a4 = a + dt * (sum(w * v for w, v in zip(_DP_B4[:6], ka)) + _DP_B4[6] * da7)
     b4 = b + dt * (sum(w * v for w, v in zip(_DP_B4[:6], kb)) + _DP_B4[6] * db7)
     scale_a = tol + tol * np.maximum(np.abs(a), np.abs(a5))
     scale_b = tol + tol * np.maximum(np.abs(b), np.abs(b5))
-    err = math.sqrt(float(
+    err = math.sqrt(float(np.max(
         np.mean(np.concatenate([((a5 - a4) / scale_a) ** 2,
-                                ((b5 - b4) / scale_b) ** 2]))))
-    return a5, b5, err
+                                ((b5 - b4) / scale_b) ** 2], axis=-1), axis=-1))))
+    return a5, b5, err, fsal
 
 
 def _check_state(t, a, b, ceiling):
-    worst = max(float(np.max(np.abs(a), initial=0.0)),
-                float(np.max(np.abs(b), initial=0.0)))
-    if not (math.isfinite(worst) and worst <= ceiling):
-        raise BlowUpError(t, worst)
+    worst = np.maximum(np.max(np.abs(a), axis=-1, initial=0.0),
+                       np.max(np.abs(b), axis=-1, initial=0.0))
+    bad = ~(worst <= ceiling)
+    if bad.any():
+        if worst.ndim == 0:
+            raise BlowUpError(t, float(worst))
+        member = int(np.argmax(bad))
+        raise BlowUpError(t, float(worst[member]), member)
 
 
 def solve(params, initial, schedule):
-    """Integrate the Galerkin system on [0, T] and sample the trajectory."""
+    """Integrate the Galerkin system on [0, T] and sample the trajectory.
+
+    ``initial.phi0.coeffs`` and ``initial.eta0.coeffs`` are either vectors of
+    the ``m`` basis modes or stacks of shape (B, m): B members that share
+    ``params`` (basis, coefficients, graph, forcing and eta*) and
+    ``schedule`` and are integrated as one state.  The trajectory's arrays
+    then have shape (n_saves, B, m), and row r of each follows member r.
+    Fixed-step members match their standalone solves up to rounding.  DP45
+    advances the stack with one step size, accepted when the largest
+    per-member error estimate is, so a stacked member takes the steps of
+    the hardest one.  A blow-up names the first member over the ceiling in
+    ``BlowUpError.member``.
+    """
     ctx = _Rhs(params)
     ts = np.linspace(0.0, params.t_final, schedule.n_saves)
-    m = params.basis.total_modes
     a = np.asarray(initial.phi0.coeffs, dtype=float).copy()
     b = np.asarray(initial.eta0.coeffs, dtype=float) + ctx.dm * a
 
-    n_saves = schedule.n_saves
-    PHI = np.empty((n_saves, m))
-    TH = np.empty((n_saves, m))
-    Z = np.empty((n_saves, m))
-    XI = np.empty((n_saves, m))
-    DPHI = np.empty((n_saves, m))
-    DTH = np.empty((n_saves, m))
+    shape = (schedule.n_saves,) + a.shape
+    PHI = np.empty(shape)
+    TH = np.empty(shape)
+    Z = np.empty(shape)
+    XI = np.empty(shape)
+    DPHI = np.empty(shape)
+    DTH = np.empty(shape)
+
+    imex = schedule.method == "imex"
+    stage = ctx.explicit_parts if imex else ctx.full
 
     def record(j, t, a, b):
+        """Store save j and return the first stage of the step from it."""
+        ex_a, ex_b, Z[j], XI[j] = ctx.explicit_parts(t, a, b)
         PHI[j] = a
         TH[j] = b
-        DPHI[j], DTH[j], Z[j], XI[j] = ctx.full(t, a, b)
+        DPHI[j], DTH[j] = da, db = ctx.diffused(a, b, ex_a, ex_b)
+        return (ex_a, ex_b) if imex else (da, db)
 
-    record(0, 0.0, a, b)
+    first = record(0, 0.0, a, b)
     steps = rejected = 0
     h_adaptive = None
-    for j in range(n_saves - 1):
+    for j in range(schedule.n_saves - 1):
         t0, t1 = float(ts[j]), float(ts[j + 1])
         if schedule.method in ("imex", "rk4"):
             nsub = max(1, math.ceil((t1 - t0) / schedule.dt - 1e-12))
             h = (t1 - t0) / nsub
             t = t0
             for _ in range(nsub):
-                if schedule.method == "imex":
-                    a, b = _imex_step(ctx, t, a, b, h)
+                if first is None:
+                    first = stage(t, a, b)
+                if imex:
+                    a, b = _imex_step(ctx, a, b, h, first)
                 else:
-                    a, b = _rk4_step(ctx.full, t, a, b, h)
+                    a, b = _rk4_step(ctx.full, t, a, b, h, first)
+                first = None
                 t += h
                 steps += 1
                 _check_state(t, a, b, params.blowup_ceiling)
@@ -464,10 +502,12 @@ def solve(params, initial, schedule):
             h = h_adaptive if h_adaptive is not None else (t1 - t0) / 8.0
             while t < t1 - 1e-12 * params.t_final:
                 h = min(h, t1 - t)
-                a5, b5, err = _dp45_step(ctx.full, t, a, b, h, schedule.tol)
+                a5, b5, err, fsal = _dp45_step(
+                    ctx.full, t, a, b, h, schedule.tol, first)
                 if math.isfinite(err) and (err <= 1.0 or h <= 1e-13 * params.t_final):
                     t += h
                     a, b = a5, b5
+                    first = fsal
                     steps += 1
                     _check_state(t, a, b, params.blowup_ceiling)
                     grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
@@ -479,7 +519,7 @@ def solve(params, initial, schedule):
                     if h < 1e-14 * params.t_final:
                         raise StepFailure(t)
             h_adaptive = h
-        record(j + 1, t1, a, b)
+        first = record(j + 1, t1, a, b)
 
     stats = {
         "method": schedule.method,

@@ -41,7 +41,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .dynamics import envelope_integral, prepare_initial, solve
+from .dynamics import (
+    BlowUpError,
+    FieldCoeffs,
+    InitialData,
+    envelope_integral,
+    prepare_initial,
+    solve,
+)
 
 __all__ = [
     "EnergyReport",
@@ -309,18 +316,17 @@ class ContractionReport:
         }
 
 
-def contraction_check(params, data1, data2, schedule):
-    """Solve the system for two data sets sharing all coefficients and
-    compare solution differences with data differences.  Only admissible when
-    alpha = ell, which is what makes the cross terms contract."""
+def _require_matched_coupling(params):
     if params.alpha != params.ell:
         raise ValueError("continuous-dependence check requires alpha = ell")
+
+
+def _contraction_report(params, data1, data2, ts, sol1, sol2):
+    """Compare two solutions, each given as its (phi, eta, zeta, xi) series
+    at the sample times ``ts``, with the difference of their data."""
     basis = params.basis
-    p1 = params.with_data(eta_star=data1.eta_star, forcing=data1.forcing)
-    p2 = params.with_data(eta_star=data2.eta_star, forcing=data2.forcing)
-    t1 = solve(p1, data1.initial, schedule)
-    t2 = solve(p2, data2.initial, schedule)
-    ts = t1.times
+    phi1, eta1, zeta1, xi1 = sol1
+    phi2, eta2, zeta2, xi2 = sol2
 
     fdiff = np.empty(len(ts))
     for j, t in enumerate(ts):
@@ -334,7 +340,6 @@ def contraction_check(params, data1, data2, schedule):
     data_diff_phi0 = spectral.h_norm(
         basis, data1.initial.phi0.coeffs - data2.initial.phi0.coeffs)
 
-    eta1, eta2 = t1.eta, t2.eta
     report_args = dict(
         data_diff_f=data_diff_f,
         data_diff_star=data_diff_star,
@@ -342,14 +347,14 @@ def contraction_check(params, data1, data2, schedule):
         data_diff_phi0=data_diff_phi0,
         sol_linf_h_eta=_linf_h(basis, eta1, eta2),
         sol_l2_v_eta=_l2_v(basis, ts, eta1, eta2),
-        sol_linf_h_phi=_linf_h(basis, t1.phi, t2.phi),
-        sol_l2_v_phi=_l2_v(basis, ts, t1.phi, t2.phi),
+        sol_linf_h_phi=_linf_h(basis, phi1, phi2),
+        sol_l2_v_phi=_l2_v(basis, ts, phi1, phi2),
         c_gronwall=stability_constants(params)["C4"],
     )
 
     # monotone pair dissipation of the two realized selection terms
-    pair_eta = np.sum(basis.mass * (t1.zeta - t2.zeta) * (eta1 - eta2), axis=1)
-    pair_phi = np.sum(basis.mass * (t1.xi - t2.xi) * (t1.phi - t2.phi), axis=1)
+    pair_eta = np.sum(basis.mass * (zeta1 - zeta2) * (eta1 - eta2), axis=1)
+    pair_phi = np.sum(basis.mass * (xi1 - xi2) * (phi1 - phi2), axis=1)
     report_args["pair_dissipation_eta_min"] = float(np.min(_cumtrapz(ts, pair_eta)))
     report_args["pair_dissipation_phi_min"] = float(np.min(_cumtrapz(ts, pair_phi)))
 
@@ -358,6 +363,20 @@ def contraction_check(params, data1, data2, schedule):
                  + report_args["sol_linf_h_phi"] + report_args["sol_l2_v_phi"])
     report_args["c_observed"] = sol_total / data_total if data_total > 0 else None
     return ContractionReport(**report_args)
+
+
+def contraction_check(params, data1, data2, schedule):
+    """Solve the system for two data sets sharing all coefficients and
+    compare solution differences with data differences.  Only admissible when
+    alpha = ell, which is what makes the cross terms contract."""
+    _require_matched_coupling(params)
+    t1 = solve(params.with_data(eta_star=data1.eta_star, forcing=data1.forcing),
+               data1.initial, schedule)
+    t2 = solve(params.with_data(eta_star=data2.eta_star, forcing=data2.forcing),
+               data2.initial, schedule)
+    return _contraction_report(
+        params, data1, data2, t1.times,
+        (t1.phi, t1.eta, t1.zeta, t1.xi), (t2.phi, t2.eta, t2.zeta, t2.xi))
 
 
 def perturb_initial(params, data, delta, mode_index=1):
@@ -393,22 +412,50 @@ class ContractionSweepReport:
         }
 
 
+def _stack_initial(initials):
+    """One InitialData whose fields stack those of the given members."""
+    return InitialData(
+        eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials]), "eta0"),
+        phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials]), "phi0"),
+        phi0_grid=np.stack([i.phi0_grid for i in initials]),
+        beta_hat_l1=np.array([i.beta_hat_l1 for i in initials]),
+        q_eps=np.array([i.q_eps for i in initials]))
+
+
 def contraction_sweep(params, data, deltas, schedule, mode_index=1):
-    """Dyadic perturbation study of the continuous-dependence inequality."""
-    deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
+    """Dyadic perturbation study of the continuous-dependence inequality.
 
-    def one(delta):
-        return contraction_check(
-            params, data, perturb_initial(params, data, delta, mode_index), schedule)
+    The base data and one perturbation per delta are integrated together
+    as a single stacked solve, so the base is solved once.  A failure names
+    the delta of the row it happened in; a failure of the base row, or one
+    no row can be blamed for, names the first delta."""
+    _require_matched_coupling(params)
+    deltas = sorted((float(d) for d in deltas), reverse=True)
+    members = _run_many(
+        lambda delta: perturb_initial(params, data, delta, mode_index), deltas)
+    try:
+        traj = solve(params.with_data(eta_star=data.eta_star, forcing=data.forcing),
+                     _stack_initial([data.initial] + [m.initial for m in members]),
+                     schedule)
+    except Exception as exc:
+        row = exc.member if isinstance(exc, BlowUpError) else None
+        blamed = deltas[row - 1] if row else deltas[0]
+        raise LadderMemberError(blamed, exc) from exc
 
-    reports = _run_many(one, deltas)
+    eta = traj.eta
+
+    def rows(r):
+        return traj.phi[:, r], eta[:, r], traj.zeta[:, r], traj.xi[:, r]
+
+    reports = [_contraction_report(params, data, m, traj.times, rows(0), rows(r))
+               for r, m in enumerate(members, start=1)]
     sol = np.array([r.sol_total for r in reports])
     dat = np.array([r.data_total for r in reports])
     c_obs = np.array([r.c_observed for r in reports], dtype=float)
     slope = float(np.polyfit(np.log(deltas), np.log(sol), 1)[0])
     spread = float(np.max(c_obs) / np.min(c_obs))
     return ContractionSweepReport(
-        deltas=deltas, sol_totals=sol, data_totals=dat,
+        deltas=np.array(deltas), sol_totals=sol, data_totals=dat,
         c_observed=c_obs, slope=slope, c_spread=spread)
 
 

@@ -3,7 +3,8 @@
 Scalar graphs act elementwise on floats or numpy arrays, and their ``eps``
 may be a positive scalar or an array of positive values of the same shape as
 ``x`` (one regularization level per point); the nonlocal Sign graph acts on a
-whole coefficient vector through its L2 norm.  Every graph exposes
+whole coefficient vector through its L2 norm, row by row on a stack of
+vectors, with ``eps`` a scalar or one value per row.  Every graph exposes
 
 * ``resolvent(eps, x)``   -- J_eps = (I + eps*A)^{-1}, a contraction with
   J_eps(0) = 0,
@@ -362,7 +363,9 @@ class NonlocalSign(MonotoneGraph):
 
     The resolvent is the norm shrink J_eps(v) = v * max(0, ||v|| - eps)/||v||,
     obtained by reducing the inclusion to the scalar sign graph along the ray
-    spanned by v (the graph is the subdifferential of the norm).
+    spanned by v (the graph is the subdifferential of the norm).  The norm
+    runs over the last axis, so a stack of vectors of shape (B, m) is mapped
+    row by row, and ``eps`` may be an array of shape (B, 1).
     """
 
     is_nonlocal = True
@@ -371,46 +374,36 @@ class NonlocalSign(MonotoneGraph):
 
     @staticmethod
     def _norm(v, mass=None):
-        v = np.asarray(v, dtype=float)
-        if mass is None:
-            return float(np.sqrt(np.sum(v * v)))
-        return float(np.sqrt(np.sum(np.asarray(mass) * v * v)))
+        """Parseval norm of each row, keeping the reduced axis."""
+        w = v * v if mass is None else np.asarray(mass) * v * v
+        return np.sqrt(np.sum(w, axis=-1, keepdims=True))
 
-    def resolvent(self, eps, v, mass=None):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+    def resolvent(self, eps, v):
+        _check_eps(eps)
         v = np.asarray(v, dtype=float)
-        s = self._norm(v, mass)
-        if s == 0.0:
-            return np.zeros_like(v)
-        return v * (max(s - eps, 0.0) / s)
+        s = self._norm(v)
+        return v * (np.maximum(s - eps, 0.0) / np.where(s == 0.0, 1.0, s))
 
     def yosida(self, eps, v, mass=None):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        _check_eps(eps)
         v = np.asarray(v, dtype=float)
-        s = self._norm(v, mass)
-        if s > eps:
-            return v / s
-        return v / eps
+        return v / np.maximum(self._norm(v, mass), eps)
 
-    def minimal_section(self, v, mass=None):
+    def minimal_section(self, v):
         v = np.asarray(v, dtype=float)
-        s = self._norm(v, mass)
-        if s == 0.0:
-            return np.zeros_like(v)
-        return v / s
+        s = self._norm(v)
+        return v / np.where(s == 0.0, 1.0, s)
 
 
 class YosidaGraph(MonotoneGraph):
     """The Yosida regularization A_eps viewed as a graph of its own, used to
-    verify the semigroup identity (A_eps)_delta = A_{eps+delta}."""
+    verify the semigroup identity (A_eps)_delta = A_{eps+delta}.  ``eps``
+    may be an array, as for the base graph's own maps."""
 
     def __init__(self, base, eps):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        _check_eps(eps)
         self.base = base
-        self.eps = float(eps)
+        self.eps = np.asarray(eps, dtype=float) if np.ndim(eps) else float(eps)
         self.is_nonlocal = base.is_nonlocal
         self.growth_constant = base.growth_constant
 
@@ -420,13 +413,11 @@ class YosidaGraph(MonotoneGraph):
 
     def resolvent(self, delta, x):
         if self.is_nonlocal:
+            # along the ray of each row, as the base graph acts
             v = np.asarray(x, dtype=float)
-            s = float(np.sqrt(np.sum(v * v)))
-            if s == 0.0:
-                return np.zeros_like(v)
-            radial = YosidaGraph(self.base.radial, self.eps)
-            t = radial.resolvent(delta, s)
-            return v * (t / s)
+            s = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+            t = YosidaGraph(self.base.radial, self.eps).resolvent(delta, s)
+            return v * (t / np.where(s == 0.0, 1.0, s))
         arr = np.asarray(x, dtype=float)
         out = solve_increasing(
             lambda u: u + delta * np.asarray(self.base.yosida(self.eps, u)),

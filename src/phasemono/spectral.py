@@ -111,27 +111,29 @@ def build_basis(dims, lengths, n, normalization="h", m_quad=None):
 
 
 def to_grid(basis, coeffs):
-    """Evaluate a coefficient vector on the quadrature grid."""
+    """Evaluate a coefficient vector on the quadrature grid.
+
+    A leading member axis is carried through: coefficients of shape
+    (B, m) give B grids."""
     c = np.asarray(coeffs, dtype=float) * basis.amp
     if basis.dims == 1:
-        return basis.mats[0] @ c
-    cm = c.reshape(basis.n, basis.n)
+        return (basis.mats[0] @ c.T).T
+    cm = c.reshape(c.shape[:-1] + (basis.n, basis.n))
     return basis.mats[0] @ cm @ basis.mats[1].T
 
 
 def from_grid(basis, values):
     """Quadrature inner products against the basis, i.e. the discrete
-    H-orthogonal projection onto the span of the modes."""
+    H-orthogonal projection onto the span of the modes.  A leading member
+    axis is carried through, as in :func:`to_grid`."""
     values = np.asarray(values, dtype=float)
-    if basis.dims == 1:
-        if values.shape != (basis.m_quad,):
-            raise ValueError("grid size mismatch")
-        ch = (basis.mats[0].T @ values) * basis.spacings[0]
-        return ch / basis.amp
-    if values.shape != basis.grid_shape:
+    if values.shape[values.ndim - basis.dims:] != basis.grid_shape:
         raise ValueError("grid size mismatch")
+    if basis.dims == 1:
+        ch = (basis.mats[0].T @ values.T).T * basis.spacings[0]
+        return ch / basis.amp
     ch = basis.cell * (basis.mats[0].T @ values @ basis.mats[1])
-    return ch.ravel() / basis.amp
+    return ch.reshape(ch.shape[:-2] + (-1,)) / basis.amp
 
 
 def norms(basis, coeffs):

@@ -117,6 +117,14 @@ class TestRun:
         assert "blow-up" in err
         assert "Traceback" not in err
 
+    def test_phase_timings(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["run", "--scenario", "zero", "--out", str(out)]) == 0
+        timing = json.loads((out / "timing.json").read_text())
+        keys = ("wall_clock_seconds", "build_s", "solve_s", "monitor_s", "write_s")
+        assert set(timing) == set(keys)
+        assert all(timing[k] >= 0.0 for k in keys)
+
     def test_threads_option_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--scenario", "zero", "--out", str(tmp_path / "o"),
@@ -176,6 +184,14 @@ class TestSweep:
                          "--values", "8 32", "--out", str(tmp_path / "o")])
         assert code == 4
         assert "ladder member" in capsys.readouterr().err
+
+    def test_delta_member_blow_up_exit_code(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
+                         "--values", "0.01 1e9", "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "ladder member" in err and "1000000000.0" in err
+        assert "Traceback" not in err
 
     def test_delta_sweep(self, tmp_path):
         out = tmp_path / "d"

@@ -426,3 +426,113 @@ class TestForcing:
             Forcing(np.array([0.0]), np.zeros((1, 2)))
         with pytest.raises(ValueError):
             Forcing(np.array([0.0, 0.0]), np.zeros((2, 2)))
+
+
+def coeff_data(eta0, phi0):
+    """InitialData from coefficients alone, which is all solve reads."""
+    return InitialData(eta0=FieldCoeffs(eta0), phi0=FieldCoeffs(phi0),
+                       phi0_grid=None, beta_hat_l1=0.0, q_eps=0.0)
+
+
+def stacked(initials):
+    """One InitialData holding the members' coefficients as (B, m) stacks."""
+    return coeff_data(np.stack([i.eta0.coeffs for i in initials]),
+                      np.stack([i.phi0.coeffs for i in initials]))
+
+
+def perturbed_members(init, count, seed=11):
+    """The datum plus count - 1 seeded perturbations of it, of different
+    sizes so that the members' norms differ."""
+    rng = np.random.default_rng(seed)
+    eta0, phi0 = init.eta0.coeffs, init.phi0.coeffs
+    return [init] + [
+        coeff_data(eta0 + 0.02 * r * rng.standard_normal(eta0.shape),
+                   phi0 + 0.02 * r * rng.standard_normal(phi0.shape))
+        for r in range(1, count)]
+
+
+SERIES = ("phi", "theta", "zeta", "xi", "dphi", "dtheta")
+
+
+class TestStackedSolve:
+    CASES = {
+        "contraction_base": ("contraction_base", {}),
+        "obstacle_nonlocal_sign": ("obstacle_sign", {}),
+        "2d_regular_sign": ("regular_sign", {
+            "dims": 2, "lengths": (1.0, 1.0), "modes": 5, "quadrature": None,
+            "phi0": "cosine 0.5 1 1", "eta0": "cosine 0.3 1 0",
+            "eta_star": "zero", "t_final": 0.05, "saves": 11}),
+    }
+
+    @pytest.mark.parametrize("method", ["imex", "rk4"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_match_standalone_solves(self, case, method):
+        scenario, kw = self.CASES[case]
+        params, init, sched = build_problem(
+            with_overrides(get_scenario(scenario), method=method, **kw))
+        members = perturbed_members(init, 4)
+        stack = solve(params, stacked(members), sched)
+        m = params.basis.total_modes
+        assert stack.phi.shape == (sched.n_saves, 4, m)
+        for r, member in enumerate(members):
+            alone = solve(params, member, sched)
+            for name in SERIES:
+                row, ref = getattr(stack, name)[:, r], getattr(alone, name)
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(row - ref)) <= 1e-12 * scale, (name, r)
+        assert stack.stats["steps"] == alone.stats["steps"]
+        assert stack.stats["rhs_evals"] == alone.stats["rhs_evals"]
+
+    def test_one_member_rk45_is_the_unstacked_solve(self):
+        params, init, sched = build_problem(
+            with_overrides(get_scenario("contraction_base"), method="rk45"))
+        alone = solve(params, init, sched)
+        # step counts of the unstacked DP45 path on this scenario
+        assert (alone.stats["steps"], alone.stats["rejected"]) == (217, 15)
+        one = solve(params, stacked([init]), sched)
+        for name in SERIES:
+            assert np.array_equal(getattr(one, name)[:, 0], getattr(alone, name))
+        assert one.stats == alone.stats
+
+    def test_rk45_steps_by_the_largest_member_error(self):
+        # next to a member at rest, whose error estimate is 0, the stack
+        # takes exactly the steps of the moving member alone; few saves and
+        # a tight tol leave the step sizes to the error control
+        params, init, sched = build_problem(get_scenario("heat_decay"))
+        sched = dataclasses.replace(sched, n_saves=3, tol=1e-10)
+        rest = coeff_data(0.0 * init.eta0.coeffs, 0.0 * init.phi0.coeffs)
+        alone = solve(params, init, sched)
+        stack = solve(params, stacked([init, rest]), sched)
+        assert np.all(stack.phi[:, 1] == 0.0) and np.all(stack.theta[:, 1] == 0.0)
+        assert stack.stats["steps"] == alone.stats["steps"]
+        assert stack.stats["rejected"] == alone.stats["rejected"]
+        assert np.max(np.abs(stack.theta[:, 0] - alone.theta)) <= 1e-12
+
+    def test_blowup_names_first_member_over_the_ceiling(self):
+        params, init, sched = build_problem(get_scenario("contraction_base"))
+        huge = coeff_data(init.eta0.coeffs, 1e9 * init.phi0.coeffs)
+        with pytest.raises(BlowUpError) as err:
+            solve(params, stacked([init, init, huge, huge]), sched)
+        assert err.value.member == 2
+        assert "stack row 2" in str(err.value)
+        with pytest.raises(BlowUpError) as err:
+            solve(params, huge, sched)
+        assert err.value.member is None
+
+
+class TestRhsReuse:
+    # each step takes its first stage from the save or the FSAL evaluation
+    # that already assembled the right-hand side at the same (t, a, b)
+    def test_dp45_needs_six_evaluations_per_attempt(self):
+        params, init, sched = build_problem(get_scenario("heat_decay"))
+        traj = solve(params, init, sched)
+        st = traj.stats
+        assert sched.method == "rk45"
+        assert st["rhs_evals"] == 6 * (st["steps"] + st["rejected"]) + sched.n_saves
+
+    @pytest.mark.parametrize("method, stages", [("imex", 1), ("rk4", 4)])
+    def test_fixed_step_reuses_the_save(self, method, stages):
+        params, init, sched = build_problem(
+            with_overrides(get_scenario("contraction_base"), method=method))
+        st = solve(params, init, sched).stats
+        assert st["rhs_evals"] == stages * st["steps"] - (sched.n_saves - 1) + sched.n_saves

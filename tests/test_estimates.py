@@ -7,9 +7,11 @@ import pytest
 
 from phasemono import spectral
 from phasemono.config import build_problem, with_overrides
-from phasemono.dynamics import Schedule, envelope_integral, solve
+from phasemono import estimates
+from phasemono.dynamics import BlowUpError, Schedule, envelope_integral, solve
 from phasemono.estimates import (
     ContractionData,
+    LadderMemberError,
     constraint_overshoot,
     contraction_check,
     contraction_sweep,
@@ -189,6 +191,55 @@ class TestContraction:
         assert rep.slope == pytest.approx(1.0, abs=0.15)
         assert rep.c_spread <= 2.0
         assert np.all(np.isfinite(rep.c_observed))
+
+    def test_sweep_rows_match_pairwise_checks(self):
+        # the stacked sweep solves the base once; each member's report equals
+        # the two-solve check of that member against the base
+        params, initial, schedule, _ = run_scenario("contraction_base")
+        data = self.make_data(params, initial)
+        deltas = [0.01, 0.0025]
+        rep = contraction_sweep(params, data, deltas, schedule)
+        for j, delta in enumerate(sorted(deltas, reverse=True)):
+            ref = contraction_check(
+                params, data, perturb_initial(params, data, delta), schedule)
+            assert rep.sol_totals[j] == pytest.approx(ref.sol_total, rel=1e-12, abs=0)
+            assert rep.data_totals[j] == ref.data_total
+            assert rep.c_observed[j] == pytest.approx(ref.c_observed, rel=1e-12, abs=0)
+
+    def test_sweep_is_one_stacked_solve(self, monkeypatch):
+        params, initial, schedule, _ = run_scenario("contraction_base")
+        data = self.make_data(params, initial)
+        shapes = []
+
+        def counted(p, init, sched):
+            shapes.append(np.shape(init.phi0.coeffs))
+            return solve(p, init, sched)
+
+        monkeypatch.setattr(estimates, "solve", counted)
+        contraction_sweep(params, data, [0.01, 0.005, 0.0025], schedule)
+        assert shapes == [(4, params.basis.total_modes)]
+
+    def test_sweep_failure_names_the_member(self):
+        params, initial, schedule, _ = run_scenario("contraction_base")
+        data = self.make_data(params, initial)
+        with pytest.raises(LadderMemberError) as err:
+            contraction_sweep(params, data, [0.01, 1e9], schedule)
+        assert err.value.value == 1e9
+        assert isinstance(err.value.cause, BlowUpError)
+
+    @pytest.mark.parametrize("row, blamed", [(None, 0.01), (0, 0.01), (2, 0.005)])
+    def test_sweep_failure_attribution(self, monkeypatch, row, blamed):
+        # row 0 is the base; rows 1.. follow the deltas in decreasing order
+        params, initial, schedule, _ = run_scenario("contraction_base")
+        data = self.make_data(params, initial)
+
+        def fails(p, init, sched):
+            raise BlowUpError(0.1, 1e9, row)
+
+        monkeypatch.setattr(estimates, "solve", fails)
+        with pytest.raises(LadderMemberError) as err:
+            contraction_sweep(params, data, [0.0025, 0.01, 0.005], schedule)
+        assert err.value.value == blamed
 
 
 class TestLadders:

@@ -124,6 +124,26 @@ class TestNonlocalSign:
         out = g.yosida(1.0, v, mass=mass)
         assert np.allclose(out, v / 2.0)
 
+    def test_stack_maps_row_by_row(self):
+        # a (B, m) stack with per-row eps of shape (B, 1) equals per-row
+        # calls; the zero row and the rows inside and outside the dead ball
+        # take their own branch.  The Yosida graph's bisection stops on a
+        # 1e-13 residual, entry by entry in a batch, hence the 1e-12 there.
+        g = NonlocalSign()
+        rng = np.random.default_rng(5)
+        scale = np.array([[0.0], [0.05], [0.2], [1.0], [3.0], [9.0]])
+        vs = rng.standard_normal((6, 4)) * scale
+        eps = np.array([[0.3], [0.1], [0.5], [0.3], [1.0], [0.2]])
+        mass = rng.uniform(0.5, 2.0, 4)
+        inner = YosidaGraph(g, eps)
+        for r, (v, e) in enumerate(zip(vs, eps[:, 0])):
+            assert np.array_equal(g.resolvent(eps, vs)[r], g.resolvent(e, v))
+            assert np.array_equal(g.yosida(eps, vs, mass=mass)[r],
+                                  g.yosida(e, v, mass=mass))
+            assert np.array_equal(g.minimal_section(vs)[r], g.minimal_section(v))
+            assert np.allclose(inner.yosida(0.3, vs)[r],
+                               YosidaGraph(g, e).yosida(0.3, v), rtol=0, atol=1e-12)
+
 
 class TestMinimalSection:
     def test_sign_at_zero(self):
