@@ -25,18 +25,16 @@ from .potentials import (  # noqa: F401
     obstacle_potential,
     regular_potential,
 )
-from .spectral import SpectralBasis, build_basis, from_grid, norms, to_grid  # noqa: F401
+from .spectral import SpectralBasis, build_basis, from_grid, to_grid  # noqa: F401
 from .dynamics import (  # noqa: F401
     BlowUpError,
     FieldCoeffs,
     Forcing,
-    GalerkinState,
     InitialData,
     ModelParams,
     Schedule,
     SolutionTrajectory,
     StepFailure,
-    assemble_rhs,
     mollify_forcing,
     prepare_initial,
     solve,

@@ -213,7 +213,11 @@ def _cmd_sweep(args):
         params, initial, schedule = build_problem(cfg)
         data = ContractionData(initial=initial, eta_star=params.eta_star,
                                forcing=params.forcing)
-        rep = contraction_sweep(params, data, values, schedule)
+        try:
+            rep = contraction_sweep(params, data, values, schedule)
+        except ValueError as exc:
+            # an inadmissible ladder, refused before any solve
+            raise ConfigError(str(exc)) from exc
         payload = rep.to_dict()
     else:
         raise ConfigError(f"unknown sweep axis {args.axis!r}")

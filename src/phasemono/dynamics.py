@@ -35,14 +35,12 @@ __all__ = [
     "Forcing",
     "ModelParams",
     "InitialData",
-    "GalerkinState",
     "SolutionTrajectory",
     "Schedule",
     "BlowUpError",
     "StepFailure",
     "mollify_forcing",
     "prepare_initial",
-    "assemble_rhs",
     "solve",
 ]
 
@@ -90,10 +88,6 @@ class Forcing:
             raise ValueError("forcing needs at least two strictly increasing times")
         if np.asarray(self.coeffs).shape[0] != len(t):
             raise ValueError("forcing samples and times disagree")
-
-    @staticmethod
-    def zero(n_modes, t_final):
-        return Forcing(np.array([0.0, t_final]), np.zeros((2, n_modes)))
 
     @staticmethod
     def constant(coeffs, t_final):
@@ -245,18 +239,6 @@ def prepare_initial(basis, eta0_grid, phi0_grid, potential, eps):
         q_eps=q_eps)
 
 
-@dataclass(frozen=True, eq=False)
-class GalerkinState:
-    """Coefficients of (phi, theta) at one time."""
-
-    t: float
-    a: np.ndarray
-    b: np.ndarray
-
-    def eta(self, ell_minus_alpha):
-        return self.b - ell_minus_alpha * self.a
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Time-stepping request: fixed step dt for imex/rk4, local tolerance for
@@ -355,13 +337,6 @@ class _Rhs:
         """(d phi/dt, d theta/dt, zeta, xi) at one state."""
         ex_a, ex_b, zeta, xi = self.explicit_parts(t, a, b)
         return self.diffused(a, b, ex_a, ex_b) + (zeta, xi)
-
-
-def assemble_rhs(params, state):
-    """Right-hand side (d phi/dt, d theta/dt) of the Galerkin system."""
-    da, db, _, _ = _Rhs(params).full(
-        state.t, np.asarray(state.a, float), np.asarray(state.b, float))
-    return da, db
 
 
 # Each step takes its first stage, the evaluation at (t, a, b), from the

@@ -284,7 +284,6 @@ class ContractionReport:
     sol_l2_v_eta: float
     sol_linf_h_phi: float
     sol_l2_v_phi: float
-    c_observed: float | None
     c_gronwall: float
     pair_dissipation_eta_min: float
     pair_dissipation_phi_min: float
@@ -298,6 +297,11 @@ class ContractionReport:
     def sol_total(self):
         return (self.sol_linf_h_eta + self.sol_l2_v_eta
                 + self.sol_linf_h_phi + self.sol_l2_v_phi)
+
+    @property
+    def c_observed(self):
+        """Observed stability constant: solution over data differences."""
+        return self.sol_total / self.data_total if self.data_total > 0 else None
 
     def to_dict(self):
         return {
@@ -357,11 +361,6 @@ def _contraction_report(params, data1, data2, ts, sol1, sol2):
     pair_phi = np.sum(basis.mass * (xi1 - xi2) * (phi1 - phi2), axis=1)
     report_args["pair_dissipation_eta_min"] = float(np.min(_cumtrapz(ts, pair_eta)))
     report_args["pair_dissipation_phi_min"] = float(np.min(_cumtrapz(ts, pair_phi)))
-
-    data_total = (data_diff_f + data_diff_star + data_diff_eta0 + data_diff_phi0)
-    sol_total = (report_args["sol_linf_h_eta"] + report_args["sol_l2_v_eta"]
-                 + report_args["sol_linf_h_phi"] + report_args["sol_l2_v_phi"])
-    report_args["c_observed"] = sol_total / data_total if data_total > 0 else None
     return ContractionReport(**report_args)
 
 
@@ -428,9 +427,14 @@ def contraction_sweep(params, data, deltas, schedule, mode_index=1):
     The base data and one perturbation per delta are integrated together
     as a single stacked solve, so the base is solved once.  A failure names
     the delta of the row it happened in; a failure of the base row, or one
-    no row can be blamed for, names the first delta."""
+    no row can be blamed for, names the first delta.  The ladder must hold
+    at least two distinct deltas, all positive, for the log-log slope; it is
+    refused with ValueError before any solve otherwise."""
     _require_matched_coupling(params)
     deltas = sorted((float(d) for d in deltas), reverse=True)
+    if not (deltas and deltas[-1] > 0.0 and len(set(deltas)) >= 2):
+        raise ValueError("a delta ladder needs at least two distinct deltas, "
+                         f"all positive; got {deltas}")
     members = _run_many(
         lambda delta: perturb_initial(params, data, delta, mode_index), deltas)
     try:

@@ -140,12 +140,6 @@ class MonotoneGraph:
         out = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
         return _restore(x, out)
 
-    def contains(self, u, v, tol=1e-9):
-        """Whether v lies in A(u) up to tol, for all sampled points."""
-        lo, hi = self.value_interval(u)
-        v = np.asarray(v, dtype=float)
-        return bool(np.all((v >= np.asarray(lo) - tol) & (v <= np.asarray(hi) + tol)))
-
     def _check_domain(self, x):
         arr = np.asarray(x, dtype=float)
         lo, hi = self.domain
@@ -432,16 +426,15 @@ def resolvent_oracle(graph, eps, x, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_IT
     ``value_interval`` is consulted.  A midpoint u is moved right while
     u + eps*sup A(u) < x, left while u + eps*inf A(u) > x, and accepted as
     soon as the inclusion holds.  Nonlocal graphs are reduced to their radial
-    scalar profile along the input direction.
+    scalar profile along each row's direction, so a stack of vectors of shape
+    (B, m) takes one call, with ``eps`` a scalar or of shape (B, 1).
     """
     _check_eps(eps)
     if graph.is_nonlocal:
         v = np.asarray(x, dtype=float)
-        s = float(np.sqrt(np.sum(v * v)))
-        if s == 0.0:
-            return np.zeros_like(v)
+        s = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
         t = resolvent_oracle(graph.radial, eps, s, tol=tol, max_iter=max_iter)
-        return v * (t / s)
+        return v * (t / np.where(s == 0.0, 1.0, s))
 
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     dlo, dhi = graph.domain

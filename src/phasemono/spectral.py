@@ -29,11 +29,9 @@ __all__ = [
     "build_basis",
     "to_grid",
     "from_grid",
-    "norms",
     "h_norm",
     "v_norm",
     "w_norm",
-    "laplacian_coeffs",
     "grid_integral",
     "embed_coeffs",
 ]
@@ -136,14 +134,6 @@ def from_grid(basis, values):
     return ch.reshape(ch.shape[:-2] + (-1,)) / basis.amp
 
 
-def norms(basis, coeffs):
-    """Return (H-norm, V-norm, Dirichlet energy) of a coefficient vector."""
-    c = np.asarray(coeffs, dtype=float)
-    h2 = float(np.sum(basis.mass * c * c))
-    dirichlet = float(np.sum(basis.mass * basis.eigenvalues * c * c))
-    return math.sqrt(h2), math.sqrt(h2 + dirichlet), dirichlet
-
-
 def h_norm(basis, coeffs):
     c = np.asarray(coeffs, dtype=float)
     return math.sqrt(float(np.sum(basis.mass * c * c)))
@@ -159,11 +149,6 @@ def w_norm(basis, coeffs):
     c = np.asarray(coeffs, dtype=float)
     lam = basis.eigenvalues
     return math.sqrt(float(np.sum(basis.mass * (1.0 + lam + lam * lam) * c * c)))
-
-
-def laplacian_coeffs(basis, coeffs):
-    """Coefficients of the Laplacian of the represented field (diagonal)."""
-    return -basis.eigenvalues * np.asarray(coeffs, dtype=float)
 
 
 def grid_integral(basis, values):

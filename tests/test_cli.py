@@ -193,6 +193,16 @@ class TestSweep:
         assert "ladder member" in err and "1000000000.0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("values", ["0.01 0", "0.01 -0.01", "0.01"])
+    def test_inadmissible_delta_ladder_exit_code(self, tmp_path, capsys, values):
+        code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
+                         "--values", values, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "two distinct deltas, all positive" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.json").exists()
+
     def test_delta_sweep(self, tmp_path):
         out = tmp_path / "d"
         code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
@@ -217,8 +227,10 @@ class TestOtherCommands:
     def test_unknown_scenario(self, tmp_path):
         assert cli.main(["run", "--scenario", "nope", "--out", str(tmp_path)]) == 2
 
-    def test_selftest_passes(self, tmp_path, capsys):
-        code = cli.main(["graph-selftest", "--out", str(tmp_path / "st")])
-        assert code == 0
-        payload = json.loads((tmp_path / "st" / "selftest.json").read_text())
-        assert all(r["passed"] for r in payload["results"])
+    def test_selftest_passes(self, selftest_run):
+        # exit 0 means every row passed; the property tests name failing rows
+        assert selftest_run.code == 0
+        payload = selftest_run.payload
+        assert set(payload) == {"tool_version", "results"}
+        assert all(set(r) == {"suite", "variant", "property", "passed", "worst", "detail"}
+                   for r in payload["results"])

@@ -12,12 +12,11 @@ from phasemono.dynamics import (
     BlowUpError,
     FieldCoeffs,
     Forcing,
-    GalerkinState,
     InitialData,
     ModelParams,
     Schedule,
     StepFailure,
-    assemble_rhs,
+    _Rhs,
     mollify_forcing,
     prepare_initial,
     solve,
@@ -36,7 +35,7 @@ def make_params(n=4, L=math.pi, gamma=0.0, graph=None, potential=None,
         ell=ell, alpha=alpha, k=k, nu=nu, gamma=gamma, t_final=t_final,
         basis=basis,
         eta_star=eta_star or FieldCoeffs(np.zeros(m), "eta_star"),
-        forcing=forcing or Forcing.zero(m, t_final),
+        forcing=forcing or Forcing.constant(np.zeros(m), t_final),
         graph=graph or ZeroGraph(),
         potential=potential or regular_potential(),
         eps=eps)
@@ -144,15 +143,13 @@ class TestAssembly:
         # a scalar heat equation, and the phi equation is untouched
         p = make_params(gamma=0.0)
         b = np.array([0.0, 2.0, 0.0, 1.0])
-        state = GalerkinState(0.0, np.zeros(4), b)
-        da, db = assemble_rhs(p, state)
+        da, db, _, _ = _Rhs(p).full(0.0, np.zeros(4), b)
         assert np.allclose(db, -p.k * p.basis.eigenvalues * b, atol=1e-14)
         assert np.allclose(da, 0.0, atol=1e-14)
 
     def test_zero_state_is_equilibrium(self):
         p = make_params(gamma=0.7, graph=ScalarSign())
-        state = GalerkinState(0.0, np.zeros(4), np.zeros(4))
-        da, db = assemble_rhs(p, state)
+        da, db, _, _ = _Rhs(p).full(0.0, np.zeros(4), np.zeros(4))
         assert np.all(da == 0.0) and np.all(db == 0.0)
 
     def test_constant_state_stationarity(self):
@@ -166,7 +163,7 @@ class TestAssembly:
         sqrt_l = math.sqrt(p.basis.lengths[0])
         a = np.array([c * sqrt_l, 0, 0, 0])     # constant-mode coefficient
         b = np.array([d * sqrt_l, 0, 0, 0])
-        da, db = assemble_rhs(p, GalerkinState(0.0, a, b))
+        da, db, _, _ = _Rhs(p).full(0.0, a, b)
         assert np.max(np.abs(da)) <= 1e-12
         assert np.max(np.abs(db)) <= 1e-12
 
@@ -329,7 +326,7 @@ class TestTwoDimensional:
         p = ModelParams(
             ell=1.0, alpha=1.0, k=1.0, nu=1.0, gamma=0.0, t_final=1.0,
             basis=basis, eta_star=FieldCoeffs(np.zeros(m)),
-            forcing=Forcing.zero(m, 1.0), graph=ZeroGraph(),
+            forcing=Forcing.constant(np.zeros(m), 1.0), graph=ZeroGraph(),
             potential=regular_potential(), eps=0.1)
         eta0 = np.zeros(m)
         eta0[1 * 3 + 0] = 1.0

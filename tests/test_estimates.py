@@ -219,6 +219,18 @@ class TestContraction:
         contraction_sweep(params, data, [0.01, 0.005, 0.0025], schedule)
         assert shapes == [(4, params.basis.total_modes)]
 
+    @pytest.mark.parametrize("deltas", [[0.01, 0.0], [0.01, -0.01], [0.01], [0.01, 0.01]])
+    def test_inadmissible_ladder_refused_before_solving(self, monkeypatch, deltas):
+        params, initial, schedule, _ = run_scenario("contraction_base")
+        data = self.make_data(params, initial)
+
+        def forbidden(*args):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(estimates, "solve", forbidden)
+        with pytest.raises(ValueError, match="two distinct deltas, all positive"):
+            contraction_sweep(params, data, deltas, schedule)
+
     def test_sweep_failure_names_the_member(self):
         params, initial, schedule, _ = run_scenario("contraction_base")
         data = self.make_data(params, initial)

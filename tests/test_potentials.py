@@ -13,7 +13,7 @@ from phasemono.potentials import (
     obstacle_potential,
     regular_potential,
 )
-from phasemono.selftest import builtin_potentials, potential_checks
+from phasemono.selftest import builtin_potentials
 
 
 class TestSplit:
@@ -82,11 +82,12 @@ class TestEnvelope:
         assert envelope(spec, 1.0, 2.0) == pytest.approx(0.75, abs=1e-10)
 
     @pytest.mark.parametrize("name", sorted(builtin_potentials()))
-    def test_property_suite(self, name):
-        spec = builtin_potentials()[name]
-        rows = potential_checks(name, spec, np.random.default_rng(5), n_points=200)
-        bad = [r for r in rows if not r.passed]
-        assert not bad, [f"{r.prop}: {r.worst:.3e}" for r in bad]
+    def test_property_suite(self, name, selftest_run):
+        # every graph-selftest row of this potential passed
+        rows = selftest_run.rows("potential", name)
+        assert rows
+        bad = [f"{p}: {r['worst']:.3e}" for p, r in rows.items() if not r["passed"]]
+        assert not bad, bad
 
     def test_derivative_is_yosida(self):
         h = 1e-6

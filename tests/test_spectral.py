@@ -159,24 +159,28 @@ class TestRoundTrip:
 
 class TestNorms:
     def test_unit_mode_h_norm(self, basis_pi):
-        h, v, dirichlet = spectral.norms(basis_pi, np.eye(8)[1])
+        c = np.eye(8)[1]
+        h, v = spectral.h_norm(basis_pi, c), spectral.v_norm(basis_pi, c)
         assert h == pytest.approx(1.0, abs=1e-14)
-        # Dirichlet energy of v_1 on [0, pi] equals lambda_1 = 1
-        assert dirichlet == pytest.approx(1.0, abs=1e-14)
+        # Dirichlet energy v^2 - h^2 of v_1 on [0, pi] equals lambda_1 = 1
+        assert v * v - h * h == pytest.approx(1.0, abs=1e-14)
         assert v == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
     def test_parseval_combination(self, basis_pi):
         c = np.zeros(8)
         c[0], c[1] = 2.0, 1.0
-        h, _, _ = spectral.norms(basis_pi, c)
-        assert h ** 2 == pytest.approx(5.0, abs=1e-13)
+        assert spectral.h_norm(basis_pi, c) ** 2 == pytest.approx(5.0, abs=1e-13)
 
-    def test_laplacian_diagonal(self, basis_pi):
+    def test_laplacian_diagonal(self):
+        # the Laplacian acts on coefficients as -lambda_j: the second
+        # difference of the represented field matches it to O(h^2)
+        b = spectral.build_basis(1, math.pi, 8, m_quad=2000)
         c = np.zeros(8)
-        c[3] = 2.0
-        lap = spectral.laplacian_coeffs(basis_pi, c)
-        assert lap[3] == pytest.approx(-2.0 * 9.0)
-        assert np.count_nonzero(lap) == 1
+        c[1], c[3] = -0.5, 2.0
+        u = spectral.to_grid(b, c)
+        fd = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / b.spacings[0] ** 2
+        lap = spectral.to_grid(b, -b.eigenvalues * c)[1:-1]
+        assert np.max(np.abs(fd - lap)) <= 1e-4 * np.max(np.abs(lap))
 
     def test_w_norm_formula(self):
         b = spectral.build_basis(1, math.pi, 4)
