@@ -166,6 +166,31 @@ class TestMinimalSection:
             SubdiffBetaHat("logarithmic").minimal_section(1.0)
 
 
+class TestOracleEquivalence:
+    @pytest.mark.parametrize("name", sorted(builtin_graphs()))
+    def test_oracle_matches_production(self, name):
+        g = builtin_graphs()[name]
+        rng = np.random.default_rng(11)
+        if g.is_nonlocal:
+            for _ in range(50):
+                v = rng.standard_normal(8) * rng.uniform(0.01, 5)
+                eps = 10 ** rng.uniform(-3, 0)
+                assert np.allclose(g.resolvent(eps, v),
+                                   resolvent_oracle(g, eps, v), atol=1e-10)
+            return
+        x = rng.uniform(-5, 5, 200)
+        for eps in (0.003, 0.05, 0.4, 1.0):
+            j = np.asarray(g.resolvent(eps, x))
+            o = np.asarray(resolvent_oracle(g, eps, x))
+            assert np.max(np.abs(j - o)) <= 1e-10
+            # the returned point solves the inclusion (where the graph value
+            # is representable at the quantized resolvent point)
+            v_req = (x - j) / eps
+            ok = np.abs(j) <= 1.0 - 1e-3 if g.open_domain[0] else np.ones_like(j, bool)
+            lo, hi = g.value_interval(j[ok])
+            assert np.all((v_req[ok] >= lo - 1e-8) & (v_req[ok] <= hi + 1e-8))
+
+
 class TestRegularityProperties:
     @pytest.mark.parametrize("name", sorted(builtin_graphs()))
     def test_property_suite(self, name, selftest_run):
@@ -182,6 +207,17 @@ class TestRegularityProperties:
                 lhs = inner.yosida(0.15, x)
                 rhs = g.yosida(0.4, x)
                 assert abs(lhs - rhs) <= 1e-9
+
+    def test_stefan_growth_constant(self):
+        # |v| <= max(alpha1, alpha2) (1 + |r|) on a dense grid
+        a1, a2 = 1.3, 0.7
+        g = Stefan(a1, a2)
+        c = max(a1, a2)
+        r = np.linspace(-50, 50, 20001)
+        lo, hi = g.value_interval(r)
+        worst = max(np.max(np.abs(lo) - c * (1 + np.abs(r))),
+                    np.max(np.abs(hi) - c * (1 + np.abs(r))))
+        assert worst <= 1e-12
 
     def test_negative_control_detects_broken_graph(self):
         class Broken(ScalarSign):
