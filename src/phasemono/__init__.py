@@ -41,7 +41,6 @@ from .dynamics import (  # noqa: F401
 )
 from .estimates import (  # noqa: F401
     ContractionData,
-    contraction_check,
     contraction_sweep,
     energy_monitor,
     first_estimate_constants,

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import __version__, spectral
@@ -171,7 +172,10 @@ def _cmd_run(args):
 
 
 def _parse_values(raw, kind):
-    vals = [kind(v) for v in raw.replace(",", " ").split()]
+    try:
+        vals = [kind(v) for v in raw.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from exc
     if not vals:
         raise ConfigError("--values is empty")
     return vals
@@ -191,8 +195,7 @@ def _cmd_sweep(args):
             return p, i
 
         _, _, schedule = build_problem(cfg)
-        rep = galerkin_convergence(factory, values, schedule)
-        payload = rep.to_dict()
+        ladder = partial(galerkin_convergence, factory, values, schedule)
     elif args.axis == "eps":
         values = _parse_values(args.values, float)
 
@@ -204,23 +207,23 @@ def _cmd_sweep(args):
 
         _, _, schedule = build_problem(cfg)
         track = cfg.potential == "obstacle"
-        rep = yosida_convergence(factory, values, schedule, track_overshoot=track)
-        payload = rep.to_dict()
+        ladder = partial(yosida_convergence, factory, values, schedule,
+                         track_overshoot=track)
     elif args.axis == "delta":
-        if cfg.alpha != cfg.ell:
-            raise ConfigError("contraction sweeps require alpha = ell")
         values = _parse_values(args.values, float)
         params, initial, schedule = build_problem(cfg)
         data = ContractionData(initial=initial, eta_star=params.eta_star,
                                forcing=params.forcing)
-        try:
-            rep = contraction_sweep(params, data, values, schedule)
-        except ValueError as exc:
-            # an inadmissible ladder, refused before any solve
-            raise ConfigError(str(exc)) from exc
-        payload = rep.to_dict()
+        ladder = partial(contraction_sweep, params, data, values, schedule)
     else:
         raise ConfigError(f"unknown sweep axis {args.axis!r}")
+    try:
+        rep = ladder()
+    except ValueError as exc:
+        # an inadmissible ladder, or a delta ladder without alpha = ell,
+        # refused before any solve; a failed solve is a LadderMemberError
+        raise ConfigError(str(exc)) from exc
+    payload = rep.to_dict()
 
     payload["axis"] = args.axis
     payload["config"] = serialize_config(cfg)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,6 +135,9 @@ _KEY_TO_FIELD = {
     ("run", "blowup_ceiling"): "blowup_ceiling",
 }
 
+# float keys where inf has a meaning: no step bound, no tolerance, no ceiling
+_INF_ALLOWED = ("dt", "tol", "blowup_ceiling")
+
 GRAPH_VARIANTS = ("zero", "scalar_sign", "nonlocal_sign", "stefan", "weighted_power")
 POTENTIAL_VARIANTS = ("regular", "logarithmic", "obstacle")
 
@@ -204,7 +208,19 @@ def parse_config(text):
     return cfg
 
 
+def _check_numbers(cfg):
+    """No float key may be NaN, and only those in _INF_ALLOWED may be inf."""
+    for (section, key), name in _KEY_TO_FIELD.items():
+        if _SCHEMA[section][key] not in (float, "lengths"):
+            continue
+        for v in np.atleast_1d(getattr(cfg, name)):
+            if math.isnan(v) or (math.isinf(v) and name not in _INF_ALLOWED):
+                what = "a number or inf" if name in _INF_ALLOWED else "a finite number"
+                raise ConfigError(f"[{section}] {key} must be {what}, got {float(v)}")
+
+
 def _validate(cfg):
+    _check_numbers(cfg)
     if cfg.dims not in (1, 2):
         raise ConfigError("domain dims must be 1 or 2")
     if len(cfg.lengths) != cfg.dims:
@@ -234,6 +250,8 @@ def _validate(cfg):
         raise ConfigError(f"unknown integrator method {cfg.method!r}")
     if cfg.dt <= 0 or cfg.tol <= 0:
         raise ConfigError("integrator dt and tol must be positive")
+    if cfg.blowup_ceiling <= 0:
+        raise ConfigError("run blowup_ceiling must be positive")
     if cfg.saves < 2:
         raise ConfigError("integrator saves must be at least 2")
     if cfg.seed < 0:
@@ -296,12 +314,12 @@ def _build_graph(cfg, basis):
         return ScalarSign()
     if cfg.graph == "nonlocal_sign":
         return NonlocalSign()
-    if cfg.graph == "stefan":
-        return Stefan(cfg.graph_alpha1, cfg.graph_alpha2)
-    weight = profiles.profile_grid(basis, cfg.graph_weight)
-    if np.any(weight < 0):
-        raise ConfigError("graph weight must be nonnegative")
-    return WeightedPower(cfg.graph_q, weight)
+    try:
+        if cfg.graph == "stefan":
+            return Stefan(cfg.graph_alpha1, cfg.graph_alpha2)
+        return WeightedPower(cfg.graph_q, profiles.profile_grid(basis, cfg.graph_weight))
+    except ValueError as exc:
+        raise ConfigError(f"graph {cfg.graph}: {exc}") from exc
 
 
 def _build_potential(cfg):

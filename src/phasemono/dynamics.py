@@ -46,15 +46,17 @@ __all__ = [
 
 
 class BlowUpError(RuntimeError):
-    """Solution norm exceeded the configured ceiling.  ``member`` is the
+    """Solution norm exceeded the configured ceiling.  ``field`` names the
+    field over it ("phi" or "theta"; "phi" if both are), and ``member`` the
     index of the first stacked member over it, or None for a single state."""
 
-    def __init__(self, time, norm, member=None):
-        where = "" if member is None else f" in stack row {member}"
+    def __init__(self, time, norm, field, member=None):
+        where = "" if member is None else f" of stack row {member}"
         super().__init__(
-            f"blow-up detected{where} at t = {time:.6g} (norm {norm:.3e})")
+            f"blow-up detected in {field}{where} at t = {time:.6g} (norm {norm:.3e})")
         self.time = time
         self.norm = norm
+        self.field = field
         self.member = member
 
 
@@ -408,10 +410,10 @@ def _check_state(t, a, b, ceiling):
                        np.max(np.abs(b), axis=-1, initial=0.0))
     bad = ~(worst <= ceiling)
     if bad.any():
-        if worst.ndim == 0:
-            raise BlowUpError(t, float(worst))
-        member = int(np.argmax(bad))
-        raise BlowUpError(t, float(worst[member]), member)
+        member = None if worst.ndim == 0 else int(np.argmax(bad))
+        row = () if member is None else member
+        name = "phi" if not np.max(np.abs(a[row]), initial=0.0) <= ceiling else "theta"
+        raise BlowUpError(t, float(worst[row]), name, member)
 
 
 def solve(params, initial, schedule):
@@ -426,7 +428,7 @@ def solve(params, initial, schedule):
     advances the stack with one step size, accepted when the largest
     per-member error estimate is, so a stacked member takes the steps of
     the hardest one.  A blow-up names the first member over the ceiling in
-    ``BlowUpError.member``.
+    ``BlowUpError.member`` and its field in ``BlowUpError.field``.
     """
     ctx = _Rhs(params)
     ts = np.linspace(0.0, params.t_final, schedule.n_saves)

@@ -22,15 +22,17 @@ constants spelled out:
 The factor 2 converts the halved gradient/time-derivative terms produced by
 the absorption steps back into E1.  Sharpness is never asserted.
 
-The continuous-dependence checker requires alpha = ell and reports the
-observed stability constant together with the Gronwall-derived one
+The continuous-dependence sweep requires alpha = ell.  It integrates the
+base data and every perturbed member as one stacked solve and reports, per
+member, the observed stability constant: the solution differences from the
+base over the data differences.  The Gronwall-derived constant
 
     M  = max((4 gamma^2 k ell^2 + 2 nu C_pi) / nu, 1/2)
     C0 = max(1/2, k ell^2 / (2 nu)),   C1 = exp(T M)
     C2 = max(4 C1, 4 k^2 T C1, T C1 / 8, C1 C0)
     C3 = min(1/2, k ell^2 / (2 nu), ell^2 / 2),   C4 = C2 / C3
 
-without asserting their ordering.
+is reported by the energy monitor (``gron_C4``); the two are never compared.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "stability_constants",
     "gronwall_bound",
     "energy_monitor",
-    "contraction_check",
     "contraction_sweep",
     "perturb_initial",
     "galerkin_convergence",
@@ -72,8 +73,9 @@ MIN_SAMPLES_FOR_QUADRATURE = 33
 
 
 def _cumtrapz(ts, ys):
+    """Cumulative trapezoid rule over the last axis."""
     out = np.zeros_like(ys)
-    out[1:] = np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(ts))
+    out[..., 1:] = np.cumsum(0.5 * (ys[..., 1:] + ys[..., :-1]) * np.diff(ts), axis=-1)
     return out
 
 
@@ -263,17 +265,6 @@ class ContractionData:
     forcing: object
 
 
-def _linf_h(basis, series1, series2):
-    d = series1 - series2
-    return float(np.max(np.sqrt(np.sum(basis.mass * d * d, axis=1))))
-
-
-def _l2_v(basis, ts, series1, series2):
-    d = series1 - series2
-    v2 = np.sum(basis.mass * (1.0 + basis.eigenvalues) * d * d, axis=1)
-    return math.sqrt(float(np.trapezoid(v2, ts)))
-
-
 @dataclass(frozen=True, eq=False)
 class ContractionReport:
     data_diff_f: float
@@ -284,7 +275,6 @@ class ContractionReport:
     sol_l2_v_eta: float
     sol_linf_h_phi: float
     sol_l2_v_phi: float
-    c_gronwall: float
     pair_dissipation_eta_min: float
     pair_dissipation_phi_min: float
 
@@ -303,79 +293,50 @@ class ContractionReport:
         """Observed stability constant: solution over data differences."""
         return self.sol_total / self.data_total if self.data_total > 0 else None
 
-    def to_dict(self):
-        return {
-            "data_diff_f": self.data_diff_f,
-            "data_diff_star": self.data_diff_star,
-            "data_diff_eta0": self.data_diff_eta0,
-            "data_diff_phi0": self.data_diff_phi0,
-            "sol_linf_h_eta": self.sol_linf_h_eta,
-            "sol_l2_v_eta": self.sol_l2_v_eta,
-            "sol_linf_h_phi": self.sol_linf_h_phi,
-            "sol_l2_v_phi": self.sol_l2_v_phi,
-            "c_observed": self.c_observed,
-            "c_gronwall": self.c_gronwall,
-            "pair_dissipation_eta_min": self.pair_dissipation_eta_min,
-            "pair_dissipation_phi_min": self.pair_dissipation_phi_min,
-        }
 
-
-def _require_matched_coupling(params):
-    if params.alpha != params.ell:
-        raise ValueError("continuous-dependence check requires alpha = ell")
-
-
-def _contraction_report(params, data1, data2, ts, sol1, sol2):
-    """Compare two solutions, each given as its (phi, eta, zeta, xi) series
-    at the sample times ``ts``, with the difference of their data."""
-    basis = params.basis
-    phi1, eta1, zeta1, xi1 = sol1
-    phi2, eta2, zeta2, xi2 = sol2
-
+def _data_diffs(basis, ts, data1, data2):
+    """The four data differences (f, eta*, eta0, phi0) in the norms of the
+    continuous-dependence inequality."""
     fdiff = np.empty(len(ts))
     for j, t in enumerate(ts):
         g = data1.forcing.at(t) - data2.forcing.at(t)
         fdiff[j] = float(np.sum(basis.mass * g * g))
-    data_diff_f = math.sqrt(float(np.trapezoid(fdiff, ts)))
-    data_diff_star = spectral.w_norm(
-        basis, data1.eta_star.coeffs - data2.eta_star.coeffs)
-    data_diff_eta0 = spectral.h_norm(
-        basis, data1.initial.eta0.coeffs - data2.initial.eta0.coeffs)
-    data_diff_phi0 = spectral.h_norm(
-        basis, data1.initial.phi0.coeffs - data2.initial.phi0.coeffs)
-
-    report_args = dict(
-        data_diff_f=data_diff_f,
-        data_diff_star=data_diff_star,
-        data_diff_eta0=data_diff_eta0,
-        data_diff_phi0=data_diff_phi0,
-        sol_linf_h_eta=_linf_h(basis, eta1, eta2),
-        sol_l2_v_eta=_l2_v(basis, ts, eta1, eta2),
-        sol_linf_h_phi=_linf_h(basis, phi1, phi2),
-        sol_l2_v_phi=_l2_v(basis, ts, phi1, phi2),
-        c_gronwall=stability_constants(params)["C4"],
-    )
-
-    # monotone pair dissipation of the two realized selection terms
-    pair_eta = np.sum(basis.mass * (zeta1 - zeta2) * (eta1 - eta2), axis=1)
-    pair_phi = np.sum(basis.mass * (xi1 - xi2) * (phi1 - phi2), axis=1)
-    report_args["pair_dissipation_eta_min"] = float(np.min(_cumtrapz(ts, pair_eta)))
-    report_args["pair_dissipation_phi_min"] = float(np.min(_cumtrapz(ts, pair_phi)))
-    return ContractionReport(**report_args)
+    return (math.sqrt(float(np.trapezoid(fdiff, ts))),
+            spectral.w_norm(basis, data1.eta_star.coeffs - data2.eta_star.coeffs),
+            spectral.h_norm(basis, data1.initial.eta0.coeffs - data2.initial.eta0.coeffs),
+            spectral.h_norm(basis, data1.initial.phi0.coeffs - data2.initial.phi0.coeffs))
 
 
-def contraction_check(params, data1, data2, schedule):
-    """Solve the system for two data sets sharing all coefficients and
-    compare solution differences with data differences.  Only admissible when
-    alpha = ell, which is what makes the cross terms contract."""
-    _require_matched_coupling(params)
-    t1 = solve(params.with_data(eta_star=data1.eta_star, forcing=data1.forcing),
-               data1.initial, schedule)
-    t2 = solve(params.with_data(eta_star=data2.eta_star, forcing=data2.forcing),
-               data2.initial, schedule)
-    return _contraction_report(
-        params, data1, data2, t1.times,
-        (t1.phi, t1.eta, t1.zeta, t1.xi), (t2.phi, t2.eta, t2.zeta, t2.xi))
+def _contraction_reports(params, base, members, traj):
+    """Compare each member of a stacked trajectory with its base: row 0 holds
+    the base data, rows 1.. the members in order.  Time series are reduced
+    over contiguous rows of shape (members, saves), which sums each member
+    in the order of a standalone one-dimensional reduction."""
+    basis = params.basis
+    ts = traj.times
+    eta = traj.eta
+
+    def rows(series):
+        return np.ascontiguousarray(series.T)
+
+    def diff_norms(series):
+        d = series[:, :1] - series[:, 1:]
+        h2 = rows(np.sum(basis.mass * d * d, axis=-1))
+        v2 = rows(np.sum(basis.mass * (1.0 + basis.eigenvalues) * d * d, axis=-1))
+        return np.max(np.sqrt(h2), axis=-1), np.sqrt(np.trapezoid(v2, ts, axis=-1))
+
+    def pair_dissipation_min(sel, series):
+        # monotone pair dissipation of the two realized selection terms
+        pair = np.sum(basis.mass * (sel[:, :1] - sel[:, 1:])
+                      * (series[:, :1] - series[:, 1:]), axis=-1)
+        return np.min(_cumtrapz(ts, rows(pair)), axis=-1)
+
+    # per-member columns, in the field order of ContractionReport
+    sol = (*diff_norms(eta), *diff_norms(traj.phi),
+           pair_dissipation_min(traj.zeta, eta), pair_dissipation_min(traj.xi, traj.phi))
+    return tuple(ContractionReport(*_data_diffs(basis, ts, base, m),
+                                   *(float(col[r]) for col in sol))
+                 for r, m in enumerate(members))
 
 
 def perturb_initial(params, data, delta, mode_index=1):
@@ -393,12 +354,32 @@ def perturb_initial(params, data, delta, mode_index=1):
 
 @dataclass(frozen=True, eq=False)
 class ContractionSweepReport:
+    """One member report per delta, in the order of ``deltas``."""
+
     deltas: np.ndarray
-    sol_totals: np.ndarray
-    data_totals: np.ndarray
-    c_observed: np.ndarray
-    slope: float
-    c_spread: float
+    reports: tuple
+
+    @property
+    def sol_totals(self):
+        return np.array([r.sol_total for r in self.reports])
+
+    @property
+    def data_totals(self):
+        return np.array([r.data_total for r in self.reports])
+
+    @property
+    def c_observed(self):
+        return np.array([r.c_observed for r in self.reports], dtype=float)
+
+    @property
+    def slope(self):
+        """Log-log slope of the solution differences against the deltas."""
+        return float(np.polyfit(np.log(self.deltas), np.log(self.sol_totals), 1)[0])
+
+    @property
+    def c_spread(self):
+        c_obs = self.c_observed
+        return float(np.max(c_obs) / np.min(c_obs))
 
     def to_dict(self):
         return {
@@ -430,11 +411,9 @@ def contraction_sweep(params, data, deltas, schedule, mode_index=1):
     no row can be blamed for, names the first delta.  The ladder must hold
     at least two distinct deltas, all positive, for the log-log slope; it is
     refused with ValueError before any solve otherwise."""
-    _require_matched_coupling(params)
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    if not (deltas and deltas[-1] > 0.0 and len(set(deltas)) >= 2):
-        raise ValueError("a delta ladder needs at least two distinct deltas, "
-                         f"all positive; got {deltas}")
+    if params.alpha != params.ell:
+        raise ValueError("continuous-dependence check requires alpha = ell")
+    deltas = _ladder_values(deltas, float, "deltas")
     members = _run_many(
         lambda delta: perturb_initial(params, data, delta, mode_index), deltas)
     try:
@@ -446,21 +425,9 @@ def contraction_sweep(params, data, deltas, schedule, mode_index=1):
         blamed = deltas[row - 1] if row else deltas[0]
         raise LadderMemberError(blamed, exc) from exc
 
-    eta = traj.eta
-
-    def rows(r):
-        return traj.phi[:, r], eta[:, r], traj.zeta[:, r], traj.xi[:, r]
-
-    reports = [_contraction_report(params, data, m, traj.times, rows(0), rows(r))
-               for r, m in enumerate(members, start=1)]
-    sol = np.array([r.sol_total for r in reports])
-    dat = np.array([r.data_total for r in reports])
-    c_obs = np.array([r.c_observed for r in reports], dtype=float)
-    slope = float(np.polyfit(np.log(deltas), np.log(sol), 1)[0])
-    spread = float(np.max(c_obs) / np.min(c_obs))
     return ContractionSweepReport(
-        deltas=np.array(deltas), sol_totals=sol, data_totals=dat,
-        c_observed=c_obs, slope=slope, c_spread=spread)
+        deltas=np.array(deltas),
+        reports=_contraction_reports(params, data, members, traj))
 
 
 class LadderMemberError(RuntimeError):
@@ -470,6 +437,17 @@ class LadderMemberError(RuntimeError):
         super().__init__(f"ladder member {value!r} failed: {cause}")
         self.value = value
         self.cause = cause
+
+
+def _ladder_values(values, kind, plural):
+    """A ladder's values in decreasing order.  Every ladder needs at least
+    two distinct values, all positive, and is refused with ValueError
+    before any member is built or solved otherwise."""
+    values = sorted((kind(v) for v in values), reverse=True)
+    if not (values and values[-1] > 0 and len(set(values)) >= 2):
+        raise ValueError(f"a ladder needs at least two distinct {plural}, "
+                         f"all positive; got {values}")
+    return values
 
 
 def _run_many(fn, values):
@@ -491,7 +469,7 @@ class ConvergenceReport:
     consecutive_eta: np.ndarray
     consecutive_total: np.ndarray
     to_reference_total: np.ndarray
-    rate: float
+    rate: float | None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -520,9 +498,7 @@ class ConvergenceReport:
 
 
 def _c0_h_diff(basis_small, basis_big, series_small, series_big):
-    embedded = np.stack([
-        spectral.embed_coeffs(basis_small, basis_big, row) for row in series_small])
-    d = embedded - series_big
+    d = spectral.embed_coeffs(basis_small, basis_big, series_small) - series_big
     return float(np.max(np.sqrt(np.sum(basis_big.mass * d * d, axis=1))))
 
 
@@ -545,7 +521,7 @@ def _ladder_report(axis, values, runs, trajs, extras=None):
         rate = float(np.polyfit(np.log(np.asarray(values[:-1], float)),
                                 np.log(total), 1)[0])
     else:
-        rate = math.nan
+        rate = None
     return ConvergenceReport(
         axis=axis, values=np.asarray(values, dtype=float),
         consecutive_phi=cons_phi, consecutive_eta=cons_eta,
@@ -556,8 +532,9 @@ def _ladder_report(axis, values, runs, trajs, extras=None):
 def galerkin_convergence(factory, ns, schedule):
     """Truncation-level ladder: factory(n) -> (params, initial).  Reports the
     C0([0,T];H) differences between consecutive levels; levels must share the
-    domain, the sample grid and all coefficients."""
-    ns = sorted(int(n) for n in ns)
+    domain, the sample grid and all coefficients.  The ladder is refused as
+    in :func:`_ladder_values`."""
+    ns = sorted(_ladder_values(ns, int, "mode counts"))
     runs = {n: factory(n) for n in ns}
     trajs = _run_many(lambda n: solve(runs[n][0], runs[n][1], schedule), ns)
     return _ladder_report("n", ns, [runs[n] for n in ns], trajs)
@@ -565,18 +542,16 @@ def galerkin_convergence(factory, ns, schedule):
 
 def constraint_overshoot(traj, basis):
     """Largest excursion of the order parameter beyond |phi| = 1."""
-    worst = 0.0
-    for row in traj.phi:
-        grid = spectral.to_grid(basis, row)
-        worst = max(worst, float(np.max(np.abs(grid))) - 1.0)
-    return max(worst, 0.0)
+    grid = spectral.to_grid(basis, traj.phi)
+    return max(float(np.max(np.abs(grid))) - 1.0, 0.0)
 
 
 def yosida_convergence(factory, eps_values, schedule, track_overshoot=False):
     """Regularization ladder: factory(eps) -> (params, initial), fixed basis.
     Reports consecutive trajectory differences (Cauchy check) and optionally
-    the constraint overshoot of the order parameter."""
-    eps_values = sorted((float(e) for e in eps_values), reverse=True)
+    the constraint overshoot of the order parameter.  The ladder is refused
+    as in :func:`_ladder_values`."""
+    eps_values = _ladder_values(eps_values, float, "eps values")
     runs = {e: factory(e) for e in eps_values}
     trajs = _run_many(lambda e: solve(runs[e][0], runs[e][1], schedule), eps_values)
     run_list = [runs[e] for e in eps_values]

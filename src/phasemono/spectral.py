@@ -158,19 +158,19 @@ def grid_integral(basis, values):
 
 def embed_coeffs(src, dst, coeffs):
     """Embed coefficients of a coarser basis into a finer one (same domain,
-    same normalization, dst.n >= src.n)."""
+    same normalization, dst.n >= src.n).  A leading member axis is carried
+    through, as in :func:`to_grid`."""
     if src.lengths != dst.lengths or src.dims != dst.dims:
         raise ValueError("bases live on different domains")
     if src.normalization != dst.normalization:
         raise ValueError("bases use different normalizations")
     if dst.n < src.n:
         raise ValueError("destination basis is coarser than the source")
-    c = np.asarray(coeffs, dtype=float)
+    c = np.asarray(coeffs, dtype=float) * src.amp
+    lead = c.shape[:-1]
+    ch = np.zeros(lead + (dst.n,) * src.dims)
     if src.dims == 1:
-        ch = np.zeros(dst.n)
-        ch[: src.n] = c * src.amp
-        return ch / dst.amp
-    ch = np.zeros((dst.n, dst.n))
-    ch[: src.n, : src.n] = (c * src.amp).reshape(src.n, src.n)
-    return ch.ravel() / dst.amp
-
+        ch[..., : src.n] = c
+    else:
+        ch[..., : src.n, : src.n] = c.reshape(lead + (src.n, src.n))
+    return ch.reshape(lead + (-1,)) / dst.amp

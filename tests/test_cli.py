@@ -11,6 +11,19 @@ from phasemono.monotone import ResolventError, SubdiffBetaHat
 from phasemono.scenarios import get_scenario, scenario_names, scenario_text
 
 
+def edited_config(scenario, edits):
+    """The scenario's config text with each (section, key, value) set."""
+    lines, section = [], None
+    for line in serialize_config(get_scenario(scenario)).splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        for sec, key, value in edits:
+            if sec == section and line.split("=")[0].strip() == key:
+                line = f"{key} = {value}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 class TestConfig:
     @pytest.mark.parametrize("name", scenario_names())
     def test_round_trip_is_identity(self, name):
@@ -36,6 +49,12 @@ class TestConfig:
                    {"potential": "sextic"}, {"dims": 3}):
             with pytest.raises(ConfigError):
                 with_overrides(cfg, **kw)
+
+    def test_inf_allowed_where_it_means_no_bound(self):
+        edits = [("integrator", "dt", "inf"), ("integrator", "tol", "inf"),
+                 ("run", "blowup_ceiling", "inf")]
+        cfg = parse_config(edited_config("zero", edits))
+        assert cfg.dt == cfg.tol == cfg.blowup_ceiling == float("inf")
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError):
@@ -81,6 +100,26 @@ class TestRun:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[model]\nk = -1\n")
         assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("edits", [
+        [("run", "blowup_ceiling", "-1")],
+        [("run", "blowup_ceiling", "nan")],
+        [("domain", "lengths", "nan")],
+        [("regularization", "eps", "nan")],
+        [("model", "t_final", "nan")],
+        [("model", "k", "inf")],
+        [("integrator", "dt", "nan")],
+        [("graph", "variant", "weighted_power"), ("graph", "q", "2")],
+        [("graph", "variant", "stefan"), ("graph", "alpha1", "-1")],
+    ], ids=lambda edits: ",".join(f"{k}={v}" for _, k, v in edits))
+    def test_inadmissible_numbers_exit_as_config_errors(self, tmp_path, capsys, edits):
+        path = tmp_path / "bad.cfg"
+        path.write_text(edited_config("zero", edits))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "blow-up" not in err and "Traceback" not in err
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["run", "--out", str(tmp_path / "o")]) == 2
@@ -163,6 +202,34 @@ class TestSweep:
         diffs = payload["consecutive_total"]
         assert diffs[1] < diffs[0]
         assert (out / "sweep.csv").exists()
+
+    def test_undefined_rate_written_as_null(self, tmp_path):
+        out = tmp_path / "s"
+        assert cli.main(["sweep", "--scenario", "tanh_front", "--axis", "n",
+                         "--values", "8 16", "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads((out / "sweep.json").read_text(), parse_constant=refuse)
+        assert payload["rate"] is None
+
+    @pytest.mark.parametrize("axis, scenario, values, message", [
+        ("n", "tanh_front", "8 x", "--values"),
+        ("n", "tanh_front", "8", "two distinct mode counts, all positive"),
+        ("n", "tanh_front", "8 8", "two distinct mode counts, all positive"),
+        ("eps", "obstacle_sign", "0.1", "two distinct eps values, all positive"),
+        ("eps", "obstacle_sign", "0.1 0", "two distinct eps values, all positive"),
+    ])
+    def test_malformed_ladder_exit_code(self, tmp_path, capsys, axis, scenario,
+                                        values, message):
+        code = cli.main(["sweep", "--scenario", scenario, "--axis", axis,
+                         "--values", values, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.json").exists()
 
     def test_eps_ladder_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -511,10 +511,19 @@ class TestStackedSolve:
         with pytest.raises(BlowUpError) as err:
             solve(params, stacked([init, init, huge, huge]), sched)
         assert err.value.member == 2
-        assert "stack row 2" in str(err.value)
+        assert err.value.field == "phi"
+        assert "blow-up detected in phi of stack row 2" in str(err.value)
         with pytest.raises(BlowUpError) as err:
             solve(params, huge, sched)
         assert err.value.member is None
+        assert err.value.field == "phi"
+        # alpha = ell here, so theta = eta: a huge eta0 blows up theta alone
+        hot = coeff_data(1e9 * init.eta0.coeffs, init.phi0.coeffs)
+        with pytest.raises(BlowUpError) as err:
+            solve(params, stacked([init, hot, huge]), sched)
+        assert err.value.member == 1
+        assert err.value.field == "theta"
+        assert "blow-up detected in theta of stack row 1" in str(err.value)
 
 
 class TestRhsReuse:

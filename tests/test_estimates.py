@@ -13,7 +13,6 @@ from phasemono.estimates import (
     ContractionData,
     LadderMemberError,
     constraint_overshoot,
-    contraction_check,
     contraction_sweep,
     energy_monitor,
     first_estimate_constants,
@@ -151,16 +150,25 @@ class TestContraction:
         return ContractionData(initial=initial, eta_star=params.eta_star,
                                forcing=params.forcing)
 
-    def test_requires_matched_coefficients(self):
+    def test_requires_matched_coefficients(self, monkeypatch):
         params, initial, schedule, _ = run_scenario("regular_sign")
         data = self.make_data(params, initial)
-        with pytest.raises(ValueError):
-            contraction_check(params, data, data, schedule)
+
+        def forbidden(*args):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(estimates, "solve", forbidden)
+        with pytest.raises(ValueError, match="alpha = ell"):
+            contraction_sweep(params, data, [0.01, 0.005], schedule)
 
     def test_identical_data_zero_differences(self):
+        # a member with the base's data follows the base row exactly, and
+        # without a data difference there is no observed constant
         params, initial, schedule, _ = run_scenario("contraction_base")
         data = self.make_data(params, initial)
-        rep = contraction_check(params, data, data, schedule)
+        traj = solve(params, estimates._stack_initial([initial, initial]), schedule)
+        (rep,) = estimates._contraction_reports(params, data, [data], traj)
+        assert rep.data_total == 0.0
         assert rep.sol_total == 0.0
         assert rep.c_observed is None
 
@@ -169,19 +177,19 @@ class TestContraction:
         # delta apart and contracts, so the sup-norm difference is delta
         params, initial, schedule, _ = run_scenario("heat_decay")
         data = self.make_data(params, initial)
-        delta = 0.01
-        data2 = perturb_initial(params, data, delta)
-        rep = contraction_check(params, data, data2, schedule)
-        assert rep.data_diff_phi0 == pytest.approx(delta, abs=1e-12)
-        assert rep.sol_linf_h_phi == pytest.approx(delta, abs=1e-12)
+        deltas = [0.01, 0.005]
+        rep = contraction_sweep(params, data, deltas, schedule)
+        for delta, member in zip(deltas, rep.reports):
+            assert member.data_diff_phi0 == pytest.approx(delta, abs=1e-12)
+            assert member.sol_linf_h_phi == pytest.approx(delta, abs=1e-12)
 
     def test_pair_dissipations_nonnegative(self):
         params, initial, schedule, _ = run_scenario("contraction_base")
         data = self.make_data(params, initial)
-        data2 = perturb_initial(params, data, 0.05)
-        rep = contraction_check(params, data, data2, schedule)
-        assert rep.pair_dissipation_eta_min >= -1e-9
-        assert rep.pair_dissipation_phi_min >= -1e-9
+        rep = contraction_sweep(params, data, [0.05, 0.025], schedule)
+        for member in rep.reports:
+            assert member.pair_dissipation_eta_min >= -1e-9
+            assert member.pair_dissipation_phi_min >= -1e-9
 
     def test_dyadic_sweep_linear_scaling(self):
         params, initial, schedule, _ = run_scenario("contraction_base")
@@ -194,17 +202,27 @@ class TestContraction:
 
     def test_sweep_rows_match_pairwise_checks(self):
         # the stacked sweep solves the base once; each member's report equals
-        # the two-solve check of that member against the base
+        # the comparison of two standalone solves, the member's and the base's
         params, initial, schedule, _ = run_scenario("contraction_base")
+        basis = params.basis
         data = self.make_data(params, initial)
         deltas = [0.01, 0.0025]
         rep = contraction_sweep(params, data, deltas, schedule)
+        base = solve(params, initial, schedule)
         for j, delta in enumerate(sorted(deltas, reverse=True)):
-            ref = contraction_check(
-                params, data, perturb_initial(params, data, delta), schedule)
-            assert rep.sol_totals[j] == pytest.approx(ref.sol_total, rel=1e-12, abs=0)
-            assert rep.data_totals[j] == ref.data_total
-            assert rep.c_observed[j] == pytest.approx(ref.c_observed, rel=1e-12, abs=0)
+            member = perturb_initial(params, data, delta).initial
+            traj = solve(params, member, schedule)
+            sol_total = 0.0
+            for d in (base.eta - traj.eta, base.phi - traj.phi):
+                sol_total += float(np.max(np.sqrt(np.sum(basis.mass * d * d, axis=1))))
+                v2 = np.sum(basis.mass * (1.0 + basis.eigenvalues) * d * d, axis=1)
+                sol_total += math.sqrt(float(np.trapezoid(v2, base.times)))
+            # the member shares f and eta* with the base: those differences are 0
+            data_total = (spectral.h_norm(basis, initial.eta0.coeffs - member.eta0.coeffs)
+                          + spectral.h_norm(basis, initial.phi0.coeffs - member.phi0.coeffs))
+            assert rep.sol_totals[j] == pytest.approx(sol_total, rel=1e-12, abs=0)
+            assert rep.data_totals[j] == data_total
+            assert rep.c_observed[j] == pytest.approx(sol_total / data_total, rel=1e-12, abs=0)
 
     def test_sweep_is_one_stacked_solve(self, monkeypatch):
         params, initial, schedule, _ = run_scenario("contraction_base")
@@ -246,7 +264,7 @@ class TestContraction:
         data = self.make_data(params, initial)
 
         def fails(p, init, sched):
-            raise BlowUpError(0.1, 1e9, row)
+            raise BlowUpError(0.1, 1e9, "phi", row)
 
         monkeypatch.setattr(estimates, "solve", fails)
         with pytest.raises(LadderMemberError) as err:
@@ -320,6 +338,17 @@ class TestLadders:
             rep = energy_monitor(traj, params)
             # L = 1, so the H-norm of a pointwise-bounded selection is <= 1
             assert np.max(rep.zeta_norms) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("ladder, values", [
+        (galerkin_convergence, [8]), (galerkin_convergence, [8, 8]),
+        (galerkin_convergence, [0, 8]), (yosida_convergence, [0.1]),
+        (yosida_convergence, [0.1, -0.1])])
+    def test_inadmissible_ladder_refused_before_any_member(self, ladder, values):
+        def forbidden(value):
+            raise AssertionError("factory called")
+
+        with pytest.raises(ValueError, match="at least two distinct"):
+            ladder(forbidden, values, Schedule(method="imex", dt=1e-3))
 
     def test_overshoot_helper(self):
         params, _, _, traj = run_scenario("obstacle_sign")

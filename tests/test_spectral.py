@@ -222,6 +222,16 @@ class TestEmbedding:
         out = spectral.embed_coeffs(src, dst, c)
         assert spectral.h_norm(src, c) == pytest.approx(spectral.h_norm(dst, out))
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_member_axis_embeds_each_row(self, dims):
+        src = spectral.build_basis(dims, 1.0, 3, normalization="v")
+        dst = spectral.build_basis(dims, 1.0, 5, normalization="v")
+        rows = np.random.default_rng(9).standard_normal((4, src.total_modes))
+        out = spectral.embed_coeffs(src, dst, rows)
+        assert out.shape == (4, dst.total_modes)
+        for row, got in zip(rows, out):
+            assert np.array_equal(got, spectral.embed_coeffs(src, dst, row))
+
     def test_incompatible_bases_raise(self):
         a = spectral.build_basis(1, 1.0, 4)
         b = spectral.build_basis(1, 2.0, 8)
