@@ -18,13 +18,7 @@ from .monotone import (  # noqa: F401
     ZeroGraph,
     resolvent_oracle,
 )
-from .potentials import (  # noqa: F401
-    PotentialSpec,
-    envelope,
-    logarithmic_potential,
-    obstacle_potential,
-    regular_potential,
-)
+from .potentials import PotentialSpec, envelope  # noqa: F401
 from .spectral import SpectralBasis, build_basis, from_grid, to_grid  # noqa: F401
 from .dynamics import (  # noqa: F401
     BlowUpError,

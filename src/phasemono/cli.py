@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, spectral
 from .config import ConfigError, build_problem, parse_config, serialize_config, with_overrides
-from .dynamics import BlowUpError, StepFailure, solve
+from .dynamics import METHODS, BlowUpError, StepFailure, solve
 from .estimates import (
     ContractionData,
     LadderMemberError,
@@ -52,15 +52,10 @@ def _write_trajectory_csv(path, traj, basis):
             + ["eta_h", "eta_v", "phi_h", "phi_v"])
     lines = [",".join(cols)]
     eta = traj.eta
-    for j, t in enumerate(traj.times):
-        row = [_fmt(t)]
-        row += [_fmt(v) for v in traj.phi[j]]
-        row += [_fmt(v) for v in traj.theta[j]]
-        row += [_fmt(spectral.h_norm(basis, eta[j])),
-                _fmt(spectral.v_norm(basis, eta[j])),
-                _fmt(spectral.h_norm(basis, traj.phi[j])),
-                _fmt(spectral.v_norm(basis, traj.phi[j]))]
-        lines.append(",".join(row))
+    norms = zip(spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
+                spectral.h_norm(basis, traj.phi), spectral.v_norm(basis, traj.phi))
+    for t, phi, theta, row_norms in zip(traj.times, traj.phi, traj.theta, norms):
+        lines.append(",".join(_fmt(v) for v in (t, *phi, *theta, *row_norms)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -206,9 +201,7 @@ def _cmd_sweep(args):
             return p, i
 
         _, _, schedule = build_problem(cfg)
-        track = cfg.potential == "obstacle"
-        ladder = partial(yosida_convergence, factory, values, schedule,
-                         track_overshoot=track)
+        ladder = partial(yosida_convergence, factory, values, schedule)
     elif args.axis == "delta":
         values = _parse_values(args.values, float)
         params, initial, schedule = build_problem(cfg)
@@ -301,7 +294,7 @@ def _build_parser():
         p.add_argument("--out", metavar="DIR", default="out",
                        help="output directory (default: ./out)")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--method", choices=("imex", "rk4", "rk45"), default=None,
+        p.add_argument("--method", choices=METHODS, default=None,
                        help="override the integrator")
 
     p_run = sub.add_parser("run", help="solve one scenario and write reports")

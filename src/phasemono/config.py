@@ -1,37 +1,36 @@
 """Scenario configuration: a sectioned key-value format, its canonical
 serialization, and the builder that turns a parsed config into solver inputs.
 
-Sections and keys:
-
-    [domain]        dims, lengths, modes, quadrature (optional), normalization
-    [model]         ell, alpha, k, nu, gamma, t_final
-    [potential]     variant, c0
-    [graph]         variant, alpha1, alpha2, q, weight
-    [regularization] eps, mollify_forcing
-    [initial]       eta0, phi0, eta_star, forcing   (profile strings)
-    [integrator]    method, dt, tol, saves
-    [run]           seed, blowup_ceiling
+The table ``_KEYS`` lists every key once, in canonical order, with its
+section, its ScenarioConfig field and its kind; parsing, the number checks
+and ``serialize_config`` all read it.  Each choice list lives with the code
+that implements it: ``dynamics.METHODS``, ``SubdiffBetaHat.VARIANTS`` and
+the graph builders of ``_GRAPHS``.
 
 Parsing is strict: unknown sections or keys and malformed values are
-reported with the offending line number.  ``serialize_config`` emits a
-canonical text whose re-parse compares equal to the original config.
+reported with the offending line number.  Float keys must be finite, except
+the ``float_inf`` keys ``dt``, ``tol`` and ``blowup_ceiling``, where ``inf``
+means no bound.  ``serialize_config`` emits a canonical text whose re-parse
+compares equal to the original config.  A profile string that is
+malformed, unreadable, or not finite everywhere is a ConfigError when the
+problem is built.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import profiles, spectral
-from .dynamics import FieldCoeffs, Forcing, ModelParams, Schedule, prepare_initial
+from .dynamics import METHODS, FieldCoeffs, Forcing, ModelParams, Schedule, prepare_initial
 from .monotone import (
     NonlocalSign,
     ScalarSign,
     Stefan,
+    SubdiffBetaHat,
     WeightedPower,
     ZeroGraph,
 )
@@ -79,67 +78,90 @@ class ScenarioConfig:
     blowup_ceiling: float = 1e8
 
 
-_SCHEMA = {
-    "domain": {
-        "dims": int,
-        "lengths": "lengths",
-        "modes": int,
-        "quadrature": "opt_int",
-        "normalization": str,
-    },
-    "model": {
-        "ell": float, "alpha": float, "k": float, "nu": float,
-        "gamma": float, "t_final": float,
-    },
-    "potential": {"variant": str, "c0": float},
-    "graph": {
-        "variant": str, "alpha1": float, "alpha2": float,
-        "q": float, "weight": str,
-    },
-    "regularization": {"eps": float, "mollify_forcing": "bool"},
-    "initial": {"eta0": str, "phi0": str, "eta_star": str, "forcing": str},
-    "integrator": {"method": str, "dt": float, "tol": float, "saves": int},
-    "run": {"seed": int, "blowup_ceiling": float},
+# (section, key, ScenarioConfig field, kind), one row per key in canonical order
+_KEYS = (
+    ("domain", "dims", "dims", "int"),
+    ("domain", "lengths", "lengths", "lengths"),
+    ("domain", "modes", "modes", "int"),
+    ("domain", "quadrature", "quadrature", "opt_int"),
+    ("domain", "normalization", "normalization", "str"),
+    ("model", "ell", "ell", "float"),
+    ("model", "alpha", "alpha", "float"),
+    ("model", "k", "k", "float"),
+    ("model", "nu", "nu", "float"),
+    ("model", "gamma", "gamma", "float"),
+    ("model", "t_final", "t_final", "float"),
+    ("potential", "variant", "potential", "str"),
+    ("potential", "c0", "c0", "float"),
+    ("graph", "variant", "graph", "str"),
+    ("graph", "alpha1", "graph_alpha1", "float"),
+    ("graph", "alpha2", "graph_alpha2", "float"),
+    ("graph", "q", "graph_q", "float"),
+    ("graph", "weight", "graph_weight", "str"),
+    ("regularization", "eps", "eps", "float"),
+    ("regularization", "mollify_forcing", "mollify_forcing", "bool"),
+    ("initial", "eta0", "eta0", "str"),
+    ("initial", "phi0", "phi0", "str"),
+    ("initial", "eta_star", "eta_star", "str"),
+    ("initial", "forcing", "forcing", "str"),
+    ("integrator", "method", "method", "str"),
+    ("integrator", "dt", "dt", "float_inf"),
+    ("integrator", "tol", "tol", "float_inf"),
+    ("integrator", "saves", "saves", "int"),
+    ("run", "seed", "seed", "int"),
+    ("run", "blowup_ceiling", "blowup_ceiling", "float_inf"),
+)
+
+
+def _parse_bool(raw):
+    low = raw.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_lengths(raw):
+    vals = tuple(float(v) for v in raw.replace(",", " ").split())
+    if not vals:
+        raise ValueError("empty length list")
+    return vals
+
+
+def _format_float(v):
+    return repr(float(v))
+
+
+# per kind: text -> value (ValueError if malformed), and value -> text
+_PARSE = {
+    "int": int,
+    "float": float,
+    "float_inf": float,
+    "str": str.strip,
+    "opt_int": lambda raw: None if raw.strip().lower() in ("", "none", "auto") else int(raw),
+    "bool": _parse_bool,
+    "lengths": _parse_lengths,
+}
+_FORMAT = {
+    "int": str,
+    "float": _format_float,
+    "float_inf": _format_float,
+    "str": str,
+    "opt_int": lambda v: "auto" if v is None else str(v),
+    "bool": lambda v: "true" if v else "false",
+    "lengths": lambda v: " ".join(map(_format_float, v)),
 }
 
-_KEY_TO_FIELD = {
-    ("domain", "dims"): "dims",
-    ("domain", "lengths"): "lengths",
-    ("domain", "modes"): "modes",
-    ("domain", "quadrature"): "quadrature",
-    ("domain", "normalization"): "normalization",
-    ("model", "ell"): "ell",
-    ("model", "alpha"): "alpha",
-    ("model", "k"): "k",
-    ("model", "nu"): "nu",
-    ("model", "gamma"): "gamma",
-    ("model", "t_final"): "t_final",
-    ("potential", "variant"): "potential",
-    ("potential", "c0"): "c0",
-    ("graph", "variant"): "graph",
-    ("graph", "alpha1"): "graph_alpha1",
-    ("graph", "alpha2"): "graph_alpha2",
-    ("graph", "q"): "graph_q",
-    ("graph", "weight"): "graph_weight",
-    ("regularization", "eps"): "eps",
-    ("regularization", "mollify_forcing"): "mollify_forcing",
-    ("initial", "eta0"): "eta0",
-    ("initial", "phi0"): "phi0",
-    ("initial", "eta_star"): "eta_star",
-    ("initial", "forcing"): "forcing",
-    ("integrator", "method"): "method",
-    ("integrator", "dt"): "dt",
-    ("integrator", "tol"): "tol",
-    ("integrator", "saves"): "saves",
-    ("run", "seed"): "seed",
-    ("run", "blowup_ceiling"): "blowup_ceiling",
+# graph variant -> builder(cfg, basis)
+_GRAPHS = {
+    "zero": lambda cfg, basis: ZeroGraph(),
+    "scalar_sign": lambda cfg, basis: ScalarSign(),
+    "nonlocal_sign": lambda cfg, basis: NonlocalSign(),
+    "stefan": lambda cfg, basis: Stefan(cfg.graph_alpha1, cfg.graph_alpha2),
+    "weighted_power": lambda cfg, basis: WeightedPower(
+        cfg.graph_q, profiles.profile_grid(basis, cfg.graph_weight)),
 }
-
-# float keys where inf has a meaning: no step bound, no tolerance, no ceiling
-_INF_ALLOWED = ("dt", "tol", "blowup_ceiling")
-
-GRAPH_VARIANTS = ("zero", "scalar_sign", "nonlocal_sign", "stefan", "weighted_power")
-POTENTIAL_VARIANTS = ("regular", "logarithmic", "obstacle")
 
 
 def _line_of(text, section, key):
@@ -153,35 +175,6 @@ def _line_of(text, section, key):
     return None
 
 
-def _convert(kind, raw, text, section, key):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw.strip()
-        if kind == "opt_int":
-            return None if raw.strip().lower() in ("", "none", "auto") else int(raw)
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "lengths":
-            vals = tuple(float(v) for v in raw.replace(",", " ").split())
-            if not vals:
-                raise ValueError("empty length list")
-            return vals
-    except ValueError as exc:
-        line = _line_of(text, section, key)
-        where = f"line {line}" if line else f"[{section}] {key}"
-        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
-    raise AssertionError(f"unknown schema kind {kind!r}")
-
-
 def parse_config(text):
     """Parse a scenario config from text; raise ConfigError with a line
     reference on any syntax, schema, or validation problem."""
@@ -191,17 +184,23 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
+    rows = {(section, key): (name, kind) for section, key, name, kind in _KEYS}
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if not any(sec == section for sec, _ in rows):
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in rows:
                 line = _line_of(text, section, key)
                 where = f"line {line}: " if line else ""
                 raise ConfigError(f"{where}unknown key {key!r} in [{section}]")
-            field = _KEY_TO_FIELD[(section, key)]
-            values[field] = _convert(_SCHEMA[section][key], raw, text, section, key)
+            name, kind = rows[section, key]
+            try:
+                values[name] = _PARSE[kind](raw)
+            except ValueError as exc:
+                line = _line_of(text, section, key)
+                where = f"line {line}" if line else f"[{section}] {key}"
+                raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
     cfg = ScenarioConfig(**values)
     _validate(cfg)
@@ -209,13 +208,14 @@ def parse_config(text):
 
 
 def _check_numbers(cfg):
-    """No float key may be NaN, and only those in _INF_ALLOWED may be inf."""
-    for (section, key), name in _KEY_TO_FIELD.items():
-        if _SCHEMA[section][key] not in (float, "lengths"):
+    """No float key may be NaN, and only the float_inf keys may be inf."""
+    for section, key, name, kind in _KEYS:
+        if kind not in ("float", "float_inf", "lengths"):
             continue
+        inf_ok = kind == "float_inf"
         for v in np.atleast_1d(getattr(cfg, name)):
-            if math.isnan(v) or (math.isinf(v) and name not in _INF_ALLOWED):
-                what = "a number or inf" if name in _INF_ALLOWED else "a finite number"
+            if math.isnan(v) or (math.isinf(v) and not inf_ok):
+                what = "a number or inf" if inf_ok else "a finite number"
                 raise ConfigError(f"[{section}] {key} must be {what}, got {float(v)}")
 
 
@@ -240,13 +240,13 @@ def _validate(cfg):
         raise ConfigError("model gamma must be nonnegative")
     if cfg.t_final <= 0:
         raise ConfigError("model t_final must be positive")
-    if cfg.potential not in POTENTIAL_VARIANTS:
+    if cfg.potential not in SubdiffBetaHat.VARIANTS:
         raise ConfigError(f"unknown potential variant {cfg.potential!r}")
-    if cfg.graph not in GRAPH_VARIANTS:
+    if cfg.graph not in _GRAPHS:
         raise ConfigError(f"unknown graph variant {cfg.graph!r}")
     if cfg.eps <= 0:
         raise ConfigError("regularization eps must be positive")
-    if cfg.method not in ("imex", "rk4", "rk45"):
+    if cfg.method not in METHODS:
         raise ConfigError(f"unknown integrator method {cfg.method!r}")
     if cfg.dt <= 0 or cfg.tol <= 0:
         raise ConfigError("integrator dt and tol must be positive")
@@ -259,45 +259,15 @@ def _validate(cfg):
 
 
 def serialize_config(cfg):
-    """Canonical text form; parse(serialize(cfg)) == cfg."""
-    out = io.StringIO()
-    lengths = " ".join(repr(float(L)) for L in cfg.lengths)
-    quad = "auto" if cfg.quadrature is None else str(cfg.quadrature)
-    out.write("[domain]\n")
-    out.write(f"dims = {cfg.dims}\n")
-    out.write(f"lengths = {lengths}\n")
-    out.write(f"modes = {cfg.modes}\n")
-    out.write(f"quadrature = {quad}\n")
-    out.write(f"normalization = {cfg.normalization}\n\n")
-    out.write("[model]\n")
-    for key in ("ell", "alpha", "k", "nu", "gamma", "t_final"):
-        out.write(f"{key} = {repr(float(getattr(cfg, key)))}\n")
-    out.write("\n[potential]\n")
-    out.write(f"variant = {cfg.potential}\n")
-    out.write(f"c0 = {repr(float(cfg.c0))}\n\n")
-    out.write("[graph]\n")
-    out.write(f"variant = {cfg.graph}\n")
-    out.write(f"alpha1 = {repr(float(cfg.graph_alpha1))}\n")
-    out.write(f"alpha2 = {repr(float(cfg.graph_alpha2))}\n")
-    out.write(f"q = {repr(float(cfg.graph_q))}\n")
-    out.write(f"weight = {cfg.graph_weight}\n\n")
-    out.write("[regularization]\n")
-    out.write(f"eps = {repr(float(cfg.eps))}\n")
-    out.write(f"mollify_forcing = {'true' if cfg.mollify_forcing else 'false'}\n\n")
-    out.write("[initial]\n")
-    out.write(f"eta0 = {cfg.eta0}\n")
-    out.write(f"phi0 = {cfg.phi0}\n")
-    out.write(f"eta_star = {cfg.eta_star}\n")
-    out.write(f"forcing = {cfg.forcing}\n\n")
-    out.write("[integrator]\n")
-    out.write(f"method = {cfg.method}\n")
-    out.write(f"dt = {repr(float(cfg.dt))}\n")
-    out.write(f"tol = {repr(float(cfg.tol))}\n")
-    out.write(f"saves = {cfg.saves}\n\n")
-    out.write("[run]\n")
-    out.write(f"seed = {cfg.seed}\n")
-    out.write(f"blowup_ceiling = {repr(float(cfg.blowup_ceiling))}\n")
-    return out.getvalue()
+    """Canonical text form, keys in the order of the key table;
+    parse(serialize(cfg)) == cfg."""
+    lines, current = [], None
+    for section, key, name, kind in _KEYS:
+        if section != current:
+            lines.append(f"[{section}]" if current is None else f"\n[{section}]")
+            current = section
+        lines.append(f"{key} = {_FORMAT[kind](getattr(cfg, name))}")
+    return "\n".join(lines) + "\n"
 
 
 def with_overrides(cfg, **kw):
@@ -308,16 +278,8 @@ def with_overrides(cfg, **kw):
 
 
 def _build_graph(cfg, basis):
-    if cfg.graph == "zero":
-        return ZeroGraph()
-    if cfg.graph == "scalar_sign":
-        return ScalarSign()
-    if cfg.graph == "nonlocal_sign":
-        return NonlocalSign()
     try:
-        if cfg.graph == "stefan":
-            return Stefan(cfg.graph_alpha1, cfg.graph_alpha2)
-        return WeightedPower(cfg.graph_q, profiles.profile_grid(basis, cfg.graph_weight))
+        return _GRAPHS[cfg.graph](cfg, basis)
     except ValueError as exc:
         raise ConfigError(f"graph {cfg.graph}: {exc}") from exc
 

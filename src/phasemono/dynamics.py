@@ -22,7 +22,7 @@ adaptive step control.  All of them are deterministic given their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .monotone import ZeroGraph
 from .potentials import envelope
 
 __all__ = [
+    "METHODS",
     "FieldCoeffs",
     "Forcing",
     "ModelParams",
@@ -43,6 +44,10 @@ __all__ = [
     "prepare_initial",
     "solve",
 ]
+
+
+# integrators: IMEX Euler, classical RK4, Dormand-Prince 4(5)
+METHODS = ("imex", "rk4", "rk45")
 
 
 class BlowUpError(RuntimeError):
@@ -186,14 +191,6 @@ class ModelParams:
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
-    def with_data(self, eta_star=None, forcing=None):
-        kw = {}
-        if eta_star is not None:
-            kw["eta_star"] = eta_star
-        if forcing is not None:
-            kw["forcing"] = forcing
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True, eq=False)
 class InitialData:
@@ -202,8 +199,6 @@ class InitialData:
 
     eta0: FieldCoeffs
     phi0: FieldCoeffs
-    phi0_grid: np.ndarray
-    beta_hat_l1: float
     q_eps: float
 
 
@@ -236,8 +231,6 @@ def prepare_initial(basis, eta0_grid, phi0_grid, potential, eps):
     return InitialData(
         eta0=FieldCoeffs(eta0_c, "eta0"),
         phi0=FieldCoeffs(phi0_c, "phi0"),
-        phi0_grid=phi0_grid,
-        beta_hat_l1=beta_l1,
         q_eps=q_eps)
 
 
@@ -252,7 +245,7 @@ class Schedule:
     n_saves: int = 101
 
     def __post_init__(self):
-        if self.method not in ("imex", "rk4", "rk45"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.dt <= 0 or self.tol <= 0:
             raise ValueError("dt and tol must be positive")
@@ -459,7 +452,7 @@ def solve(params, initial, schedule):
     h_adaptive = None
     for j in range(schedule.n_saves - 1):
         t0, t1 = float(ts[j]), float(ts[j + 1])
-        if schedule.method in ("imex", "rk4"):
+        if schedule.method != "rk45":
             nsub = max(1, math.ceil((t1 - t0) / schedule.dt - 1e-12))
             h = (t1 - t0) / nsub
             t = t0

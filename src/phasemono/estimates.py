@@ -38,7 +38,7 @@ is reported by the energy monitor (``gron_C4``); the two are never compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -185,9 +185,11 @@ def energy_monitor(traj, params):
     dphi_h2 = np.sum(mass * traj.dphi * traj.dphi, axis=1)
     env = np.array([envelope_integral(params, traj.phi[j]) for j in range(len(ts))])
 
+    grad_eta_int = params.k * _cumtrapz(ts, eta_dir)
+    dphi_int = _cumtrapz(ts, dphi_h2)
     e1 = (0.5 * eta_h2
-          + params.k * _cumtrapz(ts, eta_dir)
-          + _cumtrapz(ts, dphi_h2)
+          + grad_eta_int
+          + dphi_int
           + 0.5 * params.nu * phi_v2
           + env)
 
@@ -234,8 +236,8 @@ def energy_monitor(traj, params):
         bound=bound,
         components={
             "eta_h2_half": 0.5 * eta_h2,
-            "grad_eta_int": params.k * _cumtrapz(ts, eta_dir),
-            "dphi_int": _cumtrapz(ts, dphi_h2),
+            "grad_eta_int": grad_eta_int,
+            "dphi_int": dphi_int,
             "phi_v2_scaled": 0.5 * params.nu * phi_v2,
             "envelope": env,
         },
@@ -397,8 +399,6 @@ def _stack_initial(initials):
     return InitialData(
         eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials]), "eta0"),
         phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials]), "phi0"),
-        phi0_grid=np.stack([i.phi0_grid for i in initials]),
-        beta_hat_l1=np.array([i.beta_hat_l1 for i in initials]),
         q_eps=np.array([i.q_eps for i in initials]))
 
 
@@ -417,7 +417,7 @@ def contraction_sweep(params, data, deltas, schedule, mode_index=1):
     members = _run_many(
         lambda delta: perturb_initial(params, data, delta, mode_index), deltas)
     try:
-        traj = solve(params.with_data(eta_star=data.eta_star, forcing=data.forcing),
+        traj = solve(replace(params, eta_star=data.eta_star, forcing=data.forcing),
                      _stack_initial([data.initial] + [m.initial for m in members]),
                      schedule)
     except Exception as exc:
@@ -546,17 +546,17 @@ def constraint_overshoot(traj, basis):
     return max(float(np.max(np.abs(grid))) - 1.0, 0.0)
 
 
-def yosida_convergence(factory, eps_values, schedule, track_overshoot=False):
+def yosida_convergence(factory, eps_values, schedule):
     """Regularization ladder: factory(eps) -> (params, initial), fixed basis.
-    Reports consecutive trajectory differences (Cauchy check) and optionally
-    the constraint overshoot of the order parameter.  The ladder is refused
-    as in :func:`_ladder_values`."""
+    Reports consecutive trajectory differences (Cauchy check) and, when the
+    potential is the obstacle well, the constraint overshoot of the order
+    parameter.  The ladder is refused as in :func:`_ladder_values`."""
     eps_values = _ladder_values(eps_values, float, "eps values")
     runs = {e: factory(e) for e in eps_values}
     trajs = _run_many(lambda e: solve(runs[e][0], runs[e][1], schedule), eps_values)
     run_list = [runs[e] for e in eps_values]
     extras = {}
-    if track_overshoot:
+    if run_list[0][0].potential.variant == "obstacle":
         extras["overshoot"] = np.array([
             constraint_overshoot(tr, run_list[i][0].basis)
             for i, tr in enumerate(trajs)])

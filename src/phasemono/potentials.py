@@ -17,13 +17,7 @@ import numpy as np
 
 from .monotone import SubdiffBetaHat
 
-__all__ = [
-    "PotentialSpec",
-    "regular_potential",
-    "logarithmic_potential",
-    "obstacle_potential",
-    "envelope",
-]
+__all__ = ["PotentialSpec", "envelope"]
 
 
 def _entropy(r):
@@ -46,7 +40,7 @@ class PotentialSpec:
     c0: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in ("regular", "logarithmic", "obstacle"):
+        if self.variant not in SubdiffBetaHat.VARIANTS:
             raise ValueError(f"unknown potential variant {self.variant!r}")
         if self.variant == "logarithmic" and self.c0 <= 1.0:
             raise ValueError("logarithmic potential needs c0 > 1 for a double well")
@@ -90,18 +84,6 @@ class PotentialSpec:
 
     def beta_graph(self):
         return SubdiffBetaHat(self.variant)
-
-
-def regular_potential():
-    return PotentialSpec("regular")
-
-
-def logarithmic_potential(c0):
-    return PotentialSpec("logarithmic", float(c0))
-
-
-def obstacle_potential(c0):
-    return PotentialSpec("obstacle", float(c0))
 
 
 def envelope(spec, eps, r):

@@ -10,7 +10,9 @@ A profile is given as a whitespace-separated string:
     csv PATH                  -- (x, value) samples, interpolated (1D only)
 
 Random-smooth fields draw a fixed-size master coefficient block, so the same
-seed produces the same field at every truncation level.
+seed produces the same field at every truncation level.  Every value of a
+profile must be finite, and a csv file that cannot be read is an error like
+any malformed profile.
 """
 
 from __future__ import annotations
@@ -70,7 +72,16 @@ def _random_smooth(basis, amp, decay, rng):
 
 
 def profile_grid(basis, text, rng=None):
-    """Evaluate a profile string on the quadrature grid of a basis."""
+    """Evaluate a profile string on the quadrature grid of a basis.  A
+    malformed or unreadable profile, or one whose grid is not finite
+    everywhere, raises ValueError."""
+    grid = _evaluate(basis, text, rng)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"bad profile {text!r}: values must be finite")
+    return grid
+
+
+def _evaluate(basis, text, rng):
     parts = str(text).split()
     if not parts:
         raise ValueError("empty profile")
@@ -104,6 +115,6 @@ def profile_grid(basis, text, rng=None):
                 raise ValueError("csv profiles are only supported in 1D")
             data = np.loadtxt(args[0], delimiter=",", ndmin=2)
             return np.interp(basis.nodes[0], data[:, 0], data[:, 1])
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, OSError) as exc:
         raise ValueError(f"bad profile {text!r}: {exc}") from exc
     raise ValueError(f"unknown profile {name!r} (expected one of {PROFILE_NAMES})")

@@ -30,12 +30,7 @@ from .monotone import (
     ZeroGraph,
     resolvent_oracle,
 )
-from .potentials import (
-    envelope,
-    logarithmic_potential,
-    obstacle_potential,
-    regular_potential,
-)
+from .potentials import PotentialSpec, envelope
 
 __all__ = ["CheckResult", "builtin_graphs", "builtin_potentials",
            "graph_checks", "potential_checks", "run_selftest"]
@@ -73,9 +68,9 @@ def builtin_graphs():
 
 def builtin_potentials():
     return {
-        "regular": regular_potential(),
-        "logarithmic(c0=2)": logarithmic_potential(2.0),
-        "obstacle(c0=1)": obstacle_potential(1.0),
+        "regular": PotentialSpec("regular"),
+        "logarithmic(c0=2)": PotentialSpec("logarithmic", 2.0),
+        "obstacle(c0=1)": PotentialSpec("obstacle", 1.0),
     }
 
 

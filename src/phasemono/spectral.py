@@ -134,21 +134,28 @@ def from_grid(basis, values):
     return ch.reshape(ch.shape[:-2] + (-1,)) / basis.amp
 
 
+# The norms reduce over the last axis: a vector gives a float, and a stack
+# of shape (B, m) the B norms of its rows, as in :func:`to_grid`.
+
+def _root(sq):
+    return math.sqrt(float(sq)) if np.ndim(sq) == 0 else np.sqrt(sq)
+
+
 def h_norm(basis, coeffs):
     c = np.asarray(coeffs, dtype=float)
-    return math.sqrt(float(np.sum(basis.mass * c * c)))
+    return _root(np.sum(basis.mass * c * c, axis=-1))
 
 
 def v_norm(basis, coeffs):
     c = np.asarray(coeffs, dtype=float)
-    return math.sqrt(float(np.sum(basis.mass * (1.0 + basis.eigenvalues) * c * c)))
+    return _root(np.sum(basis.mass * (1.0 + basis.eigenvalues) * c * c, axis=-1))
 
 
 def w_norm(basis, coeffs):
     """Spectral H^2-type norm (squares of value, gradient and Laplacian)."""
     c = np.asarray(coeffs, dtype=float)
     lam = basis.eigenvalues
-    return math.sqrt(float(np.sum(basis.mass * (1.0 + lam + lam * lam) * c * c)))
+    return _root(np.sum(basis.mass * (1.0 + lam + lam * lam) * c * c, axis=-1))
 
 
 def grid_integral(basis, values):

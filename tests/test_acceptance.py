@@ -159,8 +159,7 @@ class TestCriterion6YosidaConvergence:
             return p, i
 
         _, _, schedule = build_problem(cfg)
-        rep = yosida_convergence(factory, [1e-1, 1e-2, 1e-3, 1e-4], schedule,
-                                 track_overshoot=True)
+        rep = yosida_convergence(factory, [1e-1, 1e-2, 1e-3, 1e-4], schedule)
         over = rep.extras["overshoot"]
         assert np.all(np.diff(over) < 0), over
         diffs = rep.consecutive_total

@@ -1,12 +1,19 @@
 """Config parsing, CLI subcommands, output formats and exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from phasemono import cli
-from phasemono.config import ConfigError, parse_config, serialize_config, with_overrides
+from phasemono import cli, config
+from phasemono.config import (
+    ConfigError,
+    ScenarioConfig,
+    parse_config,
+    serialize_config,
+    with_overrides,
+)
 from phasemono.monotone import ResolventError, SubdiffBetaHat
 from phasemono.scenarios import get_scenario, scenario_names, scenario_text
 
@@ -28,6 +35,30 @@ class TestConfig:
     @pytest.mark.parametrize("name", scenario_names())
     def test_round_trip_is_identity(self, name):
         cfg = get_scenario(name)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_key_table_names_every_field_once(self):
+        fields = [row[2] for row in config._KEYS]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
+        assert len(set(fields)) == len(fields)
+        assert len({row[:2] for row in config._KEYS}) == len(config._KEYS)
+        kinds = {row[3] for row in config._KEYS}
+        assert kinds <= config._PARSE.keys() and kinds <= config._FORMAT.keys()
+
+    def test_round_trip_sets_every_key(self):
+        inf = float("inf")
+        cfg = ScenarioConfig(
+            dims=2, lengths=(1.5, 0.75), modes=20, quadrature=40, normalization="v",
+            ell=1.25, alpha=0.75, k=0.5, nu=0.25, gamma=0.125, t_final=0.3,
+            potential="obstacle", c0=2.0, graph="weighted_power", graph_alpha1=0.5,
+            graph_alpha2=2.0, graph_q=0.75, graph_weight="cosine 0.5 1 1",
+            eps=0.01, mollify_forcing=True, eta0="cosine 0.2 1 0",
+            phi0="tanh 0.5 0.1", eta_star="constant 0.1", forcing="random-smooth 0.3",
+            method="rk45", dt=inf, tol=inf, saves=11, seed=7, blowup_ceiling=inf)
+        default = ScenarioConfig()
+        same = [f.name for f in dataclasses.fields(cfg)
+                if getattr(cfg, f.name) == getattr(default, f.name)]
+        assert same == []
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_unknown_key_reports_line(self):
@@ -115,6 +146,27 @@ class TestRun:
     def test_inadmissible_numbers_exit_as_config_errors(self, tmp_path, capsys, edits):
         path = tmp_path / "bad.cfg"
         path.write_text(edited_config("zero", edits))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "blow-up" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edits", [
+        [("initial", "phi0", "constant nan")],
+        [("initial", "eta0", "cosine nan 2")],
+        [("initial", "forcing", "constant nan")],
+        [("initial", "eta_star", "constant inf")],
+        [("graph", "variant", "weighted_power"), ("graph", "weight", "constant nan")],
+        [("initial", "phi0", "csv missing.csv")],
+        [("initial", "phi0", "csv .")],
+    ], ids=lambda edits: ",".join(f"{k}={v}" for _, k, v in edits))
+    def test_bad_profiles_exit_as_config_errors(self, tmp_path, capsys, monkeypatch,
+                                                edits):
+        # a non-finite profile, or a csv profile that cannot be read
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bad.cfg"
+        path.write_text(edited_config("regular_sign", edits))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err

@@ -22,7 +22,7 @@ from phasemono.dynamics import (
     solve,
 )
 from phasemono.monotone import ScalarSign, ZeroGraph
-from phasemono.potentials import obstacle_potential, regular_potential
+from phasemono.potentials import PotentialSpec
 from phasemono.scenarios import get_scenario
 
 
@@ -37,7 +37,7 @@ def make_params(n=4, L=math.pi, gamma=0.0, graph=None, potential=None,
         eta_star=eta_star or FieldCoeffs(np.zeros(m), "eta_star"),
         forcing=forcing or Forcing.constant(np.zeros(m), t_final),
         graph=graph or ZeroGraph(),
-        potential=potential or regular_potential(),
+        potential=potential or PotentialSpec("regular"),
         eps=eps)
 
 
@@ -46,7 +46,7 @@ def one_step(p, a, b, dt, method):
     save interval: exactly one step for imex/rk4, the adaptive path for rk45."""
     dm = p.ell - p.alpha
     init = InitialData(eta0=FieldCoeffs(b - dm * a), phi0=FieldCoeffs(a),
-                       phi0_grid=None, beta_hat_l1=0.0, q_eps=0.0)
+                       q_eps=0.0)
     traj = solve(dataclasses.replace(p, t_final=dt), init,
                  Schedule(method=method, dt=dt, n_saves=2))
     return traj.phi[-1], traj.theta[-1]
@@ -311,7 +311,7 @@ class TestSolve:
         p = make_params(gamma=0.0, t_final=1.0)
         bad = Forcing(np.array([0.0, 1.0]),
                       np.full((2, p.basis.total_modes), np.nan))
-        p = p.with_data(forcing=bad)
+        p = dataclasses.replace(p, forcing=bad)
         init = prepare_initial(p.basis, np.zeros(p.basis.m_quad),
                                np.zeros(p.basis.m_quad), p.potential, p.eps)
         with pytest.raises(StepFailure):
@@ -327,7 +327,7 @@ class TestTwoDimensional:
             ell=1.0, alpha=1.0, k=1.0, nu=1.0, gamma=0.0, t_final=1.0,
             basis=basis, eta_star=FieldCoeffs(np.zeros(m)),
             forcing=Forcing.constant(np.zeros(m), 1.0), graph=ZeroGraph(),
-            potential=regular_potential(), eps=0.1)
+            potential=PotentialSpec("regular"), eps=0.1)
         eta0 = np.zeros(m)
         eta0[1 * 3 + 0] = 1.0
         init = prepare_initial(basis, spectral.to_grid(basis, eta0),
@@ -400,7 +400,7 @@ class TestInitialData:
         basis = spectral.build_basis(1, 1.0, 8)
         with pytest.raises(ValueError):
             prepare_initial(basis, np.zeros(16), 1.2 * np.ones(16),
-                            obstacle_potential(1.0), 0.1)
+                            PotentialSpec("obstacle", 1.0), 0.1)
 
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
@@ -428,7 +428,7 @@ class TestForcing:
 def coeff_data(eta0, phi0):
     """InitialData from coefficients alone, which is all solve reads."""
     return InitialData(eta0=FieldCoeffs(eta0), phi0=FieldCoeffs(phi0),
-                       phi0_grid=None, beta_hat_l1=0.0, q_eps=0.0)
+                       q_eps=0.0)
 
 
 def stacked(initials):

@@ -6,53 +6,47 @@ import numpy as np
 import pytest
 
 from phasemono.monotone import resolvent_oracle
-from phasemono.potentials import (
-    PotentialSpec,
-    envelope,
-    logarithmic_potential,
-    obstacle_potential,
-    regular_potential,
-)
+from phasemono.potentials import PotentialSpec, envelope
 from phasemono.selftest import builtin_potentials
 
 
 class TestSplit:
     def test_regular_stationary_at_one(self):
-        spec = regular_potential()
+        spec = PotentialSpec("regular")
         # derivative bookkeeping: F'(1) = beta(1) + pi(1) = 1 - 1 = 0
         assert spec.beta_graph().minimal_section(1.0) == pytest.approx(1.0)
         assert spec.pi(1.0) == pytest.approx(-1.0)
         assert spec.beta_hat(1.0) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("spec", [
-        regular_potential(), logarithmic_potential(1.5), obstacle_potential(0.7)])
+        PotentialSpec("regular"), PotentialSpec("logarithmic", 1.5), PotentialSpec("obstacle", 0.7)])
     def test_convex_part_vanishes_at_zero(self, spec):
         assert spec.beta_hat(0.0) == 0.0
 
     def test_obstacle_interior_point(self):
-        spec = obstacle_potential(1.0)
+        spec = PotentialSpec("obstacle", 1.0)
         # 0.5 is interior to [-1, 1]: the selection is 0, pi(0.5) = -1
         assert spec.beta_graph().minimal_section(0.5) == 0.0
         assert spec.pi(0.5) == pytest.approx(-1.0)
 
     def test_lipschitz_constants(self):
-        assert regular_potential().lipschitz_pi == 1.0
-        assert logarithmic_potential(2.0).lipschitz_pi == 4.0
-        assert obstacle_potential(0.5).lipschitz_pi == 1.0
+        assert PotentialSpec("regular").lipschitz_pi == 1.0
+        assert PotentialSpec("logarithmic", 2.0).lipschitz_pi == 4.0
+        assert PotentialSpec("obstacle", 0.5).lipschitz_pi == 1.0
 
     def test_logarithmic_needs_double_well(self):
         with pytest.raises(ValueError):
-            logarithmic_potential(1.0)
+            PotentialSpec("logarithmic", 1.0)
         with pytest.raises(ValueError):
             PotentialSpec("logarithmic", 0.3)
 
     def test_obstacle_needs_positive_c0(self):
         with pytest.raises(ValueError):
-            obstacle_potential(0.0)
+            PotentialSpec("obstacle", 0.0)
 
     def test_logarithmic_boundary_convention(self):
         # 0*log(0) = 0 at the endpoints, +inf outside
-        spec = logarithmic_potential(2.0)
+        spec = PotentialSpec("logarithmic", 2.0)
         assert spec.beta_hat(1.0) == pytest.approx(2.0 * math.log(2.0))
         assert spec.beta_hat(-1.0) == pytest.approx(2.0 * math.log(2.0))
         assert spec.beta_hat(1.0001) == math.inf
@@ -66,7 +60,7 @@ class TestSplit:
 class TestEnvelope:
     def test_obstacle_value(self):
         # the resolvent clamps 1.5 to 1, leaving (0.5)^2 / (2*0.1)
-        spec = obstacle_potential(1.0)
+        spec = PotentialSpec("obstacle", 1.0)
         assert envelope(spec, 0.1, 1.5) == pytest.approx(1.25, abs=1e-14)
 
     def test_zero_for_all(self):
@@ -75,7 +69,7 @@ class TestEnvelope:
                 assert envelope(spec, eps, 0.0) == 0.0
 
     def test_regular_value(self):
-        spec = regular_potential()
+        spec = PotentialSpec("regular")
         # resolvent of the cubic at x = 2, eps = 1 is exactly 1
         prox = resolvent_oracle(spec.beta_graph(), 1.0, 2.0)
         assert prox == pytest.approx(1.0, abs=1e-10)
@@ -118,4 +112,4 @@ class TestEnvelope:
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
-            envelope(regular_potential(), 0.0, 1.0)
+            envelope(PotentialSpec("regular"), 0.0, 1.0)

@@ -231,6 +231,11 @@ class TestEmbedding:
         assert out.shape == (4, dst.total_modes)
         for row, got in zip(rows, out):
             assert np.array_equal(got, spectral.embed_coeffs(src, dst, row))
+        # the norms reduce each row of a stack as the call on that row does
+        for norm in (spectral.h_norm, spectral.v_norm, spectral.w_norm):
+            got = norm(src, rows)
+            assert got.shape == (4,)
+            assert all(g == norm(src, row) for g, row in zip(got, rows))
 
     def test_incompatible_bases_raise(self):
         a = spectral.build_basis(1, 1.0, 4)
