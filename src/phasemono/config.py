@@ -10,7 +10,9 @@ the graph builders of ``_GRAPHS``.
 Parsing is strict: unknown sections or keys and malformed values are
 reported with the offending line number.  Float keys must be finite, except
 the ``float_inf`` keys ``dt``, ``tol`` and ``blowup_ceiling``, where ``inf``
-means no bound.  ``serialize_config`` emits a canonical text whose re-parse
+means no bound.  ``[domain] normalization`` accepts only ``h``: the basis
+is H-orthonormal, and the key is kept so that configs which spell it out
+still parse.  ``serialize_config`` emits a canonical text whose re-parse
 compares equal to the original config.  A profile string that is
 malformed, unreadable, or not finite everywhere is a ConfigError when the
 problem is built.
@@ -231,8 +233,8 @@ def _validate(cfg):
         raise ConfigError("need at least one mode")
     if cfg.quadrature is not None and cfg.quadrature < 2 * cfg.modes:
         raise ConfigError("quadrature must supply at least 2*modes points")
-    if cfg.normalization not in ("h", "v"):
-        raise ConfigError("normalization must be 'h' or 'v'")
+    if cfg.normalization != "h":
+        raise ConfigError("normalization must be 'h': the basis is H-orthonormal")
     for name in ("ell", "alpha", "k", "nu"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"model {name} must be positive")
@@ -300,9 +302,7 @@ def build_problem(cfg):
     seed, so a field is reproducible independently of the other fields and of
     the truncation level.
     """
-    basis = spectral.build_basis(
-        cfg.dims, cfg.lengths, cfg.modes,
-        normalization=cfg.normalization, m_quad=cfg.quadrature)
+    basis = spectral.build_basis(cfg.dims, cfg.lengths, cfg.modes, m_quad=cfg.quadrature)
     potential = _build_potential(cfg)
     graph = _build_graph(cfg, basis)
     if graph.growth_constant is None:
@@ -333,7 +333,7 @@ def build_problem(cfg):
     params = ModelParams(
         ell=cfg.ell, alpha=cfg.alpha, k=cfg.k, nu=cfg.nu, gamma=cfg.gamma,
         t_final=cfg.t_final, basis=basis,
-        eta_star=FieldCoeffs(star, "eta_star"), forcing=forcing,
+        eta_star=FieldCoeffs(star), forcing=forcing,
         graph=graph, potential=potential, eps=cfg.eps,
         blowup_ceiling=cfg.blowup_ceiling)
     schedule = Schedule(method=cfg.method, dt=cfg.dt, tol=cfg.tol, n_saves=cfg.saves)

@@ -78,7 +78,6 @@ class FieldCoeffs:
     """A field represented by its coefficients in the truncated basis."""
 
     coeffs: np.ndarray
-    tag: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +114,8 @@ class Forcing:
         vals = np.stack([self.at(t) for t in ts])
         return Forcing(ts, vals)
 
-    def mollified(self, eps, n_samples=None):
-        src = self if n_samples is None else self.resampled(n_samples)
-        if len(src.times) < 3:
-            src = self.resampled(129)
+    def mollified(self, eps, n_samples):
+        src = self.resampled(n_samples)
         return Forcing(src.times, mollify_forcing(src.times, src.coeffs, eps))
 
 
@@ -131,7 +128,7 @@ def mollify_forcing(times, values, eps):
     smoothed samples converge to f in L2(0, T) as eps vanishes whenever f is
     continuous and vanishes at the endpoints.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     t = np.asarray(times, dtype=float)
     if len(t) < 3:
@@ -182,13 +179,13 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("ell", "alpha", "k", "nu"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             raise ValueError("t_final must be positive")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
 
 
@@ -229,8 +226,8 @@ def prepare_initial(basis, eta0_grid, phi0_grid, potential, eps):
     n_diff = math.sqrt(max(spectral.grid_integral(basis, diff ** 2), 0.0))
     q_eps = beta_l1 + n_diff * (n_phi0 + n_proj) / (2.0 * eps)
     return InitialData(
-        eta0=FieldCoeffs(eta0_c, "eta0"),
-        phi0=FieldCoeffs(phi0_c, "phi0"),
+        eta0=FieldCoeffs(eta0_c),
+        phi0=FieldCoeffs(phi0_c),
         q_eps=q_eps)
 
 
@@ -247,7 +244,7 @@ class Schedule:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.dt <= 0 or self.tol <= 0:
+        if not (self.dt > 0 and self.tol > 0):
             raise ValueError("dt and tol must be positive")
         if self.n_saves < 2:
             raise ValueError("need at least two samples")
@@ -298,7 +295,7 @@ class _Rhs:
         if self.graph_is_zero:
             return np.zeros_like(eta)
         if self.graph.is_nonlocal:
-            return self.graph.yosida(self.p.eps, eta, mass=self.basis.mass)
+            return self.graph.yosida(self.p.eps, eta)
         vals = self.graph.yosida(self.p.eps, spectral.to_grid(self.basis, eta))
         return spectral.from_grid(self.basis, vals)
 

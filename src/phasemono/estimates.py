@@ -107,7 +107,7 @@ def _forcing_term_l2sq(params, ts):
     vals = np.empty(len(ts))
     for j, t in enumerate(ts):
         g = params.forcing.at(t) + shift
-        vals[j] = float(np.sum(basis.mass * g * g))
+        vals[j] = float(np.sum(g * g))
     return float(np.trapezoid(vals, ts))
 
 
@@ -175,14 +175,13 @@ def energy_monitor(traj, params):
     basis = params.basis
     ts = traj.times
     lam = basis.eigenvalues
-    mass = basis.mass
     initial = traj.initial
 
     eta = traj.eta
-    eta_h2 = np.sum(mass * eta * eta, axis=1)
-    eta_dir = np.sum(mass * lam * eta * eta, axis=1)
-    phi_v2 = np.sum(mass * (1.0 + lam) * traj.phi * traj.phi, axis=1)
-    dphi_h2 = np.sum(mass * traj.dphi * traj.dphi, axis=1)
+    eta_h2 = np.sum(eta * eta, axis=1)
+    eta_dir = np.sum(lam * eta * eta, axis=1)
+    phi_v2 = np.sum((1.0 + lam) * traj.phi * traj.phi, axis=1)
+    dphi_h2 = np.sum(traj.dphi * traj.dphi, axis=1)
     env = np.array([envelope_integral(params, traj.phi[j]) for j in range(len(ts))])
 
     grad_eta_int = params.k * _cumtrapz(ts, eta_dir)
@@ -201,17 +200,17 @@ def energy_monitor(traj, params):
         gronwall_ok = bool(np.all(np.log(np.maximum(e1, 1e-300)) <= log_bound + 1e-9))
 
     # companion estimate quantities
-    lap_phi2 = np.sum(mass * lam * lam * traj.phi * traj.phi, axis=1)
-    lap_eta2 = np.sum(mass * lam * lam * eta * eta, axis=1)
+    lap_phi2 = np.sum(lam * lam * traj.phi * traj.phi, axis=1)
+    lap_eta2 = np.sum(lam * lam * eta * eta, axis=1)
     deta = traj.deta
-    deta_h2 = np.sum(mass * deta * deta, axis=1)
+    deta_h2 = np.sum(deta * deta, axis=1)
     laplacian_phi_l2 = math.sqrt(float(np.trapezoid(lap_phi2, ts)))
     laplacian_eta_l2 = math.sqrt(float(np.trapezoid(lap_eta2, ts)))
     dt_eta_l2 = math.sqrt(float(np.trapezoid(deta_h2, ts)))
     grad_eta_final = math.sqrt(float(eta_dir[-1]))
 
     # linear-growth certificate of the realized selection
-    zeta_norms = np.sqrt(np.sum(mass * traj.zeta * traj.zeta, axis=1))
+    zeta_norms = np.sqrt(np.sum(traj.zeta * traj.zeta, axis=1))
     growth = params.graph.growth_constant
     if growth is None:
         selection_margin = math.inf
@@ -222,7 +221,7 @@ def energy_monitor(traj, params):
         selection_ok = bool(selection_margin <= 1e-9)
 
     # monotone dissipation of the graph term against eta
-    pairing = np.sum(mass * traj.zeta * eta, axis=1)
+    pairing = np.sum(traj.zeta * eta, axis=1)
     dissipation = _cumtrapz(ts, pairing)
     dissipation_min = float(np.min(dissipation))
 
@@ -302,7 +301,7 @@ def _data_diffs(basis, ts, data1, data2):
     fdiff = np.empty(len(ts))
     for j, t in enumerate(ts):
         g = data1.forcing.at(t) - data2.forcing.at(t)
-        fdiff[j] = float(np.sum(basis.mass * g * g))
+        fdiff[j] = float(np.sum(g * g))
     return (math.sqrt(float(np.trapezoid(fdiff, ts))),
             spectral.w_norm(basis, data1.eta_star.coeffs - data2.eta_star.coeffs),
             spectral.h_norm(basis, data1.initial.eta0.coeffs - data2.initial.eta0.coeffs),
@@ -323,14 +322,14 @@ def _contraction_reports(params, base, members, traj):
 
     def diff_norms(series):
         d = series[:, :1] - series[:, 1:]
-        h2 = rows(np.sum(basis.mass * d * d, axis=-1))
-        v2 = rows(np.sum(basis.mass * (1.0 + basis.eigenvalues) * d * d, axis=-1))
+        h2 = rows(np.sum(d * d, axis=-1))
+        v2 = rows(np.sum((1.0 + basis.eigenvalues) * d * d, axis=-1))
         return np.max(np.sqrt(h2), axis=-1), np.sqrt(np.trapezoid(v2, ts, axis=-1))
 
     def pair_dissipation_min(sel, series):
         # monotone pair dissipation of the two realized selection terms
-        pair = np.sum(basis.mass * (sel[:, :1] - sel[:, 1:])
-                      * (series[:, :1] - series[:, 1:]), axis=-1)
+        pair = np.sum((sel[:, :1] - sel[:, 1:]) * (series[:, :1] - series[:, 1:]),
+                      axis=-1)
         return np.min(_cumtrapz(ts, rows(pair)), axis=-1)
 
     # per-member columns, in the field order of ContractionReport
@@ -341,12 +340,12 @@ def _contraction_reports(params, base, members, traj):
                  for r, m in enumerate(members))
 
 
-def perturb_initial(params, data, delta, mode_index=1):
-    """Shift the order-parameter initial datum by delta times the
-    H-normalized basis mode with the given (flattened) index."""
+def perturb_initial(params, data, delta):
+    """Shift the order-parameter initial datum by delta times basis mode 1
+    (flattened index)."""
     basis = params.basis
     unit = np.zeros(basis.total_modes)
-    unit[mode_index] = 1.0 / basis.amp[mode_index]
+    unit[1] = 1.0
     phi_grid = spectral.to_grid(
         basis, np.asarray(data.initial.phi0.coeffs) + delta * unit)
     eta_grid = spectral.to_grid(basis, data.initial.eta0.coeffs)
@@ -397,12 +396,12 @@ class ContractionSweepReport:
 def _stack_initial(initials):
     """One InitialData whose fields stack those of the given members."""
     return InitialData(
-        eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials]), "eta0"),
-        phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials]), "phi0"),
+        eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials])),
+        phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials])),
         q_eps=np.array([i.q_eps for i in initials]))
 
 
-def contraction_sweep(params, data, deltas, schedule, mode_index=1):
+def contraction_sweep(params, data, deltas, schedule):
     """Dyadic perturbation study of the continuous-dependence inequality.
 
     The base data and one perturbation per delta are integrated together
@@ -415,7 +414,7 @@ def contraction_sweep(params, data, deltas, schedule, mode_index=1):
         raise ValueError("continuous-dependence check requires alpha = ell")
     deltas = _ladder_values(deltas, float, "deltas")
     members = _run_many(
-        lambda delta: perturb_initial(params, data, delta, mode_index), deltas)
+        lambda delta: perturb_initial(params, data, delta), deltas)
     try:
         traj = solve(replace(params, eta_star=data.eta_star, forcing=data.forcing),
                      _stack_initial([data.initial] + [m.initial for m in members]),
@@ -477,10 +476,6 @@ class ConvergenceReport:
         d = self.consecutive_total
         return bool(np.all(d[1:] < d[:-1])) if len(d) > 1 else True
 
-    @property
-    def final_diff(self):
-        return float(self.consecutive_total[-1])
-
     def to_dict(self):
         out = {
             "axis": self.axis,
@@ -499,7 +494,7 @@ class ConvergenceReport:
 
 def _c0_h_diff(basis_small, basis_big, series_small, series_big):
     d = spectral.embed_coeffs(basis_small, basis_big, series_small) - series_big
-    return float(np.max(np.sqrt(np.sum(basis_big.mass * d * d, axis=1))))
+    return float(np.max(np.sqrt(np.sum(d * d, axis=1))))
 
 
 def _ladder_report(axis, values, runs, trajs, extras=None):

@@ -56,7 +56,7 @@ class DomainError(ValueError):
 
 
 def _check_eps(eps):
-    if (np.asarray(eps) <= 0).any():
+    if not (np.asarray(eps) > 0).all():
         raise ValueError("eps must be positive")
 
 
@@ -200,7 +200,7 @@ class Stefan(MonotoneGraph):
     maximal monotone extension)."""
 
     def __init__(self, alpha1, alpha2):
-        if alpha1 <= 0 or alpha2 <= 0:
+        if not (alpha1 > 0 and alpha2 > 0):
             raise ValueError("Stefan slopes must be positive")
         self.alpha1 = float(alpha1)
         self.alpha2 = float(alpha2)
@@ -230,7 +230,7 @@ class WeightedPower(MonotoneGraph):
         if not 0.0 < q < 1.0:
             raise ValueError("power exponent q must lie in (0, 1)")
         w = np.asarray(weight, dtype=float)
-        if np.any(w < 0):
+        if not np.all(w >= 0):
             raise ValueError("weight must be nonnegative")
         self.q = float(q)
         self.weight = weight if np.ndim(weight) else float(weight)
@@ -353,7 +353,9 @@ class SubdiffBetaHat(MonotoneGraph):
 
 class NonlocalSign(MonotoneGraph):
     """Sign(v) = v/||v|| for v != 0 and the closed unit ball at v = 0,
-    acting on coefficient vectors through the Parseval norm.
+    acting on coefficient vectors through the Parseval norm: the Euclidean
+    norm of the coefficients, which is the H-norm of the field because the
+    Galerkin basis is H-orthonormal.
 
     The resolvent is the norm shrink J_eps(v) = v * max(0, ||v|| - eps)/||v||,
     obtained by reducing the inclusion to the scalar sign graph along the ray
@@ -367,10 +369,9 @@ class NonlocalSign(MonotoneGraph):
     radial = ScalarSign()
 
     @staticmethod
-    def _norm(v, mass=None):
+    def _norm(v):
         """Parseval norm of each row, keeping the reduced axis."""
-        w = v * v if mass is None else np.asarray(mass) * v * v
-        return np.sqrt(np.sum(w, axis=-1, keepdims=True))
+        return np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
 
     def resolvent(self, eps, v):
         _check_eps(eps)
@@ -378,10 +379,10 @@ class NonlocalSign(MonotoneGraph):
         s = self._norm(v)
         return v * (np.maximum(s - eps, 0.0) / np.where(s == 0.0, 1.0, s))
 
-    def yosida(self, eps, v, mass=None):
+    def yosida(self, eps, v):
         _check_eps(eps)
         v = np.asarray(v, dtype=float)
-        return v / np.maximum(self._norm(v, mass), eps)
+        return v / np.maximum(self._norm(v), eps)
 
     def minimal_section(self, v):
         v = np.asarray(v, dtype=float)

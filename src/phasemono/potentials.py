@@ -42,9 +42,9 @@ class PotentialSpec:
     def __post_init__(self):
         if self.variant not in SubdiffBetaHat.VARIANTS:
             raise ValueError(f"unknown potential variant {self.variant!r}")
-        if self.variant == "logarithmic" and self.c0 <= 1.0:
+        if self.variant == "logarithmic" and not self.c0 > 1.0:
             raise ValueError("logarithmic potential needs c0 > 1 for a double well")
-        if self.variant == "obstacle" and self.c0 <= 0.0:
+        if self.variant == "obstacle" and not self.c0 > 0.0:
             raise ValueError("obstacle potential needs c0 > 0")
 
     @property
@@ -95,7 +95,7 @@ def envelope(spec, eps, r):
     differentiable with derivative equal to the Yosida map, and squeezed
     between 0 and beta_hat on the effective domain.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     graph = spec.beta_graph()
     r_arr = np.asarray(r, dtype=float)

@@ -4,7 +4,7 @@ A profile is given as a whitespace-separated string:
 
     zero
     constant V
-    cosine AMP I [J]          -- AMP times the H-normalized mode (I[,J])
+    cosine AMP I [J]          -- AMP cos(I pi x / Lx) [cos(J pi y / Ly)]
     tanh AMP WIDTH [CENTER]   -- front along x at CENTER (fraction of L)
     random-smooth AMP [DECAY] -- seeded random field with decaying spectrum
     csv PATH                  -- (x, value) samples, interpolated (1D only)
@@ -68,7 +68,7 @@ def _random_smooth(basis, amp, decay, rng):
     nrm = float(np.sqrt(np.sum(full * full)))
     if nrm > 0:
         ch = ch * (amp / nrm)
-    return spectral.to_grid(basis, ch / basis.amp)
+    return spectral.to_grid(basis, ch)
 
 
 def profile_grid(basis, text, rng=None):

@@ -6,15 +6,12 @@ boundary conditions on [0, L] (tensorized for rectangles):
     v_0 = 1/sqrt(L),    v_i(x) = sqrt(2/L) cos(i pi x / L),
     lambda_i = (i pi / L)^2,
 
-H-orthonormal by construction.  Grid transforms use the midpoint collocation
-grid x_m = (m + 1/2) L / M, whose quadrature integrates cos(k pi x / L)
-exactly for k < 2M, so all mode-times-mode products are exact once M >= n.
-Nonlinear terms are dealiased by requiring M >= 2n.
-
-Coefficients may refer to the H-normalized family (default) or to the
-V-normalized one (each mode scaled to unit V-norm); ``amp`` holds the
-per-mode amplitude relative to the H-orthonormal modes and ``mass`` the
-resulting diagonal Gram matrix.
+H-orthonormal by construction, and coefficients always refer to these
+modes, so the H-norm of a field is the Euclidean norm of its coefficients.
+Grid transforms use the midpoint collocation grid x_m = (m + 1/2) L / M,
+whose quadrature integrates cos(k pi x / L) exactly for k < 2M, so all
+mode-times-mode products are exact once M >= n.  Nonlinear terms are
+dealiased by requiring M >= 2n.
 """
 
 from __future__ import annotations
@@ -42,11 +39,8 @@ class SpectralBasis:
     dims: int
     lengths: tuple
     n: int
-    normalization: str
     m_quad: int
     eigenvalues: np.ndarray
-    amp: np.ndarray
-    mass: np.ndarray
     nodes: tuple
     spacings: tuple
     cell: float
@@ -65,14 +59,14 @@ class SpectralBasis:
         return (self.m_quad,) * self.dims
 
 
-def build_basis(dims, lengths, n, normalization="h", m_quad=None):
+def build_basis(dims, lengths, n, m_quad=None):
     """Build the truncated Neumann eigenbasis with n modes per dimension."""
     if dims not in (1, 2):
         raise ValueError("dims must be 1 or 2")
     if np.ndim(lengths) == 0:
         lengths = (float(lengths),) * dims
     lengths = tuple(float(L) for L in lengths)
-    if len(lengths) != dims or any(L <= 0 for L in lengths):
+    if len(lengths) != dims or not all(L > 0 for L in lengths):
         raise ValueError("need one positive length per dimension")
     if n < 1:
         raise ValueError("need at least one mode")
@@ -80,8 +74,6 @@ def build_basis(dims, lengths, n, normalization="h", m_quad=None):
         m_quad = 2 * n
     if m_quad < 2 * n:
         raise ValueError("quadrature grid must have at least 2n points per dimension")
-    if normalization not in ("h", "v"):
-        raise ValueError("normalization must be 'h' or 'v'")
 
     nodes, mats, lam1d, spacings = [], [], [], []
     for L in lengths:
@@ -100,11 +92,9 @@ def build_basis(dims, lengths, n, normalization="h", m_quad=None):
         eig = lam1d[0]
     else:
         eig = np.add.outer(lam1d[0], lam1d[1]).ravel()
-    amp = np.ones_like(eig) if normalization == "h" else 1.0 / np.sqrt(1.0 + eig)
     return SpectralBasis(
-        dims=dims, lengths=lengths, n=int(n), normalization=normalization,
-        m_quad=int(m_quad), eigenvalues=eig, amp=amp, mass=amp * amp,
-        nodes=tuple(nodes), spacings=tuple(spacings),
+        dims=dims, lengths=lengths, n=int(n), m_quad=int(m_quad),
+        eigenvalues=eig, nodes=tuple(nodes), spacings=tuple(spacings),
         cell=float(np.prod(spacings)), mats=tuple(mats))
 
 
@@ -113,7 +103,7 @@ def to_grid(basis, coeffs):
 
     A leading member axis is carried through: coefficients of shape
     (B, m) give B grids."""
-    c = np.asarray(coeffs, dtype=float) * basis.amp
+    c = np.asarray(coeffs, dtype=float)
     if basis.dims == 1:
         return (basis.mats[0] @ c.T).T
     cm = c.reshape(c.shape[:-1] + (basis.n, basis.n))
@@ -128,10 +118,9 @@ def from_grid(basis, values):
     if values.shape[values.ndim - basis.dims:] != basis.grid_shape:
         raise ValueError("grid size mismatch")
     if basis.dims == 1:
-        ch = (basis.mats[0].T @ values.T).T * basis.spacings[0]
-        return ch / basis.amp
+        return (basis.mats[0].T @ values.T).T * basis.spacings[0]
     ch = basis.cell * (basis.mats[0].T @ values @ basis.mats[1])
-    return ch.reshape(ch.shape[:-2] + (-1,)) / basis.amp
+    return ch.reshape(ch.shape[:-2] + (-1,))
 
 
 # The norms reduce over the last axis: a vector gives a float, and a stack
@@ -143,19 +132,19 @@ def _root(sq):
 
 def h_norm(basis, coeffs):
     c = np.asarray(coeffs, dtype=float)
-    return _root(np.sum(basis.mass * c * c, axis=-1))
+    return _root(np.sum(c * c, axis=-1))
 
 
 def v_norm(basis, coeffs):
     c = np.asarray(coeffs, dtype=float)
-    return _root(np.sum(basis.mass * (1.0 + basis.eigenvalues) * c * c, axis=-1))
+    return _root(np.sum((1.0 + basis.eigenvalues) * c * c, axis=-1))
 
 
 def w_norm(basis, coeffs):
     """Spectral H^2-type norm (squares of value, gradient and Laplacian)."""
     c = np.asarray(coeffs, dtype=float)
     lam = basis.eigenvalues
-    return _root(np.sum(basis.mass * (1.0 + lam + lam * lam) * c * c, axis=-1))
+    return _root(np.sum((1.0 + lam + lam * lam) * c * c, axis=-1))
 
 
 def grid_integral(basis, values):
@@ -165,19 +154,17 @@ def grid_integral(basis, values):
 
 def embed_coeffs(src, dst, coeffs):
     """Embed coefficients of a coarser basis into a finer one (same domain,
-    same normalization, dst.n >= src.n).  A leading member axis is carried
-    through, as in :func:`to_grid`."""
+    dst.n >= src.n).  A leading member axis is carried through, as in
+    :func:`to_grid`."""
     if src.lengths != dst.lengths or src.dims != dst.dims:
         raise ValueError("bases live on different domains")
-    if src.normalization != dst.normalization:
-        raise ValueError("bases use different normalizations")
     if dst.n < src.n:
         raise ValueError("destination basis is coarser than the source")
-    c = np.asarray(coeffs, dtype=float) * src.amp
+    c = np.asarray(coeffs, dtype=float)
     lead = c.shape[:-1]
     ch = np.zeros(lead + (dst.n,) * src.dims)
     if src.dims == 1:
         ch[..., : src.n] = c
     else:
         ch[..., : src.n, : src.n] = c.reshape(lead + (src.n, src.n))
-    return ch.reshape(lead + (-1,)) / dst.amp
+    return ch.reshape(lead + (-1,))

@@ -1,7 +1,10 @@
 """Config parsing, CLI subcommands, output formats and exit codes."""
 
 import dataclasses
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from phasemono import cli, config
 from phasemono.config import (
     ConfigError,
     ScenarioConfig,
+    build_problem,
     parse_config,
     serialize_config,
     with_overrides,
@@ -48,7 +52,7 @@ class TestConfig:
     def test_round_trip_sets_every_key(self):
         inf = float("inf")
         cfg = ScenarioConfig(
-            dims=2, lengths=(1.5, 0.75), modes=20, quadrature=40, normalization="v",
+            dims=2, lengths=(1.5, 0.75), modes=20, quadrature=40,
             ell=1.25, alpha=0.75, k=0.5, nu=0.25, gamma=0.125, t_final=0.3,
             potential="obstacle", c0=2.0, graph="weighted_power", graph_alpha1=0.5,
             graph_alpha2=2.0, graph_q=0.75, graph_weight="cosine 0.5 1 1",
@@ -58,7 +62,8 @@ class TestConfig:
         default = ScenarioConfig()
         same = [f.name for f in dataclasses.fields(cfg)
                 if getattr(cfg, f.name) == getattr(default, f.name)]
-        assert same == []
+        # the basis is H-orthonormal, so normalization has one admissible value
+        assert same == ["normalization"]
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_unknown_key_reports_line(self):
@@ -86,6 +91,18 @@ class TestConfig:
                  ("run", "blowup_ceiling", "inf")]
         cfg = parse_config(edited_config("zero", edits))
         assert cfg.dt == cfg.tol == cfg.blowup_ceiling == float("inf")
+
+    def test_benchmark_config_parses_and_builds(self, monkeypatch):
+        # the benchmark's 2D config text is fixed; a config-format change
+        # that breaks it fails here first
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        cfg = parse_config(workloads.FIELD_2D_CONFIG.format(seed=1))
+        params, _, _ = build_problem(cfg)
+        assert (cfg.dims, params.basis.n) == (2, 64)
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError):
@@ -151,6 +168,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "blow-up" not in err and "Traceback" not in err
+
+    def test_v_normalization_exits_as_config_error(self, tmp_path, capsys):
+        path = tmp_path / "v.cfg"
+        path.write_text(edited_config("zero", [("domain", "normalization", "v")]))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "H-orthonormal" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("edits", [
         [("initial", "phi0", "constant nan")],

@@ -102,7 +102,7 @@ class TestEnergyMonitor:
         rep = energy_monitor(traj, params)
         assert rep.selection_ok
         c = params.graph.growth_constant
-        eta_h = np.sqrt(np.sum(params.basis.mass * traj.eta ** 2, axis=1))
+        eta_h = np.sqrt(np.sum(traj.eta ** 2, axis=1))
         assert np.all(rep.zeta_norms <= c * (1 + eta_h) + 1e-9)
 
     @pytest.mark.parametrize("name", ["regular_sign", "log_sign", "obstacle_sign"])
@@ -214,8 +214,8 @@ class TestContraction:
             traj = solve(params, member, schedule)
             sol_total = 0.0
             for d in (base.eta - traj.eta, base.phi - traj.phi):
-                sol_total += float(np.max(np.sqrt(np.sum(basis.mass * d * d, axis=1))))
-                v2 = np.sum(basis.mass * (1.0 + basis.eigenvalues) * d * d, axis=1)
+                sol_total += float(np.max(np.sqrt(np.sum(d * d, axis=1))))
+                v2 = np.sum((1.0 + basis.eigenvalues) * d * d, axis=1)
                 sol_total += math.sqrt(float(np.trapezoid(v2, base.times)))
             # the member shares f and eta* with the base: those differences are 0
             data_total = (spectral.h_norm(basis, initial.eta0.coeffs - member.eta0.coeffs)

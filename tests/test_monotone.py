@@ -119,13 +119,6 @@ class TestNonlocalSign:
         out = g.resolvent(1.0, v)
         assert np.allclose(out, v * (4.0 / 5.0), atol=1e-14)
 
-    def test_parseval_mass(self):
-        g = NonlocalSign()
-        mass = np.array([4.0, 1.0])
-        v = np.array([1.0, 0.0])  # weighted norm 2
-        out = g.yosida(1.0, v, mass=mass)
-        assert np.allclose(out, v / 2.0)
-
     def test_stack_maps_row_by_row(self):
         # a (B, m) stack with per-row eps of shape (B, 1) equals per-row
         # calls; the zero row and the rows inside and outside the dead ball
@@ -136,12 +129,10 @@ class TestNonlocalSign:
         scale = np.array([[0.0], [0.05], [0.2], [1.0], [3.0], [9.0]])
         vs = rng.standard_normal((6, 4)) * scale
         eps = np.array([[0.3], [0.1], [0.5], [0.3], [1.0], [0.2]])
-        mass = rng.uniform(0.5, 2.0, 4)
         inner = YosidaGraph(g, eps)
         for r, (v, e) in enumerate(zip(vs, eps[:, 0])):
             assert np.array_equal(g.resolvent(eps, vs)[r], g.resolvent(e, v))
-            assert np.array_equal(g.yosida(eps, vs, mass=mass)[r],
-                                  g.yosida(e, v, mass=mass))
+            assert np.array_equal(g.yosida(eps, vs)[r], g.yosida(e, v))
             assert np.array_equal(g.minimal_section(vs)[r], g.minimal_section(v))
             assert np.allclose(inner.yosida(0.3, vs)[r],
                                YosidaGraph(g, e).yosida(0.3, v), rtol=0, atol=1e-12)

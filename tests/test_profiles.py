@@ -44,6 +44,13 @@ class TestBasicProfiles:
         assert vals.shape == (8, 8)
         assert np.allclose(vals, 0.5 * np.cos(math.pi * b.nodes[0])[:, None])
 
+    def test_2d_tanh_repeats_the_1d_front_along_y(self):
+        b1 = spectral.build_basis(1, 1.0, 4)
+        b2 = spectral.build_basis(2, (1.0, 0.5), 4)
+        front = profile_grid(b1, "tanh 0.9 0.12")
+        vals = profile_grid(b2, "tanh 0.9 0.12")
+        assert np.array_equal(vals, np.broadcast_to(front[:, None], b2.grid_shape))
+
 
 class TestRandomSmooth:
     def test_deterministic_given_seed(self, basis):
@@ -61,6 +68,14 @@ class TestRandomSmooth:
         f16 = spectral.from_grid(b16, profile_grid(b16, "random-smooth 0.5",
                                                    np.random.default_rng(5)))
         assert np.allclose(f8, f16[:8], atol=1e-12)
+
+    def test_2d_truncation_consistent_across_levels(self):
+        b4 = spectral.build_basis(2, (1.0, 1.0), 4)
+        b8 = spectral.build_basis(2, (1.0, 1.0), 8)
+        f4, f8 = (spectral.from_grid(b, profile_grid(b, "random-smooth 0.5",
+                                                     np.random.default_rng(5)))
+                  for b in (b4, b8))
+        assert np.max(np.abs(f4.reshape(4, 4) - f8.reshape(8, 8)[:4, :4])) <= 1e-12
 
     def test_amplitude_is_master_norm(self, basis):
         vals = profile_grid(basis, "random-smooth 0.5 0.5",

@@ -12,8 +12,8 @@ def mode_samples(basis):
     """Matrix of all basis functions sampled on the full grid, one column per
     (flattened) mode."""
     if basis.dims == 1:
-        return basis.mats[0] * basis.amp
-    return np.kron(basis.mats[0], basis.mats[1]) * basis.amp
+        return basis.mats[0]
+    return np.kron(basis.mats[0], basis.mats[1])
 
 
 def gram_matrix(basis):
@@ -64,20 +64,10 @@ class TestEigenpairs:
 
 
 class TestGram:
-    @pytest.mark.parametrize("normalization", ["h", "v"])
-    def test_orthonormal_to_1e10(self, normalization):
-        b = spectral.build_basis(1, 1.7, 12, normalization=normalization)
+    def test_orthonormal_to_1e10(self):
+        b = spectral.build_basis(1, 1.7, 12)
         g = gram_matrix(b)
-        if normalization == "h":
-            target = np.eye(12)
-        else:
-            target = np.diag(b.mass)
-        assert np.max(np.abs(g - target)) <= 1e-10
-
-    def test_v_normalized_modes_have_unit_v_norm(self):
-        b = spectral.build_basis(1, 1.0, 6, normalization="v")
-        for i in range(6):
-            assert spectral.v_norm(b, np.eye(6)[i]) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(g - np.eye(12))) <= 1e-10
 
     def test_2d_gram(self):
         b = spectral.build_basis(2, (1.0, 2.0), 4)
@@ -215,8 +205,8 @@ class TestEmbedding:
         assert np.all(out[4:] == 0.0)
 
     def test_norms_preserved(self):
-        src = spectral.build_basis(1, 2.0, 5, normalization="v")
-        dst = spectral.build_basis(1, 2.0, 11, normalization="v")
+        src = spectral.build_basis(1, 2.0, 5)
+        dst = spectral.build_basis(1, 2.0, 11)
         rng = np.random.default_rng(8)
         c = rng.standard_normal(5)
         out = spectral.embed_coeffs(src, dst, c)
@@ -224,8 +214,8 @@ class TestEmbedding:
 
     @pytest.mark.parametrize("dims", [1, 2])
     def test_member_axis_embeds_each_row(self, dims):
-        src = spectral.build_basis(dims, 1.0, 3, normalization="v")
-        dst = spectral.build_basis(dims, 1.0, 5, normalization="v")
+        src = spectral.build_basis(dims, 1.0, 3)
+        dst = spectral.build_basis(dims, 1.0, 5)
         rows = np.random.default_rng(9).standard_normal((4, src.total_modes))
         out = spectral.embed_coeffs(src, dst, rows)
         assert out.shape == (4, dst.total_modes)
