@@ -83,7 +83,11 @@ class FieldCoeffs:
 @dataclass(frozen=True, eq=False)
 class Forcing:
     """Time-sampled coefficient representation of the source term, linearly
-    interpolated between samples."""
+    interpolated between samples and held at the end samples outside them.
+
+    The interpolation slopes are computed once, when the forcing is built.
+    So is whether all samples are equal (NaN samples never are): a constant
+    forcing then returns its stored row, read-only, with no lookup."""
 
     times: np.ndarray
     coeffs: np.ndarray
@@ -92,8 +96,22 @@ class Forcing:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
             raise ValueError("forcing needs at least two strictly increasing times")
-        if np.asarray(self.coeffs).shape[0] != len(t):
+        c = np.asarray(self.coeffs, dtype=float)
+        if c.shape[0] != len(t):
             raise ValueError("forcing samples and times disagree")
+        widths = np.diff(t)
+        tail = (1,) * (c.ndim - 1)
+        row = c[0].copy() if np.all(c == c[0]) else None
+        if row is not None:
+            row.flags.writeable = False
+        # derived once here; the dataclass is frozen
+        put = object.__setattr__
+        put(self, "_t", t)
+        put(self, "_c", c)
+        put(self, "_widths", widths)
+        put(self, "_tail", tail)
+        put(self, "_slopes", np.diff(c, axis=0) / widths.reshape((-1,) + tail))
+        put(self, "_row", row)
 
     @staticmethod
     def constant(coeffs, t_final):
@@ -101,18 +119,21 @@ class Forcing:
         return Forcing(np.array([0.0, t_final]), np.vstack([c, c]))
 
     def at(self, t):
-        times = self.times
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        idx = min(max(idx, 0), len(times) - 2)
-        t0, t1 = times[idx], times[idx + 1]
-        w = (t - t0) / (t1 - t0)
-        w = min(max(w, 0.0), 1.0)
-        return (1.0 - w) * self.coeffs[idx] + w * self.coeffs[idx + 1]
+        """The forcing at time t, or at each time of an array t: one row of
+        ``coeffs`` per time, shaped (len(t), ...) for a vector of times."""
+        if self._row is not None:
+            # a float time, as the integrators pass, skips np.ndim's conversion
+            if isinstance(t, float) or np.ndim(t) == 0:
+                return self._row
+            return np.tile(self._row, np.shape(t) + (1,) * self._row.ndim)
+        i = np.searchsorted(self._t, t, side="right") - 1
+        i = np.minimum(np.maximum(i, 0), len(self._t) - 2)
+        dt = np.minimum(np.maximum(t - self._t[i], 0.0), self._widths[i])
+        return self._c[i] + np.reshape(dt, np.shape(dt) + self._tail) * self._slopes[i]
 
     def resampled(self, n_samples):
         ts = np.linspace(self.times[0], self.times[-1], n_samples)
-        vals = np.stack([self.at(t) for t in ts])
-        return Forcing(ts, vals)
+        return Forcing(ts, self.at(ts))
 
     def mollified(self, eps, n_samples):
         src = self.resampled(n_samples)
@@ -276,70 +297,87 @@ class SolutionTrajectory:
 
 
 class _Rhs:
-    """Cached right-hand-side assembly for one parameter set."""
+    """Right-hand-side assembly for one parameter set.
+
+    Everything that does not depend on the state is bound once per solve:
+    the Yosida kernels of the graph and of beta at the checked eps, the pi
+    kernel, the forcing lookup and the diagonal factors; the IMEX
+    denominators are kept for the last substep size.  One evaluation makes
+    one grid transform, of the stacked (phi, eta) pair, and projects
+    beta_eps + pi back with one more; only a recording evaluation (a save)
+    also projects xi on its own.  A vector and a (B, m) stack go through
+    the same code."""
 
     def __init__(self, params):
-        self.p = params
-        self.basis = params.basis
-        self.lam = params.basis.eigenvalues
-        self.dm = params.ell - params.alpha
-        self.star = np.asarray(params.eta_star.coeffs, dtype=float)
-        self.neg_k_lap_star = params.k * self.lam * self.star
-        self.beta = params.potential.beta_graph()
-        self.graph = params.graph
-        self.graph_is_zero = isinstance(params.graph, ZeroGraph)
+        p = params
+        lam = p.basis.eigenvalues
+        self.p = p
+        self.basis = p.basis
+        self.lam = lam
+        self.dm = p.ell - p.alpha
+        self.star = np.asarray(p.eta_star.coeffs, dtype=float)
+        self.neg_k_lap_star = p.k * lam * self.star
+        self.k_ell_lam = p.k * p.ell * lam
+        self.neg_nu_lam = -p.nu * lam
+        self.neg_k_lam = -p.k * lam
+        self.beta_eps = p.potential.beta_graph().yosida_kernel(p.eps)
+        self.pi = p.potential.pi_kernel()
+        self.forcing = p.forcing.at
+        graph_eps = p.graph.yosida_kernel(p.eps)
+        if p.graph.is_nonlocal or isinstance(p.graph, ZeroGraph):
+            # A_eps on the coefficients: the nonlocal Sign acts through the
+            # Parseval norm, and the zero graph needs no transform
+            self.graph_term = lambda eta, grid: graph_eps(eta)
+        else:
+            self.graph_term = lambda eta, grid: spectral.from_grid(self.basis, graph_eps(grid))
+        self._den_dt = None
         self.evals = 0
 
-    def graph_term(self, eta):
-        """Coefficients of the projected Yosida image of eta."""
-        if self.graph_is_zero:
-            return np.zeros_like(eta)
-        if self.graph.is_nonlocal:
-            return self.graph.yosida(self.p.eps, eta)
-        vals = self.graph.yosida(self.p.eps, spectral.to_grid(self.basis, eta))
-        return spectral.from_grid(self.basis, vals)
-
-    def phi_nonlin(self, a):
-        grid = spectral.to_grid(self.basis, a)
-        xi = spectral.from_grid(self.basis, self.beta.yosida(self.p.eps, grid))
-        piv = spectral.from_grid(self.basis, self.p.potential.pi(grid))
-        return xi, piv
-
-    def explicit_parts(self, t, a, b):
+    def explicit_parts(self, t, a, b, record=False):
         """Explicit parts of both equations, followed by the graph selection
-        zeta and the Yosida term xi they were assembled from."""
+        zeta and, when recording, the Yosida term xi (else None)."""
         p = self.p
         self.evals += 1
-        eta = b - self.dm * a
-        zeta = self.graph_term(eta)
-        xi, piv = self.phi_nonlin(a)
-        f = p.forcing.at(t)
-        ex_b = p.k * p.ell * self.lam * a - zeta + f + self.neg_k_lap_star
-        ex_a = -xi - piv + p.gamma * (b - p.ell * a + self.star)
+        pair = np.concatenate((a, b - self.dm * a)).reshape((2,) + a.shape)
+        grid = spectral.to_grid(self.basis, pair)
+        phi_grid = grid[0]
+        beta = self.beta_eps(phi_grid)
+        nonlin = spectral.from_grid(self.basis, beta + self.pi(phi_grid))
+        xi = spectral.from_grid(self.basis, beta) if record else None
+        zeta = self.graph_term(pair[1], grid[1])
+        ex_b = self.k_ell_lam * a - zeta + self.forcing(t) + self.neg_k_lap_star
+        ex_a = -nonlin + p.gamma * (b - p.ell * a + self.star)
         return ex_a, ex_b, zeta, xi
 
     def diffused(self, a, b, ex_a, ex_b):
         """(d phi/dt, d theta/dt) from the explicit parts at the state."""
-        p = self.p
-        da = -p.nu * self.lam * a + ex_a
-        db = -p.k * self.lam * b + ex_b
-        return da, db
+        return self.neg_nu_lam * a + ex_a, self.neg_k_lam * b + ex_b
 
-    def full(self, t, a, b):
-        """(d phi/dt, d theta/dt, zeta, xi) at one state."""
-        ex_a, ex_b, zeta, xi = self.explicit_parts(t, a, b)
+    def full(self, t, a, b, record=False):
+        """(d phi/dt, d theta/dt, zeta, xi) at one state; xi is None unless
+        recording."""
+        ex_a, ex_b, zeta, xi = self.explicit_parts(t, a, b, record)
         return self.diffused(a, b, ex_a, ex_b) + (zeta, xi)
+
+    def imex_denominators(self, dt):
+        """(1 + dt k lam, 1 + dt nu lam), recomputed only when the substep
+        size changes.  The substeps of a save interval share one size, and
+        rounding can make the sizes of two intervals differ, so only the
+        last one is kept."""
+        if dt != self._den_dt:
+            p = self.p
+            self._den_dt = dt
+            self._den = (1.0 + dt * p.k * self.lam, 1.0 + dt * p.nu * self.lam)
+        return self._den
 
 
 # Each step takes its first stage, the evaluation at (t, a, b), from the
 # caller: explicit parts for IMEX, the full right-hand side for RK4 and DP45.
 
 def _imex_step(ctx, a, b, dt, first):
-    p = ctx.p
     ex_a, ex_b = first[0], first[1]
-    b1 = (b + dt * ex_b) / (1.0 + dt * p.k * ctx.lam)
-    a1 = (a + dt * ex_a) / (1.0 + dt * p.nu * ctx.lam)
-    return a1, b1
+    den_b, den_a = ctx.imex_denominators(dt)
+    return (a + dt * ex_a) / den_a, (b + dt * ex_b) / den_b
 
 
 def _rk4_step(rhs, t, a, b, dt, first):
@@ -396,6 +434,11 @@ def _dp45_step(rhs, t, a, b, dt, tol, first):
 
 
 def _check_state(t, a, b, ceiling):
+    """Raise BlowUpError if a coefficient of either field is over the
+    ceiling or NaN.  One test covers the whole stack; the member and the
+    field are looked up only when it fails."""
+    if np.abs(a).max(initial=0.0) <= ceiling and np.abs(b).max(initial=0.0) <= ceiling:
+        return
     worst = np.maximum(np.max(np.abs(a), axis=-1, initial=0.0),
                        np.max(np.abs(b), axis=-1, initial=0.0))
     bad = ~(worst <= ceiling)
@@ -438,7 +481,7 @@ def solve(params, initial, schedule):
 
     def record(j, t, a, b):
         """Store save j and return the first stage of the step from it."""
-        ex_a, ex_b, Z[j], XI[j] = ctx.explicit_parts(t, a, b)
+        ex_a, ex_b, Z[j], XI[j] = ctx.explicit_parts(t, a, b, record=True)
         PHI[j] = a
         TH[j] = b
         DPHI[j], DTH[j] = da, db = ctx.diffused(a, b, ex_a, ex_b)

@@ -102,13 +102,9 @@ def stability_constants(params):
 
 def _forcing_term_l2sq(params, ts):
     """Time-quadrature of ||f(t) - k lap(eta*)||_H^2 over [0, T]."""
-    basis = params.basis
-    shift = params.k * basis.eigenvalues * params.eta_star.coeffs
-    vals = np.empty(len(ts))
-    for j, t in enumerate(ts):
-        g = params.forcing.at(t) + shift
-        vals[j] = float(np.sum(g * g))
-    return float(np.trapezoid(vals, ts))
+    shift = params.k * params.basis.eigenvalues * params.eta_star.coeffs
+    g = params.forcing.at(ts) + shift
+    return float(np.trapezoid(np.sum(g * g, axis=-1), ts))
 
 
 def gronwall_bound(params, initial, ts=None):
@@ -298,11 +294,8 @@ class ContractionReport:
 def _data_diffs(basis, ts, data1, data2):
     """The four data differences (f, eta*, eta0, phi0) in the norms of the
     continuous-dependence inequality."""
-    fdiff = np.empty(len(ts))
-    for j, t in enumerate(ts):
-        g = data1.forcing.at(t) - data2.forcing.at(t)
-        fdiff[j] = float(np.sum(g * g))
-    return (math.sqrt(float(np.trapezoid(fdiff, ts))),
+    g = data1.forcing.at(ts) - data2.forcing.at(ts)
+    return (math.sqrt(float(np.trapezoid(np.sum(g * g, axis=-1), ts))),
             spectral.w_norm(basis, data1.eta_star.coeffs - data2.eta_star.coeffs),
             spectral.h_norm(basis, data1.initial.eta0.coeffs - data2.initial.eta0.coeffs),
             spectral.h_norm(basis, data1.initial.phi0.coeffs - data2.initial.phi0.coeffs))

@@ -10,6 +10,9 @@ vectors, with ``eps`` a scalar or one value per row.  Every graph exposes
   J_eps(0) = 0,
 * ``yosida(eps, x)``      -- A_eps = (I - J_eps)/eps, single-valued and
   1/eps-Lipschitz, with A_eps(x) in A(J_eps(x)),
+* ``yosida_kernel(eps)``  -- the same map at a fixed eps, checked once, as a
+  function of a float array with no per-call checks (the Galerkin
+  right-hand side binds it once per solve),
 * ``minimal_section(x)``  -- the least-norm element of A(x),
 
 together with a set-valued description ``value_interval`` from which the
@@ -24,6 +27,7 @@ root-find, which raises :class:`ResolventError` when it does not converge.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -124,13 +128,25 @@ class MonotoneGraph:
         raise NotImplementedError
 
     def resolvent(self, eps, x):
-        raise NotImplementedError
+        return _restore(x, self._resolvent(eps, np.asarray(x, dtype=float)))
 
     def yosida(self, eps, x):
         _check_eps(eps)
-        arr = np.asarray(x, dtype=float)
-        j = np.asarray(self.resolvent(eps, x), dtype=float)
-        return _restore(x, (arr - j) / eps)
+        return _restore(x, self._yosida(eps, np.asarray(x, dtype=float)))
+
+    def yosida_kernel(self, eps):
+        """The Yosida map at this eps as a function of a float array: the
+        body of :meth:`yosida`, with eps checked here once."""
+        _check_eps(eps)
+        return functools.partial(self._yosida, eps)
+
+    # The array kernels: x is a float array and eps has been checked.
+
+    def _resolvent(self, eps, x):
+        raise NotImplementedError
+
+    def _yosida(self, eps, x):
+        return (x - self._resolvent(eps, x)) / eps
 
     def minimal_section(self, x):
         self._check_domain(x)
@@ -162,13 +178,11 @@ class ZeroGraph(MonotoneGraph):
         z = np.zeros_like(np.asarray(u, dtype=float))
         return z, z
 
-    def resolvent(self, eps, x):
-        arr = np.asarray(x, dtype=float)
-        return _restore(x, arr.copy())
+    def _resolvent(self, eps, x):
+        return x.copy()
 
-    def yosida(self, eps, x):
-        _check_eps(eps)
-        return _restore(x, np.zeros_like(np.asarray(x, dtype=float)))
+    def _yosida(self, eps, x):
+        return np.zeros_like(x)
 
 
 class ScalarSign(MonotoneGraph):
@@ -182,16 +196,12 @@ class ScalarSign(MonotoneGraph):
         hi = np.where(u < 0, -1.0, np.where(u > 0, 1.0, 1.0))
         return lo, hi
 
-    def resolvent(self, eps, x):
+    def _resolvent(self, eps, x):
         # soft threshold: shrink |x| by eps, zero inside the dead band
-        arr = np.asarray(x, dtype=float)
-        out = np.sign(arr) * np.maximum(np.abs(arr) - eps, 0.0)
-        return _restore(x, out)
+        return np.sign(x) * np.maximum(np.abs(x) - eps, 0.0)
 
-    def yosida(self, eps, x):
-        _check_eps(eps)
-        arr = np.asarray(x, dtype=float)
-        return _restore(x, np.clip(arr / eps, -1.0, 1.0))
+    def _yosida(self, eps, x):
+        return np.minimum(np.maximum(x / eps, -1.0), 1.0)
 
 
 class Stefan(MonotoneGraph):
@@ -212,14 +222,12 @@ class Stefan(MonotoneGraph):
         hi = np.where(u < 0, self.alpha1 * u, np.where(u < 1.0, 0.0, self.alpha2 * u))
         return lo, hi
 
-    def resolvent(self, eps, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.where(
-            arr < 0, arr / (1.0 + eps * self.alpha1),
-            np.where(arr <= 1.0, arr,
-                     np.where(arr <= 1.0 + eps * self.alpha2, 1.0,
-                              arr / (1.0 + eps * self.alpha2))))
-        return _restore(x, out)
+    def _resolvent(self, eps, x):
+        return np.where(
+            x < 0, x / (1.0 + eps * self.alpha1),
+            np.where(x <= 1.0, x,
+                     np.where(x <= 1.0 + eps * self.alpha2, 1.0,
+                              x / (1.0 + eps * self.alpha2))))
 
 
 class WeightedPower(MonotoneGraph):
@@ -241,10 +249,9 @@ class WeightedPower(MonotoneGraph):
         v = np.asarray(self.weight) * np.sign(u) * np.abs(u) ** self.q
         return v, v
 
-    def resolvent(self, eps, x):
-        arr = np.asarray(x, dtype=float)
-        w = np.broadcast_to(np.asarray(self.weight, dtype=float), arr.shape)
-        s = np.abs(arr)
+    def _resolvent(self, eps, x):
+        w = np.broadcast_to(np.asarray(self.weight, dtype=float), x.shape)
+        s = np.abs(x)
         ew = eps * w
         if self.q == 0.5:
             # t + ew*sqrt(t) = s solved for sqrt(t), written cancellation-free
@@ -253,7 +260,7 @@ class WeightedPower(MonotoneGraph):
         else:
             q = self.q
             t = solve_increasing(lambda t: t + ew * t ** q, s, 0.0, s)
-        return _restore(x, np.sign(arr) * t)
+        return np.sign(x) * t
 
 
 def _cubic_root(eps, x):
@@ -268,7 +275,7 @@ def _cubic_root(eps, x):
     k = np.sqrt(3.0 * eps)
     z = 1.5 * k * x
     u = (2.0 / k) * np.sinh(np.arcsinh(z) / 3.0)
-    if np.all(np.isfinite(u)):
+    if np.isfinite(u).all():
         return u
     # where 1.5*k*x overflowed for a finite x, asinh(z) = log(2|z|) exactly
     # in double precision and is taken in logs
@@ -279,28 +286,38 @@ def _cubic_root(eps, x):
     return np.where(finite, (2.0 / k) * np.sinh(t / 3.0), np.nan)
 
 
+def _log_start(eps, y):
+    """A start at or below the root s of tanh(s) + 2*eps*s = y >= 0.
+
+    Since tanh(s) <= min(s, 1), the left side is at most (1 + 2*eps)*s and
+    at most 1 + 2*eps*s, so y/(1 + 2*eps) and (y - 1)/(2*eps) are both lower
+    bounds on the root: the first is the closer one for small y, the second
+    for large y."""
+    return np.maximum(y / (1.0 + 2.0 * eps), (y - 1.0) / (2.0 * eps))
+
+
 def _log_root(eps, x):
     """The root u in (-1, 1) of u + eps*log((1+u)/(1-u)) = x, elementwise.
 
     The substitution u = tanh(s) turns the equation for |x| into
     h(s) = tanh(s) + 2*eps*s = |x|, with h increasing and concave on s >= 0,
     so Newton steps started below the root climb to it monotonically and
-    need no bracket.  The start (|x| - 1)/(2*eps) is below the root because
-    tanh < 1.  The left side maps (-1, 1) onto R, but the largest float
-    below 1 caps the representable roots: |x| beyond its image saturates
-    there.  NaN x gives NaN.
+    need no bracket; :func:`_log_start` gives such a start.  The left side
+    maps (-1, 1) onto R, but the largest float below 1 caps the
+    representable roots: |x| beyond its image saturates there.  NaN x gives
+    NaN.
     """
     top = np.nextafter(1.0, 0.0)
     y = np.minimum(np.abs(x), top + 2.0 * eps * np.arctanh(top))
     res_tol = RESOLVENT_TOL * np.maximum(1.0, y)
-    s = np.maximum(0.0, (y - 1.0) / (2.0 * eps))
+    s = _log_start(eps, y)
     for _ in range(RESOLVENT_MAX_ITER):
         r = y - np.tanh(s) - 2.0 * eps * s
         c = np.cosh(s)
         s = s + r / (1.0 / (c * c) + 2.0 * eps)
         # once the residual is small, the step just taken leaves an error of
         # its square; written so that NaN entries count as converged
-        if not np.any(np.abs(r) > res_tol):
+        if not (np.abs(r) > res_tol).any():
             return np.copysign(np.minimum(np.tanh(s), top), x)
     raise ResolventError(
         f"logarithmic resolvent hit the {RESOLVENT_MAX_ITER}-iteration cap "
@@ -342,13 +359,12 @@ class SubdiffBetaHat(MonotoneGraph):
         hi = np.where(u == 1.0, math.inf, 0.0)
         return lo, hi
 
-    def resolvent(self, eps, x):
-        arr = np.asarray(x, dtype=float)
+    def _resolvent(self, eps, x):
         if self.variant == "obstacle":
-            return _restore(x, np.clip(arr, -1.0, 1.0))
+            return np.minimum(np.maximum(x, -1.0), 1.0)
         if self.variant == "regular":
-            return _restore(x, _cubic_root(eps, arr))
-        return _restore(x, _log_root(eps, arr))
+            return _cubic_root(eps, x)
+        return _log_root(eps, x)
 
 
 class NonlocalSign(MonotoneGraph):
@@ -379,9 +395,7 @@ class NonlocalSign(MonotoneGraph):
         s = self._norm(v)
         return v * (np.maximum(s - eps, 0.0) / np.where(s == 0.0, 1.0, s))
 
-    def yosida(self, eps, v):
-        _check_eps(eps)
-        v = np.asarray(v, dtype=float)
+    def _yosida(self, eps, v):
         return v / np.maximum(self._norm(v), eps)
 
     def minimal_section(self, v):
@@ -406,18 +420,15 @@ class YosidaGraph(MonotoneGraph):
         v = np.asarray(self.base.yosida(self.eps, u), dtype=float)
         return v, v
 
-    def resolvent(self, delta, x):
+    def _resolvent(self, delta, x):
         if self.is_nonlocal:
             # along the ray of each row, as the base graph acts
-            v = np.asarray(x, dtype=float)
-            s = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+            s = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
             t = YosidaGraph(self.base.radial, self.eps).resolvent(delta, s)
-            return v * (t / np.where(s == 0.0, 1.0, s))
-        arr = np.asarray(x, dtype=float)
-        out = solve_increasing(
+            return x * (t / np.where(s == 0.0, 1.0, s))
+        return solve_increasing(
             lambda u: u + delta * np.asarray(self.base.yosida(self.eps, u)),
-            arr, np.minimum(arr, 0.0), np.maximum(arr, 0.0), tol=1e-13)
-        return _restore(x, out)
+            x, np.minimum(x, 0.0), np.maximum(x, 0.0), tol=1e-13)
 
 
 def resolvent_oracle(graph, eps, x, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):

@@ -10,6 +10,7 @@ the perturbation derivative ``pi`` is Lipschitz with the constant reported by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,13 +75,16 @@ class PotentialSpec:
 
     def pi(self, r):
         r = np.asarray(r, dtype=float)
-        if self.variant == "regular":
-            out = -r
-        else:
-            out = -2.0 * self.c0 * r
+        out = self.pi_kernel()(r)
         if np.ndim(r) == 0:
             return float(out)
         return out
+
+    def pi_kernel(self):
+        """pi as a function of a float array: the body of :meth:`pi`."""
+        if self.variant == "regular":
+            return np.negative
+        return functools.partial(np.multiply, -2.0 * self.c0)
 
     def beta_graph(self):
         return SubdiffBetaHat(self.variant)

@@ -101,24 +101,27 @@ def build_basis(dims, lengths, n, m_quad=None):
 def to_grid(basis, coeffs):
     """Evaluate a coefficient vector on the quadrature grid.
 
-    A leading member axis is carried through: coefficients of shape
-    (B, m) give B grids."""
+    Leading axes are carried through: coefficients of shape (B, m) give B
+    grids, and of shape (2, B, m) two stacks of B grids.  In 1D they are
+    flattened into the rows of one matrix product."""
     c = np.asarray(coeffs, dtype=float)
     if basis.dims == 1:
-        return (basis.mats[0] @ c.T).T
+        rows = c.reshape(-1, basis.n) @ basis.mats[0].T
+        return rows.reshape(c.shape[:-1] + basis.grid_shape)
     cm = c.reshape(c.shape[:-1] + (basis.n, basis.n))
     return basis.mats[0] @ cm @ basis.mats[1].T
 
 
 def from_grid(basis, values):
     """Quadrature inner products against the basis, i.e. the discrete
-    H-orthogonal projection onto the span of the modes.  A leading member
-    axis is carried through, as in :func:`to_grid`."""
+    H-orthogonal projection onto the span of the modes.  Leading axes are
+    carried through, as in :func:`to_grid`."""
     values = np.asarray(values, dtype=float)
     if values.shape[values.ndim - basis.dims:] != basis.grid_shape:
         raise ValueError("grid size mismatch")
     if basis.dims == 1:
-        return (basis.mats[0].T @ values.T).T * basis.spacings[0]
+        rows = values.reshape(-1, basis.m_quad) @ basis.mats[0]
+        return rows.reshape(values.shape[:-1] + (basis.n,)) * basis.spacings[0]
     ch = basis.cell * (basis.mats[0].T @ values @ basis.mats[1])
     return ch.reshape(ch.shape[:-2] + (-1,))
 

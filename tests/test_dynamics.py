@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phasemono import spectral
-from phasemono.config import build_problem, with_overrides
+from phasemono.config import _GRAPHS, ScenarioConfig, build_problem, with_overrides
 from phasemono.dynamics import (
     BlowUpError,
     FieldCoeffs,
@@ -16,12 +16,13 @@ from phasemono.dynamics import (
     ModelParams,
     Schedule,
     StepFailure,
+    _check_state,
     _Rhs,
     mollify_forcing,
     prepare_initial,
     solve,
 )
-from phasemono.monotone import ScalarSign, Stefan, WeightedPower, ZeroGraph
+from phasemono.monotone import ScalarSign, Stefan, SubdiffBetaHat, WeightedPower, ZeroGraph
 from phasemono.potentials import PotentialSpec, envelope
 from phasemono.scenarios import get_scenario
 
@@ -413,6 +414,42 @@ class TestForcing:
         with pytest.raises(ValueError):
             Forcing(np.array([0.0, 0.0]), np.zeros((2, 2)))
 
+    def test_constant_forcing_returns_its_row(self, monkeypatch):
+        row = np.array([0.3, -1.0, 2.5])
+        f = Forcing.constant(row, 2.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("constant forcing looked up a time")
+
+        monkeypatch.setattr(np, "searchsorted", forbidden)
+        for t in (0.0, 0.37, 1.0, 2.0, -1.0, 5.0, np.float64(0.7)):
+            assert np.array_equal(f.at(t), row)
+        ts = np.linspace(-1.0, 3.0, 9)
+        assert np.array_equal(f.at(ts), np.tile(row, (9, 1)))
+        with pytest.raises(ValueError):
+            f.at(0.5)[0] = 1.0      # the stored row is read-only
+
+    def test_array_times_give_the_rows_of_scalar_times(self):
+        rng = np.random.default_rng(5)
+        times = np.array([0.0, 0.3, 0.5, 1.2])
+        for shape in ((4, 3), (4, 2, 3)):
+            f = Forcing(times, rng.standard_normal(shape))
+            ts = np.concatenate([np.linspace(-0.5, 1.5, 41), times])
+            rows = f.at(ts)
+            assert rows.shape == (len(ts),) + shape[1:]
+            for t, got in zip(ts, rows):
+                assert np.array_equal(got, f.at(t))
+            flat = f.coeffs.reshape(len(times), -1)
+            ref = np.stack([np.interp(ts, times, col) for col in flat.T], axis=-1)
+            assert np.max(np.abs(rows.reshape(len(ts), -1) - ref)) <= 1e-15 * np.max(np.abs(ref))
+            # the samples themselves are hit exactly, left of the last one
+            assert np.array_equal(f.at(times[:-1]), f.coeffs[:-1])
+
+    def test_nan_samples_stay_nan(self):
+        f = Forcing(np.array([0.0, 1.0]), np.full((2, 3), np.nan))
+        assert np.all(np.isnan(f.at(0.5)))
+        assert np.all(np.isnan(f.at(np.array([0.0, 0.5, 2.0]))))
+
 
 def coeff_data(eta0, phi0):
     """InitialData from coefficients alone, which is all solve reads."""
@@ -560,3 +597,118 @@ NAN_INPUTS = {
 def test_positivity_checks_refuse_nan(build):
     with pytest.raises(ValueError):
         build()
+
+
+# every graph builder of the config format, with the parameters below
+RHS_GRAPH_CFG = {"graph_alpha1": 1.3, "graph_alpha2": 0.7, "graph_q": 0.3,
+                 "graph_weight": "constant 1.5"}
+
+
+def rhs_params(graph, variant, dims):
+    cfg = with_overrides(
+        ScenarioConfig(), dims=dims, lengths=(1.0,) * dims, modes=8 if dims == 1 else 4,
+        ell=1.2, alpha=0.7, k=0.8, nu=0.6, gamma=0.5, eps=0.05,
+        potential=variant, c0=2.0, graph=graph, **RHS_GRAPH_CFG,
+        eta_star="cosine 0.2 1" if dims == 1 else "cosine 0.2 1 0",
+        forcing="cosine 0.3 2" if dims == 1 else "cosine 0.3 0 1")
+    return build_problem(cfg)[0]
+
+
+def public_rhs(p, t, a, b):
+    """(d phi/dt, d theta/dt, zeta, xi) composed from the public maps, one
+    transform per field, in the order the system's equations are written."""
+    basis, lam = p.basis, p.basis.eigenvalues
+    star = p.eta_star.coeffs
+    eta = b - (p.ell - p.alpha) * a
+    grid = spectral.to_grid(basis, a)
+    xi = spectral.from_grid(basis, p.potential.beta_graph().yosida(p.eps, grid))
+    piv = spectral.from_grid(basis, p.potential.pi(grid))
+    if p.graph.is_nonlocal:
+        zeta = p.graph.yosida(p.eps, eta)
+    else:
+        zeta = spectral.from_grid(
+            basis, p.graph.yosida(p.eps, spectral.to_grid(basis, eta)))
+    da = -p.nu * lam * a - xi - piv + p.gamma * (b - p.ell * a + star)
+    db = -p.k * lam * b + p.k * p.ell * lam * a - zeta + p.forcing.at(t) + p.k * lam * star
+    return da, db, zeta, xi
+
+
+class TestRhsEquivalence:
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["vector", "stack"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("variant", SubdiffBetaHat.VARIANTS)
+    @pytest.mark.parametrize("graph", sorted(_GRAPHS))
+    def test_matches_the_public_maps(self, graph, variant, dims, lead):
+        p = rhs_params(graph, variant, dims)
+        m = p.basis.total_modes
+        rng = np.random.default_rng([dims, len(lead)])
+        decay = 1.0 / (1.0 + np.arange(m))
+        a = 0.6 * decay * rng.standard_normal(lead + (m,))
+        b = 0.6 * decay * rng.standard_normal(lead + (m,))
+        rhs = _Rhs(p)
+        got = rhs.full(0.37, a, b, record=True)
+        for name, g, ref in zip(("dphi", "dtheta", "zeta", "xi"), got,
+                                public_rhs(p, 0.37, a, b)):
+            assert g.shape == ref.shape, name
+            assert np.all(np.abs(g - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), name
+        # a stage that does not record gives the same state derivative
+        da, db, zeta, xi = rhs.full(0.37, a, b)
+        assert np.array_equal(da, got[0]) and np.array_equal(db, got[1])
+        assert np.array_equal(zeta, got[2]) and xi is None
+
+
+class TestCheckState:
+    CEILING = 1e8
+
+    def stack(self):
+        return np.full((4, 5), 0.5), np.full((4, 5), -0.5)
+
+    def test_state_under_the_ceiling_passes(self):
+        a, b = self.stack()
+        a[1, 2] = b[3, 0] = -self.CEILING
+        _check_state(0.1, a, b, self.CEILING)
+        _check_state(0.1, a[1], b[3], self.CEILING)
+        _check_state(0.1, a, b, math.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e8])
+    @pytest.mark.parametrize("cells, member, field", [
+        ({"a": [(2, 1)]}, 2, "phi"),
+        ({"b": [(1, 4)]}, 1, "theta"),
+        ({"a": [(3, 0)], "b": [(3, 1), (2, 2)]}, 2, "theta"),
+        ({"a": [(3, 0)], "b": [(3, 1)]}, 3, "phi"),
+    ])
+    def test_names_the_first_member_and_its_field(self, bad, cells, member, field):
+        a, b = self.stack()
+        for name, where in cells.items():
+            for cell in where:
+                (a if name == "a" else b)[cell] = bad
+        with pytest.raises(BlowUpError) as err:
+            _check_state(0.25, a, b, self.CEILING)
+        assert (err.value.member, err.value.field, err.value.time) == (member, field, 0.25)
+        row_a, row_b = a[member], b[member]
+        with pytest.raises(BlowUpError) as err:
+            _check_state(0.25, row_a, row_b, self.CEILING)
+        assert (err.value.member, err.value.field) == (None, field)
+        if math.isnan(bad):
+            assert math.isnan(err.value.norm)
+        else:
+            assert err.value.norm == abs(bad)
+
+
+class TestTransformCount:
+    # one transform of the stacked (phi, eta) pair per evaluation; at most
+    # two projections per evaluation, and one more (xi) per save
+    @pytest.mark.parametrize("scenario, method", [("tanh_front", "imex"),
+                                                  ("heat_decay", "rk45")])
+    def test_transforms_per_evaluation(self, monkeypatch, scenario, method):
+        params, init, sched = build_problem(get_scenario(scenario))
+        assert sched.method == method
+        calls = {"to_grid": 0, "from_grid": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(spectral, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(spectral, name, counted)
+        st = solve(params, init, sched).stats
+        assert calls["to_grid"] == st["rhs_evals"]
+        assert calls["from_grid"] <= 2 * st["rhs_evals"] + sched.n_saves

@@ -271,6 +271,75 @@ class TestSolver:
         assert out[1] == -out[2] == np.nextafter(1.0, 0.0)
 
 
+class _CountingNumpy:
+    """Stands in for numpy inside ``monotone`` and counts np.cosh calls: the
+    logarithmic Newton iteration makes one per step."""
+
+    def __init__(self):
+        self.cosh_calls = 0
+
+    def cosh(self, x):
+        self.cosh_calls += 1
+        return np.cosh(x)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _steps_from_the_previous_start(eps, x):
+    """Newton steps of the logarithmic iteration started, as it was before
+    the closer start, at max(0, (y - 1)/(2 eps))."""
+    top = np.nextafter(1.0, 0.0)
+    y = np.minimum(np.abs(x), top + 2.0 * eps * np.arctanh(top))
+    res_tol = monotone.RESOLVENT_TOL * np.maximum(1.0, y)
+    s = np.maximum(0.0, (y - 1.0) / (2.0 * eps))
+    for step in range(1, monotone.RESOLVENT_MAX_ITER + 1):
+        r = y - np.tanh(s) - 2.0 * eps * s
+        c = np.cosh(s)
+        s = s + r / (1.0 / (c * c) + 2.0 * eps)
+        if not np.any(np.abs(r) > res_tol):
+            return step
+    raise AssertionError("reference iteration did not converge")
+
+
+class TestLogarithmicNewton:
+    """The Newton iteration for tanh(s) + 2 eps s = y behind the logarithmic
+    well's resolvent."""
+
+    EPS = np.geomspace(1e-6, 10.0, 61)
+
+    def test_start_at_or_below_the_root(self):
+        y = np.concatenate([np.linspace(0.0, 20.0, 2001), np.geomspace(1e-300, 1e12, 400)])
+        for eps in self.EPS:
+            s0 = monotone._log_start(eps, y)
+            assert np.all(s0 >= 0.0)
+            # h is increasing, so h(s0) <= y puts s0 at or below the root;
+            # evaluating h(s0) rounds by up to 2 float spacings of y
+            h = np.tanh(s0) + 2.0 * eps * s0
+            assert np.all(h <= y + 4.0 * np.spacing(y)), eps
+
+    def test_never_more_steps_than_from_the_previous_start(self, monkeypatch):
+        counter = _CountingNumpy()
+        monkeypatch.setattr(monotone, "np", counter)
+
+        def steps(eps, x):
+            before = counter.cosh_calls
+            monotone._log_root(eps, x)
+            return counter.cosh_calls - before
+
+        xs = np.linspace(-20.0, 20.0, 161)
+        for eps in self.EPS[::2]:
+            # per point, and for a 48-point grid on |x| <= 3 as the RHS sees it
+            for x in xs:
+                assert steps(eps, np.array([x])) <= _steps_from_the_previous_start(eps, x)
+            grid = np.linspace(-3.0, 3.0, 48)
+            assert steps(eps, grid) <= _steps_from_the_previous_start(eps, grid)
+        # the measured gain at the bench's eps values
+        grid = np.linspace(-3.0, 3.0, 48)
+        assert (steps(0.05, grid), _steps_from_the_previous_start(0.05, grid)) == (6, 7)
+        assert (steps(1e-3, grid), _steps_from_the_previous_start(1e-3, grid)) == (7, 8)
+
+
 class TestScaleAwareStopping:
     def test_yosida_of_stefan_at_large_x(self):
         # the bracket closes to a few ulp of 848, above an absolute 1e-13
