@@ -20,9 +20,11 @@ independent bisection oracle :func:`resolvent_oracle` solves the inclusion
 x in u + eps*A(u) without touching any closed form.
 
 Most resolvents are closed forms, the quartic well's among them (the real
-root of a depressed cubic).  The logarithmic well, the weighted power with
-q != 1/2 and :class:`YosidaGraph` solve their scalar equation by an inner
-root-find, which raises :class:`ResolventError` when it does not converge.
+root of a depressed cubic).  The logarithmic well and the weighted power
+with q != 1/2 solve their scalar equation by a Newton iteration that climbs
+to the root from below without a bracket, and :class:`YosidaGraph` by the
+bisection :func:`solve_increasing`; each raises :class:`ResolventError` when
+it does not converge.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ __all__ = [
 
 RESOLVENT_TOL = 1e-12
 RESOLVENT_MAX_ITER = 200
+# the least positive normal float: added to a denominator, it changes a
+# quotient only where that denominator is itself below about 1e-292
+_TINY = np.finfo(float).tiny
 
 
 class ResolventError(RuntimeError):
@@ -232,7 +237,14 @@ class Stefan(MonotoneGraph):
 
 class WeightedPower(MonotoneGraph):
     """A(v) = w(x) |v|^{q-1} v with 0 < q < 1 and nonnegative weight w,
-    applied pointwise on the quadrature grid."""
+    applied pointwise on the quadrature grid.
+
+    Both maps go through t = |J_eps x|, the root of t + eps*w*t^q = |x|: a
+    closed form for q = 1/2 and :func:`_power_root` otherwise.  The graph is
+    single-valued, so the Yosida map is A(J_eps x) = w sign(x) t^q, which
+    carries only the small relative error of t instead of dividing J's
+    residual by eps as (x - J_eps x)/eps would.
+    """
 
     def __init__(self, q, weight=1.0):
         if not 0.0 < q < 1.0:
@@ -249,18 +261,49 @@ class WeightedPower(MonotoneGraph):
         v = np.asarray(self.weight) * np.sign(u) * np.abs(u) ** self.q
         return v, v
 
-    def _resolvent(self, eps, x):
-        w = np.broadcast_to(np.asarray(self.weight, dtype=float), x.shape)
+    def _root(self, eps, x):
+        """|J_eps x|: the root t >= 0 of t + eps*w*t^q = |x|."""
         s = np.abs(x)
-        ew = eps * w
+        ew = eps * np.asarray(self.weight, dtype=float)
         if self.q == 0.5:
-            # t + ew*sqrt(t) = s solved for sqrt(t), written cancellation-free
-            root = 2.0 * s / (ew + np.sqrt(ew * ew + 4.0 * s + 0.0))
-            t = root * root
-        else:
-            q = self.q
-            t = solve_increasing(lambda t: t + ew * t ** q, s, 0.0, s)
-        return np.sign(x) * t
+            # t + ew*sqrt(t) = s solved for sqrt(t), written cancellation-free;
+            # _TINY only keeps s = ew = 0 from dividing 0 by 0
+            root = 2.0 * s / (ew + np.sqrt(ew * ew + 4.0 * s + 0.0) + _TINY)
+            return root * root
+        return _power_root(self.q, ew, s)
+
+    def _resolvent(self, eps, x):
+        return np.sign(x) * self._root(eps, x)
+
+    def _yosida(self, eps, x):
+        return self.weight * np.sign(x) * self._root(eps, x) ** self.q
+
+
+def _power_root(q, ew, s):
+    """The root t >= 0 of t + ew*t^q = s >= 0, elementwise, for 0 < q < 1.
+
+    The left side is increasing and concave in t, so Newton steps started
+    below the root climb to it monotonically and need no bracket, as in
+    :func:`_log_root`.  Since t <= s at the root, s <= t^q (s^(1-q) + ew),
+    so (s/(s^(1-q) + ew))^(1/q) is such a start.  Each step
+    r/f'(t) = r*t/(t + q*ew*t^q) is written without the pole of f' at t = 0;
+    the ``_TINY`` added to the denominators can only shorten a step or lower
+    the start, so both stay below the root.  Infinite or NaN s gives NaN.
+    """
+    s = np.where(s < np.inf, s, np.nan)
+    res_tol = RESOLVENT_TOL * np.maximum(1.0, s)
+    t = (s / (s ** (1.0 - q) + ew + _TINY)) ** (1.0 / q)
+    for _ in range(RESOLVENT_MAX_ITER):
+        p = t ** q
+        r = s - t - ew * p
+        t = t + r * (t / (t + q * ew * p + _TINY))
+        # once the residual is small, the step just taken leaves an error of
+        # its square; written so that NaN entries count as converged
+        if not (np.abs(r) > res_tol).any():
+            return t
+    raise ResolventError(
+        f"power resolvent hit the {RESOLVENT_MAX_ITER}-iteration cap "
+        f"(residual {float(np.nanmax(np.abs(r))):.3e})")
 
 
 def _cubic_root(eps, x):

@@ -410,6 +410,81 @@ class TestQuarticClosedForm:
         assert self.g.resolvent(1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestPowerNewton:
+    """The Newton root of t + ew*t^q = s behind the weighted power's
+    resolvent for q != 1/2, reached through the public graph with w = 1, so
+    that eps = ew."""
+
+    EW = np.geomspace(1e-6, 1e3, 37)
+    S = np.concatenate([[0.0, 5e-324], np.geomspace(1e-12, 1e12, 241), [1e300]])
+
+    @pytest.mark.parametrize("q", (0.1, 0.3, 0.7, 0.95))
+    def test_scaled_residual(self, q):
+        g = WeightedPower(q, 1.0)
+        for ew in self.EW:
+            t = np.asarray(g.resolvent(ew, self.S))
+            assert np.all(t >= 0.0)
+            resid = np.abs(t + ew * t ** q - self.S) / np.maximum(1.0, self.S)
+            assert np.max(resid) <= 1e-13, ew
+
+    def test_exactly_odd_and_fixes_zero(self):
+        x = np.geomspace(1e-12, 1e12, 241)
+        for q in (0.1, 0.3, 0.95):
+            g = WeightedPower(q, 2.0)
+            for eps in (1e-6, 0.05, 1.0, 100.0):
+                assert np.array_equal(np.asarray(g.resolvent(eps, -x)),
+                                      -np.asarray(g.resolvent(eps, x)))
+                assert g.resolvent(eps, 0.0) == 0.0
+
+    def test_non_finite_inputs_give_nan(self):
+        g = WeightedPower(0.3, 2.0)
+        # and raise no floating-point warning on the way
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = np.asarray(g.resolvent(0.3, np.array([np.inf, -np.inf, np.nan, 2.0])))
+            for bad in (np.inf, -np.inf, np.nan):
+                assert math.isnan(g.resolvent(0.3, bad))
+                assert math.isnan(g.yosida(0.3, bad))
+        assert np.all(np.isnan(out[:3]))
+        assert np.isfinite(out[3])
+
+    @pytest.mark.parametrize("q", (0.3, 0.5))
+    def test_zero_weight_is_the_identity(self, q):
+        # eps*w = 0 where the weight vanishes, including at x = 0
+        g = WeightedPower(q, np.array([0.0, 0.0, 0.0, 1.0]))
+        x = np.array([0.0, 5e-324, -2.5, 0.0])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            j = np.asarray(g.resolvent(0.5, x))
+            assert np.array_equal(np.asarray(g.yosida(0.5, x)), np.zeros(4))
+        assert np.all(np.abs(j - x) <= 4.0 * np.spacing(np.abs(x)))
+
+    def test_does_not_root_find(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_increasing called")
+
+        monkeypatch.setattr(monotone, "solve_increasing", forbidden)
+        g = WeightedPower(0.3, 2.0)
+        u = g.resolvent(0.5, 3.0)
+        assert abs(u + 0.5 * 2.0 * u ** 0.3 - 3.0) <= 1e-13 * 3.0
+        g.yosida(0.5, np.linspace(-3.0, 3.0, 48))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(monotone, "RESOLVENT_MAX_ITER", 1)
+        with pytest.raises(ResolventError):
+            WeightedPower(0.3, 2.0).resolvent(0.5, np.linspace(-3.0, 3.0, 48))
+
+    @pytest.mark.parametrize("name", ("weighted_power(q=0.5)", "weighted_power(q=0.3,w=2)"))
+    def test_yosida_is_the_graph_at_the_resolvent(self, name):
+        # A_eps(x) = A(J_eps x), and J_eps x + eps*A_eps(x) = x to the
+        # resolvent's own tolerance, with no 1/eps amplification
+        g = builtin_graphs()[name]
+        eps = 1e-4
+        x = np.concatenate([np.linspace(-5.0, 5.0, 2001), np.geomspace(1e-12, 1e6, 400)])
+        j = np.asarray(g.resolvent(eps, x))
+        a = np.asarray(g.yosida(eps, x))
+        assert np.array_equal(a, g.weight * np.sign(j) * np.abs(j) ** g.q)
+        assert np.all(np.abs(x - j - eps * a) <= 1e-12 * np.maximum(1.0, np.abs(x)))
+
+
 class TestArrayEps:
     # the graphs whose resolvent is an inner root-find rather than a closed form
     ROOT_FINDS = ("weighted_power(q=0.3,w=2)", "beta_logarithmic")
@@ -427,7 +502,10 @@ class TestArrayEps:
         a_loop = np.array([g.yosida(e, v) for e, v in zip(eps, x)])
         if name in self.ROOT_FINDS:
             assert np.all(np.abs(j - j_loop) <= 1e-12)
-            assert np.all(eps * np.abs(a - a_loop) <= 1e-12)
+            # the power's Yosida map is A(J), which carries no 1/eps factor;
+            # the logarithmic well's is (x - J)/eps
+            scale = eps if name == "beta_logarithmic" else 1.0
+            assert np.all(scale * np.abs(a - a_loop) <= 1e-12)
         else:
             assert np.array_equal(j, j_loop)
             assert np.array_equal(a, a_loop)
