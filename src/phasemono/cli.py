@@ -142,6 +142,9 @@ def _cmd_run(args):
             "steps": traj.stats["steps"],
             "rejected": traj.stats["rejected"],
             "rhs_evals": traj.stats["rhs_evals"],
+            "rhs_evals_saves": traj.stats["rhs_evals_saves"],
+            "h_min": traj.stats["h_min"],
+            "h_max": traj.stats["h_max"],
             "method": traj.stats["method"],
         },
         "energy": report.to_dict(),

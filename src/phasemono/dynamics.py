@@ -9,10 +9,12 @@ equation a diagonal Laplacian:
     d phi/dt   = nu lap(phi) - beta_eps(phi) - pi(phi)
                  + gamma (theta - ell phi + eta*)
 
-with eta = theta - (ell - alpha) phi.  Linear diffusion acts diagonally in
-coefficient space; graph and potential terms are evaluated pointwise on the
-dealiased quadrature grid and projected back.  The nonlocal Sign graph acts
-directly on coefficients through the Parseval norm.
+with eta = theta - (ell - alpha) phi.  The state is one array of shape
+(..., 2, m): per member, the coefficients of phi, then those of theta.
+Linear diffusion acts diagonally in coefficient space; graph and potential
+terms are evaluated pointwise on the dealiased quadrature grid and
+projected back.  The nonlocal Sign graph acts directly on coefficients
+through the Parseval norm.
 
 Integrators: IMEX Euler (diagonal Laplacians implicit, everything else
 explicit), classical RK4, and an embedded Dormand-Prince 4(5) pair with
@@ -21,6 +23,7 @@ adaptive step control.  All of them are deterministic given their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -296,98 +299,118 @@ class SolutionTrajectory:
         return self.dtheta - self.ell_minus_alpha * self.dphi
 
 
-class _Rhs:
-    """Right-hand-side assembly for one parameter set.
+def _grid_maps(basis, dm, pointwise):
+    """Bind the transforms of one solve: ``analyse(y)`` gives the grid of
+    phi and the graph's argument (the grid of eta for a pointwise graph,
+    else its coefficients); ``select(nl, g)`` maps the grid values
+    nl = beta_eps + pi and the graph's values g to the rows (P nl, zeta);
+    ``project`` is P.  In 1D each is one product with a matrix bound here,
+    on a 2-D operand so that a vector and a one-row stack take the same BLAS
+    path; the matrices fold in the shift eta = theta - (ell - alpha) phi
+    and the quadrature weight.  In 2D such blocks would be far too large:
+    the shift is made on the coefficients, and the pair takes one
+    ``spectral.to_grid``."""
+    if basis.dims == 2:
+        shift = np.array([[0.0], [dm]])
 
-    Everything that does not depend on the state is bound once per solve:
-    the Yosida kernels of the graph and of beta at the checked eps, the pi
-    kernel, the forcing lookup and the diagonal factors; the IMEX
-    denominators are kept for the last substep size.  One evaluation makes
-    one grid transform, of the stacked (phi, eta) pair, and projects
-    beta_eps + pi back with one more; only a recording evaluation (a save)
-    also projects xi on its own.  A vector and a (B, m) stack go through
-    the same code."""
+        def analyse(y):
+            pair = y - shift * y[..., :1, :]
+            if not pointwise:
+                return spectral.to_grid(basis, pair[..., 0, :]), pair[..., 1, :]
+            grid = spectral.to_grid(basis, pair)
+            return grid[..., 0, :, :], grid[..., 1, :, :]
+
+        def select(nl, g):
+            zeta = spectral.from_grid(basis, g) if pointwise else g
+            return np.stack((spectral.from_grid(basis, nl), zeta), axis=-2)
+
+        return analyse, select, functools.partial(spectral.from_grid, basis)
+
+    n, quad = basis.n, basis.m_quad
+    weights = basis.spacings[0] * basis.mats[0]
+    # eta to the graph's argument, and the graph's values back to zeta
+    to_arg, from_arg = (basis.mats[0].T, weights) if pointwise else (np.eye(n), np.eye(n))
+    analysis = np.zeros((2 * n, quad + to_arg.shape[1]))
+    analysis[:n, :quad] = basis.mats[0].T
+    analysis[:n, quad:] = -dm * to_arg
+    analysis[n:, quad:] = to_arg
+    projection = np.zeros((quad + to_arg.shape[1], 2 * n))
+    projection[:quad, :n] = weights
+    projection[quad:, n:] = from_arg
+
+    def analyse(y):
+        grid = y.reshape(-1, 2 * n) @ analysis
+        return grid[:, :quad], grid[:, quad:]
+
+    def select(nl, g):
+        return np.concatenate((nl, g), axis=1) @ projection
+
+    return analyse, select, lambda v: v @ weights
+
+
+class _Rhs:
+    """Right-hand-side assembly for one parameter set, on states y of shape
+    (..., 2, m): row 0 holds phi and row 1 theta.  What does not depend on
+    the state is bound once per solve: the Yosida kernels of the graph and
+    of beta at the checked eps, the pi kernel, the forcing lookup, the grid
+    transforms of :func:`_grid_maps` and the per-mode rows of the linear
+    terms.  Only a recording evaluation (a save) projects xi."""
 
     def __init__(self, params):
         p = params
         lam = p.basis.eigenvalues
-        self.p = p
-        self.basis = p.basis
-        self.lam = lam
+        star = np.asarray(p.eta_star.coeffs, dtype=float)
         self.dm = p.ell - p.alpha
-        self.star = np.asarray(p.eta_star.coeffs, dtype=float)
-        self.neg_k_lap_star = p.k * lam * self.star
-        self.k_ell_lam = p.k * p.ell * lam
-        self.neg_nu_lam = -p.nu * lam
-        self.neg_k_lam = -p.k * lam
+        self.lam, self.diffusivity = lam, np.array([[p.nu], [p.k]])
+        self.neg_diff = -np.stack((p.nu * lam, p.k * lam))
+        # the explicit linear terms: phi * c_phi + theta * c_theta + source
+        self.c_phi = np.stack((np.full_like(lam, -p.gamma * p.ell), p.k * p.ell * lam))
+        self.c_theta = np.stack((np.full_like(lam, p.gamma), np.zeros_like(lam)))
+        self.star_rows = (p.gamma * star, p.k * lam * star)
+        self.forcing = p.forcing.at
+        self._f = self._src = None
         self.beta_eps = p.potential.beta_graph().yosida_kernel(p.eps)
         self.pi = p.potential.pi_kernel()
-        self.forcing = p.forcing.at
-        graph_eps = p.graph.yosida_kernel(p.eps)
-        if p.graph.is_nonlocal or isinstance(p.graph, ZeroGraph):
-            # A_eps on the coefficients: the nonlocal Sign acts through the
-            # Parseval norm, and the zero graph needs no transform
-            self.graph_term = lambda eta, grid: graph_eps(eta)
-        else:
-            self.graph_term = lambda eta, grid: spectral.from_grid(self.basis, graph_eps(grid))
-        self._den_dt = None
-        self.evals = 0
+        self.graph_eps = p.graph.yosida_kernel(p.eps)
+        pointwise = not (p.graph.is_nonlocal or isinstance(p.graph, ZeroGraph))
+        self.analyse, self.select, self.project = _grid_maps(p.basis, self.dm, pointwise)
+        self.evals = self.save_evals = 0
 
-    def explicit_parts(self, t, a, b, record=False):
-        """Explicit parts of both equations, followed by the graph selection
-        zeta and, when recording, the Yosida term xi (else None)."""
-        p = self.p
+    def source(self, t):
+        """The rows (gamma eta*, f(t) + k lam eta*), stacked once for the
+        one stored row that a constant forcing returns."""
+        f = self.forcing(t)
+        if f is not self._f:
+            self._f = f
+            self._src = np.stack(np.broadcast_arrays(
+                self.star_rows[0], f + self.star_rows[1]), axis=-2)
+        return self._src
+
+    def explicit_parts(self, t, y, record=False):
+        """The explicit part of d y/dt, the graph selection zeta and, when
+        recording, the Yosida term xi (else None)."""
         self.evals += 1
-        pair = np.concatenate((a, b - self.dm * a)).reshape((2,) + a.shape)
-        grid = spectral.to_grid(self.basis, pair)
-        phi_grid = grid[0]
+        phi_grid, eta = self.analyse(y)
         beta = self.beta_eps(phi_grid)
-        nonlin = spectral.from_grid(self.basis, beta + self.pi(phi_grid))
-        xi = spectral.from_grid(self.basis, beta) if record else None
-        zeta = self.graph_term(pair[1], grid[1])
-        ex_b = self.k_ell_lam * a - zeta + self.forcing(t) + self.neg_k_lap_star
-        ex_a = -nonlin + p.gamma * (b - p.ell * a + self.star)
-        return ex_a, ex_b, zeta, xi
+        sel = self.select(beta + self.pi(phi_grid), self.graph_eps(eta)).reshape(y.shape)
+        ex = y[..., :1, :] * self.c_phi + y[..., 1:, :] * self.c_theta + self.source(t) - sel
+        zeta = sel[..., 1, :]
+        self.save_evals += record
+        return ex, zeta, self.project(beta).reshape(zeta.shape) if record else None
 
-    def diffused(self, a, b, ex_a, ex_b):
-        """(d phi/dt, d theta/dt) from the explicit parts at the state."""
-        return self.neg_nu_lam * a + ex_a, self.neg_k_lam * b + ex_b
-
-    def full(self, t, a, b, record=False):
-        """(d phi/dt, d theta/dt, zeta, xi) at one state; xi is None unless
-        recording."""
-        ex_a, ex_b, zeta, xi = self.explicit_parts(t, a, b, record)
-        return self.diffused(a, b, ex_a, ex_b) + (zeta, xi)
-
-    def imex_denominators(self, dt):
-        """(1 + dt k lam, 1 + dt nu lam), recomputed only when the substep
-        size changes.  The substeps of a save interval share one size, and
-        rounding can make the sizes of two intervals differ, so only the
-        last one is kept."""
-        if dt != self._den_dt:
-            p = self.p
-            self._den_dt = dt
-            self._den = (1.0 + dt * p.k * self.lam, 1.0 + dt * p.nu * self.lam)
-        return self._den
+    def full(self, t, y, record=False):
+        """(d y/dt, zeta, xi) at one state; xi is None unless recording."""
+        ex, zeta, xi = self.explicit_parts(t, y, record)
+        return self.neg_diff * y + ex, zeta, xi
 
 
-# Each step takes its first stage, the evaluation at (t, a, b), from the
-# caller: explicit parts for IMEX, the full right-hand side for RK4 and DP45.
+# Each step takes its first stage, the derivative at (t, y), from the caller.
 
-def _imex_step(ctx, a, b, dt, first):
-    ex_a, ex_b = first[0], first[1]
-    den_b, den_a = ctx.imex_denominators(dt)
-    return (a + dt * ex_a) / den_a, (b + dt * ex_b) / den_b
-
-
-def _rk4_step(rhs, t, a, b, dt, first):
-    k1a, k1b = first[0], first[1]
-    k2a, k2b, _, _ = rhs(t + 0.5 * dt, a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
-    k3a, k3b, _, _ = rhs(t + 0.5 * dt, a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
-    k4a, k4b, _, _ = rhs(t + dt, a + dt * k3a, b + dt * k3b)
-    a1 = a + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    b1 = b + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return a1, b1
+def _rk4_step(ctx, t, y, dt, k1):
+    k2 = ctx.full(t + 0.5 * dt, y + 0.5 * dt * k1)[0]
+    k3 = ctx.full(t + 0.5 * dt, y + 0.5 * dt * k2)[0]
+    k4 = ctx.full(t + dt, y + dt * k3)[0]
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Dormand-Prince 4(5) tableau
@@ -404,49 +427,36 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _dp45_step(rhs, t, a, b, dt, tol, first):
+def _dp45_step(ctx, t, y, dt, tol, k1):
     """One embedded Dormand-Prince step.  Returns the fifth-order update, a
-    scaled error estimate (accept when <= 1), and the FSAL evaluation at the
-    update, which is the first stage of the next step.  The estimate is the
-    RMS over modes of each member, maximized over the members of a stack."""
-    ka, kb = [first[0]], [first[1]]
-    for i in range(1, len(_DP_C)):
-        aa, bb = a, b
-        for j, w in enumerate(_DP_A[i]):
-            aa = aa + dt * w * ka[j]
-            bb = bb + dt * w * kb[j]
-        da, db, _, _ = rhs(t + _DP_C[i] * dt, aa, bb)
-        ka.append(da)
-        kb.append(db)
-    a5 = a + dt * sum(w * v for w, v in zip(_DP_B5, ka))
-    b5 = b + dt * sum(w * v for w, v in zip(_DP_B5, kb))
+    scaled error estimate (accept when <= 1), and the FSAL derivative at the
+    update, the first stage of the next step.  The estimate is the RMS over
+    the (2, m) block of each member, maximized over a stack's members."""
+    ks = [k1]
+    for c, weights in zip(_DP_C[1:], _DP_A[1:]):
+        stage = y
+        for w, k in zip(weights, ks):
+            stage = stage + dt * w * k
+        ks.append(ctx.full(t + c * dt, stage)[0])
+    y5 = y + dt * sum(w * k for w, k in zip(_DP_B5, ks))
     # FSAL stage at the fifth-order solution closes the fourth-order weights
-    fsal = rhs(t + dt, a5, b5)
-    da7, db7 = fsal[0], fsal[1]
-    a4 = a + dt * (sum(w * v for w, v in zip(_DP_B4[:6], ka)) + _DP_B4[6] * da7)
-    b4 = b + dt * (sum(w * v for w, v in zip(_DP_B4[:6], kb)) + _DP_B4[6] * db7)
-    scale_a = tol + tol * np.maximum(np.abs(a), np.abs(a5))
-    scale_b = tol + tol * np.maximum(np.abs(b), np.abs(b5))
-    err = math.sqrt(float(np.max(
-        np.mean(np.concatenate([((a5 - a4) / scale_a) ** 2,
-                                ((b5 - b4) / scale_b) ** 2], axis=-1), axis=-1))))
-    return a5, b5, err, fsal
+    k7 = ctx.full(t + dt, y5)[0]
+    y4 = y + dt * (sum(w * k for w, k in zip(_DP_B4[:6], ks)) + _DP_B4[6] * k7)
+    scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
+    err = math.sqrt(float(np.max(np.mean(((y5 - y4) / scale) ** 2, axis=(-2, -1)))))
+    return y5, err, k7
 
 
-def _check_state(t, a, b, ceiling):
-    """Raise BlowUpError if a coefficient of either field is over the
-    ceiling or NaN.  One test covers the whole stack; the member and the
-    field are looked up only when it fails."""
-    if np.abs(a).max(initial=0.0) <= ceiling and np.abs(b).max(initial=0.0) <= ceiling:
+def _check_state(t, y, ceiling):
+    """Raise BlowUpError if a coefficient of the state is over the ceiling
+    or NaN.  One test covers the whole state; the member and the field are
+    looked up only when it fails."""
+    if np.abs(y).max(initial=0.0) <= ceiling:
         return
-    worst = np.maximum(np.max(np.abs(a), axis=-1, initial=0.0),
-                       np.max(np.abs(b), axis=-1, initial=0.0))
-    bad = ~(worst <= ceiling)
-    if bad.any():
-        member = None if worst.ndim == 0 else int(np.argmax(bad))
-        row = () if member is None else member
-        name = "phi" if not np.max(np.abs(a[row]), initial=0.0) <= ceiling else "theta"
-        raise BlowUpError(t, float(worst[row]), name, member)
+    worst = np.max(np.abs(y), axis=-1)
+    member = None if worst.ndim == 1 else int(np.argmax(~(worst <= ceiling).all(axis=-1)))
+    row = worst if member is None else worst[member]
+    raise BlowUpError(t, float(np.max(row)), "phi" if not row[0] <= ceiling else "theta", member)
 
 
 def solve(params, initial, schedule):
@@ -457,91 +467,78 @@ def solve(params, initial, schedule):
     ``params`` (basis, coefficients, graph, forcing and eta*) and
     ``schedule`` and are integrated as one state.  The trajectory's arrays
     then have shape (n_saves, B, m), and row r of each follows member r.
-    Fixed-step members match their standalone solves up to rounding.  DP45
-    advances the stack with one step size, accepted when the largest
-    per-member error estimate is, so a stacked member takes the steps of
-    the hardest one.  A blow-up names the first member over the ceiling in
-    ``BlowUpError.member`` and its field in ``BlowUpError.field``.
+    Fixed-step members match their standalone solves up to rounding, and a
+    one-member stack matches exactly.  DP45 advances the stack with one step
+    size, accepted when the largest per-member error estimate is, so a
+    stacked member takes the steps of the hardest one.  A blow-up names the
+    first member over the ceiling in ``BlowUpError.member`` and its field in
+    ``BlowUpError.field``.
+
+    ``stats`` counts steps, rejected steps and evaluations (``rhs_evals``,
+    ``rhs_evals_saves`` of them at the saves), and holds the smallest and
+    largest accepted step (for imex and rk4, the substep).
     """
     ctx = _Rhs(params)
     ts = np.linspace(0.0, params.t_final, schedule.n_saves)
-    a = np.asarray(initial.phi0.coeffs, dtype=float).copy()
-    b = np.asarray(initial.eta0.coeffs, dtype=float) + ctx.dm * a
+    phi0 = np.asarray(initial.phi0.coeffs, dtype=float)
+    y = np.stack((phi0, np.asarray(initial.eta0.coeffs, dtype=float) + ctx.dm * phi0), axis=-2)
 
-    shape = (schedule.n_saves,) + a.shape
-    PHI = np.empty(shape)
-    TH = np.empty(shape)
-    Z = np.empty(shape)
-    XI = np.empty(shape)
-    DPHI = np.empty(shape)
-    DTH = np.empty(shape)
+    Y, DY = np.empty((2, schedule.n_saves) + y.shape)
+    Z, XI = np.empty((2,) + Y[..., 0, :].shape)
 
     imex = schedule.method == "imex"
     stage = ctx.explicit_parts if imex else ctx.full
 
-    def record(j, t, a, b):
+    def record(j, t, y):
         """Store save j and return the first stage of the step from it."""
-        ex_a, ex_b, Z[j], XI[j] = ctx.explicit_parts(t, a, b, record=True)
-        PHI[j] = a
-        TH[j] = b
-        DPHI[j], DTH[j] = da, db = ctx.diffused(a, b, ex_a, ex_b)
-        return (ex_a, ex_b) if imex else (da, db)
+        ex, Z[j], XI[j] = ctx.explicit_parts(t, y, record=True)
+        Y[j] = y
+        DY[j] = dy = ctx.neg_diff * y + ex
+        return ex if imex else dy
 
-    first = record(0, 0.0, a, b)
+    first = record(0, 0.0, y)
     steps = rejected = 0
-    h_adaptive = None
+    h_min, h_max = math.inf, 0.0
+    h = float(ts[1]) / 8.0      # the first DP45 trial step
     for j in range(schedule.n_saves - 1):
         t0, t1 = float(ts[j]), float(ts[j + 1])
         if schedule.method != "rk45":
             nsub = max(1, math.ceil((t1 - t0) / schedule.dt - 1e-12))
             h = (t1 - t0) / nsub
+            h_min, h_max = min(h_min, h), max(h_max, h)
+            # the IMEX denominators (1 + h nu lam, 1 + h k lam) of this substep
+            den = 1.0 + (h * ctx.diffusivity) * ctx.lam if imex else None
             t = t0
-            for _ in range(nsub):
-                if first is None:
-                    first = stage(t, a, b)
-                if imex:
-                    a, b = _imex_step(ctx, a, b, h, first)
-                else:
-                    a, b = _rk4_step(ctx.full, t, a, b, h, first)
-                first = None
+            for i in range(nsub):
+                k1 = first if i == 0 else stage(t, y)[0]
+                y = (y + h * k1) / den if imex else _rk4_step(ctx, t, y, h, k1)
                 t += h
                 steps += 1
-                _check_state(t, a, b, params.blowup_ceiling)
+                _check_state(t, y, params.blowup_ceiling)
         else:
             t = t0
-            h = h_adaptive if h_adaptive is not None else (t1 - t0) / 8.0
             while t < t1 - 1e-12 * params.t_final:
                 h = min(h, t1 - t)
-                a5, b5, err, fsal = _dp45_step(
-                    ctx.full, t, a, b, h, schedule.tol, first)
+                y5, err, k7 = _dp45_step(ctx, t, y, h, schedule.tol, first)
                 if math.isfinite(err) and (err <= 1.0 or h <= 1e-13 * params.t_final):
-                    t += h
-                    a, b = a5, b5
-                    first = fsal
+                    h_min, h_max = min(h_min, h), max(h_max, h)
+                    t, y, first = t + h, y5, k7
                     steps += 1
-                    _check_state(t, a, b, params.blowup_ceiling)
-                    grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                    h = h * grow
+                    _check_state(t, y, params.blowup_ceiling)
+                    h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 else:
                     rejected += 1
-                    shrink = 0.1 if not math.isfinite(err) else max(0.1, 0.9 * err ** -0.2)
-                    h = h * shrink
+                    h *= 0.1 if not math.isfinite(err) else max(0.1, 0.9 * err ** -0.2)
                     if h < 1e-14 * params.t_final:
                         raise StepFailure(t)
-            h_adaptive = h
-        first = record(j + 1, t1, a, b)
+        first = record(j + 1, t1, y)
 
-    stats = {
-        "method": schedule.method,
-        "steps": steps,
-        "rejected": rejected,
-        "rhs_evals": ctx.evals,
-        "dt": schedule.dt,
-        "tol": schedule.tol,
-    }
+    stats = {"method": schedule.method, "steps": steps, "rejected": rejected,
+             "rhs_evals": ctx.evals, "rhs_evals_saves": ctx.save_evals,
+             "h_min": h_min, "h_max": h_max, "dt": schedule.dt, "tol": schedule.tol}
     return SolutionTrajectory(
-        times=ts, phi=PHI, theta=TH, zeta=Z, xi=XI, dphi=DPHI, dtheta=DTH,
-        ell_minus_alpha=ctx.dm, stats=stats, initial=initial)
+        times=ts, phi=Y[..., 0, :], theta=Y[..., 1, :], zeta=Z, xi=XI, dphi=DY[..., 0, :],
+        dtheta=DY[..., 1, :], ell_minus_alpha=ctx.dm, stats=stats, initial=initial)
 
 
 def envelope_integral(params, phi_coeffs):

@@ -18,6 +18,7 @@ from phasemono.config import (
     serialize_config,
     with_overrides,
 )
+from phasemono.dynamics import solve
 from phasemono.monotone import ResolventError, SubdiffBetaHat
 from phasemono.scenarios import get_scenario, scenario_names, scenario_text
 
@@ -128,6 +129,15 @@ class TestRun:
         assert abs(report["trajectory"]["final_eta_h"] - expected) <= 1e-4
         # the config echo round-trips to the parsed config that was run
         assert parse_config(report["config"]) == get_scenario("heat_decay")
+
+    @pytest.mark.parametrize("scenario", ["heat_decay", "tanh_front"])
+    def test_report_carries_the_run_counters(self, tmp_path, scenario):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--scenario", scenario, "--out", str(out)]) == 0
+        block = json.loads((out / "report.json").read_text())["trajectory"]
+        stats = solve(*build_problem(get_scenario(scenario))).stats
+        for key in ("steps", "rejected", "rhs_evals", "rhs_evals_saves", "h_min", "h_max"):
+            assert block[key] == stats[key], key
 
     def test_zero_scenario_all_zero_outputs(self, tmp_path):
         out = tmp_path / "zero"

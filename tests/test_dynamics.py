@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from phasemono import spectral
+from phasemono import dynamics, spectral
 from phasemono.config import _GRAPHS, ScenarioConfig, build_problem, with_overrides
 from phasemono.dynamics import (
     BlowUpError,
@@ -144,13 +144,13 @@ class TestAssembly:
         # a scalar heat equation, and the phi equation is untouched
         p = make_params(gamma=0.0)
         b = np.array([0.0, 2.0, 0.0, 1.0])
-        da, db, _, _ = _Rhs(p).full(0.0, np.zeros(4), b)
+        da, db = _Rhs(p).full(0.0, np.stack((np.zeros(4), b)))[0]
         assert np.allclose(db, -p.k * p.basis.eigenvalues * b, atol=1e-14)
         assert np.allclose(da, 0.0, atol=1e-14)
 
     def test_zero_state_is_equilibrium(self):
         p = make_params(gamma=0.7, graph=ScalarSign())
-        da, db, _, _ = _Rhs(p).full(0.0, np.zeros(4), np.zeros(4))
+        da, db = _Rhs(p).full(0.0, np.zeros((2, 4)))[0]
         assert np.all(da == 0.0) and np.all(db == 0.0)
 
     def test_constant_state_stationarity(self):
@@ -164,7 +164,7 @@ class TestAssembly:
         sqrt_l = math.sqrt(p.basis.lengths[0])
         a = np.array([c * sqrt_l, 0, 0, 0])     # constant-mode coefficient
         b = np.array([d * sqrt_l, 0, 0, 0])
-        da, db, _, _ = _Rhs(p).full(0.0, a, b)
+        da, db = _Rhs(p).full(0.0, np.stack((a, b)))[0]
         assert np.max(np.abs(da)) <= 1e-12
         assert np.max(np.abs(db)) <= 1e-12
 
@@ -481,6 +481,8 @@ class TestStackedSolve:
     CASES = {
         "contraction_base": ("contraction_base", {}),
         "obstacle_nonlocal_sign": ("obstacle_sign", {}),
+        # a pointwise graph with ell != alpha, so the 1D analysis shifts
+        "tanh_front": ("tanh_front", {}),
         "2d_regular_sign": ("regular_sign", {
             "dims": 2, "lengths": (1.0, 1.0), "modes": 5, "quadrature": None,
             "phi0": "cosine 0.5 1 1", "eta0": "cosine 0.3 1 0",
@@ -515,6 +517,19 @@ class TestStackedSolve:
         one = solve(params, stacked([init]), sched)
         for name in SERIES:
             assert np.array_equal(getattr(one, name)[:, 0], getattr(alone, name))
+        assert one.stats == alone.stats
+
+    @pytest.mark.parametrize("method", ["imex", "rk4"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_member_is_the_unstacked_solve(self, case, method):
+        # a vector state and a one-row stack take the same product shapes
+        scenario, kw = self.CASES[case]
+        params, init, sched = build_problem(
+            with_overrides(get_scenario(scenario), method=method, **kw))
+        alone = solve(params, init, sched)
+        one = solve(params, stacked([init]), sched)
+        for name in SERIES:
+            assert np.array_equal(getattr(one, name)[:, 0], getattr(alone, name)), name
         assert one.stats == alone.stats
 
     def test_rk45_steps_by_the_largest_member_error(self):
@@ -568,6 +583,35 @@ class TestRhsReuse:
             with_overrides(get_scenario("contraction_base"), method=method))
         st = solve(params, init, sched).stats
         assert st["rhs_evals"] == stages * st["steps"] - (sched.n_saves - 1) + sched.n_saves
+
+
+class TestRunCounters:
+    # the evaluations at the saves are counted apart, and h_min and h_max
+    # bound the accepted steps
+    def test_rk45_counters_on_heat_decay(self):
+        params, init, sched = build_problem(get_scenario("heat_decay"))
+        assert sched.method == "rk45"
+        st = solve(params, init, sched).stats
+        assert st["rhs_evals_saves"] == sched.n_saves
+        interval = params.t_final / (sched.n_saves - 1)
+        # the first step tries an eighth of a save interval and is accepted;
+        # the linear decay then grows the steps to whole intervals
+        assert st["rejected"] == 0
+        assert st["h_min"] == pytest.approx(interval / 8, rel=1e-12)
+        assert st["h_max"] == pytest.approx(interval, rel=1e-12)
+        assert st["h_min"] * st["steps"] <= params.t_final <= st["h_max"] * st["steps"]
+
+    def test_imex_counters_on_tanh_front(self):
+        params, init, sched = build_problem(get_scenario("tanh_front"))
+        assert sched.method == "imex"
+        st = solve(params, init, sched).stats
+        assert st["rhs_evals_saves"] == sched.n_saves
+        assert st["rhs_evals"] == st["steps"] + 1
+        # the substep divides each save interval, up to its rounding
+        assert st["h_min"] <= st["h_max"]
+        assert st["h_min"] == pytest.approx(sched.dt, rel=1e-12)
+        assert st["h_max"] == pytest.approx(sched.dt, rel=1e-12)
+        assert st["steps"] == round(params.t_final / sched.dt)
 
 
 NAN = float("nan")
@@ -646,29 +690,33 @@ class TestRhsEquivalence:
         a = 0.6 * decay * rng.standard_normal(lead + (m,))
         b = 0.6 * decay * rng.standard_normal(lead + (m,))
         rhs = _Rhs(p)
-        got = rhs.full(0.37, a, b, record=True)
+        y = np.stack((a, b), axis=-2)
+        dy, zeta, xi = rhs.full(0.37, y, record=True)
+        got = (dy[..., 0, :], dy[..., 1, :], zeta, xi)
         for name, g, ref in zip(("dphi", "dtheta", "zeta", "xi"), got,
                                 public_rhs(p, 0.37, a, b)):
             assert g.shape == ref.shape, name
             assert np.all(np.abs(g - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), name
         # a stage that does not record gives the same state derivative
-        da, db, zeta, xi = rhs.full(0.37, a, b)
-        assert np.array_equal(da, got[0]) and np.array_equal(db, got[1])
-        assert np.array_equal(zeta, got[2]) and xi is None
+        dy_stage, zeta_stage, xi_stage = rhs.full(0.37, y)
+        assert np.array_equal(dy_stage, dy)
+        assert np.array_equal(zeta_stage, zeta) and xi_stage is None
 
 
 class TestCheckState:
     CEILING = 1e8
+    FIELDS = ("a", "b")         # row 0 (phi) and row 1 (theta) of a member
 
     def stack(self):
-        return np.full((4, 5), 0.5), np.full((4, 5), -0.5)
+        """Four members of five modes: phi = 0.5 and theta = -0.5."""
+        return np.stack((np.full((4, 5), 0.5), np.full((4, 5), -0.5)), axis=-2)
 
     def test_state_under_the_ceiling_passes(self):
-        a, b = self.stack()
-        a[1, 2] = b[3, 0] = -self.CEILING
-        _check_state(0.1, a, b, self.CEILING)
-        _check_state(0.1, a[1], b[3], self.CEILING)
-        _check_state(0.1, a, b, math.inf)
+        y = self.stack()
+        y[1, 0, 2] = y[3, 1, 0] = -self.CEILING
+        _check_state(0.1, y, self.CEILING)
+        _check_state(0.1, np.stack((y[1, 0], y[3, 1])), self.CEILING)
+        _check_state(0.1, y, math.inf)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e8])
     @pytest.mark.parametrize("cells, member, field", [
@@ -678,16 +726,15 @@ class TestCheckState:
         ({"a": [(3, 0)], "b": [(3, 1)]}, 3, "phi"),
     ])
     def test_names_the_first_member_and_its_field(self, bad, cells, member, field):
-        a, b = self.stack()
+        y = self.stack()
         for name, where in cells.items():
-            for cell in where:
-                (a if name == "a" else b)[cell] = bad
+            for row, mode in where:
+                y[row, self.FIELDS.index(name), mode] = bad
         with pytest.raises(BlowUpError) as err:
-            _check_state(0.25, a, b, self.CEILING)
+            _check_state(0.25, y, self.CEILING)
         assert (err.value.member, err.value.field, err.value.time) == (member, field, 0.25)
-        row_a, row_b = a[member], b[member]
         with pytest.raises(BlowUpError) as err:
-            _check_state(0.25, row_a, row_b, self.CEILING)
+            _check_state(0.25, y[member], self.CEILING)
         assert (err.value.member, err.value.field) == (None, field)
         if math.isnan(bad):
             assert math.isnan(err.value.norm)
@@ -696,19 +743,44 @@ class TestCheckState:
 
 
 class TestTransformCount:
-    # one transform of the stacked (phi, eta) pair per evaluation; at most
-    # two projections per evaluation, and one more (xi) per save
+    # one analysis of the state and one selection per evaluation, and one
+    # projection (xi) per save.  In 1D each is one product with a matrix
+    # bound by _grid_maps, and spectral is not called; in 2D the analysis
+    # is one to_grid of the pair, and the selection two from_grid calls
+    COUNTED = ("analyse", "select", "project", "to_grid", "from_grid")
+
+    def counted_solve(self, monkeypatch, params, init, sched):
+        calls = dict.fromkeys(self.COUNTED, 0)
+
+        def count(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in ("to_grid", "from_grid"):
+            monkeypatch.setattr(spectral, name, count(name, getattr(spectral, name)))
+        bind = dynamics._grid_maps
+        monkeypatch.setattr(dynamics, "_grid_maps", lambda *args: tuple(
+            count(name, fn) for name, fn in zip(self.COUNTED, bind(*args))))
+        st = solve(params, init, sched).stats
+        assert calls["analyse"] == calls["select"] == st["rhs_evals"]
+        assert calls["project"] == st["rhs_evals_saves"] == sched.n_saves
+        return calls, st
+
     @pytest.mark.parametrize("scenario, method", [("tanh_front", "imex"),
                                                   ("heat_decay", "rk45")])
     def test_transforms_per_evaluation(self, monkeypatch, scenario, method):
         params, init, sched = build_problem(get_scenario(scenario))
         assert sched.method == method
-        calls = {"to_grid": 0, "from_grid": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(spectral, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(spectral, name, counted)
-        st = solve(params, init, sched).stats
+        calls, _ = self.counted_solve(monkeypatch, params, init, sched)
+        assert calls["to_grid"] == calls["from_grid"] == 0
+
+    @pytest.mark.parametrize("graph, projections", [("scalar_sign", 2), ("nonlocal_sign", 1)])
+    def test_2d_transforms_per_evaluation(self, monkeypatch, graph, projections):
+        _, kw = TestStackedSolve.CASES["2d_regular_sign"]
+        params, init, sched = build_problem(
+            with_overrides(get_scenario("regular_sign"), graph=graph, **kw))
+        calls, st = self.counted_solve(monkeypatch, params, init, sched)
         assert calls["to_grid"] == st["rhs_evals"]
-        assert calls["from_grid"] <= 2 * st["rhs_evals"] + sched.n_saves
+        assert calls["from_grid"] == projections * st["rhs_evals"] + sched.n_saves
