@@ -19,6 +19,8 @@ import time
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, spectral
 from .config import ConfigError, build_problem, parse_config, serialize_config, with_overrides
 from .dynamics import METHODS, BlowUpError, StepFailure, solve
@@ -40,38 +42,13 @@ EXIT_INVARIANT = 3
 EXIT_BLOWUP = 4
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
-def _write_trajectory_csv(path, traj, basis):
-    m = basis.total_modes
-    cols = (["t"]
-            + [f"phi_{i}" for i in range(m)]
-            + [f"theta_{i}" for i in range(m)]
-            + ["eta_h", "eta_v", "phi_h", "phi_v"])
-    lines = [",".join(cols)]
-    eta = traj.eta
-    norms = zip(spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
-                spectral.h_norm(basis, traj.phi), spectral.v_norm(basis, traj.phi))
-    for t, phi, theta, row_norms in zip(traj.times, traj.phi, traj.theta, norms):
-        lines.append(",".join(_fmt(v) for v in (t, *phi, *theta, *row_norms)))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_plot_csv(path, report):
-    comps = report.components
-    cols = ["t", "e1", "bound", "eta_h2_half", "grad_eta_int", "dphi_int",
-            "phi_v2_scaled", "envelope", "zeta_norm", "dissipation"]
-    lines = [",".join(cols)]
-    for j, t in enumerate(report.times):
-        row = [t, report.e1[j], report.bound[j],
-               comps["eta_h2_half"][j], comps["grad_eta_int"][j],
-               comps["dphi_int"][j], comps["phi_v2_scaled"][j],
-               comps["envelope"][j], report.zeta_norms[j],
-               report.dissipation[j]]
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path, header, rows):
+    """Write the header and then one line per row.  A row holds Python
+    floats, written by str (which is repr for a float), and blank strings."""
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _json_dump(path, payload):
@@ -150,8 +127,22 @@ def _cmd_run(args):
         "energy": report.to_dict(),
         "invariant_failures": failures,
     }
-    _write_trajectory_csv(out / "trajectory.csv", traj, params.basis)
-    _write_plot_csv(out / "plot.csv", report)
+    basis, m = params.basis, params.basis.total_modes
+    eta = traj.eta
+    _write_csv(out / "trajectory.csv",
+               ["t", *(f"phi_{i}" for i in range(m)), *(f"theta_{i}" for i in range(m)),
+                "eta_h", "eta_v", "phi_h", "phi_v"],
+               (row.tolist() for row in np.column_stack((
+                   traj.times, traj.phi, traj.theta,
+                   spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
+                   spectral.h_norm(basis, traj.phi), spectral.v_norm(basis, traj.phi)))))
+    comps = ("eta_h2_half", "grad_eta_int", "dphi_int", "phi_v2_scaled", "envelope")
+    _write_csv(out / "plot.csv",
+               ["t", "e1", "bound", *comps, "zeta_norm", "dissipation"],
+               (row.tolist() for row in np.column_stack((
+                   report.times, report.e1, report.bound,
+                   *(report.components[c] for c in comps),
+                   report.zeta_norms, report.dissipation))))
     _json_dump(out / "report.json", payload)
     _json_dump(out / "timing.json", {
         "wall_clock_seconds": t3 - t0,
@@ -183,41 +174,38 @@ def _cmd_sweep(args):
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    params, initial, schedule = build_problem(cfg)
 
-    if args.axis == "n":
-        values = _parse_values(args.values, int)
-
-        def factory(n):
-            c = with_overrides(cfg, modes=n, quadrature=None)
-            p, i, _ = build_problem(c)
-            return p, i
-
-        _, _, schedule = build_problem(cfg)
-        ladder = partial(galerkin_convergence, factory, values, schedule)
-    elif args.axis == "eps":
+    if args.axis == "delta":
         values = _parse_values(args.values, float)
-
-        def factory(eps):
-            dt = min(cfg.dt, 0.25 * eps) if cfg.method == "imex" else cfg.dt
-            c = with_overrides(cfg, eps=eps, dt=dt)
-            p, i, _ = build_problem(c)
-            return p, i
-
-        _, _, schedule = build_problem(cfg)
-        ladder = partial(yosida_convergence, factory, values, schedule)
-    elif args.axis == "delta":
-        values = _parse_values(args.values, float)
-        params, initial, schedule = build_problem(cfg)
         data = ContractionData(initial=initial, eta_star=params.eta_star,
                                forcing=params.forcing)
         ladder = partial(contraction_sweep, params, data, values, schedule)
     else:
-        raise ConfigError(f"unknown sweep axis {args.axis!r}")
+        if args.axis == "n":
+            values = _parse_values(args.values, int)
+            convergence = galerkin_convergence
+
+            def overrides(n):
+                return {"modes": n, "quadrature": None}
+        else:
+            values = _parse_values(args.values, float)
+            convergence = yosida_convergence
+
+            def overrides(eps):
+                dt = min(cfg.dt, 0.25 * eps) if cfg.method == "imex" else cfg.dt
+                return {"eps": eps, "dt": dt}
+
+        def factory(v):
+            return build_problem(with_overrides(cfg, **overrides(v)))[:2]
+
+        ladder = partial(convergence, factory, values, schedule)
     try:
         rep = ladder()
     except ValueError as exc:
         # an inadmissible ladder, or a delta ladder without alpha = ell,
-        # refused before any solve; a failed solve is a LadderMemberError
+        # refused before any solve; a failed build or solve of a member is
+        # a LadderMemberError
         raise ConfigError(str(exc)) from exc
     payload = rep.to_dict()
 
@@ -228,12 +216,10 @@ def _cmd_sweep(args):
 
     keys = [k for k, v in payload.items()
             if isinstance(v, list) and len(v) in (len(values), len(values) - 1)]
-    lines = [",".join(keys)]
     depth = max(len(payload[k]) for k in keys) if keys else 0
-    for j in range(depth):
-        lines.append(",".join(
-            _fmt(payload[k][j]) if j < len(payload[k]) else "" for k in keys))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "sweep.csv", keys,
+               ([payload[k][j] if j < len(payload[k]) else "" for k in keys]
+                for j in range(depth)))
 
     print(f"sweep over {args.axis}: {values}")
     for key in ("consecutive_total", "overshoot", "c_observed", "slope"):
@@ -273,14 +259,11 @@ def _cmd_scenarios(args):
         for name in scenario_names():
             print(f"{name:18s} {SCENARIOS[name][0]}")
         return EXIT_OK
-    if args.action == "show":
-        if not args.name:
-            print("scenario name required", file=sys.stderr)
-            return EXIT_CONFIG
-        print(scenario_text(args.name), end="")
-        return EXIT_OK
-    print(f"unknown scenarios action {args.action!r}", file=sys.stderr)
-    return EXIT_CONFIG
+    if not args.name:
+        print("scenario name required", file=sys.stderr)
+        return EXIT_CONFIG
+    print(scenario_text(args.name), end="")
+    return EXIT_OK
 
 
 def _build_parser():

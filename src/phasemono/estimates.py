@@ -38,7 +38,7 @@ is reported by the energy monitor (``gron_C4``); the two are never compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -462,7 +462,7 @@ class ConvergenceReport:
     consecutive_total: np.ndarray
     to_reference_total: np.ndarray
     rate: float | None
-    extras: dict = field(default_factory=dict)
+    overshoot: np.ndarray | None
 
     @property
     def decreasing(self):
@@ -480,30 +480,36 @@ class ConvergenceReport:
             "rate": self.rate,
             "decreasing": self.decreasing,
         }
-        out.update({k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                    for k, v in self.extras.items()})
+        if self.overshoot is not None:
+            out["overshoot"] = self.overshoot.tolist()
         return out
 
 
-def _c0_h_diff(basis_small, basis_big, series_small, series_big):
-    d = spectral.embed_coeffs(basis_small, basis_big, series_small) - series_big
-    return float(np.max(np.sqrt(np.sum(d * d, axis=1))))
+def _solve_members(factory, values, schedule):
+    """Build and solve each ladder member in order, factory(v) -> (params,
+    initial); a failure to build or to solve names its member.  Returns the
+    members' params and trajectories."""
+    def member(v):
+        params, initial = factory(v)
+        return params, solve(params, initial, schedule)
+
+    params, trajs = zip(*_run_many(member, values))
+    return params, trajs
 
 
-def _ladder_report(axis, values, runs, trajs, extras=None):
-    cons_phi, cons_eta = [], []
-    for i in range(len(values) - 1):
-        b0, b1 = runs[i][0].basis, runs[i + 1][0].basis
-        cons_phi.append(_c0_h_diff(b0, b1, trajs[i].phi, trajs[i + 1].phi))
-        cons_eta.append(_c0_h_diff(b0, b1, trajs[i].eta, trajs[i + 1].eta))
-    ref_total = []
-    b_ref = runs[-1][0].basis
-    for i in range(len(values) - 1):
-        b0 = runs[i][0].basis
-        ref_total.append(_c0_h_diff(b0, b_ref, trajs[i].phi, trajs[-1].phi)
-                         + _c0_h_diff(b0, b_ref, trajs[i].eta, trajs[-1].eta))
-    cons_phi = np.array(cons_phi)
-    cons_eta = np.array(cons_eta)
+def _ladder_report(axis, values, bases, trajs, overshoot):
+    def diffs(i, j):
+        """C0([0,T];H) differences of phi and of eta between members i and
+        j, in the basis of member j."""
+        out = []
+        for name in ("phi", "eta"):
+            d = (spectral.embed_coeffs(bases[i], bases[j], getattr(trajs[i], name))
+                 - getattr(trajs[j], name))
+            out.append(float(np.max(np.sqrt(np.sum(d * d, axis=1)))))
+        return out
+
+    last = len(values) - 1
+    cons_phi, cons_eta = np.array([diffs(i, i + 1) for i in range(last)]).T
     total = cons_phi + cons_eta
     if len(total) > 1 and np.all(total > 0):
         rate = float(np.polyfit(np.log(np.asarray(values[:-1], float)),
@@ -513,8 +519,9 @@ def _ladder_report(axis, values, runs, trajs, extras=None):
     return ConvergenceReport(
         axis=axis, values=np.asarray(values, dtype=float),
         consecutive_phi=cons_phi, consecutive_eta=cons_eta,
-        consecutive_total=total, to_reference_total=np.array(ref_total),
-        rate=rate, extras=extras or {})
+        consecutive_total=total,
+        to_reference_total=np.array([sum(diffs(i, last)) for i in range(last)]),
+        rate=rate, overshoot=overshoot)
 
 
 def galerkin_convergence(factory, ns, schedule):
@@ -523,9 +530,8 @@ def galerkin_convergence(factory, ns, schedule):
     domain, the sample grid and all coefficients.  The ladder is refused as
     in :func:`_ladder_values`."""
     ns = sorted(_ladder_values(ns, int, "mode counts"))
-    runs = {n: factory(n) for n in ns}
-    trajs = _run_many(lambda n: solve(runs[n][0], runs[n][1], schedule), ns)
-    return _ladder_report("n", ns, [runs[n] for n in ns], trajs)
+    params, trajs = _solve_members(factory, ns, schedule)
+    return _ladder_report("n", ns, [p.basis for p in params], trajs, None)
 
 
 def constraint_overshoot(traj, basis):
@@ -540,12 +546,10 @@ def yosida_convergence(factory, eps_values, schedule):
     potential is the obstacle well, the constraint overshoot of the order
     parameter.  The ladder is refused as in :func:`_ladder_values`."""
     eps_values = _ladder_values(eps_values, float, "eps values")
-    runs = {e: factory(e) for e in eps_values}
-    trajs = _run_many(lambda e: solve(runs[e][0], runs[e][1], schedule), eps_values)
-    run_list = [runs[e] for e in eps_values]
-    extras = {}
-    if run_list[0][0].potential.variant == "obstacle":
-        extras["overshoot"] = np.array([
-            constraint_overshoot(tr, run_list[i][0].basis)
-            for i, tr in enumerate(trajs)])
-    return _ladder_report("eps", eps_values, run_list, trajs, extras)
+    params, trajs = _solve_members(factory, eps_values, schedule)
+    bases = [p.basis for p in params]
+    overshoot = None
+    if params[0].potential.variant == "obstacle":
+        overshoot = np.array([constraint_overshoot(tr, b)
+                              for tr, b in zip(trajs, bases)])
+    return _ladder_report("eps", eps_values, bases, trajs, overshoot)

@@ -160,7 +160,7 @@ class TestCriterion6YosidaConvergence:
 
         _, _, schedule = build_problem(cfg)
         rep = yosida_convergence(factory, [1e-1, 1e-2, 1e-3, 1e-4], schedule)
-        over = rep.extras["overshoot"]
+        over = rep.overshoot
         assert np.all(np.diff(over) < 0), over
         diffs = rep.consecutive_total
         assert np.all(diffs[1:] < diffs[:-1]), diffs

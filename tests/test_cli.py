@@ -340,6 +340,35 @@ class TestSweep:
         assert code == 4
         assert "ladder member" in capsys.readouterr().err
 
+    def test_member_build_failure_identified(self, tmp_path, capsys):
+        # regular_sign's phi0 is "cosine 0.5 2", which a 2-mode basis lacks;
+        # the base problem builds, and the member that does not is named
+        code = cli.main(["sweep", "--scenario", "regular_sign", "--axis", "n",
+                         "--values", "2 4", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ladder member 2" in err and "cosine mode 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.json").exists()
+
+    def test_traced_eps_sweep(self, tmp_path, monkeypatch):
+        # the benchmark's tracer patches module bindings, among them
+        # estimates.solve, which every ladder member must be solved through
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        bindings = [(owner, attr, vars(owner)[attr])
+                    for owner, attr, _ in tracer._targets()]
+        with tracing.installed(tracer):
+            assert cli.main(["sweep", "--scenario", "obstacle_sign", "--axis", "eps",
+                             "--values", "1e-1 1e-2", "--out", str(tmp_path / "o")]) == 0
+        assert tracer.stats["dynamics.solve"].calls == 2
+        assert tracer.counters["eps_ladder_steps"] > 0
+        assert all(vars(owner)[attr] is original for owner, attr, original in bindings)
+
     def test_delta_member_blow_up_exit_code(self, tmp_path, capsys):
         code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
                          "--values", "0.01 1e9", "--out", str(tmp_path / "o")])

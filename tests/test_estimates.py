@@ -323,7 +323,7 @@ class TestLadders:
 
         _, _, schedule = build_problem(cfg)
         rep = yosida_convergence(factory, [1e-1, 1e-2, 1e-3], schedule)
-        over = rep.extras["overshoot"]
+        over = rep.overshoot
         assert np.all(np.diff(over) < 0)
         assert rep.decreasing
 
