@@ -1,19 +1,22 @@
 """Command-line interface: scenario runs, parameter sweeps, graph self-tests.
 
-Exit codes: 0 success, 2 configuration error, 3 invariant or acceptance
-failure, 4 numerical failure (blow-up, step-control collapse, or a resolvent
-root-find that does not converge).
+Exit codes: 0 success, 2 configuration or output error (an --out that
+cannot be created or written), 3 invariant or acceptance failure, 4
+numerical failure (blow-up, step-control collapse, or a resolvent root-find
+that does not converge).
 
 All deterministic outputs (trajectory.csv, plot.csv, report.json, sweep.*)
 are byte-identical across repeated runs with the same config and seed; wall
 clock timings go to the separate timing.json, which is excluded from that
-guarantee.
+guarantee.  A large CSV table is formatted in two processes where fork and a
+second CPU exist (see _write_csv); its bytes do not change.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -42,13 +45,91 @@ EXIT_INVARIANT = 3
 EXIT_BLOWUP = 4
 
 
+# A table of at least this many cells (rows x columns) is formatted in two
+# processes where fork and a second CPU exist.  Formatting floats by repr is
+# the cost of a large write; below this size the fork is not worth it.
+_SPLIT_CELLS = 1 << 17
+
+
+def _csv_lines(rows):
+    """One line per row.  A table row is turned into Python floats first,
+    so every float is written by str, which is its repr; other rows hold
+    Python floats and blank strings.  Every line is ASCII."""
+    for row in rows:
+        cells = row.tolist() if isinstance(row, np.ndarray) else row
+        yield ",".join(map(str, cells)) + "\n"
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fork_formatter(rows):
+    """Fork a child that formats ``rows`` into its own memory, writes them
+    to a pipe and leaves by ``os._exit``.  Returns ``(pid, read end)``, or
+    None where fork is missing or fails.  The child runs only Python string
+    formatting and ``ndarray.tolist``, never BLAS or I/O of the parent's."""
+    if not hasattr(os, "fork"):
+        return None
+    # the child must not inherit unwritten output that it could write again
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write("".join(_csv_lines(rows)).encode("ascii"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
 def _write_csv(path, header, rows):
-    """Write the header and then one line per row.  A row holds Python
-    floats, written by str (which is repr for a float), and blank strings."""
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
+    """Write the header and then one line per row of ``rows`` (a table or a
+    list of rows); return how many processes formatted the rows, 1 or 2.
+
+    A table of at least ``_SPLIT_CELLS`` cells, where fork and a second CPU
+    exist, is split: a forked child formats the second half of the rows
+    while this process writes the first half row by row, then appends the
+    child's bytes from the pipe.  Both halves go through ``_csv_lines``, so
+    the file is byte for byte the one-process file.  The child is always
+    reaped and the pipe closed; a child that fails raises OSError."""
+    half = (len(rows) + 1) // 2
+    child = None
+    if len(rows) * len(header) >= _SPLIT_CELLS and _cpus() > 1:
+        child = _fork_formatter(rows[half:])
+    try:
+        with path.open("w") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(_csv_lines(rows if child is None else rows[:half]))
+            if child is not None:
+                fh.flush()
+                while chunk := os.read(child[1], 1 << 16):
+                    fh.buffer.write(chunk)
+    finally:
+        if child is not None:
+            os.close(child[1])
+            _, status = os.waitpid(child[0], 0)
+    if child is None:
+        return 1
+    if status != 0:
+        raise OSError(f"cannot write {path}: the process formatting its second "
+                      f"half exited with code {os.waitstatus_to_exitcode(status)}")
+    return 2
 
 
 def _json_dump(path, payload):
@@ -129,20 +210,20 @@ def _cmd_run(args):
     }
     basis, m = params.basis, params.basis.total_modes
     eta = traj.eta
-    _write_csv(out / "trajectory.csv",
-               ["t", *(f"phi_{i}" for i in range(m)), *(f"theta_{i}" for i in range(m)),
-                "eta_h", "eta_v", "phi_h", "phi_v"],
-               (row.tolist() for row in np.column_stack((
-                   traj.times, traj.phi, traj.theta,
-                   spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
-                   spectral.h_norm(basis, traj.phi), spectral.v_norm(basis, traj.phi)))))
+    parts = _write_csv(
+        out / "trajectory.csv",
+        ["t", *(f"phi_{i}" for i in range(m)), *(f"theta_{i}" for i in range(m)),
+         "eta_h", "eta_v", "phi_h", "phi_v"],
+        np.column_stack((traj.times, traj.phi, traj.theta,
+                         spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
+                         spectral.h_norm(basis, traj.phi), spectral.v_norm(basis, traj.phi))))
     comps = ("eta_h2_half", "grad_eta_int", "dphi_int", "phi_v2_scaled", "envelope")
-    _write_csv(out / "plot.csv",
-               ["t", "e1", "bound", *comps, "zeta_norm", "dissipation"],
-               (row.tolist() for row in np.column_stack((
-                   report.times, report.e1, report.bound,
-                   *(report.components[c] for c in comps),
-                   report.zeta_norms, report.dissipation))))
+    parts = max(parts, _write_csv(
+        out / "plot.csv",
+        ["t", "e1", "bound", *comps, "zeta_norm", "dissipation"],
+        np.column_stack((report.times, report.e1, report.bound,
+                         *(report.components[c] for c in comps),
+                         report.zeta_norms, report.dissipation))))
     _json_dump(out / "report.json", payload)
     _json_dump(out / "timing.json", {
         "wall_clock_seconds": t3 - t0,
@@ -150,6 +231,7 @@ def _cmd_run(args):
         "solve_s": t2 - t1,
         "monitor_s": t3 - t2,
         "write_s": time.perf_counter() - t3,
+        "write_parts": parts,
     })
 
     print(f"run: {traj.stats['steps']} steps, "
@@ -218,8 +300,8 @@ def _cmd_sweep(args):
             if isinstance(v, list) and len(v) in (len(values), len(values) - 1)]
     depth = max(len(payload[k]) for k in keys) if keys else 0
     _write_csv(out / "sweep.csv", keys,
-               ([payload[k][j] if j < len(payload[k]) else "" for k in keys]
-                for j in range(depth)))
+               [[payload[k][j] if j < len(payload[k]) else "" for k in keys]
+                for j in range(depth)])
 
     print(f"sweep over {args.axis}: {values}")
     for key in ("consecutive_total", "overshoot", "c_observed", "slope"):
@@ -324,6 +406,9 @@ def main(argv=None):
         return EXIT_BLOWUP
     except KeyError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

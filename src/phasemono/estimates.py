@@ -401,8 +401,9 @@ def contraction_sweep(params, data, deltas, schedule):
     as a single stacked solve, so the base is solved once.  A failure names
     the delta of the row it happened in; a failure of the base row, or one
     no row can be blamed for, names the first delta.  The ladder must hold
-    at least two distinct deltas, all positive, for the log-log slope; it is
-    refused with ValueError before any solve otherwise."""
+    at least two distinct deltas, all positive, none repeated, for the
+    log-log slope; it is refused with ValueError before any solve
+    otherwise."""
     if params.alpha != params.ell:
         raise ValueError("continuous-dependence check requires alpha = ell")
     deltas = _ladder_values(deltas, float, "deltas")
@@ -433,12 +434,12 @@ class LadderMemberError(RuntimeError):
 
 def _ladder_values(values, kind, plural):
     """A ladder's values in decreasing order.  Every ladder needs at least
-    two distinct values, all positive, and is refused with ValueError
-    before any member is built or solved otherwise."""
+    two distinct values, all positive, none repeated, and is refused with
+    ValueError before any member is built or solved otherwise."""
     values = sorted((kind(v) for v in values), reverse=True)
-    if not (values and values[-1] > 0 and len(set(values)) >= 2):
+    if not (len(values) >= 2 and values[-1] > 0 and len(set(values)) == len(values)):
         raise ValueError(f"a ladder needs at least two distinct {plural}, "
-                         f"all positive; got {values}")
+                         f"all positive, none repeated; got {values}")
     return values
 
 

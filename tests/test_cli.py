@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -249,8 +250,23 @@ class TestRun:
         assert cli.main(["run", "--scenario", "zero", "--out", str(out)]) == 0
         timing = json.loads((out / "timing.json").read_text())
         keys = ("wall_clock_seconds", "build_s", "solve_s", "monitor_s", "write_s")
-        assert set(timing) == set(keys)
+        assert set(timing) == {*keys, "write_parts"}
         assert all(timing[k] >= 0.0 for k in keys)
+        # the zero scenario's tables are far below the split threshold
+        assert timing["write_parts"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "zero"],
+        ["sweep", "--scenario", "tanh_front", "--axis", "n", "--values", "8 16"],
+        ["graph-selftest"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_exit_code(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "run_selftest", lambda: [])
+        code = cli.main([*argv, "--out", "/dev/null/x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "output error" in err and "/dev/null/x" in err
+        assert "Traceback" not in err
 
     def test_threads_option_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -280,6 +296,133 @@ class TestRun:
         assert "method = rk4" in report["config"]
 
 
+def csv_reference(header, table):
+    """The CSV text of a table, each float by repr, one row at a time."""
+    return "".join([",".join(header) + "\n"]
+                   + [",".join(map(repr, row)) + "\n" for row in table.tolist()])
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_formatter(monkeypatch, in_parent):
+    """Make cli._csv_lines raise in this process or only in a forked one."""
+    parent, real = os.getpid(), cli._csv_lines
+
+    def lines(rows):
+        if (os.getpid() == parent) == in_parent:
+            raise RuntimeError("formatter failed")
+        return real(rows)
+
+    monkeypatch.setattr(cli, "_csv_lines", lines)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The split needs fork and a second CPU; pretend the second CPU."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the split writer needs os.fork")
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd")
+class TestWriteCsv:
+    rng = np.random.default_rng(4)
+    # an odd row count, above the split threshold; magnitudes from 1e-30 to
+    # 1e30, signed zeros and extremes exercise repr's fixed and exponent forms
+    big = rng.standard_normal((131, 1001)) * 10.0 ** rng.integers(-30, 30, (131, 1001))
+    big[0, :6] = (0.0, -0.0, 1e16, 1e-5, 5e-324, -1.7976931348623157e308)
+    header = [f"c{i}" for i in range(big.shape[1])]
+
+    @pytest.fixture(scope="class")
+    def big_text(self):
+        return csv_reference(self.header, self.big)
+
+    def test_split_is_byte_identical(self, tmp_path, two_cpus, big_text):
+        assert self.big.size >= cli._SPLIT_CELLS and len(self.big) % 2 == 1
+        path = tmp_path / "t.csv"
+        assert cli._write_csv(path, self.header, self.big) == 2
+        assert path.read_text() == big_text
+        assert_no_child()
+
+    def test_split_of_short_rows_is_byte_identical(self, tmp_path, two_cpus, monkeypatch):
+        # short lines stay in the text layer's buffer until it is flushed,
+        # so the child's bytes must not overtake them
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+        path, table = tmp_path / "t.csv", self.big[:7, :3]
+        assert cli._write_csv(path, self.header[:3], table) == 2
+        assert path.read_text() == csv_reference(self.header[:3], table)
+
+    def test_fork_failure_writes_in_one_process(self, tmp_path, two_cpus, monkeypatch,
+                                                big_text):
+        def refuse():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        fds = open_fds()
+        path = tmp_path / "t.csv"
+        assert cli._write_csv(path, self.header, self.big[:5]) == 1
+        assert path.read_text() == csv_reference(self.header, self.big[:5])
+        assert cli._write_csv(path, self.header, self.big) == 1
+        assert path.read_text() == big_text
+        assert open_fds() == fds
+
+    def test_child_failure_exits_2_and_leaves_nothing(self, tmp_path, capsys, two_cpus,
+                                                      monkeypatch):
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+        failing_formatter(monkeypatch, in_parent=False)
+        fds = open_fds()
+        code = cli.main(["run", "--scenario", "zero", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "output error" in err and "trajectory.csv" in err
+        assert "Traceback" not in err
+        assert_no_child()
+        assert open_fds() == fds
+
+    def test_parent_failure_reaps_the_child(self, tmp_path, two_cpus, monkeypatch):
+        failing_formatter(monkeypatch, in_parent=True)
+        fds = open_fds()
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            cli._write_csv(tmp_path / "t.csv", self.header, self.big)
+        assert_no_child()
+        assert open_fds() == fds
+
+    def test_pending_output_printed_once(self, tmp_path, capfd, two_cpus):
+        # a child that flushed its copy of this process's buffers on the way
+        # out would print the line twice
+        print("before the write", end="")
+        assert cli._write_csv(tmp_path / "t.csv", self.header, self.big) == 2
+        assert capfd.readouterr().out == "before the write"
+
+    def test_2d_run_outputs_do_not_depend_on_the_split(self, tmp_path, monkeypatch):
+        # 101 saves of 1 + 2*32*32 + 4 columns: 207353 cells, over the threshold
+        cfg = with_overrides(
+            get_scenario("regular_sign"), dims=2, lengths=(1.0, 1.0), modes=32,
+            quadrature=None, phi0="cosine 0.5 1 1", eta0="random-smooth 0.3",
+            eta_star="zero", t_final=0.01, dt=1e-4, saves=101)
+        path = tmp_path / "2d.cfg"
+        path.write_text(serialize_config(cfg))
+        split = 2 if hasattr(os, "fork") and cli._cpus() > 1 else 1
+        outs = []
+        for sub, parts in (("a", split), ("b", split), ("no_fork", 1)):
+            if sub == "no_fork":
+                monkeypatch.delattr(os, "fork", raising=False)
+            out = tmp_path / sub
+            assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+            assert json.loads((out / "timing.json").read_text())["write_parts"] == parts
+            outs.append(out)
+        for fname in ("trajectory.csv", "plot.csv", "report.json"):
+            first = (outs[0] / fname).read_bytes()
+            assert all((out / fname).read_bytes() == first for out in outs[1:]), fname
+
+
 class TestSweep:
     def test_n_ladder(self, tmp_path):
         out = tmp_path / "s"
@@ -306,6 +449,8 @@ class TestSweep:
         ("n", "tanh_front", "8 x", "--values"),
         ("n", "tanh_front", "8", "two distinct mode counts, all positive"),
         ("n", "tanh_front", "8 8", "two distinct mode counts, all positive"),
+        ("n", "tanh_front", "8 8 16", "two distinct mode counts, all positive"),
+        ("eps", "obstacle_sign", "0.1 0.01 0.01", "two distinct eps values, all positive"),
         ("eps", "obstacle_sign", "0.1", "two distinct eps values, all positive"),
         ("eps", "obstacle_sign", "0.1 0", "two distinct eps values, all positive"),
     ])
@@ -377,7 +522,7 @@ class TestSweep:
         assert "ladder member" in err and "1000000000.0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("values", ["0.01 0", "0.01 -0.01", "0.01"])
+    @pytest.mark.parametrize("values", ["0.01 0", "0.01 -0.01", "0.01", "0.01 0.01 0.005"])
     def test_inadmissible_delta_ladder_exit_code(self, tmp_path, capsys, values):
         code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
                          "--values", values, "--out", str(tmp_path / "o")])

@@ -237,7 +237,8 @@ class TestContraction:
         contraction_sweep(params, data, [0.01, 0.005, 0.0025], schedule)
         assert shapes == [(4, params.basis.total_modes)]
 
-    @pytest.mark.parametrize("deltas", [[0.01, 0.0], [0.01, -0.01], [0.01], [0.01, 0.01]])
+    @pytest.mark.parametrize("deltas", [[0.01, 0.0], [0.01, -0.01], [0.01], [0.01, 0.01],
+                                        [0.01, 0.005, 0.01]])
     def test_inadmissible_ladder_refused_before_solving(self, monkeypatch, deltas):
         params, initial, schedule, _ = run_scenario("contraction_base")
         data = self.make_data(params, initial)
@@ -340,6 +341,7 @@ class TestLadders:
 
     @pytest.mark.parametrize("ladder, values", [
         (galerkin_convergence, [8]), (galerkin_convergence, [8, 8]),
+        (galerkin_convergence, [8, 8, 16]), (yosida_convergence, [0.1, 0.01, 0.1]),
         (galerkin_convergence, [0, 8]), (yosida_convergence, [0.1]),
         (yosida_convergence, [0.1, -0.1])])
     def test_inadmissible_ladder_refused_before_any_member(self, ladder, values):
