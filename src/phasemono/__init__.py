@@ -14,7 +14,6 @@ from .monotone import (  # noqa: F401
     Stefan,
     SubdiffBetaHat,
     WeightedPower,
-    YosidaGraph,
     ZeroGraph,
     resolvent_oracle,
 )

@@ -285,9 +285,9 @@ def _cmd_sweep(args):
     try:
         rep = ladder()
     except ValueError as exc:
-        # an inadmissible ladder, or a delta ladder without alpha = ell,
-        # refused before any solve; a failed build or solve of a member is
-        # a LadderMemberError
+        # an inadmissible ladder, or a delta ladder without alpha = ell or
+        # on a one-mode basis, refused before any solve; a failed build or
+        # solve of a member is a LadderMemberError
         raise ConfigError(str(exc)) from exc
     payload = rep.to_dict()
 

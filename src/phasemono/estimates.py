@@ -402,10 +402,14 @@ def contraction_sweep(params, data, deltas, schedule):
     the delta of the row it happened in; a failure of the base row, or one
     no row can be blamed for, names the first delta.  The ladder must hold
     at least two distinct deltas, all positive, none repeated, for the
-    log-log slope; it is refused with ValueError before any solve
+    log-log slope, and the basis at least two modes, since the perturbation
+    shifts mode 1; it is refused with ValueError before any solve
     otherwise."""
     if params.alpha != params.ell:
         raise ValueError("continuous-dependence check requires alpha = ell")
+    if params.basis.total_modes < 2:
+        raise ValueError("continuous-dependence check perturbs basis mode 1 "
+                         "and needs at least 2 modes")
     deltas = _ladder_values(deltas, float, "deltas")
     members = _run_many(
         lambda delta: perturb_initial(params, data, delta), deltas)

@@ -17,14 +17,21 @@ vectors, with ``eps`` a scalar or one value per row.  Every graph exposes
 
 together with a set-valued description ``value_interval`` from which the
 independent bisection oracle :func:`resolvent_oracle` solves the inclusion
-x in u + eps*A(u) without touching any closed form.
+x in u + eps*A(u) without touching any closed form.  The oracle is the one
+caller of the bisection :func:`solve_increasing`.
 
 Most resolvents are closed forms, the quartic well's among them (the real
 root of a depressed cubic).  The logarithmic well and the weighted power
 with q != 1/2 solve their scalar equation by a Newton iteration that climbs
-to the root from below without a bracket, and :class:`YosidaGraph` by the
-bisection :func:`solve_increasing`; each raises :class:`ResolventError` when
-it does not converge.
+to the root from below without a bracket; each root-find raises
+:class:`ResolventError` when it does not converge.
+
+The semigroup identity (A_eps)_delta = A_{eps+delta} needs no root-find to
+be checked: with u = x - delta*A_{eps+delta}(x), the map
+F = I + delta*A_eps is strongly monotone with modulus 1, so
+|u - F^{-1}(x)| <= |F(u) - x|, and |(A_eps)_delta(x) - A_{eps+delta}(x)|
+is at most |u + delta*A_eps(u) - x|/delta.  The self-test bounds that
+residual by 1e-9.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ __all__ = [
     "Stefan",
     "WeightedPower",
     "SubdiffBetaHat",
-    "YosidaGraph",
     "ResolventError",
     "DomainError",
     "solve_increasing",
@@ -77,13 +83,14 @@ def _restore(x, out):
 
 
 def solve_increasing(fun, target, lo, hi, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):
-    """Solve fun(u) = target by bisection, for an increasing map with slope >= 1.
+    """Solve fun(u) = target by bisection, for an increasing map whose
+    difference quotients are at least 1.
 
-    The maps solved here all have the form u + eps*A(u) with A monotone, so
-    the residual |fun(u) - target| bounds the error |u - u*| directly and is
-    the convergence criterion: it stops at tol, or at a few float spacings of
-    |target| where those exceed tol.  Where rounding keeps the residual above
-    that, the bracket closing to a few float spacings of u stops instead.
+    The map solved here is the clipped inclusion of :func:`resolvent_oracle`,
+    so the residual |fun(u) - target| bounds the error |u - u*| directly and
+    is the convergence criterion: it stops at tol, or at a few float spacings
+    of |target| where those exceed tol.  Where rounding keeps the residual
+    above that, the bracket closing to a few float spacings of u stops instead.
     """
     t = np.asarray(target, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).astype(float).copy()
@@ -133,6 +140,7 @@ class MonotoneGraph:
         raise NotImplementedError
 
     def resolvent(self, eps, x):
+        _check_eps(eps)
         return _restore(x, self._resolvent(eps, np.asarray(x, dtype=float)))
 
     def yosida(self, eps, x):
@@ -432,9 +440,7 @@ class NonlocalSign(MonotoneGraph):
         """Parseval norm of each row, keeping the reduced axis."""
         return np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
 
-    def resolvent(self, eps, v):
-        _check_eps(eps)
-        v = np.asarray(v, dtype=float)
+    def _resolvent(self, eps, v):
         s = self._norm(v)
         return v * (np.maximum(s - eps, 0.0) / np.where(s == 0.0, 1.0, s))
 
@@ -447,79 +453,43 @@ class NonlocalSign(MonotoneGraph):
         return v / np.where(s == 0.0, 1.0, s)
 
 
-class YosidaGraph(MonotoneGraph):
-    """The Yosida regularization A_eps viewed as a graph of its own, used to
-    verify the semigroup identity (A_eps)_delta = A_{eps+delta}.  ``eps``
-    may be an array, as for the base graph's own maps."""
-
-    def __init__(self, base, eps):
-        _check_eps(eps)
-        self.base = base
-        self.eps = np.asarray(eps, dtype=float) if np.ndim(eps) else float(eps)
-        self.is_nonlocal = base.is_nonlocal
-        self.growth_constant = base.growth_constant
-
-    def value_interval(self, u):
-        v = np.asarray(self.base.yosida(self.eps, u), dtype=float)
-        return v, v
-
-    def _resolvent(self, delta, x):
-        if self.is_nonlocal:
-            # along the ray of each row, as the base graph acts
-            s = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-            t = YosidaGraph(self.base.radial, self.eps).resolvent(delta, s)
-            return x * (t / np.where(s == 0.0, 1.0, s))
-        return solve_increasing(
-            lambda u: u + delta * np.asarray(self.base.yosida(self.eps, u)),
-            x, np.minimum(x, 0.0), np.maximum(x, 0.0), tol=1e-13)
-
-
-def resolvent_oracle(graph, eps, x, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):
-    """Solve x in u + eps*A(u) by interval bisection on the raw graph data.
+def resolvent_oracle(graph, eps, x):
+    """Solve x in u + eps*A(u) by bisection on the raw graph data.
 
     Independent of every closed-form or Newton resolvent: only
-    ``value_interval`` is consulted.  A midpoint u is moved right while
-    u + eps*sup A(u) < x, left while u + eps*inf A(u) > x, and accepted as
-    soon as the inclusion holds.  Nonlocal graphs are reduced to their radial
-    scalar profile along each row's direction, so a stack of vectors of shape
-    (B, m) takes one call, with ``eps`` a scalar or of shape (B, 1).
+    ``value_interval`` is consulted.  :func:`solve_increasing` drives the
+    residual clip(x, u + eps*inf A(u), u + eps*sup A(u)) - x to zero.  It is
+    exactly 0 where the inclusion holds, and by monotonicity of A it has the
+    sign of u - J_eps(x) and at least its size elsewhere.  The bracket is
+    |u| <= |x| + 1 within the domain, closed 1 ulp inside an excluded end;
+    an x beyond the image of a finite end saturates there.  Nonlocal graphs
+    are reduced to their radial scalar profile along each row's direction,
+    so a stack of vectors of shape (B, m) takes one call, with ``eps`` a
+    scalar or of shape (B, 1).
     """
     _check_eps(eps)
     if graph.is_nonlocal:
         v = np.asarray(x, dtype=float)
         s = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-        t = resolvent_oracle(graph.radial, eps, s, tol=tol, max_iter=max_iter)
+        t = resolvent_oracle(graph.radial, eps, s)
         return v * (t / np.where(s == 0.0, 1.0, s))
 
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.asarray(x, dtype=float)
     dlo, dhi = graph.domain
     if graph.open_domain[0] and math.isfinite(dlo):
         dlo = np.nextafter(dlo, dhi)
     if graph.open_domain[1] and math.isfinite(dhi):
         dhi = np.nextafter(dhi, dlo)
-    lo = np.maximum(np.full_like(arr, dlo), -(np.abs(arr) + 1.0))
-    hi = np.minimum(np.full_like(arr, dhi), np.abs(arr) + 1.0)
-    lo = np.minimum(lo, hi)
+    hi = np.minimum(dhi, np.abs(arr) + 1.0)
+    lo = np.minimum(np.maximum(dlo, -(np.abs(arr) + 1.0)), hi)
 
-    # saturation at finite domain endpoints whose image stays bounded
-    lo_lo, _ = graph.value_interval(np.full_like(arr, dlo) if math.isfinite(dlo) else lo)
-    _, hi_hi = graph.value_interval(np.full_like(arr, dhi) if math.isfinite(dhi) else hi)
-    sat_lo = math.isfinite(dlo) & (arr <= dlo + eps * lo_lo)
-    sat_hi = math.isfinite(dhi) & (arr >= dhi + eps * hi_hi)
+    def clipped(u):
+        vlo, vhi = graph.value_interval(u)
+        return np.minimum(np.maximum(arr, u + eps * vlo), u + eps * vhi)
 
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        vlo, vhi = graph.value_interval(mid)
-        right = mid + eps * np.asarray(vhi) < arr
-        left = mid + eps * np.asarray(vlo) > arr
-        found = ~right & ~left
-        lo = np.where(right | found, mid, lo)
-        hi = np.where(left | found, mid, hi)
-        if np.all(hi - lo <= tol):
-            break
-    out = 0.5 * (lo + hi)
+    out = solve_increasing(clipped, arr, lo, hi)
     if math.isfinite(dlo):
-        out = np.where(sat_lo, dlo, out)
+        out = np.where(arr <= dlo + eps * graph.value_interval(dlo)[0], dlo, out)
     if math.isfinite(dhi):
-        out = np.where(sat_hi, dhi, out)
-    return _restore(x, out.reshape(np.shape(x)))
+        out = np.where(arr >= dhi + eps * graph.value_interval(dhi)[1], dhi, out)
+    return _restore(x, out)

@@ -532,6 +532,19 @@ class TestSweep:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "sweep.json").exists()
 
+    def test_one_mode_delta_sweep_exit_code(self, tmp_path, capsys):
+        cfg = with_overrides(get_scenario("contraction_base"), modes=1, quadrature=None,
+                             eta0="constant 0.1", phi0="constant 0.3", eta_star="zero")
+        path = tmp_path / "one_mode.cfg"
+        path.write_text(serialize_config(cfg))
+        code = cli.main(["sweep", "--config", str(path), "--axis", "delta",
+                         "--values", "0.01 0.005", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "at least 2 modes" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.json").exists()
+
     def test_delta_sweep(self, tmp_path):
         out = tmp_path / "d"
         code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",

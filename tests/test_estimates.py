@@ -161,6 +161,21 @@ class TestContraction:
         with pytest.raises(ValueError, match="alpha = ell"):
             contraction_sweep(params, data, [0.01, 0.005], schedule)
 
+    def test_requires_two_modes(self, monkeypatch):
+        # the perturbation shifts basis mode 1, which a one-mode basis lacks
+        cfg = with_overrides(get_scenario("contraction_base"), modes=1, quadrature=None,
+                             eta0="constant 0.1", phi0="constant 0.3", eta_star="zero")
+        params, initial, schedule = build_problem(cfg)
+        data = self.make_data(params, initial)
+
+        def forbidden(*args):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(estimates, "solve", forbidden)
+        monkeypatch.setattr(estimates, "perturb_initial", forbidden)
+        with pytest.raises(ValueError, match="at least 2 modes"):
+            contraction_sweep(params, data, [0.01, 0.005], schedule)
+
     def test_identical_data_zero_differences(self):
         # a member with the base's data follows the base row exactly, and
         # without a data difference there is no observed constant

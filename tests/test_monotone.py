@@ -15,7 +15,6 @@ from phasemono.monotone import (
     Stefan,
     SubdiffBetaHat,
     WeightedPower,
-    YosidaGraph,
     ZeroGraph,
     resolvent_oracle,
     solve_increasing,
@@ -122,20 +121,19 @@ class TestNonlocalSign:
     def test_stack_maps_row_by_row(self):
         # a (B, m) stack with per-row eps of shape (B, 1) equals per-row
         # calls; the zero row and the rows inside and outside the dead ball
-        # take their own branch.  The Yosida graph's bisection stops on a
-        # 1e-13 residual, entry by entry in a batch, hence the 1e-12 there.
+        # take their own branch.  The oracle's bisection stops on a 1e-12
+        # residual, entry by entry in a batch, hence the 1e-12 there.
         g = NonlocalSign()
         rng = np.random.default_rng(5)
         scale = np.array([[0.0], [0.05], [0.2], [1.0], [3.0], [9.0]])
         vs = rng.standard_normal((6, 4)) * scale
         eps = np.array([[0.3], [0.1], [0.5], [0.3], [1.0], [0.2]])
-        inner = YosidaGraph(g, eps)
         for r, (v, e) in enumerate(zip(vs, eps[:, 0])):
             assert np.array_equal(g.resolvent(eps, vs)[r], g.resolvent(e, v))
             assert np.array_equal(g.yosida(eps, vs)[r], g.yosida(e, v))
             assert np.array_equal(g.minimal_section(vs)[r], g.minimal_section(v))
-            assert np.allclose(inner.yosida(0.3, vs)[r],
-                               YosidaGraph(g, e).yosida(0.3, v), rtol=0, atol=1e-12)
+            assert np.allclose(resolvent_oracle(g, eps, vs)[r],
+                               resolvent_oracle(g, e, v), rtol=0, atol=1e-12)
 
 
 class TestMinimalSection:
@@ -192,12 +190,12 @@ class TestRegularityProperties:
         assert not bad, bad
 
     def test_semigroup_identity_spec_points(self):
+        # (A_0.25)_0.15 = A_0.4: u = x - 0.15*A_0.4(x) solves
+        # u + 0.15*A_0.25(u) = x, the residual form of the selftest row
         for g in (ScalarSign(), Stefan(1.3, 0.7), SubdiffBetaHat("regular")):
-            inner = YosidaGraph(g, 0.25)
             for x in (-2.0, -0.3, 0.0, 0.7, 3.0):
-                lhs = inner.yosida(0.15, x)
-                rhs = g.yosida(0.4, x)
-                assert abs(lhs - rhs) <= 1e-9
+                u = x - 0.15 * g.yosida(0.4, x)
+                assert abs(u + 0.15 * g.yosida(0.25, u) - x) <= 0.15 * 1e-9
 
     def test_stefan_growth_constant(self):
         # |v| <= max(alpha1, alpha2) (1 + |r|) on a dense grid
@@ -235,6 +233,21 @@ class TestRegularityProperties:
         rows = graph_checks("stack_norm", WholeStackNorm(), np.random.default_rng(1))
         failed = {r.prop for r in rows if not r.passed}
         assert "resolvent_vs_oracle" in failed
+
+    def test_negative_control_detects_broken_semigroup(self):
+        class SlowSign(ScalarSign):
+            # the Yosida map of level 1.1*eps: (A_e)_d = A_{1.1e+d} differs
+            # from A_{e+d} = A_{1.1(e+d)}
+            def _yosida(self, eps, x):
+                return np.clip(x / (1.1 * eps), -1.0, 1.0)
+
+        def semigroup(graph):
+            rows = graph_checks("sign", graph, np.random.default_rng(1))
+            (row,) = [r for r in rows if r.prop == "semigroup_identity"]
+            return row.passed
+
+        assert semigroup(ScalarSign())
+        assert not semigroup(SlowSign())
 
 
 class TestSolver:
@@ -343,15 +356,16 @@ class TestLogarithmicNewton:
 class TestScaleAwareStopping:
     def test_yosida_of_stefan_at_large_x(self):
         # the bracket closes to a few ulp of 848, above an absolute 1e-13
-        g = YosidaGraph(Stefan(1.3, 0.7), 0.2)
-        u = g.resolvent(1.0, 1370.0)
-        assert abs(u + g.base.yosida(0.2, u) - 1370.0) <= 1e-12 * 1370.0
+        g = Stefan(1.3, 0.7)
+        u = solve_increasing(lambda u: u + g.yosida(0.2, u), 1370.0, 0.0, 1370.0, tol=1e-13)
+        assert abs(u + g.yosida(0.2, u) - 1370.0) <= 1e-12 * 1370.0
 
     def test_yosida_of_quartic_at_large_x(self):
-        g = YosidaGraph(SubdiffBetaHat("regular"), 0.2)
+        g = SubdiffBetaHat("regular")
         x = np.array([1e7, -3e9, 1e12])
-        u = np.asarray(g.resolvent(1.0, x))
-        resid = u + np.asarray(g.base.yosida(0.2, u)) - x
+        u = solve_increasing(lambda u: u + g.yosida(0.2, u), x,
+                             np.minimum(x, 0.0), np.maximum(x, 0.0), tol=1e-13)
+        resid = u + np.asarray(g.yosida(0.2, u)) - x
         assert np.all(np.abs(resid) <= 1e-12 * np.abs(x))
 
     def test_large_root_of_generic_map(self):
@@ -509,6 +523,17 @@ class TestArrayEps:
         else:
             assert np.array_equal(j, j_loop)
             assert np.array_equal(a, a_loop)
+
+    @pytest.mark.parametrize("name", sorted(builtin_graphs()))
+    def test_resolvent_rejects_nonpositive_eps(self, name):
+        g = builtin_graphs()[name]
+        if g.is_nonlocal:
+            x, bad_entry = np.ones((2, 3)), np.array([[0.1], [0.0]])
+        else:
+            x, bad_entry = np.array([1.0, 2.0]), np.array([0.1, 0.0])
+        for eps in (0.0, -1.0, np.nan, bad_entry):
+            with pytest.raises(ValueError):
+                g.resolvent(eps, x)
 
     def test_nonpositive_entry_rejected(self):
         with pytest.raises(ValueError):
