@@ -8,8 +8,11 @@ that does not converge).
 All deterministic outputs (trajectory.csv, plot.csv, report.json, sweep.*)
 are byte-identical across repeated runs with the same config and seed; wall
 clock timings go to the separate timing.json, which is excluded from that
-guarantee.  A large CSV table is formatted in two processes where fork and a
-second CPU exist (see _write_csv); its bytes do not change.
+guarantee.  Where fork and a second CPU exist, a large CSV table is formatted
+in forked children as well as in this process (see _TableWriter), and its
+bytes do not change.  A large trajectory.csv is handed to them as the solve
+saves its rows, so its formatting runs beside the solve; the file itself is
+written only after the solve has succeeded.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import select
+import signal
 import sys
 import time
 from functools import partial
@@ -45,9 +50,9 @@ EXIT_INVARIANT = 3
 EXIT_BLOWUP = 4
 
 
-# A table of at least this many cells (rows x columns) is formatted in two
-# processes where fork and a second CPU exist.  Formatting floats by repr is
-# the cost of a large write; below this size the fork is not worth it.
+# A table of at least this many cells (rows x columns) is formatted in forked
+# processes too, where fork and a second CPU exist.  Formatting floats by repr
+# is the cost of a large write; below this size a fork is not worth it.
 _SPLIT_CELLS = 1 << 17
 
 
@@ -68,68 +73,150 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _fork_formatter(rows):
-    """Fork a child that formats ``rows`` into its own memory, writes them
-    to a pipe and leaves by ``os._exit``.  Returns ``(pid, read end)``, or
-    None where fork is missing or fails.  The child runs only Python string
-    formatting and ``ndarray.tolist``, never BLAS or I/O of the parent's."""
-    if not hasattr(os, "fork"):
-        return None
-    # the child must not inherit unwritten output that it could write again
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
+class _TableWriter:
+    """Formats the rows of one CSV table, in forked children as well as in
+    this process when the table is large, and writes the file.
+
+    ``rows(*source, lo, hi)`` builds rows ``lo`` to ``hi - 1`` (a table or a
+    list of rows) from the arrays in ``source``.  Every row goes through
+    ``_csv_lines`` in some process, and the chunks are written in row order,
+    so the file is byte for byte the one that one process writes.
+
+    ``forks`` holds where the table has at least ``_SPLIT_CELLS`` cells and
+    fork and a second CPU exist.  Then:
+
+    - ``ready(n, *source)`` says that rows below ``n`` can be built.  If no
+      child is busy, it forks one for every ready row not yet handed out.
+      The child builds them from its copy-on-write view of ``source``,
+      formats them into its own memory, writes them to its pipe and leaves
+      by ``os._exit``.  It is busy until its pipe turns readable.
+    - ``write(path, *source)``, once every row is ready, shares the rows not
+      yet handed out: this process formats them from the back, and whenever
+      no child is busy it forks one for the front half of what is left.
+
+    So at most one child is busy at a time, beside this process.  A child
+    runs only elementwise numpy work and string formatting, never BLAS or
+    I/O of this process's.  A fork that fails leaves the rest to this
+    process; a child that fails raises OSError naming the file.  ``close``,
+    also run on leaving a ``with`` block, kills and reaps every child not
+    yet reaped and closes its pipe.
+    """
+
+    def __init__(self, header, n_rows, rows):
+        self.header, self.n_rows, self._rows = header, n_rows, rows
+        self.forks = (n_rows * len(header) >= _SPLIT_CELLS and hasattr(os, "fork")
+                      and _cpus() > 1)
+        self._children = []     # (pid, read end) of each child not yet reaped, in row order
+        self._forked = 0
+        self._handed = 0        # rows below this are handed to children
+        self._busy = None       # a poll on the pipe of a child that may be formatting
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _idle(self):
+        if self._busy is not None and self._busy.poll(0):
+            self._busy = None
+        return self._busy is None
+
+    def _fork(self, source, hi):
+        """Hand the rows from the first not handed out to ``hi`` to a new
+        child; return False, and stop forking, if fork fails."""
+        lo = self._handed
+        # the child must not inherit unwritten output that it could write again
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
         try:
+            pid = os.fork()
+        except OSError:
             os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write("".join(_csv_lines(rows)).encode("ascii"))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
+            os.close(write_fd)
+            self.forks = False
+            return False
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as pipe:
+                    pipe.write("".join(_csv_lines(self._rows(*source, lo, hi))).encode("ascii"))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._children.append((pid, read_fd))
+        self._forked += 1
+        self._handed = hi
+        self._busy = select.poll()
+        self._busy.register(read_fd, select.POLLIN)
+        return True
+
+    def ready(self, n, *source):
+        """Rows below ``n`` can be built from ``source``: unless a child is
+        busy, fork one for those not yet handed out."""
+        if self.forks and n > self._handed and self._idle():
+            self._fork(source, n)
+
+    def write(self, path, *source):
+        """Format every row not yet handed out and write the header and all
+        rows to ``path``; return how many processes formatted rows: this one
+        and each forked child."""
+        lo, hi = self._handed, self.n_rows
+        tail = []               # lines of the rows from hi on, last row first
+        while self.forks and lo < hi:
+            if hi - lo > 1 and self._idle() and self._fork(source, lo + (hi - lo) // 2):
+                lo = self._handed
+                continue
+            hi -= 1
+            tail.extend(_csv_lines(self._rows(*source, hi, hi + 1)))
+        with path.open("w") as fh:
+            fh.write(",".join(self.header) + "\n")
+            while self._children:
+                fh.flush()
+                fd = self._children[0][1]
+                while chunk := os.read(fd, 1 << 16):
+                    fh.buffer.write(chunk)
+                status = self._reap()
+                if status != 0:
+                    raise OSError(f"cannot write {path}: a process formatting its rows "
+                                  f"exited with code {os.waitstatus_to_exitcode(status)}")
+            fh.writelines(_csv_lines(self._rows(*source, lo, hi)))
+            fh.writelines(reversed(tail))
+        return 1 + self._forked
+
+    def _reap(self, kill=False):
+        """Close the pipe of the first child not yet reaped and reap it;
+        return its wait status."""
+        pid, fd = self._children.pop(0)
+        os.close(fd)
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        return os.waitpid(pid, 0)[1]
+
+    def close(self):
+        while self._children:
+            self._reap(kill=True)
 
 
 def _write_csv(path, header, rows):
-    """Write the header and then one line per row of ``rows`` (a table or a
-    list of rows); return how many processes formatted the rows, 1 or 2.
+    """Write ``rows`` (a table or a list of rows) under ``header``; return
+    how many processes formatted them (see ``_TableWriter``)."""
+    with _TableWriter(header, len(rows), lambda table, lo, hi: table[lo:hi]) as writer:
+        return writer.write(path, rows)
 
-    A table of at least ``_SPLIT_CELLS`` cells, where fork and a second CPU
-    exist, is split: a forked child formats the second half of the rows
-    while this process writes the first half row by row, then appends the
-    child's bytes from the pipe.  Both halves go through ``_csv_lines``, so
-    the file is byte for byte the one-process file.  The child is always
-    reaped and the pipe closed; a child that fails raises OSError."""
-    half = (len(rows) + 1) // 2
-    child = None
-    if len(rows) * len(header) >= _SPLIT_CELLS and _cpus() > 1:
-        child = _fork_formatter(rows[half:])
-    try:
-        with path.open("w") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(_csv_lines(rows if child is None else rows[:half]))
-            if child is not None:
-                fh.flush()
-                while chunk := os.read(child[1], 1 << 16):
-                    fh.buffer.write(chunk)
-    finally:
-        if child is not None:
-            os.close(child[1])
-            _, status = os.waitpid(child[0], 0)
-    if child is None:
-        return 1
-    if status != 0:
-        raise OSError(f"cannot write {path}: the process formatting its second "
-                      f"half exited with code {os.waitstatus_to_exitcode(status)}")
-    return 2
+
+def _trajectory_rows(basis, dm, times, phi, theta, lo, hi):
+    """Rows ``lo`` to ``hi - 1`` of trajectory.csv: the time, the phi and
+    theta coefficients, and the H and V norms of eta = theta - dm phi and of
+    phi."""
+    phi, theta = phi[lo:hi], theta[lo:hi]
+    eta = theta - dm * phi
+    return np.column_stack((times[lo:hi], phi, theta,
+                            spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
+                            spectral.h_norm(basis, phi), spectral.v_norm(basis, phi)))
 
 
 def _json_dump(path, payload):
@@ -139,7 +226,9 @@ def _json_dump(path, payload):
 def _invariant_failures(report):
     failures = []
     if not report.gronwall_ok:
-        failures.append("energy exceeded the Gronwall bound")
+        failures.append(
+            f"energy exceeded the Gronwall bound (log-margin "
+            f"{report.gronwall_margin_min:.3e} at t = {report.gronwall_margin_t:.6g})")
     if not report.selection_ok:
         failures.append(
             f"selection norm violated the linear-growth bound "
@@ -182,10 +271,22 @@ def _cmd_run(args):
     t0 = time.perf_counter()
     params, initial, schedule = build_problem(cfg)
     t1 = time.perf_counter()
-    traj = solve(params, initial, schedule)
-    t2 = time.perf_counter()
-    report = energy_monitor(traj, params)
-    t3 = time.perf_counter()
+    basis, m = params.basis, params.basis.total_modes
+    with _TableWriter(
+            ["t", *(f"phi_{i}" for i in range(m)), *(f"theta_{i}" for i in range(m)),
+             "eta_h", "eta_v", "phi_h", "phi_v"],
+            schedule.n_saves,
+            partial(_trajectory_rows, basis, params.ell - params.alpha)) as table:
+
+        def on_save(j, times, states):
+            table.ready(j + 1, times, states[:, 0], states[:, 1])
+
+        # a large table is formatted while the solve runs
+        traj = solve(params, initial, schedule, on_save=on_save if table.forks else None)
+        t2 = time.perf_counter()
+        report = energy_monitor(traj, params)
+        t3 = time.perf_counter()
+        parts = table.write(out / "trajectory.csv", traj.times, traj.phi, traj.theta)
 
     failures = _invariant_failures(report)
     eta_T = traj.eta[-1]
@@ -208,15 +309,6 @@ def _cmd_run(args):
         "energy": report.to_dict(),
         "invariant_failures": failures,
     }
-    basis, m = params.basis, params.basis.total_modes
-    eta = traj.eta
-    parts = _write_csv(
-        out / "trajectory.csv",
-        ["t", *(f"phi_{i}" for i in range(m)), *(f"theta_{i}" for i in range(m)),
-         "eta_h", "eta_v", "phi_h", "phi_v"],
-        np.column_stack((traj.times, traj.phi, traj.theta,
-                         spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
-                         spectral.h_norm(basis, traj.phi), spectral.v_norm(basis, traj.phi))))
     comps = ("eta_h2_half", "grad_eta_int", "dphi_int", "phi_v2_scaled", "envelope")
     parts = max(parts, _write_csv(
         out / "plot.csv",
@@ -404,9 +496,6 @@ def main(argv=None):
         if isinstance(exc.cause, ConfigError):
             return EXIT_CONFIG
         return EXIT_BLOWUP
-    except KeyError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

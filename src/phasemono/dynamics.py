@@ -459,7 +459,7 @@ def _check_state(t, y, ceiling):
     raise BlowUpError(t, float(np.max(row)), "phi" if not row[0] <= ceiling else "theta", member)
 
 
-def solve(params, initial, schedule):
+def solve(params, initial, schedule, on_save=None):
     """Integrate the Galerkin system on [0, T] and sample the trajectory.
 
     ``initial.phi0.coeffs`` and ``initial.eta0.coeffs`` are either vectors of
@@ -477,6 +477,12 @@ def solve(params, initial, schedule):
     ``stats`` counts steps, rejected steps and evaluations (``rhs_evals``,
     ``rhs_evals_saves`` of them at the saves), and holds the smallest and
     largest accepted step (for imex and rk4, the substep).
+
+    ``on_save``, if given, is called as ``on_save(j, times, states)`` each
+    time save ``j`` has been stored: ``times`` holds every save time and
+    ``states``, of shape (n_saves, ..., 2, m), the phi and theta rows of the
+    saves stored so far.  Rows after ``j`` are not yet written; the
+    callback must not write to either array.
     """
     ctx = _Rhs(params)
     ts = np.linspace(0.0, params.t_final, schedule.n_saves)
@@ -494,6 +500,8 @@ def solve(params, initial, schedule):
         ex, Z[j], XI[j] = ctx.explicit_parts(t, y, record=True)
         Y[j] = y
         DY[j] = dy = ctx.neg_diff * y + ex
+        if on_save is not None:
+            on_save(j, ts, Y)
         return ex if imex else dy
 
     first = record(0, 0.0, y)

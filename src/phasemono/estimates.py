@@ -144,6 +144,8 @@ class EnergyReport:
     q_eps: float
     constants: dict
     gronwall_ok: bool
+    gronwall_margin_min: float
+    gronwall_margin_t: float
     quadrature_warning: bool
 
     def to_dict(self):
@@ -151,6 +153,8 @@ class EnergyReport:
             "e1_max": float(np.max(self.e1)),
             "bound_min": float(np.min(self.bound)),
             "gronwall_ok": bool(self.gronwall_ok),
+            "gronwall_margin_min": self.gronwall_margin_min,
+            "gronwall_margin_t": self.gronwall_margin_t,
             "laplacian_phi_l2": self.laplacian_phi_l2,
             "dt_eta_l2": self.dt_eta_l2,
             "grad_eta_final": self.grad_eta_final,
@@ -192,8 +196,11 @@ def energy_monitor(traj, params):
     with np.errstate(over="ignore"):
         bound = 2.0 * d * np.exp(np.minimum(c5 * ts, 700.0))
     log_bound = math.log(max(2.0 * d, 1e-300)) + c5 * ts
-    with np.errstate(divide="ignore"):
-        gronwall_ok = bool(np.all(np.log(np.maximum(e1, 1e-300)) <= log_bound + 1e-9))
+    # the log-margin of the certificate at each save; a NaN energy is the
+    # smallest margin and fails the certificate
+    margins = log_bound - np.log(np.maximum(e1, 1e-300))
+    worst = int(np.argmin(margins))
+    gronwall_ok = bool(margins[worst] >= -1e-9)
 
     # companion estimate quantities
     lap_phi2 = np.sum(lam * lam * traj.phi * traj.phi, axis=1)
@@ -249,6 +256,8 @@ def energy_monitor(traj, params):
         q_eps=initial.q_eps,
         constants=constants,
         gronwall_ok=gronwall_ok,
+        gronwall_margin_min=float(margins[worst]),
+        gronwall_margin_t=float(ts[worst]),
         quadrature_warning=len(ts) < MIN_SAMPLES_FOR_QUADRATURE,
     )
 

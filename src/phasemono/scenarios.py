@@ -9,7 +9,7 @@ ladders, and a contraction-ready case with matching coupling coefficients.
 
 from __future__ import annotations
 
-from .config import parse_config
+from .config import ConfigError, parse_config
 
 __all__ = ["SCENARIOS", "scenario_names", "get_scenario", "scenario_text"]
 
@@ -360,7 +360,8 @@ def scenario_text(name):
     try:
         return SCENARIOS[name][1].lstrip("\n")
     except KeyError:
-        raise KeyError(f"unknown scenario {name!r}; available: {', '.join(scenario_names())}")
+        raise ConfigError(
+            f"unknown scenario {name!r}; available: {', '.join(scenario_names())}") from None
 
 
 def get_scenario(name):

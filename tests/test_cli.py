@@ -5,12 +5,13 @@ import importlib.util
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasemono import cli, config
+from phasemono import cli, config, spectral
 from phasemono.config import (
     ConfigError,
     ScenarioConfig,
@@ -331,8 +332,35 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
 
 
+def config_2d(tmp_path, **overrides):
+    """A 32-mode 2D run: 101 saves of 1 + 2*32*32 + 4 columns, 207353 cells,
+    over the split threshold."""
+    cfg = with_overrides(get_scenario("regular_sign"), **{
+        "dims": 2, "lengths": (1.0, 1.0), "modes": 32, "quadrature": None,
+        "phi0": "cosine 0.5 1 1", "eta0": "random-smooth 0.3", "eta_star": "zero",
+        "t_final": 0.01, "dt": 1e-4, "saves": 101, **overrides})
+    path = tmp_path / "2d.cfg"
+    path.write_text(serialize_config(cfg))
+    return cfg, path
+
+
+def count_forks(monkeypatch, refuse_after=None):
+    """Count the calls of os.fork in this process; refuse every call after
+    the first ``refuse_after`` with OSError."""
+    calls, real = [], os.fork
+
+    def fork():
+        calls.append(1)
+        if refuse_after is not None and len(calls) > refuse_after:
+            raise OSError("fork refused")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd")
-class TestWriteCsv:
+class TestTableWriter:
     rng = np.random.default_rng(4)
     # an odd row count, above the split threshold; magnitudes from 1e-30 to
     # 1e30, signed zeros and extremes exercise repr's fixed and exponent forms
@@ -344,20 +372,56 @@ class TestWriteCsv:
     def big_text(self):
         return csv_reference(self.header, self.big)
 
+    @pytest.fixture(scope="class")
+    def reference_2d(self, tmp_path_factory):
+        """trajectory.csv of the 2D run, built as one table in this process."""
+        cfg, _ = config_2d(tmp_path_factory.mktemp("ref"))
+        params, initial, schedule = build_problem(cfg)
+        traj = solve(params, initial, schedule)
+        basis, m, eta = params.basis, params.basis.total_modes, traj.eta
+        header = ["t", *(f"phi_{i}" for i in range(m)), *(f"theta_{i}" for i in range(m)),
+                  "eta_h", "eta_v", "phi_h", "phi_v"]
+        return csv_reference(header, np.column_stack((
+            traj.times, traj.phi, traj.theta,
+            spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
+            spectral.h_norm(basis, traj.phi), spectral.v_norm(basis, traj.phi))))
+
     def test_split_is_byte_identical(self, tmp_path, two_cpus, big_text):
         assert self.big.size >= cli._SPLIT_CELLS and len(self.big) % 2 == 1
         path = tmp_path / "t.csv"
-        assert cli._write_csv(path, self.header, self.big) == 2
+        assert cli._write_csv(path, self.header, self.big) >= 2
         assert path.read_text() == big_text
         assert_no_child()
 
     def test_split_of_short_rows_is_byte_identical(self, tmp_path, two_cpus, monkeypatch):
         # short lines stay in the text layer's buffer until it is flushed,
-        # so the child's bytes must not overtake them
+        # so the children's bytes must not overtake them
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
         path, table = tmp_path / "t.csv", self.big[:7, :3]
-        assert cli._write_csv(path, self.header[:3], table) == 2
+        assert cli._write_csv(path, self.header[:3], table) >= 2
         assert path.read_text() == csv_reference(self.header[:3], table)
+
+    def test_forks_only_when_no_child_is_busy(self, tmp_path, two_cpus, monkeypatch,
+                                              big_text):
+        forks, parent = count_forks(monkeypatch), os.getpid()
+
+        def rows(table, lo, hi):
+            if os.getpid() != parent and lo == 0:
+                time.sleep(0.5)         # the first child stays busy
+            return table[lo:hi]
+
+        path = tmp_path / "t.csv"
+        with cli._TableWriter(self.header, len(self.big), rows) as writer:
+            assert writer.forks
+            for n in (1, 2, 3):
+                writer.ready(n, self.big)
+            assert len(forks) == 1
+            assert writer._busy.poll(10_000)    # the first child's rows arrive
+            writer.ready(4, self.big)           # rows 1 to 3 go to a second child
+            assert len(forks) == 2
+            assert writer.write(path, self.big) >= 3
+        assert path.read_text() == big_text
+        assert_no_child()
 
     def test_fork_failure_writes_in_one_process(self, tmp_path, two_cpus, monkeypatch,
                                                 big_text):
@@ -375,13 +439,15 @@ class TestWriteCsv:
 
     def test_child_failure_exits_2_and_leaves_nothing(self, tmp_path, capsys, two_cpus,
                                                       monkeypatch):
+        # under a threshold of one cell even the zero scenario's table is
+        # handed to children during the solve
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
         failing_formatter(monkeypatch, in_parent=False)
         fds = open_fds()
         code = cli.main(["run", "--scenario", "zero", "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "output error" in err and "trajectory.csv" in err
+        assert err.startswith("output error") and "trajectory.csv" in err
         assert "Traceback" not in err
         assert_no_child()
         assert open_fds() == fds
@@ -394,33 +460,74 @@ class TestWriteCsv:
         assert_no_child()
         assert open_fds() == fds
 
-    def test_pending_output_printed_once(self, tmp_path, capfd, two_cpus):
+    def test_pending_output_printed_once(self, tmp_path, capfd, two_cpus, monkeypatch):
         # a child that flushed its copy of this process's buffers on the way
-        # out would print the line twice
-        print("before the write", end="")
-        assert cli._write_csv(tmp_path / "t.csv", self.header, self.big) == 2
-        assert capfd.readouterr().out == "before the write"
+        # out would print the line again
+        forks = count_forks(monkeypatch)
+        _, path = config_2d(tmp_path)
+        print("before the run", end="")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        out = capfd.readouterr().out
+        assert out.startswith("before the run") and out.count("before the run") == 1
+        assert out.count("run: ") == 1
+        assert forks
 
-    def test_2d_run_outputs_do_not_depend_on_the_split(self, tmp_path, monkeypatch):
-        # 101 saves of 1 + 2*32*32 + 4 columns: 207353 cells, over the threshold
-        cfg = with_overrides(
-            get_scenario("regular_sign"), dims=2, lengths=(1.0, 1.0), modes=32,
-            quadrature=None, phi0="cosine 0.5 1 1", eta0="random-smooth 0.3",
-            eta_star="zero", t_final=0.01, dt=1e-4, saves=101)
-        path = tmp_path / "2d.cfg"
-        path.write_text(serialize_config(cfg))
-        split = 2 if hasattr(os, "fork") and cli._cpus() > 1 else 1
+    def test_2d_run_outputs_do_not_depend_on_the_split(self, tmp_path, monkeypatch,
+                                                       reference_2d):
+        _, path = config_2d(tmp_path)
+        streamed = hasattr(os, "fork") and cli._cpus() > 1
         outs = []
-        for sub, parts in (("a", split), ("b", split), ("no_fork", 1)):
+        for sub in ("a", "b", "no_fork"):
             if sub == "no_fork":
                 monkeypatch.delattr(os, "fork", raising=False)
             out = tmp_path / sub
             assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
-            assert json.loads((out / "timing.json").read_text())["write_parts"] == parts
+            parts = json.loads((out / "timing.json").read_text())["write_parts"]
+            assert parts >= 2 if streamed and sub != "no_fork" else parts == 1
             outs.append(out)
+        assert (outs[0] / "trajectory.csv").read_text() == reference_2d
         for fname in ("trajectory.csv", "plot.csv", "report.json"):
             first = (outs[0] / fname).read_bytes()
             assert all((out / fname).read_bytes() == first for out in outs[1:]), fname
+
+    @pytest.mark.parametrize("granted", [0, 1])
+    def test_refused_fork_falls_back_to_one_process(self, tmp_path, two_cpus, monkeypatch,
+                                                   reference_2d, granted):
+        # the first ``granted`` forks succeed; the rest of the table is
+        # formatted here
+        forks = count_forks(monkeypatch, refuse_after=granted)
+        _, path = config_2d(tmp_path)
+        fds = open_fds()
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert len(forks) == granted + 1
+        assert json.loads((out / "timing.json").read_text())["write_parts"] == granted + 1
+        assert (out / "trajectory.csv").read_text() == reference_2d
+        assert_no_child()
+        assert open_fds() == fds
+
+    def test_blow_up_mid_solve_leaves_nothing(self, tmp_path, capsys, two_cpus, monkeypatch):
+        # rk4 at h = 2.5e-4 is unstable on the top modes and blows up at
+        # t = 0.00625, after about 12 of the 101 saves
+        forks = count_forks(monkeypatch)
+        _, path = config_2d(tmp_path, method="rk4", dt=2.5e-4, t_final=0.05)
+        fds = open_fds()
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "blow-up" in err and "Traceback" not in err
+        assert forks
+        assert not (out / "trajectory.csv").exists()
+        assert_no_child()
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("scenario", ["zero", "tanh_front"])
+    def test_small_runs_never_fork(self, tmp_path, two_cpus, monkeypatch, scenario):
+        forks = count_forks(monkeypatch)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--scenario", scenario, "--out", str(out)]) == 0
+        assert not forks
+        assert json.loads((out / "timing.json").read_text())["write_parts"] == 1
 
 
 class TestSweep:
@@ -566,8 +673,12 @@ class TestOtherCommands:
         printed = capsys.readouterr().out
         assert parse_config(printed) == get_scenario("heat_decay")
 
-    def test_unknown_scenario(self, tmp_path):
-        assert cli.main(["run", "--scenario", "nope", "--out", str(tmp_path)]) == 2
+    def test_unknown_scenario(self, tmp_path, capsys):
+        for argv in (["run", "--scenario", "nope", "--out", str(tmp_path)],
+                     ["scenarios", "show", "nope"]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: unknown scenario 'nope'; available: "), argv
 
     def test_selftest_passes(self, selftest_run):
         # exit 0 means every row passed; the property tests name failing rows

@@ -9,6 +9,7 @@ import pytest
 from phasemono import dynamics, spectral
 from phasemono.config import _GRAPHS, ScenarioConfig, build_problem, with_overrides
 from phasemono.dynamics import (
+    METHODS,
     BlowUpError,
     FieldCoeffs,
     Forcing,
@@ -271,6 +272,28 @@ class TestSolve:
         assert np.array_equal(t1.phi, t2.phi)
         assert np.array_equal(t1.theta, t2.theta)
         assert np.array_equal(t1.zeta, t2.zeta)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_on_save_sees_each_stored_save(self, method):
+        params, init, _ = build_problem(
+            with_overrides(get_scenario("regular_sign"), t_final=0.05))
+        sched = Schedule(method=method, dt=1e-4, tol=1e-6, n_saves=6)
+        seen = []
+
+        def on_save(j, times, states):
+            # rows up to j are final when save j is handed out
+            seen.append((j, times.copy(), states[:j + 1].copy()))
+
+        traj = solve(params, init, sched, on_save=on_save)
+        plain = solve(params, init, sched)
+        assert [j for j, _, _ in seen] == list(range(sched.n_saves))
+        for j, times, states in seen:
+            assert np.array_equal(times, traj.times)
+            assert np.array_equal(states[:, 0], traj.phi[:j + 1])
+            assert np.array_equal(states[:, 1], traj.theta[:j + 1])
+        for name in ("phi", "theta", "zeta", "xi", "dphi", "dtheta"):
+            assert np.array_equal(getattr(traj, name), getattr(plain, name)), name
+        assert traj.stats == plain.stats
 
     def test_sample_times_cover_interval(self):
         params, init, sched = build_problem(get_scenario("regular_sign"))

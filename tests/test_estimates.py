@@ -1,5 +1,6 @@
 """Energy monitor, Gronwall certificate, contraction and ladder tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -95,6 +96,7 @@ class TestEnergyMonitor:
         rep = energy_monitor(traj, params)
         assert rep.gronwall_ok
         assert np.all(rep.e1 <= rep.bound)
+        assert rep.gronwall_margin_min >= 0.0
 
     @pytest.mark.parametrize("name", ["regular_sign", "obstacle_sign", "stefan_power"])
     def test_selection_growth_bound(self, name):
@@ -130,6 +132,36 @@ class TestEnergyMonitor:
         assert rep.dt_eta_l2 == pytest.approx(l2, rel=1e-3)
         assert rep.grad_eta_final == pytest.approx(amp0 * math.exp(-1.0), rel=1e-6)
         assert rep.laplacian_phi_l2 == 0.0
+
+    def test_gronwall_margin_on_heat_decay(self):
+        # phi = 0 and 1/2 |eta|^2 + k int |grad eta|^2 is conserved, so E1
+        # stays at 1/2 |eta0|^2 while the bound grows: the smallest
+        # log-margin is log(2 D) - log(|eta0|^2 / 2), at t = 0
+        params, initial, _, traj = run_scenario("heat_decay")
+        rep = energy_monitor(traj, params)
+        d, _ = gronwall_bound(params, initial, traj.times)
+        e1_0 = 0.5 * spectral.h_norm(params.basis, traj.eta[0]) ** 2
+        assert rep.gronwall_margin_t == 0.0
+        assert rep.gronwall_margin_min == pytest.approx(
+            math.log(2.0 * d) - math.log(e1_0), rel=1e-12)
+        assert rep.gronwall_margin_min == pytest.approx(
+            float(np.min(np.log(rep.bound) - np.log(rep.e1))), rel=1e-12)
+        report = rep.to_dict()
+        assert (report["gronwall_margin_min"], report["gronwall_margin_t"]) == (
+            rep.gronwall_margin_min, 0.0)
+
+    def test_gronwall_margin_negative_control(self):
+        # a trajectory double whose eta is scaled by s has s^2 times the
+        # energy (phi = 0 on heat_decay): past the margin, the certificate
+        # must fail
+        params, _, _, traj = run_scenario("heat_decay")
+        margin = energy_monitor(traj, params).gronwall_margin_min
+        s = math.exp(0.5 * (margin + 1.0))
+        scaled = dataclasses.replace(traj, theta=s * traj.theta, dtheta=s * traj.dtheta)
+        rep = energy_monitor(scaled, params)
+        assert rep.gronwall_margin_min == pytest.approx(-1.0, rel=1e-9)
+        assert rep.gronwall_margin_t == 0.0
+        assert not rep.gronwall_ok
 
     def test_quadrature_warning_on_sparse_sampling(self):
         params, initial, _, _ = run_scenario("regular_sign")
