@@ -10,9 +10,11 @@ are byte-identical across repeated runs with the same config and seed; wall
 clock timings go to the separate timing.json, which is excluded from that
 guarantee.  Where fork and a second CPU exist, a large CSV table is formatted
 in forked children as well as in this process (see _TableWriter), and its
-bytes do not change.  A large trajectory.csv is handed to them as the solve
-saves its rows, so its formatting runs beside the solve; the file itself is
-written only after the solve has succeeded.
+bytes do not change.  Where this process leaves a CPU idle during the
+solve, a large trajectory.csv is handed to them as the solve saves its rows,
+so its formatting runs beside the solve.  A CSV table is
+written under a ".part" name and renamed once it is whole, so a failed
+write or solve leaves no partial table behind.
 """
 
 from __future__ import annotations
@@ -73,43 +75,68 @@ def _cpus():
         return os.cpu_count() or 1
 
 
+def _threads():
+    """The number of threads this process runs (a multithreaded BLAS keeps
+    one per CPU by default); where they cannot be counted, one per CPU."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return _cpus()
+
+
 class _TableWriter:
     """Formats the rows of one CSV table, in forked children as well as in
-    this process when the table is large, and writes the file.
+    this process when the table is large, and writes it to ``path``.
 
     ``rows(*source, lo, hi)`` builds rows ``lo`` to ``hi - 1`` (a table or a
     list of rows) from the arrays in ``source``.  Every row goes through
     ``_csv_lines`` in some process, and the chunks are written in row order,
-    so the file is byte for byte the one that one process writes.
+    so the file is byte for byte the one that one process writes.  They go
+    to ``path`` with ".part" appended, renamed to ``path`` once every row is
+    in, so ``path`` only ever holds the whole table.
 
     ``forks`` holds where the table has at least ``_SPLIT_CELLS`` cells and
-    fork and a second CPU exist.  Then:
+    fork and a second CPU exist.  Then at most one child is alive at a time,
+    beside this process, and each is handed rows holding at least
+    ``_SPLIT_CELLS`` cells, so a table of c cells forks at most
+    c / ``_SPLIT_CELLS`` + 1 times.  ``streams`` holds where, besides, this
+    process runs fewer threads than there are CPUs, so that a child
+    formatting beside the computation that produces the rows takes a CPU
+    nobody else uses; a child beside a BLAS pool that fills every CPU slows
+    the computation more than it saves.
 
-    - ``ready(n, *source)`` says that rows below ``n`` can be built.  If no
-      child is busy, it forks one for every ready row not yet handed out.
-      The child builds them from its copy-on-write view of ``source``,
-      formats them into its own memory, writes them to its pipe and leaves
-      by ``os._exit``.  It is busy until its pipe turns readable.
-    - ``write(path, *source)``, once every row is ready, shares the rows not
-      yet handed out: this process formats them from the back, and whenever
-      no child is busy it forks one for the front half of what is left.
+    - ``ready(n, *source)``, where ``streams`` holds, says that rows below
+      ``n`` can be built.  A child whose pipe has turned readable has
+      formatted its rows; they are copied to the part file and the child is
+      reaped.  Then, if no child is alive and the next chunk (the fewest
+      rows not yet handed out that hold ``_SPLIT_CELLS`` cells) is ready, a
+      child is forked for it.  It builds those rows from
+      its copy-on-write view of ``source``, formats them into its own
+      memory, writes them to its pipe and leaves by ``os._exit``.  One
+      chunk at a time, rather than every ready row, so that the child
+      still busy when the solve ends has at most one chunk to format.
+    - ``write(*source)``, once every row is ready, formats rows from the
+      back until the last child has finished, forks once more for the back
+      half of the rows left if they hold ``_SPLIT_CELLS`` cells, and formats
+      their front half into the part file meanwhile.
 
-    So at most one child is busy at a time, beside this process.  A child
-    runs only elementwise numpy work and string formatting, never BLAS or
-    I/O of this process's.  A fork that fails leaves the rest to this
-    process; a child that fails raises OSError naming the file.  ``close``,
-    also run on leaving a ``with`` block, kills and reaps every child not
-    yet reaped and closes its pipe.
+    A child runs only elementwise numpy work and string formatting, never
+    BLAS or I/O of this process's.  A fork that fails leaves the rest to
+    this process; a child that fails raises OSError naming the file.
+    ``close``, also run on leaving a ``with`` block, kills and reaps a child
+    still alive and deletes the part file unless it has been renamed.
     """
 
-    def __init__(self, header, n_rows, rows):
-        self.header, self.n_rows, self._rows = header, n_rows, rows
+    def __init__(self, path, header, n_rows, rows):
+        self.path, self.header, self.n_rows, self._rows = path, header, n_rows, rows
         self.forks = (n_rows * len(header) >= _SPLIT_CELLS and hasattr(os, "fork")
                       and _cpus() > 1)
-        self._children = []     # (pid, read end) of each child not yet reaped, in row order
+        self.streams = self.forks and _threads() < _cpus()
+        self._part = path.with_name(path.name + ".part")
+        self._file = None       # the part file, once opened
+        self._child = None      # (pid, read end, poll on it) of the child alive
         self._forked = 0
         self._handed = 0        # rows below this are handed to children
-        self._busy = None       # a poll on the pipe of a child that may be formatting
 
     def __enter__(self):
         return self
@@ -117,95 +144,124 @@ class _TableWriter:
     def __exit__(self, *exc):
         self.close()
 
-    def _idle(self):
-        if self._busy is not None and self._busy.poll(0):
-            self._busy = None
-        return self._busy is None
+    def _out(self):
+        """The part file, opened and given the header on first use."""
+        if self._file is None:
+            self._file = self._part.open("wb")
+            self._file.write((",".join(self.header) + "\n").encode("ascii"))
+        return self._file
 
-    def _fork(self, source, hi):
-        """Hand the rows from the first not handed out to ``hi`` to a new
-        child; return False, and stop forking, if fork fails."""
-        lo = self._handed
+    def _put(self, lines):
+        self._out().writelines(line.encode("ascii") for line in lines)
+
+    def _drain(self):
+        """Copy the child's rows to the part file as it writes them and reap
+        it."""
+        pid, fd, _ = self._child
+        out = self._out()
+        while chunk := os.read(fd, 1 << 16):
+            out.write(chunk)
+        self._child = None
+        os.close(fd)
+        status = os.waitpid(pid, 0)[1]
+        if status != 0:
+            raise OSError(f"cannot write {self.path}: a process formatting its rows "
+                          f"exited with code {os.waitstatus_to_exitcode(status)}")
+
+    def _idle(self):
+        """Drain the child if it has formatted its rows; return whether no
+        child is alive."""
+        if self._child is not None and self._child[2].poll(0):
+            self._drain()
+        return self._child is None
+
+    def _fork(self, rows):
+        """Hand the rows that ``rows()`` builds to a new child; return
+        False, and stop forking, if the pipe or the fork fails."""
         # the child must not inherit unwritten output that it could write again
         sys.stdout.flush()
         sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
         try:
-            pid = os.fork()
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            self.forks = False
+            self.forks = self.streams = False
             return False
         if pid == 0:
             status = 1
             try:
                 os.close(read_fd)
                 with open(write_fd, "wb") as pipe:
-                    pipe.write("".join(_csv_lines(self._rows(*source, lo, hi))).encode("ascii"))
+                    pipe.write("".join(_csv_lines(rows())).encode("ascii"))
                 status = 0
             finally:
                 os._exit(status)
         os.close(write_fd)
-        self._children.append((pid, read_fd))
+        poll = select.poll()
+        poll.register(read_fd, select.POLLIN)
+        self._child = (pid, read_fd, poll)
         self._forked += 1
-        self._handed = hi
-        self._busy = select.poll()
-        self._busy.register(read_fd, select.POLLIN)
         return True
 
     def ready(self, n, *source):
         """Rows below ``n`` can be built from ``source``: unless a child is
-        busy, fork one for those not yet handed out."""
-        if self.forks and n > self._handed and self._idle():
-            self._fork(source, n)
+        alive, fork one for the next chunk not yet handed out once it is
+        ready."""
+        lo = self._handed
+        hi = lo - (-_SPLIT_CELLS // len(self.header))
+        if (self.streams and self._idle() and hi <= n
+                and self._fork(partial(self._rows, *source, lo, hi))):
+            self._handed = hi
 
-    def write(self, path, *source):
-        """Format every row not yet handed out and write the header and all
-        rows to ``path``; return how many processes formatted rows: this one
-        and each forked child."""
+    def write(self, *source):
+        """Format every row not yet handed out and write the table to
+        ``path``; return how many processes formatted rows: this one and
+        each forked child."""
         lo, hi = self._handed, self.n_rows
+        table = self._rows(*source, lo, hi)     # row i is table[i - lo]
         tail = []               # lines of the rows from hi on, last row first
-        while self.forks and lo < hi:
-            if hi - lo > 1 and self._idle() and self._fork(source, lo + (hi - lo) // 2):
-                lo = self._handed
-                continue
+        while hi > lo and not self._idle():
             hi -= 1
-            tail.extend(_csv_lines(self._rows(*source, hi, hi + 1)))
-        with path.open("w") as fh:
-            fh.write(",".join(self.header) + "\n")
-            while self._children:
-                fh.flush()
-                fd = self._children[0][1]
-                while chunk := os.read(fd, 1 << 16):
-                    fh.buffer.write(chunk)
-                status = self._reap()
-                if status != 0:
-                    raise OSError(f"cannot write {path}: a process formatting its rows "
-                                  f"exited with code {os.waitstatus_to_exitcode(status)}")
-            fh.writelines(_csv_lines(self._rows(*source, lo, hi)))
-            fh.writelines(reversed(tail))
+            tail.extend(_csv_lines(table[hi - lo:hi + 1 - lo]))
+        if self._child is not None:     # every row is formatted; wait for the child
+            self._drain()
+        mid = (lo + hi) // 2
+        back = (self.forks and mid > lo and (hi - lo) * len(self.header) >= _SPLIT_CELLS
+                and self._fork(lambda: table[mid - lo:hi - lo]))
+        self._put(_csv_lines(table[:(mid if back else hi) - lo]))
+        if back:
+            self._drain()
+        self._put(reversed(tail))
+        self._out().close()
+        os.replace(self._part, self.path)
+        self._file = None
         return 1 + self._forked
 
-    def _reap(self, kill=False):
-        """Close the pipe of the first child not yet reaped and reap it;
-        return its wait status."""
-        pid, fd = self._children.pop(0)
-        os.close(fd)
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        return os.waitpid(pid, 0)[1]
-
     def close(self):
-        while self._children:
-            self._reap(kill=True)
+        """Kill and reap a child still alive, and delete the part file
+        unless it has been renamed."""
+        if self._child is not None:
+            pid, fd, _ = self._child
+            self._child = None
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if self._file is not None:
+            self._file.close()
+            self._file = None
+            self._part.unlink(missing_ok=True)
 
 
 def _write_csv(path, header, rows):
     """Write ``rows`` (a table or a list of rows) under ``header``; return
     how many processes formatted them (see ``_TableWriter``)."""
-    with _TableWriter(header, len(rows), lambda table, lo, hi: table[lo:hi]) as writer:
-        return writer.write(path, rows)
+    with _TableWriter(path, header, len(rows), lambda table, lo, hi: table[lo:hi]) as writer:
+        return writer.write(rows)
 
 
 def _trajectory_rows(basis, dm, times, phi, theta, lo, hi):
@@ -273,6 +329,7 @@ def _cmd_run(args):
     t1 = time.perf_counter()
     basis, m = params.basis, params.basis.total_modes
     with _TableWriter(
+            out / "trajectory.csv",
             ["t", *(f"phi_{i}" for i in range(m)), *(f"theta_{i}" for i in range(m)),
              "eta_h", "eta_v", "phi_h", "phi_v"],
             schedule.n_saves,
@@ -281,12 +338,12 @@ def _cmd_run(args):
         def on_save(j, times, states):
             table.ready(j + 1, times, states[:, 0], states[:, 1])
 
-        # a large table is formatted while the solve runs
-        traj = solve(params, initial, schedule, on_save=on_save if table.forks else None)
+        # a large table is formatted while the solve runs, on a CPU it leaves idle
+        traj = solve(params, initial, schedule, on_save=on_save if table.streams else None)
         t2 = time.perf_counter()
         report = energy_monitor(traj, params)
         t3 = time.perf_counter()
-        parts = table.write(out / "trajectory.csv", traj.times, traj.phi, traj.theta)
+        parts = table.write(traj.times, traj.phi, traj.theta)
 
     failures = _invariant_failures(report)
     eta_T = traj.eta[-1]

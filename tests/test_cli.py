@@ -326,10 +326,12 @@ def failing_formatter(monkeypatch, in_parent):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """The split needs fork and a second CPU; pretend the second CPU."""
+    """The split needs fork and a second CPU, and streaming during the solve
+    a CPU that this process leaves idle; pretend two CPUs and one thread."""
     if not hasattr(os, "fork"):
         pytest.skip("the split writer needs os.fork")
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_threads", lambda: 1)
 
 
 def config_2d(tmp_path, **overrides):
@@ -345,11 +347,13 @@ def config_2d(tmp_path, **overrides):
 
 
 def count_forks(monkeypatch, refuse_after=None):
-    """Count the calls of os.fork in this process; refuse every call after
-    the first ``refuse_after`` with OSError."""
+    """Count the calls of os.fork in this process, checking that each finds
+    no other child alive; refuse every call after the first
+    ``refuse_after`` with OSError."""
     calls, real = [], os.fork
 
     def fork():
+        assert_no_child()
         calls.append(1)
         if refuse_after is not None and len(calls) > refuse_after:
             raise OSError("fork refused")
@@ -401,8 +405,10 @@ class TestTableWriter:
         assert cli._write_csv(path, self.header[:3], table) >= 2
         assert path.read_text() == csv_reference(self.header[:3], table)
 
-    def test_forks_only_when_no_child_is_busy(self, tmp_path, two_cpus, monkeypatch,
-                                              big_text):
+    def test_forks_one_child_at_a_time_for_whole_chunks(self, tmp_path, two_cpus,
+                                                        monkeypatch, big_text):
+        # a chunk is two rows
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 2 * self.big.shape[1])
         forks, parent = count_forks(monkeypatch), os.getpid()
 
         def rows(table, lo, hi):
@@ -411,17 +417,47 @@ class TestTableWriter:
             return table[lo:hi]
 
         path = tmp_path / "t.csv"
-        with cli._TableWriter(self.header, len(self.big), rows) as writer:
+        with cli._TableWriter(path, self.header, len(self.big), rows) as writer:
             assert writer.forks
-            for n in (1, 2, 3):
+            writer.ready(1, self.big)
+            assert not forks                    # one row is not a whole chunk
+            for n in (2, 3, 4):
                 writer.ready(n, self.big)
-            assert len(forks) == 1
-            assert writer._busy.poll(10_000)    # the first child's rows arrive
-            writer.ready(4, self.big)           # rows 1 to 3 go to a second child
-            assert len(forks) == 2
-            assert writer.write(path, self.big) >= 3
+            assert len(forks) == 1              # rows 0 and 1, still busy
+            assert writer._child[2].poll(10_000)    # the first child's rows arrive
+            writer.ready(5, self.big)           # reaps it; rows 2 and 3 go to a second child
+            assert len(forks) == 2 and writer._handed == 4
+            assert not path.exists()
+            assert writer.write(self.big) == 1 + len(forks)
+        assert len(forks) == 3                  # one more, after every row is ready
         assert path.read_text() == big_text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
         assert_no_child()
+
+    def test_many_saves_fork_in_proportion_to_the_table(self, tmp_path, two_cpus,
+                                                        monkeypatch):
+        # 2000 saves of a 64-mode 1D run, 133 columns each: however many
+        # saves there are, a fork waits for a whole chunk, here 40 rows, and
+        # for the child before it to be reaped
+        cfg = with_overrides(get_scenario("tanh_front"),
+                             modes=64, quadrature=None, saves=2000)
+        path = tmp_path / "long.cfg"
+        path.write_text(serialize_config(cfg))
+        cells = 2000 * 133
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 40 * 133)
+        forks = count_forks(monkeypatch)
+        fds = open_fds()
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        # plot.csv, 2000 rows of 10 cells, is split once too
+        assert 3 <= len(forks) <= cells // cli._SPLIT_CELLS + 2
+        assert json.loads((out / "timing.json").read_text())["write_parts"] == len(forks)
+        assert_no_child()
+        assert open_fds() == fds
+        monkeypatch.delattr(os, "fork")
+        alone = tmp_path / "alone"
+        assert cli.main(["run", "--config", str(path), "--out", str(alone)]) == 0
+        assert (out / "trajectory.csv").read_bytes() == (alone / "trajectory.csv").read_bytes()
 
     def test_fork_failure_writes_in_one_process(self, tmp_path, two_cpus, monkeypatch,
                                                 big_text):
@@ -444,11 +480,12 @@ class TestTableWriter:
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
         failing_formatter(monkeypatch, in_parent=False)
         fds = open_fds()
-        code = cli.main(["run", "--scenario", "zero", "--out", str(tmp_path / "o")])
-        assert code == 2
+        out = tmp_path / "o"
+        assert cli.main(["run", "--scenario", "zero", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("output error") and "trajectory.csv" in err
         assert "Traceback" not in err
+        assert not any(out.iterdir())   # neither trajectory.csv nor its part file
         assert_no_child()
         assert open_fds() == fds
 
@@ -457,6 +494,7 @@ class TestTableWriter:
         fds = open_fds()
         with pytest.raises(RuntimeError, match="formatter failed"):
             cli._write_csv(tmp_path / "t.csv", self.header, self.big)
+        assert not any(tmp_path.iterdir())
         assert_no_child()
         assert open_fds() == fds
 
@@ -475,7 +513,7 @@ class TestTableWriter:
     def test_2d_run_outputs_do_not_depend_on_the_split(self, tmp_path, monkeypatch,
                                                        reference_2d):
         _, path = config_2d(tmp_path)
-        streamed = hasattr(os, "fork") and cli._cpus() > 1
+        split = hasattr(os, "fork") and cli._cpus() > 1
         outs = []
         for sub in ("a", "b", "no_fork"):
             if sub == "no_fork":
@@ -483,7 +521,7 @@ class TestTableWriter:
             out = tmp_path / sub
             assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
             parts = json.loads((out / "timing.json").read_text())["write_parts"]
-            assert parts >= 2 if streamed and sub != "no_fork" else parts == 1
+            assert parts >= 2 if split and sub != "no_fork" else parts == 1
             outs.append(out)
         assert (outs[0] / "trajectory.csv").read_text() == reference_2d
         for fname in ("trajectory.csv", "plot.csv", "report.json"):
@@ -494,7 +532,8 @@ class TestTableWriter:
     def test_refused_fork_falls_back_to_one_process(self, tmp_path, two_cpus, monkeypatch,
                                                    reference_2d, granted):
         # the first ``granted`` forks succeed; the rest of the table is
-        # formatted here
+        # formatted here.  Chunks of 10 rows leave rows for a second fork.
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 10 * 2053)
         forks = count_forks(monkeypatch, refuse_after=granted)
         _, path = config_2d(tmp_path)
         fds = open_fds()
@@ -508,7 +547,9 @@ class TestTableWriter:
 
     def test_blow_up_mid_solve_leaves_nothing(self, tmp_path, capsys, two_cpus, monkeypatch):
         # rk4 at h = 2.5e-4 is unstable on the top modes and blows up at
-        # t = 0.00625, after about 12 of the 101 saves
+        # t = 0.00625, after about 12 of the 101 saves; chunks of 4 rows
+        # are handed out before that
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 4 * 2053)
         forks = count_forks(monkeypatch)
         _, path = config_2d(tmp_path, method="rk4", dt=2.5e-4, t_final=0.05)
         fds = open_fds()
@@ -517,9 +558,28 @@ class TestTableWriter:
         err = capsys.readouterr().err
         assert "blow-up" in err and "Traceback" not in err
         assert forks
-        assert not (out / "trajectory.csv").exists()
+        assert not any(out.iterdir())   # neither trajectory.csv nor its part file
         assert_no_child()
         assert open_fds() == fds
+
+    def test_no_streaming_beside_a_thread_per_cpu(self, tmp_path, two_cpus, monkeypatch,
+                                                  reference_2d):
+        # a BLAS pool on both CPUs: the solve runs alone, and the table is
+        # split once after it
+        monkeypatch.setattr(cli, "_threads", lambda: 2)
+        forks, real_solve, hooks = count_forks(monkeypatch), cli.solve, []
+
+        def solve(*args, on_save=None):
+            hooks.append(on_save)
+            return real_solve(*args, on_save=on_save)
+
+        monkeypatch.setattr(cli, "solve", solve)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(config_2d(tmp_path)[1]),
+                         "--out", str(out)]) == 0
+        assert hooks == [None] and len(forks) == 1
+        assert json.loads((out / "timing.json").read_text())["write_parts"] == 2
+        assert (out / "trajectory.csv").read_text() == reference_2d
 
     @pytest.mark.parametrize("scenario", ["zero", "tanh_front"])
     def test_small_runs_never_fork(self, tmp_path, two_cpus, monkeypatch, scenario):
