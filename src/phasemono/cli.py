@@ -8,18 +8,17 @@ that does not converge).
 All deterministic outputs (trajectory.csv, plot.csv, report.json, sweep.*)
 are byte-identical across repeated runs with the same config and seed; wall
 clock timings go to the separate timing.json, which is excluded from that
-guarantee.  Where fork and a second CPU exist, a large CSV table is formatted
-in forked children as well as in this process (see _TableWriter), and its
-bytes do not change.  Where this process leaves a CPU idle during the
-solve, a large trajectory.csv is handed to them as the solve saves its rows,
-so its formatting runs beside the solve.  A CSV table is
-written under a ".part" name and renamed once it is whole, so a failed
-write or solve leaves no partial table behind.
+guarantee.  A large CSV table is formatted in niced forked children as well
+as in this process, a large trajectory.csv while the solve runs (see
+_TableWriter), and its bytes do not change.  A CSV table is written under a
+".part" name and renamed once it is whole, so a failed write or solve leaves
+no partial table behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import select
@@ -53,8 +52,8 @@ EXIT_BLOWUP = 4
 
 
 # A table of at least this many cells (rows x columns) is formatted in forked
-# processes too, where fork and a second CPU exist.  Formatting floats by repr
-# is the cost of a large write; below this size a fork is not worth it.
+# processes too, where fork exists.  Formatting floats by repr is the cost of
+# a large write; below this size a fork is not worth it.
 _SPLIT_CELLS = 1 << 17
 
 
@@ -65,23 +64,6 @@ def _csv_lines(rows):
     for row in rows:
         cells = row.tolist() if isinstance(row, np.ndarray) else row
         yield ",".join(map(str, cells)) + "\n"
-
-
-def _cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _threads():
-    """The number of threads this process runs (a multithreaded BLAS keeps
-    one per CPU by default); where they cannot be counted, one per CPU."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return _cpus()
 
 
 class _TableWriter:
@@ -96,25 +78,23 @@ class _TableWriter:
     in, so ``path`` only ever holds the whole table.
 
     ``forks`` holds where the table has at least ``_SPLIT_CELLS`` cells and
-    fork and a second CPU exist.  Then at most one child is alive at a time,
-    beside this process, and each is handed rows holding at least
-    ``_SPLIT_CELLS`` cells, so a table of c cells forks at most
-    c / ``_SPLIT_CELLS`` + 1 times.  ``streams`` holds where, besides, this
-    process runs fewer threads than there are CPUs, so that a child
-    formatting beside the computation that produces the rows takes a CPU
-    nobody else uses; a child beside a BLAS pool that fills every CPU slows
-    the computation more than it saves.
+    fork exists.  Then at most one child is alive at a time, beside this
+    process, and each is handed rows holding at least ``_SPLIT_CELLS``
+    cells, so a table of c cells forks at most c / ``_SPLIT_CELLS`` + 1
+    times.  A child first lowers its own priority to the least, by
+    ``os.nice(19)``, so that beside the computation producing the rows (a
+    BLAS pool on every CPU included) it yields the CPU rather than competes.
 
-    - ``ready(n, *source)``, where ``streams`` holds, says that rows below
+    - ``ready(n, *source)``, where ``forks`` holds, says that rows below
       ``n`` can be built.  A child whose pipe has turned readable has
       formatted its rows; they are copied to the part file and the child is
       reaped.  Then, if no child is alive and the next chunk (the fewest
       rows not yet handed out that hold ``_SPLIT_CELLS`` cells) is ready, a
-      child is forked for it.  It builds those rows from
-      its copy-on-write view of ``source``, formats them into its own
-      memory, writes them to its pipe and leaves by ``os._exit``.  One
-      chunk at a time, rather than every ready row, so that the child
-      still busy when the solve ends has at most one chunk to format.
+      child is forked for it.  It builds those rows from its copy-on-write
+      view of ``source``, formats them into its own memory, writes them to
+      its pipe and leaves by ``os._exit``.  One chunk at a time, rather than
+      every ready row, so that the child still busy when the solve ends has
+      at most one chunk to format.
     - ``write(*source)``, once every row is ready, formats rows from the
       back until the last child has finished, forks once more for the back
       half of the rows left if they hold ``_SPLIT_CELLS`` cells, and formats
@@ -129,9 +109,7 @@ class _TableWriter:
 
     def __init__(self, path, header, n_rows, rows):
         self.path, self.header, self.n_rows, self._rows = path, header, n_rows, rows
-        self.forks = (n_rows * len(header) >= _SPLIT_CELLS and hasattr(os, "fork")
-                      and _cpus() > 1)
-        self.streams = self.forks and _threads() < _cpus()
+        self.forks = n_rows * len(header) >= _SPLIT_CELLS and hasattr(os, "fork")
         self._part = path.with_name(path.name + ".part")
         self._file = None       # the part file, once opened
         self._child = None      # (pid, read end, poll on it) of the child alive
@@ -190,12 +168,14 @@ class _TableWriter:
                 os.close(write_fd)
                 raise
         except OSError:
-            self.forks = self.streams = False
+            self.forks = False
             return False
         if pid == 0:
             status = 1
             try:
                 os.close(read_fd)
+                with contextlib.suppress(OSError):
+                    os.nice(19)
                 with open(write_fd, "wb") as pipe:
                     pipe.write("".join(_csv_lines(rows())).encode("ascii"))
                 status = 0
@@ -214,7 +194,7 @@ class _TableWriter:
         ready."""
         lo = self._handed
         hi = lo - (-_SPLIT_CELLS // len(self.header))
-        if (self.streams and self._idle() and hi <= n
+        if (self.forks and self._idle() and hi <= n
                 and self._fork(partial(self._rows, *source, lo, hi))):
             self._handed = hi
 
@@ -338,8 +318,8 @@ def _cmd_run(args):
         def on_save(j, times, states):
             table.ready(j + 1, times, states[:, 0], states[:, 1])
 
-        # a large table is formatted while the solve runs, on a CPU it leaves idle
-        traj = solve(params, initial, schedule, on_save=on_save if table.streams else None)
+        # a large table is formatted while the solve runs, by a niced child
+        traj = solve(params, initial, schedule, on_save=on_save)
         t2 = time.perf_counter()
         report = energy_monitor(traj, params)
         t3 = time.perf_counter()
@@ -374,12 +354,13 @@ def _cmd_run(args):
                          *(report.components[c] for c in comps),
                          report.zeta_norms, report.dissipation))))
     _json_dump(out / "report.json", payload)
+    t4 = time.perf_counter()
     _json_dump(out / "timing.json", {
-        "wall_clock_seconds": t3 - t0,
+        "wall_clock_seconds": t4 - t0,
         "build_s": t1 - t0,
         "solve_s": t2 - t1,
         "monitor_s": t3 - t2,
-        "write_s": time.perf_counter() - t3,
+        "write_s": t4 - t3,
         "write_parts": parts,
     })
 
@@ -491,8 +472,7 @@ def _cmd_scenarios(args):
             print(f"{name:18s} {SCENARIOS[name][0]}")
         return EXIT_OK
     if not args.name:
-        print("scenario name required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("scenario name required")
     print(scenario_text(args.name), end="")
     return EXIT_OK
 

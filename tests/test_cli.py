@@ -253,6 +253,8 @@ class TestRun:
         keys = ("wall_clock_seconds", "build_s", "solve_s", "monitor_s", "write_s")
         assert set(timing) == {*keys, "write_parts"}
         assert all(timing[k] >= 0.0 for k in keys)
+        # the whole run, its writes included
+        assert timing["wall_clock_seconds"] >= sum(timing[k] for k in keys[1:]) - 1e-6
         # the zero scenario's tables are far below the split threshold
         assert timing["write_parts"] == 1
 
@@ -325,13 +327,9 @@ def failing_formatter(monkeypatch, in_parent):
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    """The split needs fork and a second CPU, and streaming during the solve
-    a CPU that this process leaves idle; pretend two CPUs and one thread."""
+def needs_fork():
     if not hasattr(os, "fork"):
         pytest.skip("the split writer needs os.fork")
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_threads", lambda: 1)
 
 
 def config_2d(tmp_path, **overrides):
@@ -390,14 +388,14 @@ class TestTableWriter:
             spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
             spectral.h_norm(basis, traj.phi), spectral.v_norm(basis, traj.phi))))
 
-    def test_split_is_byte_identical(self, tmp_path, two_cpus, big_text):
+    def test_split_is_byte_identical(self, tmp_path, needs_fork, big_text):
         assert self.big.size >= cli._SPLIT_CELLS and len(self.big) % 2 == 1
         path = tmp_path / "t.csv"
         assert cli._write_csv(path, self.header, self.big) >= 2
         assert path.read_text() == big_text
         assert_no_child()
 
-    def test_split_of_short_rows_is_byte_identical(self, tmp_path, two_cpus, monkeypatch):
+    def test_split_of_short_rows_is_byte_identical(self, tmp_path, needs_fork, monkeypatch):
         # short lines stay in the text layer's buffer until it is flushed,
         # so the children's bytes must not overtake them
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
@@ -405,7 +403,7 @@ class TestTableWriter:
         assert cli._write_csv(path, self.header[:3], table) >= 2
         assert path.read_text() == csv_reference(self.header[:3], table)
 
-    def test_forks_one_child_at_a_time_for_whole_chunks(self, tmp_path, two_cpus,
+    def test_forks_one_child_at_a_time_for_whole_chunks(self, tmp_path, needs_fork,
                                                         monkeypatch, big_text):
         # a chunk is two rows
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 2 * self.big.shape[1])
@@ -434,7 +432,7 @@ class TestTableWriter:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
         assert_no_child()
 
-    def test_many_saves_fork_in_proportion_to_the_table(self, tmp_path, two_cpus,
+    def test_many_saves_fork_in_proportion_to_the_table(self, tmp_path, needs_fork,
                                                         monkeypatch):
         # 2000 saves of a 64-mode 1D run, 133 columns each: however many
         # saves there are, a fork waits for a whole chunk, here 40 rows, and
@@ -459,7 +457,7 @@ class TestTableWriter:
         assert cli.main(["run", "--config", str(path), "--out", str(alone)]) == 0
         assert (out / "trajectory.csv").read_bytes() == (alone / "trajectory.csv").read_bytes()
 
-    def test_fork_failure_writes_in_one_process(self, tmp_path, two_cpus, monkeypatch,
+    def test_fork_failure_writes_in_one_process(self, tmp_path, needs_fork, monkeypatch,
                                                 big_text):
         def refuse():
             raise OSError("fork refused")
@@ -473,7 +471,7 @@ class TestTableWriter:
         assert path.read_text() == big_text
         assert open_fds() == fds
 
-    def test_child_failure_exits_2_and_leaves_nothing(self, tmp_path, capsys, two_cpus,
+    def test_child_failure_exits_2_and_leaves_nothing(self, tmp_path, capsys, needs_fork,
                                                       monkeypatch):
         # under a threshold of one cell even the zero scenario's table is
         # handed to children during the solve
@@ -489,7 +487,7 @@ class TestTableWriter:
         assert_no_child()
         assert open_fds() == fds
 
-    def test_parent_failure_reaps_the_child(self, tmp_path, two_cpus, monkeypatch):
+    def test_parent_failure_reaps_the_child(self, tmp_path, needs_fork, monkeypatch):
         failing_formatter(monkeypatch, in_parent=True)
         fds = open_fds()
         with pytest.raises(RuntimeError, match="formatter failed"):
@@ -498,7 +496,7 @@ class TestTableWriter:
         assert_no_child()
         assert open_fds() == fds
 
-    def test_pending_output_printed_once(self, tmp_path, capfd, two_cpus, monkeypatch):
+    def test_pending_output_printed_once(self, tmp_path, capfd, needs_fork, monkeypatch):
         # a child that flushed its copy of this process's buffers on the way
         # out would print the line again
         forks = count_forks(monkeypatch)
@@ -513,7 +511,7 @@ class TestTableWriter:
     def test_2d_run_outputs_do_not_depend_on_the_split(self, tmp_path, monkeypatch,
                                                        reference_2d):
         _, path = config_2d(tmp_path)
-        split = hasattr(os, "fork") and cli._cpus() > 1
+        split = hasattr(os, "fork")
         outs = []
         for sub in ("a", "b", "no_fork"):
             if sub == "no_fork":
@@ -529,7 +527,7 @@ class TestTableWriter:
             assert all((out / fname).read_bytes() == first for out in outs[1:]), fname
 
     @pytest.mark.parametrize("granted", [0, 1])
-    def test_refused_fork_falls_back_to_one_process(self, tmp_path, two_cpus, monkeypatch,
+    def test_refused_fork_falls_back_to_one_process(self, tmp_path, needs_fork, monkeypatch,
                                                    reference_2d, granted):
         # the first ``granted`` forks succeed; the rest of the table is
         # formatted here.  Chunks of 10 rows leave rows for a second fork.
@@ -545,7 +543,7 @@ class TestTableWriter:
         assert_no_child()
         assert open_fds() == fds
 
-    def test_blow_up_mid_solve_leaves_nothing(self, tmp_path, capsys, two_cpus, monkeypatch):
+    def test_blow_up_mid_solve_leaves_nothing(self, tmp_path, capsys, needs_fork, monkeypatch):
         # rk4 at h = 2.5e-4 is unstable on the top modes and blows up at
         # t = 0.00625, after about 12 of the 101 saves; chunks of 4 rows
         # are handed out before that
@@ -562,27 +560,51 @@ class TestTableWriter:
         assert_no_child()
         assert open_fds() == fds
 
-    def test_no_streaming_beside_a_thread_per_cpu(self, tmp_path, two_cpus, monkeypatch,
-                                                  reference_2d):
-        # a BLAS pool on both CPUs: the solve runs alone, and the table is
-        # split once after it
-        monkeypatch.setattr(cli, "_threads", lambda: 2)
-        forks, real_solve, hooks = count_forks(monkeypatch), cli.solve, []
+    def test_a_forking_table_is_streamed(self, tmp_path, needs_fork, monkeypatch,
+                                         reference_2d):
+        # however many threads this process runs, the first chunk of 64 rows
+        # goes to a child during the solve
+        forks, real_solve, during = count_forks(monkeypatch), cli.solve, []
 
         def solve(*args, on_save=None):
-            hooks.append(on_save)
-            return real_solve(*args, on_save=on_save)
+            assert on_save is not None
+            traj = real_solve(*args, on_save=on_save)
+            during.append(len(forks))
+            return traj
 
         monkeypatch.setattr(cli, "solve", solve)
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(config_2d(tmp_path)[1]),
                          "--out", str(out)]) == 0
-        assert hooks == [None] and len(forks) == 1
+        assert during == [1] and len(forks) == 1
         assert json.loads((out / "timing.json").read_text())["write_parts"] == 2
         assert (out / "trajectory.csv").read_text() == reference_2d
 
+    def test_children_format_at_a_lower_priority(self, tmp_path, needs_fork, monkeypatch,
+                                                 reference_2d):
+        # a child that does not lower its priority fails, and the run exits 2
+        parent, priority = os.getpid(), os.getpriority(os.PRIO_PROCESS, 0)
+        if priority >= 19:
+            pytest.skip("this process already runs at the least priority")
+        real = cli._trajectory_rows
+
+        def rows(*args):
+            if os.getpid() != parent and os.getpriority(os.PRIO_PROCESS, 0) <= priority:
+                raise RuntimeError("a child formats at the parent's priority")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_trajectory_rows", rows)
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 10 * 2053)
+        forks = count_forks(monkeypatch)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(config_2d(tmp_path)[1]),
+                         "--out", str(out)]) == 0
+        assert len(forks) >= 2
+        assert (out / "trajectory.csv").read_text() == reference_2d
+        assert os.getpriority(os.PRIO_PROCESS, 0) == priority
+
     @pytest.mark.parametrize("scenario", ["zero", "tanh_front"])
-    def test_small_runs_never_fork(self, tmp_path, two_cpus, monkeypatch, scenario):
+    def test_small_runs_never_fork(self, tmp_path, needs_fork, monkeypatch, scenario):
         forks = count_forks(monkeypatch)
         out = tmp_path / "o"
         assert cli.main(["run", "--scenario", scenario, "--out", str(out)]) == 0
@@ -732,6 +754,10 @@ class TestOtherCommands:
         assert cli.main(["scenarios", "show", "heat_decay"]) == 0
         printed = capsys.readouterr().out
         assert parse_config(printed) == get_scenario("heat_decay")
+
+    def test_scenarios_show_needs_a_name(self, capsys):
+        assert cli.main(["scenarios", "show"]) == 2
+        assert capsys.readouterr().err == "config error: scenario name required\n"
 
     def test_unknown_scenario(self, tmp_path, capsys):
         for argv in (["run", "--scenario", "nope", "--out", str(tmp_path)],
