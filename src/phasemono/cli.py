@@ -8,8 +8,8 @@ that does not converge).
 All deterministic outputs (trajectory.csv, plot.csv, report.json, sweep.*)
 are byte-identical across repeated runs with the same config and seed; wall
 clock timings go to the separate timing.json, which is excluded from that
-guarantee.  A large CSV table is formatted in niced forked children as well
-as in this process, a large trajectory.csv while the solve runs (see
+guarantee.  A large CSV table is formatted by one niced forked child as well
+as by this process, a large trajectory.csv while the solve runs (see
 _TableWriter), and its bytes do not change.  A CSV table is written under a
 ".part" name and renamed once it is whole, so a failed write or solve leaves
 no partial table behind.
@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
-import select
 import signal
 import sys
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
@@ -51,70 +52,60 @@ EXIT_INVARIANT = 3
 EXIT_BLOWUP = 4
 
 
-# A table of at least this many cells (rows x columns) is formatted in forked
-# processes too, where fork exists.  Formatting floats by repr is the cost of
-# a large write; below this size a fork is not worth it.
+# A table of at least this many cells (rows x columns) is formatted by a forked
+# child as well as by this process, where fork exists.  Formatting floats by
+# repr is the cost of a large write; below this size a fork is not worth it.
 _SPLIT_CELLS = 1 << 17
 
 
 def _csv_lines(rows):
-    """One line per row.  A table row is turned into Python floats first,
-    so every float is written by str, which is its repr; other rows hold
-    Python floats and blank strings.  Every line is ASCII."""
+    """One line per row, as ASCII bytes.  A table row is turned into Python
+    floats first, so every float is written by str, which is its repr; other
+    rows hold Python floats and blank strings."""
     for row in rows:
         cells = row.tolist() if isinstance(row, np.ndarray) else row
-        yield ",".join(map(str, cells)) + "\n"
+        yield (",".join(map(str, cells)) + "\n").encode("ascii")
 
 
 class _TableWriter:
-    """Formats the rows of one CSV table, in forked children as well as in
-    this process when the table is large, and writes it to ``path``.
+    """Writes one CSV table to ``path``, formatting its rows in a forked
+    child as well as in this process when the table is large.
 
     ``rows(*source, lo, hi)`` builds rows ``lo`` to ``hi - 1`` (a table or a
-    list of rows) from the arrays in ``source``.  Every row goes through
-    ``_csv_lines`` in some process, and the chunks are written in row order,
-    so the file is byte for byte the one that one process writes.  They go
-    to ``path`` with ".part" appended, renamed to ``path`` once every row is
-    in, so ``path`` only ever holds the whole table.
+    list of rows, of floats where the table forks) from the arrays in
+    ``source``.  The table goes to ``path`` with ".part" appended, renamed
+    to ``path`` once whole, and its bytes are those one process writes.
 
     ``forks`` holds where the table has at least ``_SPLIT_CELLS`` cells and
-    fork exists.  Then at most one child is alive at a time, beside this
-    process, and each is handed rows holding at least ``_SPLIT_CELLS``
-    cells, so a table of c cells forks at most c / ``_SPLIT_CELLS`` + 1
-    times.  A child first lowers its own priority to the least, by
-    ``os.nice(19)``, so that beside the computation producing the rows (a
-    BLAS pool on every CPU included) it yields the CPU rather than competes.
+    one child was forked when the writer was created.  The child first
+    calls ``os.nice(19)``, so that beside the computation producing the rows
+    it yields the CPU rather than competes.  The rows pass through two
+    unlinked temporary files beside ``path``: the row spool, of the float64
+    rows this process builds, and the line spool, of the lines the child
+    formats.
 
-    - ``ready(n, *source)``, where ``forks`` holds, says that rows below
-      ``n`` can be built.  A child whose pipe has turned readable has
-      formatted its rows; they are copied to the part file and the child is
-      reaped.  Then, if no child is alive and the next chunk (the fewest
-      rows not yet handed out that hold ``_SPLIT_CELLS`` cells) is ready, a
-      child is forked for it.  It builds those rows from its copy-on-write
-      view of ``source``, formats them into its own memory, writes them to
-      its pipe and leaves by ``os._exit``.  One chunk at a time, rather than
-      every ready row, so that the child still busy when the solve ends has
-      at most one chunk to format.
-    - ``write(*source)``, once every row is ready, formats rows from the
-      back until the last child has finished, forks once more for the back
-      half of the rows left if they hold ``_SPLIT_CELLS`` cells, and formats
-      their front half into the part file meanwhile.
+    - ``ready(n, *source)`` appends the rows below ``n`` not yet built to
+      the row spool and puts their indices on a queue pipe, 4 bytes per
+      write so each arrives whole.  The child takes indices from the queue
+      and appends their lines to the line spool until the queue is closed
+      and empty.
+    - ``write(*source)`` closes the queue and takes the indices left on it
+      as well.  Both processes take indices in increasing order, so row j's
+      line is this process's if it took j (or j found the queue full), and
+      else the next of the line spool.
 
-    A child runs only elementwise numpy work and string formatting, never
-    BLAS or I/O of this process's.  A fork that fails leaves the rest to
-    this process; a child that fails raises OSError naming the file.
-    ``close``, also run on leaving a ``with`` block, kills and reaps a child
-    still alive and deletes the part file unless it has been renamed.
+    A refused fork leaves the table to this process, and a failed child
+    raises OSError naming the file.  ``close``, also run on leaving a
+    ``with`` block, kills and reaps a child still alive and closes the
+    queue and the spools.
     """
 
     def __init__(self, path, header, n_rows, rows):
         self.path, self.header, self.n_rows, self._rows = path, header, n_rows, rows
-        self.forks = n_rows * len(header) >= _SPLIT_CELLS and hasattr(os, "fork")
-        self._part = path.with_name(path.name + ".part")
-        self._file = None       # the part file, once opened
-        self._child = None      # (pid, read end, poll on it) of the child alive
-        self._forked = 0
-        self._handed = 0        # rows below this are handed to children
+        self._width = 8 * len(header)   # bytes of a row in the row spool
+        self._queue, self._spools, self._pid = [], [], None
+        self._spooled = self._queued = 0    # rows below these are spooled, queued
+        self.forks = n_rows * len(header) >= _SPLIT_CELLS and hasattr(os, "fork") and self._fork()
 
     def __enter__(self):
         return self
@@ -122,119 +113,100 @@ class _TableWriter:
     def __exit__(self, *exc):
         self.close()
 
-    def _out(self):
-        """The part file, opened and given the header on first use."""
-        if self._file is None:
-            self._file = self._part.open("wb")
-            self._file.write((",".join(self.header) + "\n").encode("ascii"))
-        return self._file
-
-    def _put(self, lines):
-        self._out().writelines(line.encode("ascii") for line in lines)
-
-    def _drain(self):
-        """Copy the child's rows to the part file as it writes them and reap
-        it."""
-        pid, fd, _ = self._child
-        out = self._out()
-        while chunk := os.read(fd, 1 << 16):
-            out.write(chunk)
-        self._child = None
-        os.close(fd)
-        status = os.waitpid(pid, 0)[1]
-        if status != 0:
-            raise OSError(f"cannot write {self.path}: a process formatting its rows "
-                          f"exited with code {os.waitstatus_to_exitcode(status)}")
-
-    def _idle(self):
-        """Drain the child if it has formatted its rows; return whether no
-        child is alive."""
-        if self._child is not None and self._child[2].poll(0):
-            self._drain()
-        return self._child is None
-
-    def _fork(self, rows):
-        """Hand the rows that ``rows()`` builds to a new child; return
-        False, and stop forking, if the pipe or the fork fails."""
+    def _fork(self):
+        """Fork the child; return False if the queue, a spool or the fork
+        cannot be made."""
         # the child must not inherit unwritten output that it could write again
         sys.stdout.flush()
         sys.stderr.flush()
         try:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            self._queue = list(os.pipe())
+            os.set_blocking(self._queue[1], False)
+            self._spools = [tempfile.TemporaryFile(dir=self.path.parent) for _ in range(2)]
+            pid = os.fork()
         except OSError:
-            self.forks = False
+            self.close()
             return False
         if pid == 0:
             status = 1
             try:
-                os.close(read_fd)
+                os.close(self._queue.pop())
                 with contextlib.suppress(OSError):
                     os.nice(19)
-                with open(write_fd, "wb") as pipe:
-                    pipe.write("".join(_csv_lines(rows())).encode("ascii"))
+                lines = self._spools[1]
+                for j in iter(self._take, None):
+                    lines.write(self._line(j))
+                lines.flush()
                 status = 0
             finally:
                 os._exit(status)
-        os.close(write_fd)
-        poll = select.poll()
-        poll.register(read_fd, select.POLLIN)
-        self._child = (pid, read_fd, poll)
-        self._forked += 1
+        self._pid = pid
         return True
 
+    def _take(self):
+        """The next index on the queue, or None once it is closed and empty."""
+        record = os.read(self._queue[0], 4)
+        return int.from_bytes(record, "little") if record else None
+
+    def _line(self, j):
+        """Row j's line, from the row spool."""
+        row = os.pread(self._spools[0].fileno(), self._width, j * self._width)
+        return next(_csv_lines([np.frombuffer(row)]))
+
     def ready(self, n, *source):
-        """Rows below ``n`` can be built from ``source``: unless a child is
-        alive, fork one for the next chunk not yet handed out once it is
-        ready."""
-        lo = self._handed
-        hi = lo - (-_SPLIT_CELLS // len(self.header))
-        if (self.forks and self._idle() and hi <= n
-                and self._fork(partial(self._rows, *source, lo, hi))):
-            self._handed = hi
+        """Rows below ``n`` can be built from ``source``: where ``forks``
+        holds, spool and queue those not yet spooled."""
+        if not self.forks or n <= self._spooled:
+            return
+        spool = self._spools[0]
+        spool.write(np.asarray(self._rows(*source, self._spooled, n), np.float64).tobytes())
+        spool.flush()
+        self._spooled = n
+        with contextlib.suppress(BlockingIOError):      # the queue is full
+            while self._queued < n:
+                os.write(self._queue[1], self._queued.to_bytes(4, "little"))
+                self._queued += 1
 
     def write(self, *source):
-        """Format every row not yet handed out and write the table to
-        ``path``; return how many processes formatted rows: this one and
-        each forked child."""
-        lo, hi = self._handed, self.n_rows
-        table = self._rows(*source, lo, hi)     # row i is table[i - lo]
-        tail = []               # lines of the rows from hi on, last row first
-        while hi > lo and not self._idle():
-            hi -= 1
-            tail.extend(_csv_lines(table[hi - lo:hi + 1 - lo]))
-        if self._child is not None:     # every row is formatted; wait for the child
-            self._drain()
-        mid = (lo + hi) // 2
-        back = (self.forks and mid > lo and (hi - lo) * len(self.header) >= _SPLIT_CELLS
-                and self._fork(lambda: table[mid - lo:hi - lo]))
-        self._put(_csv_lines(table[:(mid if back else hi) - lo]))
-        if back:
-            self._drain()
-        self._put(reversed(tail))
-        self._out().close()
-        os.replace(self._part, self.path)
-        self._file = None
-        return 1 + self._forked
+        """Write the table to ``path``; return how many processes formatted
+        its rows: 2 where a child was forked, else 1."""
+        if self.forks:
+            self.ready(self.n_rows, *source)
+            os.close(self._queue.pop())
+            mine = {j: self._line(j) for j in itertools.chain(
+                iter(self._take, None), range(self._queued, self.n_rows))}
+            status = os.waitpid(self._pid, 0)[1]
+            self._pid = None
+            if status != 0:
+                raise OSError(f"cannot write {self.path}: the process formatting its rows "
+                              f"exited with code {os.waitstatus_to_exitcode(status)}")
+            spool = self._spools[1]
+            spool.seek(0)
+            lines = (mine.pop(j) if j in mine else spool.readline() for j in range(self.n_rows))
+        else:
+            lines = _csv_lines(self._rows(*source, 0, self.n_rows))
+        part = self.path.with_name(self.path.name + ".part")
+        try:
+            with part.open("wb") as out:
+                out.write((",".join(self.header) + "\n").encode("ascii"))
+                out.writelines(lines)
+            os.replace(part, self.path)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
+        return 2 if self.forks else 1
 
     def close(self):
-        """Kill and reap a child still alive, and delete the part file
-        unless it has been renamed."""
-        if self._child is not None:
-            pid, fd, _ = self._child
-            self._child = None
-            os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-            self._part.unlink(missing_ok=True)
+        """Kill and reap a child still alive, and close the queue and the
+        spools."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        while self._queue:
+            os.close(self._queue.pop())
+        while self._spools:
+            self._spools.pop().close()
 
 
 def _write_csv(path, header, rows):

@@ -410,10 +410,10 @@ def contraction_sweep(params, data, deltas, schedule):
     as a single stacked solve, so the base is solved once.  A failure names
     the delta of the row it happened in; a failure of the base row, or one
     no row can be blamed for, names the first delta.  The ladder must hold
-    at least two distinct deltas, all positive, none repeated, for the
-    log-log slope, and the basis at least two modes, since the perturbation
-    shifts mode 1; it is refused with ValueError before any solve
-    otherwise."""
+    at least two distinct deltas, all positive and finite, none repeated,
+    for the log-log slope, and the basis at least two modes, since the
+    perturbation shifts mode 1; it is refused with ValueError before any
+    solve otherwise."""
     if params.alpha != params.ell:
         raise ValueError("continuous-dependence check requires alpha = ell")
     if params.basis.total_modes < 2:
@@ -447,12 +447,13 @@ class LadderMemberError(RuntimeError):
 
 def _ladder_values(values, kind, plural):
     """A ladder's values in decreasing order.  Every ladder needs at least
-    two distinct values, all positive, none repeated, and is refused with
-    ValueError before any member is built or solved otherwise."""
+    two distinct values, all positive and finite, none repeated, and is
+    refused with ValueError before any member is built or solved otherwise."""
     values = sorted((kind(v) for v in values), reverse=True)
-    if not (len(values) >= 2 and values[-1] > 0 and len(set(values)) == len(values)):
+    if not (len(values) >= 2 and all(0 < v < math.inf for v in values)
+            and len(set(values)) == len(values)):
         raise ValueError(f"a ladder needs at least two distinct {plural}, "
-                         f"all positive, none repeated; got {values}")
+                         f"all positive and finite, none repeated; got {values}")
     return values
 
 

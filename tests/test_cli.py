@@ -5,7 +5,6 @@ import importlib.util
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +325,17 @@ def failing_formatter(monkeypatch, in_parent):
     monkeypatch.setattr(cli, "_csv_lines", lines)
 
 
+def takes_nothing(monkeypatch, in_parent):
+    """Make the table writer find its queue empty in this process or only in
+    a forked one, so that the other process formats every queued row."""
+    parent, real = os.getpid(), cli._TableWriter._take
+
+    def take(self):
+        return None if (os.getpid() == parent) == in_parent else real(self)
+
+    monkeypatch.setattr(cli._TableWriter, "_take", take)
+
+
 @pytest.fixture
 def needs_fork():
     if not hasattr(os, "fork"):
@@ -344,16 +354,15 @@ def config_2d(tmp_path, **overrides):
     return cfg, path
 
 
-def count_forks(monkeypatch, refuse_after=None):
+def count_forks(monkeypatch, refuse=False):
     """Count the calls of os.fork in this process, checking that each finds
-    no other child alive; refuse every call after the first
-    ``refuse_after`` with OSError."""
+    no other child alive; with ``refuse``, each raises OSError."""
     calls, real = [], os.fork
 
     def fork():
         assert_no_child()
         calls.append(1)
-        if refuse_after is not None and len(calls) > refuse_after:
+        if refuse:
             raise OSError("fork refused")
         return real()
 
@@ -361,14 +370,27 @@ def count_forks(monkeypatch, refuse_after=None):
     return calls
 
 
+def write_parts(out):
+    return json.loads((out / "timing.json").read_text())["write_parts"]
+
+
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd")
 class TestTableWriter:
     rng = np.random.default_rng(4)
-    # an odd row count, above the split threshold; magnitudes from 1e-30 to
-    # 1e30, signed zeros and extremes exercise repr's fixed and exponent forms
+    # above the split threshold; magnitudes from 1e-30 to 1e30, signed zeros
+    # and extremes exercise repr's fixed and exponent forms
     big = rng.standard_normal((131, 1001)) * 10.0 ** rng.integers(-30, 30, (131, 1001))
     big[0, :6] = (0.0, -0.0, 1e16, 1e-5, 5e-324, -1.7976931348623157e308)
     header = [f"c{i}" for i in range(big.shape[1])]
+    # more rows than a queue pipe of 64 KiB holds records of 4 bytes
+    long = rng.standard_normal((20000, 7))
+
+    @pytest.fixture(autouse=True)
+    def no_child_or_fd_left(self):
+        fds = open_fds()
+        yield
+        assert_no_child()
+        assert open_fds() == fds
 
     @pytest.fixture(scope="class")
     def big_text(self):
@@ -388,113 +410,84 @@ class TestTableWriter:
             spectral.h_norm(basis, eta), spectral.v_norm(basis, eta),
             spectral.h_norm(basis, traj.phi), spectral.v_norm(basis, traj.phi))))
 
-    def test_split_is_byte_identical(self, tmp_path, needs_fork, big_text):
-        assert self.big.size >= cli._SPLIT_CELLS and len(self.big) % 2 == 1
-        path = tmp_path / "t.csv"
-        assert cli._write_csv(path, self.header, self.big) >= 2
-        assert path.read_text() == big_text
-        assert_no_child()
-
-    def test_split_of_short_rows_is_byte_identical(self, tmp_path, needs_fork, monkeypatch):
-        # short lines stay in the text layer's buffer until it is flushed,
-        # so the children's bytes must not overtake them
-        monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
-        path, table = tmp_path / "t.csv", self.big[:7, :3]
-        assert cli._write_csv(path, self.header[:3], table) >= 2
-        assert path.read_text() == csv_reference(self.header[:3], table)
-
-    def test_forks_one_child_at_a_time_for_whole_chunks(self, tmp_path, needs_fork,
-                                                        monkeypatch, big_text):
-        # a chunk is two rows
-        monkeypatch.setattr(cli, "_SPLIT_CELLS", 2 * self.big.shape[1])
-        forks, parent = count_forks(monkeypatch), os.getpid()
-
-        def rows(table, lo, hi):
-            if os.getpid() != parent and lo == 0:
-                time.sleep(0.5)         # the first child stays busy
-            return table[lo:hi]
-
-        path = tmp_path / "t.csv"
-        with cli._TableWriter(path, self.header, len(self.big), rows) as writer:
-            assert writer.forks
-            writer.ready(1, self.big)
-            assert not forks                    # one row is not a whole chunk
-            for n in (2, 3, 4):
-                writer.ready(n, self.big)
-            assert len(forks) == 1              # rows 0 and 1, still busy
-            assert writer._child[2].poll(10_000)    # the first child's rows arrive
-            writer.ready(5, self.big)           # reaps it; rows 2 and 3 go to a second child
-            assert len(forks) == 2 and writer._handed == 4
-            assert not path.exists()
-            assert writer.write(self.big) == 1 + len(forks)
-        assert len(forks) == 3                  # one more, after every row is ready
-        assert path.read_text() == big_text
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
-        assert_no_child()
-
-    def test_many_saves_fork_in_proportion_to_the_table(self, tmp_path, needs_fork,
-                                                        monkeypatch):
-        # 2000 saves of a 64-mode 1D run, 133 columns each: however many
-        # saves there are, a fork waits for a whole chunk, here 40 rows, and
-        # for the child before it to be reaped
-        cfg = with_overrides(get_scenario("tanh_front"),
-                             modes=64, quadrature=None, saves=2000)
-        path = tmp_path / "long.cfg"
-        path.write_text(serialize_config(cfg))
-        cells = 2000 * 133
-        monkeypatch.setattr(cli, "_SPLIT_CELLS", 40 * 133)
+    def test_a_large_table_forks_once(self, tmp_path, needs_fork, monkeypatch, big_text):
+        assert self.big.size >= cli._SPLIT_CELLS
         forks = count_forks(monkeypatch)
-        fds = open_fds()
-        out = tmp_path / "o"
-        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
-        # plot.csv, 2000 rows of 10 cells, is split once too
-        assert 3 <= len(forks) <= cells // cli._SPLIT_CELLS + 2
-        assert json.loads((out / "timing.json").read_text())["write_parts"] == len(forks)
-        assert_no_child()
-        assert open_fds() == fds
-        monkeypatch.delattr(os, "fork")
-        alone = tmp_path / "alone"
-        assert cli.main(["run", "--config", str(path), "--out", str(alone)]) == 0
-        assert (out / "trajectory.csv").read_bytes() == (alone / "trajectory.csv").read_bytes()
-
-    def test_fork_failure_writes_in_one_process(self, tmp_path, needs_fork, monkeypatch,
-                                                big_text):
-        def refuse():
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(os, "fork", refuse)
-        fds = open_fds()
         path = tmp_path / "t.csv"
-        assert cli._write_csv(path, self.header, self.big[:5]) == 1
-        assert path.read_text() == csv_reference(self.header, self.big[:5])
-        assert cli._write_csv(path, self.header, self.big) == 1
+        assert cli._write_csv(path, self.header, self.big) == 2
+        assert len(forks) == 1
         assert path.read_text() == big_text
-        assert open_fds() == fds
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]  # spools unlinked
+
+    def test_a_small_table_never_forks(self, tmp_path, needs_fork, monkeypatch):
+        forks, table = count_forks(monkeypatch), self.big[:5]
+        assert table.size < cli._SPLIT_CELLS
+        path = tmp_path / "t.csv"
+        assert cli._write_csv(path, self.header, table) == 1
+        assert not forks
+        assert path.read_text() == csv_reference(self.header, table)
+
+    @pytest.mark.parametrize("idle", ["parent", "child"])
+    @pytest.mark.parametrize("shape", ["big", "short_rows", "long"])
+    def test_either_process_may_format_every_row(self, tmp_path, needs_fork, monkeypatch,
+                                                 idle, shape):
+        # whichever process takes the queued rows, the lines are put back in
+        # row order; short lines and a queue too full for every row included
+        table, header = {"big": (self.big, self.header),
+                         "short_rows": (self.big[:7, :3], self.header[:3]),
+                         "long": (self.long, self.header[:7])}[shape]
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+        takes_nothing(monkeypatch, in_parent=idle == "parent")
+        forks = count_forks(monkeypatch)
+        path = tmp_path / "t.csv"
+        with cli._TableWriter(path, header, len(table), lambda t, lo, hi: t[lo:hi]) as writer:
+            assert writer.forks
+            writer.ready(len(table), table)
+            if idle == "child" and shape == "long":
+                assert writer._queued < len(table)      # the queue is full
+            assert writer.write(table) == 2
+        assert len(forks) == 1
+        assert path.read_text() == csv_reference(header, table)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_fork_refused_writes_in_one_process(self, tmp_path, needs_fork, monkeypatch,
+                                                big_text):
+        forks = count_forks(monkeypatch, refuse=True)
+        path = tmp_path / "t.csv"
+        assert cli._write_csv(path, self.header, self.big) == 1
+        assert len(forks) == 1
+        assert path.read_text() == big_text
 
     def test_child_failure_exits_2_and_leaves_nothing(self, tmp_path, capsys, needs_fork,
                                                       monkeypatch):
-        # under a threshold of one cell even the zero scenario's table is
-        # handed to children during the solve
+        # under a threshold of one cell even the zero scenario's table forks,
+        # and the child formats every row
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
         failing_formatter(monkeypatch, in_parent=False)
-        fds = open_fds()
+        takes_nothing(monkeypatch, in_parent=True)
         out = tmp_path / "o"
         assert cli.main(["run", "--scenario", "zero", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("output error") and "trajectory.csv" in err
         assert "Traceback" not in err
-        assert not any(out.iterdir())   # neither trajectory.csv nor its part file
-        assert_no_child()
-        assert open_fds() == fds
+        assert not any(out.iterdir())   # no trajectory.csv, part file or spool
 
-    def test_parent_failure_reaps_the_child(self, tmp_path, needs_fork, monkeypatch):
-        failing_formatter(monkeypatch, in_parent=True)
-        fds = open_fds()
-        with pytest.raises(RuntimeError, match="formatter failed"):
-            cli._write_csv(tmp_path / "t.csv", self.header, self.big)
+    @pytest.mark.parametrize("failing", ["rows", "formatter"])
+    def test_parent_failure_reaps_the_child(self, tmp_path, needs_fork, monkeypatch, failing):
+        def rows(table, lo, hi):
+            if failing == "rows":
+                raise RuntimeError("rows failed")
+            return table[lo:hi]
+
+        if failing == "formatter":
+            failing_formatter(monkeypatch, in_parent=True)
+            takes_nothing(monkeypatch, in_parent=False)
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            with cli._TableWriter(tmp_path / "t.csv", self.header, len(self.big),
+                                  rows) as writer:
+                assert writer.forks
+                writer.write(self.big)
         assert not any(tmp_path.iterdir())
-        assert_no_child()
-        assert open_fds() == fds
 
     def test_pending_output_printed_once(self, tmp_path, capfd, needs_fork, monkeypatch):
         # a child that flushed its copy of this process's buffers on the way
@@ -506,10 +499,10 @@ class TestTableWriter:
         out = capfd.readouterr().out
         assert out.startswith("before the run") and out.count("before the run") == 1
         assert out.count("run: ") == 1
-        assert forks
+        assert len(forks) == 1
 
-    def test_2d_run_outputs_do_not_depend_on_the_split(self, tmp_path, monkeypatch,
-                                                       reference_2d):
+    def test_2d_run_outputs_do_not_depend_on_the_fork(self, tmp_path, monkeypatch,
+                                                      reference_2d):
         _, path = config_2d(tmp_path)
         split = hasattr(os, "fork")
         outs = []
@@ -518,90 +511,92 @@ class TestTableWriter:
                 monkeypatch.delattr(os, "fork", raising=False)
             out = tmp_path / sub
             assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
-            parts = json.loads((out / "timing.json").read_text())["write_parts"]
-            assert parts >= 2 if split and sub != "no_fork" else parts == 1
+            assert write_parts(out) == (2 if split and sub != "no_fork" else 1)
             outs.append(out)
         assert (outs[0] / "trajectory.csv").read_text() == reference_2d
         for fname in ("trajectory.csv", "plot.csv", "report.json"):
             first = (outs[0] / fname).read_bytes()
             assert all((out / fname).read_bytes() == first for out in outs[1:]), fname
 
-    @pytest.mark.parametrize("granted", [0, 1])
     def test_refused_fork_falls_back_to_one_process(self, tmp_path, needs_fork, monkeypatch,
-                                                   reference_2d, granted):
-        # the first ``granted`` forks succeed; the rest of the table is
-        # formatted here.  Chunks of 10 rows leave rows for a second fork.
-        monkeypatch.setattr(cli, "_SPLIT_CELLS", 10 * 2053)
-        forks = count_forks(monkeypatch, refuse_after=granted)
-        _, path = config_2d(tmp_path)
-        fds = open_fds()
+                                                   reference_2d):
+        forks = count_forks(monkeypatch, refuse=True)
         out = tmp_path / "o"
-        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
-        assert len(forks) == granted + 1
-        assert json.loads((out / "timing.json").read_text())["write_parts"] == granted + 1
+        assert cli.main(["run", "--config", str(config_2d(tmp_path)[1]),
+                         "--out", str(out)]) == 0
+        assert len(forks) == 1 and write_parts(out) == 1
         assert (out / "trajectory.csv").read_text() == reference_2d
-        assert_no_child()
-        assert open_fds() == fds
 
     def test_blow_up_mid_solve_leaves_nothing(self, tmp_path, capsys, needs_fork, monkeypatch):
         # rk4 at h = 2.5e-4 is unstable on the top modes and blows up at
-        # t = 0.00625, after about 12 of the 101 saves; chunks of 4 rows
-        # are handed out before that
-        monkeypatch.setattr(cli, "_SPLIT_CELLS", 4 * 2053)
+        # t = 0.00625, after about 12 of the 101 saves have been queued
         forks = count_forks(monkeypatch)
         _, path = config_2d(tmp_path, method="rk4", dt=2.5e-4, t_final=0.05)
-        fds = open_fds()
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "blow-up" in err and "Traceback" not in err
-        assert forks
-        assert not any(out.iterdir())   # neither trajectory.csv nor its part file
-        assert_no_child()
-        assert open_fds() == fds
+        assert len(forks) == 1
+        assert not any(out.iterdir())   # no trajectory.csv, part file or spool
 
-    def test_a_forking_table_is_streamed(self, tmp_path, needs_fork, monkeypatch,
-                                         reference_2d):
-        # however many threads this process runs, the first chunk of 64 rows
-        # goes to a child during the solve
-        forks, real_solve, during = count_forks(monkeypatch), cli.solve, []
+    def test_the_fork_precedes_the_solve_and_saves_are_queued(self, tmp_path, needs_fork,
+                                                              monkeypatch, reference_2d):
+        forks, real_solve, real_ready = count_forks(monkeypatch), cli.solve, cli._TableWriter.ready
+        queued = []     # (rows ready, rows queued) after each save
+
+        def ready(self, n, *source):
+            real_ready(self, n, *source)
+            queued.append((n, self._queued))
 
         def solve(*args, on_save=None):
-            assert on_save is not None
+            assert len(forks) == 1 and on_save is not None
             traj = real_solve(*args, on_save=on_save)
-            during.append(len(forks))
+            assert queued == [(n, n) for n in range(1, 102)]
             return traj
 
+        monkeypatch.setattr(cli._TableWriter, "ready", ready)
         monkeypatch.setattr(cli, "solve", solve)
         out = tmp_path / "o"
         assert cli.main(["run", "--config", str(config_2d(tmp_path)[1]),
                          "--out", str(out)]) == 0
-        assert during == [1] and len(forks) == 1
-        assert json.loads((out / "timing.json").read_text())["write_parts"] == 2
+        assert len(forks) == 1 and write_parts(out) == 2
         assert (out / "trajectory.csv").read_text() == reference_2d
 
-    def test_children_format_at_a_lower_priority(self, tmp_path, needs_fork, monkeypatch,
-                                                 reference_2d):
-        # a child that does not lower its priority fails, and the run exits 2
+    def test_the_child_formats_at_a_lower_priority(self, tmp_path, needs_fork, monkeypatch,
+                                                   big_text):
+        # the child formats every row, and fails unless it runs niced
         parent, priority = os.getpid(), os.getpriority(os.PRIO_PROCESS, 0)
         if priority >= 19:
             pytest.skip("this process already runs at the least priority")
-        real = cli._trajectory_rows
+        real = cli._csv_lines
 
-        def rows(*args):
+        def lines(rows):
             if os.getpid() != parent and os.getpriority(os.PRIO_PROCESS, 0) <= priority:
-                raise RuntimeError("a child formats at the parent's priority")
-            return real(*args)
+                raise RuntimeError("the child formats at the parent's priority")
+            return real(rows)
 
-        monkeypatch.setattr(cli, "_trajectory_rows", rows)
-        monkeypatch.setattr(cli, "_SPLIT_CELLS", 10 * 2053)
+        monkeypatch.setattr(cli, "_csv_lines", lines)
+        takes_nothing(monkeypatch, in_parent=True)
+        path = tmp_path / "t.csv"
+        assert cli._write_csv(path, self.header, self.big) == 2
+        assert path.read_text() == big_text
+        assert os.getpriority(os.PRIO_PROCESS, 0) == priority
+
+    def test_many_saves_fork_once(self, tmp_path, needs_fork, monkeypatch):
+        # 2000 saves of a 64-mode 1D run, 133 columns each: one fork,
+        # however many saves; plot.csv, 2000 rows of 10 cells, none
+        cfg = with_overrides(get_scenario("tanh_front"),
+                             modes=64, quadrature=None, saves=2000)
+        path = tmp_path / "long.cfg"
+        path.write_text(serialize_config(cfg))
         forks = count_forks(monkeypatch)
         out = tmp_path / "o"
-        assert cli.main(["run", "--config", str(config_2d(tmp_path)[1]),
-                         "--out", str(out)]) == 0
-        assert len(forks) >= 2
-        assert (out / "trajectory.csv").read_text() == reference_2d
-        assert os.getpriority(os.PRIO_PROCESS, 0) == priority
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert len(forks) == 1 and write_parts(out) == 2
+        monkeypatch.delattr(os, "fork")
+        alone = tmp_path / "alone"
+        assert cli.main(["run", "--config", str(path), "--out", str(alone)]) == 0
+        assert (out / "trajectory.csv").read_bytes() == (alone / "trajectory.csv").read_bytes()
 
     @pytest.mark.parametrize("scenario", ["zero", "tanh_front"])
     def test_small_runs_never_fork(self, tmp_path, needs_fork, monkeypatch, scenario):
@@ -609,7 +604,7 @@ class TestTableWriter:
         out = tmp_path / "o"
         assert cli.main(["run", "--scenario", scenario, "--out", str(out)]) == 0
         assert not forks
-        assert json.loads((out / "timing.json").read_text())["write_parts"] == 1
+        assert write_parts(out) == 1
 
 
 class TestSweep:
@@ -642,6 +637,8 @@ class TestSweep:
         ("eps", "obstacle_sign", "0.1 0.01 0.01", "two distinct eps values, all positive"),
         ("eps", "obstacle_sign", "0.1", "two distinct eps values, all positive"),
         ("eps", "obstacle_sign", "0.1 0", "two distinct eps values, all positive"),
+        ("eps", "obstacle_sign", "0.1 inf", "two distinct eps values, all positive"),
+        ("eps", "obstacle_sign", "nan 0.1 0.01", "two distinct eps values, all positive"),
     ])
     def test_malformed_ladder_exit_code(self, tmp_path, capsys, axis, scenario,
                                         values, message):
@@ -711,7 +708,8 @@ class TestSweep:
         assert "ladder member" in err and "1000000000.0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("values", ["0.01 0", "0.01 -0.01", "0.01", "0.01 0.01 0.005"])
+    @pytest.mark.parametrize("values", ["0.01 0", "0.01 -0.01", "0.01", "0.01 0.01 0.005",
+                                        "inf 0.01", "nan 0.01 0.02"])
     def test_inadmissible_delta_ladder_exit_code(self, tmp_path, capsys, values):
         code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
                          "--values", values, "--out", str(tmp_path / "o")])
