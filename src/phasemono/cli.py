@@ -1,9 +1,9 @@
 """Command-line interface: scenario runs, parameter sweeps, graph self-tests.
 
 Exit codes: 0 success, 2 configuration or output error (an --out that
-cannot be created or written), 3 invariant or acceptance failure, 4
-numerical failure (blow-up, step-control collapse, or a resolvent root-find
-that does not converge).
+cannot be created or written, or a problem that does not fit in memory), 3
+invariant or acceptance failure, 4 numerical failure (blow-up, step-control
+collapse, or a resolvent root-find that does not converge).
 
 All deterministic outputs (trajectory.csv, plot.csv, report.json, sweep.*)
 are byte-identical across repeated runs with the same config and seed; wall
@@ -489,6 +489,13 @@ def _build_parser():
     return parser
 
 
+def _out_of_memory(what, exc):
+    """Report a problem too large for memory as a configuration error."""
+    detail = f": {exc}" if str(exc) else ""
+    print(f"config error: {what} does not fit in memory{detail}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -501,10 +508,14 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except LadderMemberError as exc:
+        if isinstance(exc.cause, MemoryError):
+            return _out_of_memory(f"ladder member {exc.value!r}", exc.cause)
         print(f"sweep failure: {exc}", file=sys.stderr)
         if isinstance(exc.cause, ConfigError):
             return EXIT_CONFIG
         return EXIT_BLOWUP
+    except MemoryError as exc:
+        return _out_of_memory("the problem", exc)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

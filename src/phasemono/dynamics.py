@@ -11,10 +11,10 @@ equation a diagonal Laplacian:
 
 with eta = theta - (ell - alpha) phi.  The state is one array of shape
 (..., 2, m): per member, the coefficients of phi, then those of theta.
-Linear diffusion acts diagonally in coefficient space; graph and potential
-terms are evaluated pointwise on the dealiased quadrature grid and
-projected back.  The nonlocal Sign graph acts directly on coefficients
-through the Parseval norm.
+Linear diffusion acts diagonally in coefficient space, and so does pi,
+which is linear.  beta and a pointwise graph are evaluated on the
+dealiased quadrature grid and projected back.  The nonlocal Sign graph
+acts directly on coefficients through the Parseval norm.
 
 Integrators: IMEX Euler (diagonal Laplacians implicit, everything else
 explicit), classical RK4, and an embedded Dormand-Prince 4(5) pair with
@@ -23,7 +23,6 @@ adaptive step control.  All of them are deterministic given their inputs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -299,19 +298,28 @@ class SolutionTrajectory:
         return self.dtheta - self.ell_minus_alpha * self.dphi
 
 
-def _grid_maps(basis, dm, pointwise):
-    """Bind the transforms of one solve: ``analyse(y)`` gives the grid of
-    phi and the graph's argument (the grid of eta for a pointwise graph,
-    else its coefficients); ``select(nl, g)`` maps the grid values
-    nl = beta_eps + pi and the graph's values g to the rows (P nl, zeta);
-    ``project`` is P.  In 1D each is one product with a matrix bound here,
-    on a 2-D operand so that a vector and a one-row stack take the same BLAS
-    path; the matrices fold in the shift eta = theta - (ell - alpha) phi
-    and the quadrature weight.  In 2D such blocks would be far too large:
-    the shift is made on the coefficients, and the pair takes one
-    ``spectral.to_grid``."""
+def _grid_maps(basis, dm, pointwise, coupling):
+    """Bind the transforms and the explicit linear terms of one solve.
+    ``analyse(y)`` gives the grid of phi and the graph's argument (the grid
+    of eta for a pointwise graph, else its coefficients).  From the grid
+    values b = beta_eps(phi) and the graph's values g,
+    ``explicit(b, g, y, record)`` gives the explicit part of d y/dt less
+    the source: sum_j coupling[r, j] * y[j] in row r, less P b in the phi
+    row and less zeta in the theta row.  A recording call also returns zeta
+    and xi = P b, else None for both.
+
+    In 1D each map is one product with a matrix bound here, on a 2-D operand
+    so that a vector and a one-row stack take the same BLAS path.  The
+    analysis matrix folds in the shift eta = theta - (ell - alpha) phi;
+    ``E`` acts on the concatenation (b, g, y) and holds the negated
+    quadrature projections (an identity block for coefficients) and the
+    diagonal coupling.  A save projects zeta and xi through the blocks of
+    ``E``.  In 2D such blocks would be far too large: the shift is made on
+    the coefficients, the pair takes one ``spectral.to_grid`` and each field
+    one ``spectral.from_grid``."""
     if basis.dims == 2:
         shift = np.array([[0.0], [dm]])
+        c_phi, c_theta = coupling[:, 0], coupling[:, 1]
 
         def analyse(y):
             pair = y - shift * y[..., :1, :]
@@ -320,41 +328,54 @@ def _grid_maps(basis, dm, pointwise):
             grid = spectral.to_grid(basis, pair)
             return grid[..., 0, :, :], grid[..., 1, :, :]
 
-        def select(nl, g):
+        def explicit(b, g, y, record=False):
+            xi = spectral.from_grid(basis, b)
             zeta = spectral.from_grid(basis, g) if pointwise else g
-            return np.stack((spectral.from_grid(basis, nl), zeta), axis=-2)
+            ex = y[..., :1, :] * c_phi + y[..., 1:, :] * c_theta - np.stack((xi, zeta), axis=-2)
+            return (ex, zeta, xi) if record else (ex, None, None)
 
-        return analyse, select, functools.partial(spectral.from_grid, basis)
+        return analyse, explicit
 
     n, quad = basis.n, basis.m_quad
-    weights = basis.spacings[0] * basis.mats[0]
     # eta to the graph's argument, and the graph's values back to zeta
-    to_arg, from_arg = (basis.mats[0].T, weights) if pointwise else (np.eye(n), np.eye(n))
-    analysis = np.zeros((2 * n, quad + to_arg.shape[1]))
+    to_arg, from_arg = ((basis.mats[0].T, basis.spacings[0] * basis.mats[0]) if pointwise
+                        else (np.eye(n), np.eye(n)))
+    arg = to_arg.shape[1]
+    analysis = np.zeros((2 * n, quad + arg))
     analysis[:n, :quad] = basis.mats[0].T
     analysis[:n, quad:] = -dm * to_arg
     analysis[n:, quad:] = to_arg
-    projection = np.zeros((quad + to_arg.shape[1], 2 * n))
-    projection[:quad, :n] = weights
-    projection[quad:, n:] = from_arg
+    E = np.zeros((quad + arg + 2 * n, 2 * n))
+    E[:quad, :n] = -basis.spacings[0] * basis.mats[0]
+    E[quad:quad + arg, n:] = -from_arg
+    # the diagonal coupling: field j of mode i to row r of mode i
+    i = np.arange(n)
+    E[quad + arg:].reshape(2, n, 2, n)[:, i, :, i] = coupling.T
+    to_xi, to_zeta = E[:quad, :n], E[quad:quad + arg, n:]
 
     def analyse(y):
         grid = y.reshape(-1, 2 * n) @ analysis
         return grid[:, :quad], grid[:, quad:]
 
-    def select(nl, g):
-        return np.concatenate((nl, g), axis=1) @ projection
+    def explicit(b, g, y, record=False):
+        ex = np.concatenate((b, g, y.reshape(-1, 2 * n)), axis=1) @ E
+        if not record:
+            return ex.reshape(y.shape), None, None
+        rows = y.shape[:-2] + (n,)
+        return ex.reshape(y.shape), -(g @ to_zeta).reshape(rows), -(b @ to_xi).reshape(rows)
 
-    return analyse, select, lambda v: v @ weights
+    return analyse, explicit
 
 
 class _Rhs:
     """Right-hand-side assembly for one parameter set, on states y of shape
     (..., 2, m): row 0 holds phi and row 1 theta.  What does not depend on
     the state is bound once per solve: the Yosida kernels of the graph and
-    of beta at the checked eps, the pi kernel, the forcing lookup, the grid
-    transforms of :func:`_grid_maps` and the per-mode rows of the linear
-    terms.  Only a recording evaluation (a save) projects xi."""
+    of beta at the checked eps, the forcing lookup, and the maps of
+    :func:`_grid_maps` with the linear terms folded in.  The potential's
+    pi is linear, pi(r) = pi_slope * r, so its projection is exactly
+    pi_slope * phi and it joins phi's coefficient in the phi row.  Only a
+    recording evaluation (a save) returns zeta and xi."""
 
     def __init__(self, params):
         p = params
@@ -363,17 +384,18 @@ class _Rhs:
         self.dm = p.ell - p.alpha
         self.lam, self.diffusivity = lam, np.array([[p.nu], [p.k]])
         self.neg_diff = -np.stack((p.nu * lam, p.k * lam))
-        # the explicit linear terms: phi * c_phi + theta * c_theta + source
-        self.c_phi = np.stack((np.full_like(lam, -p.gamma * p.ell), p.k * p.ell * lam))
-        self.c_theta = np.stack((np.full_like(lam, p.gamma), np.zeros_like(lam)))
+        # coupling[r, j]: the coefficient of field j (phi, theta) in row r
+        coupling = np.zeros((2, 2) + lam.shape)
+        coupling[0, 0] = -p.gamma * p.ell - p.potential.pi_slope
+        coupling[0, 1] = p.gamma
+        coupling[1, 0] = p.k * p.ell * lam
         self.star_rows = (p.gamma * star, p.k * lam * star)
         self.forcing = p.forcing.at
         self._f = self._src = None
         self.beta_eps = p.potential.beta_graph().yosida_kernel(p.eps)
-        self.pi = p.potential.pi_kernel()
         self.graph_eps = p.graph.yosida_kernel(p.eps)
         pointwise = not (p.graph.is_nonlocal or isinstance(p.graph, ZeroGraph))
-        self.analyse, self.select, self.project = _grid_maps(p.basis, self.dm, pointwise)
+        self.analyse, self.explicit = _grid_maps(p.basis, self.dm, pointwise, coupling)
         self.evals = self.save_evals = 0
 
     def source(self, t):
@@ -387,19 +409,17 @@ class _Rhs:
         return self._src
 
     def explicit_parts(self, t, y, record=False):
-        """The explicit part of d y/dt, the graph selection zeta and, when
-        recording, the Yosida term xi (else None)."""
+        """The explicit part of d y/dt and, when recording, the graph
+        selection zeta and the Yosida term xi (else None for both)."""
         self.evals += 1
-        phi_grid, eta = self.analyse(y)
-        beta = self.beta_eps(phi_grid)
-        sel = self.select(beta + self.pi(phi_grid), self.graph_eps(eta)).reshape(y.shape)
-        ex = y[..., :1, :] * self.c_phi + y[..., 1:, :] * self.c_theta + self.source(t) - sel
-        zeta = sel[..., 1, :]
         self.save_evals += record
-        return ex, zeta, self.project(beta).reshape(zeta.shape) if record else None
+        phi_grid, arg = self.analyse(y)
+        ex, zeta, xi = self.explicit(self.beta_eps(phi_grid), self.graph_eps(arg), y, record)
+        return ex + self.source(t), zeta, xi
 
     def full(self, t, y, record=False):
-        """(d y/dt, zeta, xi) at one state; xi is None unless recording."""
+        """(d y/dt, zeta, xi) at one state; zeta and xi are None unless
+        recording."""
         ex, zeta, xi = self.explicit_parts(t, y, record)
         return self.neg_diff * y + ex, zeta, xi
 

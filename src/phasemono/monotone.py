@@ -11,8 +11,8 @@ vectors, with ``eps`` a scalar or one value per row.  Every graph exposes
 * ``yosida(eps, x)``      -- A_eps = (I - J_eps)/eps, single-valued and
   1/eps-Lipschitz, with A_eps(x) in A(J_eps(x)),
 * ``yosida_kernel(eps)``  -- the same map at a fixed eps, checked once, as a
-  function of a float array with no per-call checks (the Galerkin
-  right-hand side binds it once per solve),
+  function of a float array with no per-call checks and the constants of
+  that eps bound (the Galerkin right-hand side binds it once per solve),
 * ``minimal_section(x)``  -- the least-norm element of A(x),
 
 together with a set-valued description ``value_interval`` from which the
@@ -314,8 +314,9 @@ def _power_root(q, ew, s):
         f"(residual {float(np.nanmax(np.abs(r))):.3e})")
 
 
-def _cubic_root(eps, x):
-    """The real root u of u + eps*u**3 = x, elementwise.
+def _cubic_root(eps):
+    """The real root u of u + eps*u**3 = x, elementwise, as a function of x
+    with the constants of this eps bound once.
 
     Hyperbolic form of Cardano's formula for the depressed cubic
     u**3 + u/eps - x/eps = 0, whose only real root is
@@ -324,17 +325,22 @@ def _cubic_root(eps, x):
     1e-14*|x|.  Non-finite x gives NaN.
     """
     k = np.sqrt(3.0 * eps)
-    z = 1.5 * k * x
-    u = (2.0 / k) * np.sinh(np.arcsinh(z) / 3.0)
-    if np.isfinite(u).all():
-        return u
-    # where 1.5*k*x overflowed for a finite x, asinh(z) = log(2|z|) exactly
-    # in double precision and is taken in logs
-    finite = np.isfinite(x)
-    big = finite & ~np.isfinite(z)
-    ax = np.abs(np.where(big, x, 1.0))
-    t = np.where(big, np.sign(x) * (np.log(3.0 * k) + np.log(ax)), np.arcsinh(z))
-    return np.where(finite, (2.0 / k) * np.sinh(t / 3.0), np.nan)
+    a, b = 1.5 * k, 2.0 / k
+
+    def root(x):
+        z = a * x
+        u = b * np.sinh(np.arcsinh(z) / 3.0)
+        if np.isfinite(u).all():
+            return u
+        # where 1.5*k*x overflowed for a finite x, asinh(z) = log(2|z|)
+        # exactly in double precision and is taken in logs
+        finite = np.isfinite(x)
+        big = finite & ~np.isfinite(z)
+        ax = np.abs(np.where(big, x, 1.0))
+        t = np.where(big, np.sign(x) * (np.log(3.0 * k) + np.log(ax)), np.arcsinh(z))
+        return np.where(finite, b * np.sinh(t / 3.0), np.nan)
+
+    return root
 
 
 def _log_start(eps, y):
@@ -414,8 +420,16 @@ class SubdiffBetaHat(MonotoneGraph):
         if self.variant == "obstacle":
             return np.minimum(np.maximum(x, -1.0), 1.0)
         if self.variant == "regular":
-            return _cubic_root(eps, x)
+            return _cubic_root(eps)(x)
         return _log_root(eps, x)
+
+    def yosida_kernel(self, eps):
+        """The quartic well's kernel binds its cubic root's constants."""
+        if self.variant != "regular":
+            return super().yosida_kernel(eps)
+        _check_eps(eps)
+        root = _cubic_root(eps)
+        return lambda x: (x - root(x)) / eps
 
 
 class NonlocalSign(MonotoneGraph):
@@ -438,7 +452,7 @@ class NonlocalSign(MonotoneGraph):
     @staticmethod
     def _norm(v):
         """Parseval norm of each row, keeping the reduced axis."""
-        return np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+        return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
     def _resolvent(self, eps, v):
         s = self._norm(v)

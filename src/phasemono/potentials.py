@@ -3,14 +3,15 @@
 Three variants are provided: the regular quartic well, the logarithmic well
 on (-1, 1), and the obstacle well (indicator of [-1, 1]).  The convex part
 ``beta_hat`` is proper, lower semicontinuous and convex with beta_hat(0) = 0;
-the perturbation derivative ``pi`` is Lipschitz with the constant reported by
-``lipschitz_pi``.  The Moreau envelope of the convex part and its derivative
-(the Yosida map of the subdifferential) are available for any eps > 0.
+the perturbation derivative ``pi`` is linear, pi(r) = pi_slope * r, so it
+is Lipschitz with the constant ``lipschitz_pi`` = |pi_slope|, and the
+Galerkin projection of pi(phi_n) is exactly pi_slope * phi_n.  The Moreau
+envelope of the convex part and its derivative (the Yosida map of the
+subdifferential) are available for any eps > 0.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -56,10 +57,16 @@ class PotentialSpec:
         return (-1.0, 1.0)
 
     @property
-    def lipschitz_pi(self):
+    def pi_slope(self):
+        """The slope of the linear pi: -1 for the quartic well, -2 c0 for
+        the logarithmic and obstacle wells."""
         if self.variant == "regular":
-            return 1.0
-        return 2.0 * self.c0
+            return -1.0
+        return -2.0 * self.c0
+
+    @property
+    def lipschitz_pi(self):
+        return abs(self.pi_slope)
 
     def beta_hat(self, r):
         r = np.asarray(r, dtype=float)
@@ -74,17 +81,10 @@ class PotentialSpec:
         return out
 
     def pi(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self.pi_kernel()(r)
+        out = self.pi_slope * np.asarray(r, dtype=float)
         if np.ndim(r) == 0:
             return float(out)
         return out
-
-    def pi_kernel(self):
-        """pi as a function of a float array: the body of :meth:`pi`."""
-        if self.variant == "regular":
-            return np.negative
-        return functools.partial(np.multiply, -2.0 * self.c0)
 
     def beta_graph(self):
         return SubdiffBetaHat(self.variant)

@@ -11,10 +11,10 @@ shape (N, dim), dim 1 for the scalar graphs and ``NONLOCAL_DIM`` for the
 nonlocal Sign graph, whose vector is the last axis; magnitudes are row
 norms and a random ``eps`` is given per row as (N, 1).  Each property is
 then a single vectorised expression, and the independent bisection oracle
-is called once per regularization level on the whole stack.  The
-semigroup row checks (A_eps)_delta = A_{eps+delta} with no root-find: it
-bounds max |u + delta*A_eps(u) - x|/delta by 1e-9, a row norm for the
-nonlocal graph, where u = x - delta*A_{eps+delta}(x).  Since
+is called once per graph, on the four regularization levels stacked as
+(L, N, dim).  The semigroup row checks (A_eps)_delta = A_{eps+delta} with
+no root-find: it bounds max |u + delta*A_eps(u) - x|/delta by 1e-9, a row
+norm for the nonlocal graph, where u = x - delta*A_{eps+delta}(x).  Since
 I + delta*A_eps is strongly monotone with modulus 1, this residual bounds
 |(A_eps)_delta(x) - A_{eps+delta}(x)|.
 """
@@ -143,6 +143,15 @@ def _core_points(graph, rng, count):
     return np.where(np.abs(pts) < 0.01, 0.01, pts)
 
 
+def _oracle_gap(graph, eps_levels, x):
+    """max |J_eps x - oracle| over the levels: one bisection on the levels
+    stacked as (L, N, dim), compared one level at a time.  The stack is
+    freed on return, before the other checks."""
+    levels = np.stack([np.broadcast_to(e, (len(x), 1)) for e in eps_levels])
+    stack = resolvent_oracle(graph, levels, np.broadcast_to(x, (len(levels),) + x.shape))
+    return max(_max(np.abs(graph.resolvent(e, x) - ref)) for e, ref in zip(eps_levels, stack))
+
+
 def graph_checks(name, graph, rng):
     """Run the full property suite on one scalar or nonlocal graph, on
     (N, dim) sample stacks with a per-row ``eps`` of shape (N, 1)."""
@@ -158,8 +167,7 @@ def graph_checks(name, graph, rng):
 
     # production resolvent against the set-valued bisection oracle, at fixed
     # levels and at a random level per point
-    worst = max(_max(np.abs(graph.resolvent(e, x) - resolvent_oracle(graph, e, x)))
-                for e in eps_levels)
+    worst = _oracle_gap(graph, eps_levels, x)
     add("resolvent_vs_oracle", worst <= 1e-10, worst)
 
     # contraction of the resolvent

@@ -245,6 +245,21 @@ class TestRun:
         assert "blow-up" in err
         assert "Traceback" not in err
 
+    def test_problem_too_large_for_memory_exits_as_config_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a basis of a million modes asks for terabytes; the allocation is
+        # faked, never made
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                              "(2000000, 1000000) and data type float64")
+
+        monkeypatch.setattr(spectral, "build_basis", too_large)
+        code = cli.main(["run", "--scenario", "zero", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: the problem does not fit in memory: Unable to allocate "
+            "14.6 TiB for an array with shape (2000000, 1000000) and data type float64\n")
+
     def test_phase_timings(self, tmp_path):
         out = tmp_path / "o"
         assert cli.main(["run", "--scenario", "zero", "--out", str(out)]) == 0
@@ -680,6 +695,23 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "ladder member 2" in err and "cosine mode 2" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.json").exists()
+
+    def test_member_too_large_for_memory_exits_as_config_error(self, tmp_path, capsys,
+                                                              monkeypatch):
+        build = spectral.build_basis
+
+        def too_large(dims, lengths, n, m_quad=None):
+            if n > 64:
+                raise MemoryError()
+            return build(dims, lengths, n, m_quad)
+
+        monkeypatch.setattr(spectral, "build_basis", too_large)
+        code = cli.main(["sweep", "--scenario", "tanh_front", "--axis", "n",
+                         "--values", "8 1000000", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: ladder member 1000000 does not fit in memory\n")
         assert not (tmp_path / "o" / "sweep.json").exists()
 
     def test_traced_eps_sweep(self, tmp_path, monkeypatch):

@@ -720,10 +720,11 @@ class TestRhsEquivalence:
                                 public_rhs(p, 0.37, a, b)):
             assert g.shape == ref.shape, name
             assert np.all(np.abs(g - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), name
-        # a stage that does not record gives the same state derivative
+        # a stage that does not record gives the same state derivative and
+        # projects neither zeta nor xi
         dy_stage, zeta_stage, xi_stage = rhs.full(0.37, y)
         assert np.array_equal(dy_stage, dy)
-        assert np.array_equal(zeta_stage, zeta) and xi_stage is None
+        assert zeta_stage is None and xi_stage is None
 
 
 class TestCheckState:
@@ -766,14 +767,15 @@ class TestCheckState:
 
 
 class TestTransformCount:
-    # one analysis of the state and one selection per evaluation, and one
-    # projection (xi) per save.  In 1D each is one product with a matrix
-    # bound by _grid_maps, and spectral is not called; in 2D the analysis
-    # is one to_grid of the pair, and the selection two from_grid calls
-    COUNTED = ("analyse", "select", "project", "to_grid", "from_grid")
+    # one analysis of the state and one explicit product per evaluation,
+    # each a call of a map bound by _grid_maps.  In 1D each is one product
+    # with a bound matrix and spectral is not called, not even at a save;
+    # in 2D the analysis is one to_grid of the pair, and the explicit map
+    # projects each grid field by one from_grid, which a save reuses
+    MAPS = ("analyse", "explicit")
 
     def counted_solve(self, monkeypatch, params, init, sched):
-        calls = dict.fromkeys(self.COUNTED, 0)
+        calls = dict.fromkeys(self.MAPS + ("to_grid", "from_grid"), 0)
 
         def count(name, fn):
             def counted(*args):
@@ -785,10 +787,10 @@ class TestTransformCount:
             monkeypatch.setattr(spectral, name, count(name, getattr(spectral, name)))
         bind = dynamics._grid_maps
         monkeypatch.setattr(dynamics, "_grid_maps", lambda *args: tuple(
-            count(name, fn) for name, fn in zip(self.COUNTED, bind(*args))))
+            count(name, fn) for name, fn in zip(self.MAPS, bind(*args), strict=True)))
         st = solve(params, init, sched).stats
-        assert calls["analyse"] == calls["select"] == st["rhs_evals"]
-        assert calls["project"] == st["rhs_evals_saves"] == sched.n_saves
+        assert calls["analyse"] == calls["explicit"] == st["rhs_evals"]
+        assert st["rhs_evals_saves"] == sched.n_saves
         return calls, st
 
     @pytest.mark.parametrize("scenario, method", [("tanh_front", "imex"),
@@ -806,4 +808,4 @@ class TestTransformCount:
             with_overrides(get_scenario("regular_sign"), graph=graph, **kw))
         calls, st = self.counted_solve(monkeypatch, params, init, sched)
         assert calls["to_grid"] == st["rhs_evals"]
-        assert calls["from_grid"] == projections * st["rhs_evals"] + sched.n_saves
+        assert calls["from_grid"] == projections * st["rhs_evals"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from phasemono import spectral
 from phasemono.monotone import resolvent_oracle
 from phasemono.potentials import PotentialSpec, envelope
 from phasemono.selftest import builtin_potentials
@@ -33,6 +34,19 @@ class TestSplit:
         assert PotentialSpec("regular").lipschitz_pi == 1.0
         assert PotentialSpec("logarithmic", 2.0).lipschitz_pi == 4.0
         assert PotentialSpec("obstacle", 0.5).lipschitz_pi == 1.0
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec("regular"), PotentialSpec("logarithmic", 1.5), PotentialSpec("obstacle", 0.7)])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_projected_pi_is_its_slope_times_the_field(self, spec, dims):
+        # the right-hand side folds P pi(phi_n) into pi_slope * phi_n; the
+        # quadrature grid integrates every mode product exactly
+        basis = spectral.build_basis(dims, (1.0, 1.3)[:dims], 16 if dims == 1 else 6)
+        m = basis.total_modes
+        c = np.random.default_rng(dims).standard_normal((3, m)) / (1.0 + np.arange(m))
+        got = spectral.from_grid(basis, spec.pi(spectral.to_grid(basis, c)))
+        assert np.max(np.abs(got - spec.pi_slope * c)) <= 1e-14
+        assert spec.lipschitz_pi == abs(spec.pi_slope)
 
     def test_logarithmic_needs_double_well(self):
         with pytest.raises(ValueError):
