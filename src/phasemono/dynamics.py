@@ -569,7 +569,28 @@ def solve(params, initial, schedule, on_save=None):
         dtheta=DY[..., 1, :], ell_minus_alpha=ctx.dm, stats=stats, initial=initial)
 
 
+# the most grid points one block of :func:`envelope_integral` evaluates
+ENVELOPE_BLOCK_POINTS = 2 ** 16
+
+
 def envelope_integral(params, phi_coeffs):
-    """Quadrature of the convex-part envelope of the represented field."""
-    grid = spectral.to_grid(params.basis, np.asarray(phi_coeffs, dtype=float))
-    return spectral.grid_integral(params.basis, envelope(params.potential, params.eps, grid))
+    """Quadrature of the convex-part envelope of the represented field.
+
+    Leading axes are carried through, as in :func:`spectral.to_grid`:
+    coefficients of shape (S, m) give S integrals, and a vector a float.
+    The rows go through in blocks of at most ``ENVELOPE_BLOCK_POINTS`` grid
+    points (but at least one row), with one ``to_grid`` and one
+    ``envelope`` call per block, so a stack never holds more than a block
+    of grids.  A row gives the bits of its own vector call, except that a
+    1D block's matrix product may round differently from a single row's,
+    by a few ulps of the integral."""
+    basis = params.basis
+    c = np.asarray(phi_coeffs, dtype=float)
+    rows = c.reshape(-1, c.shape[-1])
+    per_block = max(1, ENVELOPE_BLOCK_POINTS // math.prod(basis.grid_shape))
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), per_block):
+        grid = spectral.to_grid(basis, rows[i:i + per_block])
+        out[i:i + per_block] = spectral.grid_integral(
+            basis, envelope(params.potential, params.eps, grid))
+    return float(out[0]) if c.ndim == 1 else out.reshape(c.shape[:-1])

@@ -171,18 +171,28 @@ class EnergyReport:
 
 def energy_monitor(traj, params):
     """Evaluate the energy functional, the explicit Gronwall certificate and
-    the companion estimate quantities along a sampled trajectory."""
+    the companion estimate quantities along a sampled trajectory.
+
+    The trajectory is one solve, with ``phi`` of shape (saves, modes); a
+    stacked solve is refused with a ValueError before any work.  The
+    envelope term is one blocked :func:`envelope_integral` call on the
+    whole ``phi``."""
     basis = params.basis
     ts = traj.times
     lam = basis.eigenvalues
     initial = traj.initial
+    expected = (len(ts), basis.total_modes)
+    if traj.phi.shape != expected:
+        raise ValueError(
+            f"energy_monitor takes one trajectory, with phi of shape "
+            f"(saves, modes) = {expected}; got {traj.phi.shape}")
 
     eta = traj.eta
     eta_h2 = np.sum(eta * eta, axis=1)
     eta_dir = np.sum(lam * eta * eta, axis=1)
     phi_v2 = np.sum((1.0 + lam) * traj.phi * traj.phi, axis=1)
     dphi_h2 = np.sum(traj.dphi * traj.dphi, axis=1)
-    env = np.array([envelope_integral(params, traj.phi[j]) for j in range(len(ts))])
+    env = envelope_integral(params, traj.phi)
 
     grad_eta_int = params.k * _cumtrapz(ts, eta_dir)
     dphi_int = _cumtrapz(ts, dphi_h2)

@@ -343,14 +343,28 @@ def _cubic_root(eps):
     return root
 
 
-def _log_start(eps, y):
-    """A start at or below the root s of tanh(s) + 2*eps*s = y >= 0.
+# the largest float below 1, which caps the logarithmic resolvent, and its
+# artanh
+_LOG_TOP = math.nextafter(1.0, 0.0)
+_LOG_ATANH_TOP = math.atanh(_LOG_TOP)
 
-    Since tanh(s) <= min(s, 1), the left side is at most (1 + 2*eps)*s and
-    at most 1 + 2*eps*s, so y/(1 + 2*eps) and (y - 1)/(2*eps) are both lower
-    bounds on the root: the first is the closer one for small y, the second
-    for large y."""
-    return np.maximum(y / (1.0 + 2.0 * eps), (y - 1.0) / (2.0 * eps))
+
+def _log_start(eps, y):
+    """A start at or below the root s of h(s) = tanh(s) + 2*eps*s = y >= 0.
+
+    Since tanh(s) <= s, h(s) <= (1 + 2*eps)*s, so y/(1 + 2*eps) is at or
+    below the root; it is the closer start when eps is large.  The other is
+    the Newton step from a = artanh(t), t = min(y, top), an upper bound on
+    the root for y < 1.  Since h is concave, a tangent step from any point
+    lands at or below the root.  The step is written as
+    (a*g + y - t)/(g + 2*eps) with g = 1 - t^2, whose terms are all
+    nonnegative, so that no cancellation lifts it above the root.  For
+    large y it agrees with (y - 1)/(2*eps), the step from s = infinity, to
+    a relative 1e-16/eps."""
+    t = np.minimum(y, _LOG_TOP)
+    g = 1.0 - t * t
+    step = (np.arctanh(t) * g + (y - t)) / (g + 2.0 * eps)
+    return np.maximum(y / (1.0 + 2.0 * eps), step)
 
 
 def _log_root(eps, x):
@@ -358,24 +372,28 @@ def _log_root(eps, x):
 
     The substitution u = tanh(s) turns the equation for |x| into
     h(s) = tanh(s) + 2*eps*s = |x|, with h increasing and concave on s >= 0,
-    so Newton steps started below the root climb to it monotonically and
-    need no bracket; :func:`_log_start` gives such a start.  The left side
-    maps (-1, 1) onto R, but the largest float below 1 caps the
-    representable roots: |x| beyond its image saturates there.  NaN x gives
-    NaN.
+    so Newton steps started below the root climb to it and need no
+    bracket; :func:`_log_start` gives such a start.  Each step takes
+    h'(s) = sech^2(s) + 2*eps as 1 - t^2 + 2*eps from the t = tanh(s) its
+    residual needs.  Where tanh(s) rounds to within a few ulps of 1, that
+    sech^2 is off by up to about 2e-16, so a step may exceed the exact
+    Newton step by a relative 1e-16/eps and pass the root; from above it,
+    the next step falls back below, and only the residual decides
+    convergence.  The left side maps (-1, 1) onto R, but the largest float
+    below 1 caps the representable roots: |x| beyond its image saturates
+    there.  NaN x gives NaN.
     """
-    top = np.nextafter(1.0, 0.0)
-    y = np.minimum(np.abs(x), top + 2.0 * eps * np.arctanh(top))
+    y = np.minimum(np.abs(x), _LOG_TOP + 2.0 * eps * _LOG_ATANH_TOP)
     res_tol = RESOLVENT_TOL * np.maximum(1.0, y)
     s = _log_start(eps, y)
     for _ in range(RESOLVENT_MAX_ITER):
-        r = y - np.tanh(s) - 2.0 * eps * s
-        c = np.cosh(s)
-        s = s + r / (1.0 / (c * c) + 2.0 * eps)
+        t = np.tanh(s)
+        r = y - t - 2.0 * eps * s
+        s = s + r / ((1.0 - t * t) + 2.0 * eps)
         # once the residual is small, the step just taken leaves an error of
         # its square; written so that NaN entries count as converged
         if not (np.abs(r) > res_tol).any():
-            return np.copysign(np.minimum(np.tanh(s), top), x)
+            return np.copysign(np.minimum(np.tanh(s), _LOG_TOP), x)
     raise ResolventError(
         f"logarithmic resolvent hit the {RESOLVENT_MAX_ITER}-iteration cap "
         f"(residual {float(np.nanmax(np.abs(r))):.3e})")

@@ -151,8 +151,14 @@ def w_norm(basis, coeffs):
 
 
 def grid_integral(basis, values):
-    """Midpoint quadrature of a grid function over the domain."""
-    return basis.cell * float(np.sum(values))
+    """Midpoint quadrature of a grid function over the domain.  Leading axes
+    are carried through: a stack of B grids gives the B integrals, and one
+    grid a float.  Each grid is summed as one flat row, so a stacked row
+    gives the same bits as the grid alone."""
+    v = np.asarray(values, dtype=float)
+    lead = v.shape[:v.ndim - basis.dims]
+    sums = np.sum(v.reshape(lead + (-1,)), axis=-1)
+    return basis.cell * (sums if lead else float(sums))
 
 
 def embed_coeffs(src, dst, coeffs):

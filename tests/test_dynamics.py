@@ -422,6 +422,67 @@ class TestInitialData:
             make_params(t_final=0.0)
 
 
+class TestEnvelopeIntegral:
+    """The envelope quadrature of a stack of fields, in blocks of at most
+    ``ENVELOPE_BLOCK_POINTS`` grid points."""
+
+    @staticmethod
+    def field(dims, n, rows, variant, c0=0.0):
+        params = dataclasses.replace(
+            make_params(), basis=spectral.build_basis(dims, 1.0, n),
+            potential=PotentialSpec(variant, c0), eps=0.05)
+        m = params.basis.total_modes
+        coeffs = 0.4 * np.random.default_rng(3).standard_normal((rows, m)) / math.sqrt(m)
+        return params, coeffs
+
+    @staticmethod
+    def rows_per_block(params):
+        return max(1, dynamics.ENVELOPE_BLOCK_POINTS // math.prod(params.basis.grid_shape))
+
+    # 1500 rows of a 128-point grid, and 9 saves of field_2d's 128 x 128
+    # grid, each three blocks
+    @pytest.mark.parametrize("dims, n, rows", [(1, 64, 1500), (2, 64, 9)])
+    @pytest.mark.parametrize("variant, c0", [("regular", 0.0), ("logarithmic", 2.0)])
+    def test_a_stack_of_blocks_matches_the_rows(self, dims, n, rows, variant, c0):
+        params, coeffs = self.field(dims, n, rows, variant, c0)
+        assert math.ceil(rows / self.rows_per_block(params)) == 3
+        got = dynamics.envelope_integral(params, coeffs)
+        assert got.shape == (rows,)
+        alone = np.array([dynamics.envelope_integral(params, row) for row in coeffs])
+        if dims == 2:
+            assert np.array_equal(got, alone)
+        else:
+            # a 1D block is one matrix product, which may round each grid
+            # value differently from the product of a single row; the
+            # envelope is positive, so the sum keeps that within a few ulps
+            assert np.all(np.abs(got - alone) <= 16.0 * np.spacing(alone))
+        # leading axes are carried through
+        again = dynamics.envelope_integral(params, coeffs[:8].reshape(2, 4, -1))
+        flat = dynamics.envelope_integral(params, coeffs[:8])
+        assert np.array_equal(again, flat.reshape(2, 4))
+
+    def test_a_vector_gives_a_float(self):
+        params, coeffs = self.field(1, 8, 1, "logarithmic", 2.0)
+        assert type(dynamics.envelope_integral(params, coeffs[0])) is float
+
+    @pytest.mark.parametrize("dims, n", [(1, 64), (2, 64)])
+    def test_one_envelope_call_per_block(self, monkeypatch, dims, n):
+        params, coeffs = self.field(dims, n, 101, "regular")
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2].shape)
+            return envelope(*args)
+
+        monkeypatch.setattr(dynamics, "envelope", counting)
+        dynamics.envelope_integral(params, coeffs)
+        per_block = self.rows_per_block(params)
+        assert len(calls) == math.ceil(101 / per_block) == (1 if dims == 1 else 26)
+        assert all(math.prod(shape) <= max(dynamics.ENVELOPE_BLOCK_POINTS,
+                                           math.prod(params.basis.grid_shape))
+                   for shape in calls)
+
+
 class TestForcing:
     def test_linear_interpolation(self):
         f = Forcing(np.array([0.0, 1.0, 2.0]),

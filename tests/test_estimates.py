@@ -23,7 +23,7 @@ from phasemono.estimates import (
     stability_constants,
     yosida_convergence,
 )
-from phasemono.scenarios import get_scenario
+from phasemono.scenarios import get_scenario, scenario_names
 
 
 def run_scenario(name, **overrides):
@@ -112,6 +112,30 @@ class TestEnergyMonitor:
         params, _, _, traj = run_scenario(name)
         rep = energy_monitor(traj, params)
         assert rep.dissipation_min >= -1e-9
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_envelope_series_matches_the_per_save_quadrature(self, name):
+        params, _, _, traj = run_scenario(name)
+        got = energy_monitor(traj, params).components["envelope"]
+        alone = np.array([envelope_integral(params, phi) for phi in traj.phi])
+        # within a few ulps of an order-one energy; the obstacle well's
+        # envelope is the square of |phi| - 1, which cancels, so the bound
+        # is absolute
+        assert got.shape == alone.shape
+        assert np.max(np.abs(got - alone)) <= 1e-15
+
+    def test_a_stacked_trajectory_is_refused_before_any_work(self, monkeypatch):
+        params, initial, schedule, _ = run_scenario("contraction_base")
+        traj = solve(params, estimates._stack_initial([initial] * 3), schedule)
+
+        def forbidden(*args):
+            raise AssertionError("envelope_integral called")
+
+        monkeypatch.setattr(estimates, "envelope_integral", forbidden)
+        m = params.basis.total_modes
+        with pytest.raises(ValueError, match=rf"\(saves, modes\) = \(101, {m}\); "
+                                             rf"got \(101, 3, {m}\)"):
+            energy_monitor(traj, params)
 
     def test_initial_envelope_within_budget(self):
         params, initial, _, traj = run_scenario("obstacle_sign")

@@ -285,27 +285,29 @@ class TestSolver:
 
 
 class _CountingNumpy:
-    """Stands in for numpy inside ``monotone`` and counts np.cosh calls: the
-    logarithmic Newton iteration makes one per step."""
+    """Stands in for numpy inside ``monotone`` and counts np.tanh calls: the
+    logarithmic Newton iteration makes one per step and one more for the
+    root it returns."""
 
     def __init__(self):
-        self.cosh_calls = 0
+        self.tanh_calls = 0
 
-    def cosh(self, x):
-        self.cosh_calls += 1
-        return np.cosh(x)
+    def tanh(self, x):
+        self.tanh_calls += 1
+        return np.tanh(x)
 
     def __getattr__(self, name):
         return getattr(np, name)
 
 
 def _steps_from_the_previous_start(eps, x):
-    """Newton steps of the logarithmic iteration started, as it was before
-    the closer start, at max(0, (y - 1)/(2 eps))."""
+    """Newton steps of the logarithmic iteration as it was before the
+    Newton step from the upper bound joined its start: started at
+    max(y/(1 + 2 eps), (y - 1)/(2 eps)), with sech^2 from cosh."""
     top = np.nextafter(1.0, 0.0)
     y = np.minimum(np.abs(x), top + 2.0 * eps * np.arctanh(top))
     res_tol = monotone.RESOLVENT_TOL * np.maximum(1.0, y)
-    s = np.maximum(0.0, (y - 1.0) / (2.0 * eps))
+    s = np.maximum(y / (1.0 + 2.0 * eps), (y - 1.0) / (2.0 * eps))
     for step in range(1, monotone.RESOLVENT_MAX_ITER + 1):
         r = y - np.tanh(s) - 2.0 * eps * s
         c = np.cosh(s)
@@ -319,26 +321,34 @@ class TestLogarithmicNewton:
     """The Newton iteration for tanh(s) + 2 eps s = y behind the logarithmic
     well's resolvent."""
 
-    EPS = np.geomspace(1e-6, 10.0, 61)
+    # down to 1e-12, where 2 eps is small enough that the rounding of the
+    # slope's 1 - tanh(s)^2 (up to about 2e-16 where tanh(s) is near 1)
+    # shows in the Newton step
+    EPS = np.geomspace(1e-12, 10.0, 105)
 
     def test_start_at_or_below_the_root(self):
-        y = np.concatenate([np.linspace(0.0, 20.0, 2001), np.geomspace(1e-300, 1e12, 400)])
+        top = np.nextafter(1.0, 0.0)
+        near_one = np.geomspace(1e-16, 1e-12, 41)
+        y = np.concatenate([np.linspace(0.0, 20.0, 2001), np.geomspace(1e-300, 1e12, 400),
+                            1.0 - near_one, 1.0 + near_one, [top, 1.0]])
         for eps in self.EPS:
-            s0 = monotone._log_start(eps, y)
+            # the largest y the root accepts: the saturation value
+            ys = np.append(y, top + 2.0 * eps * np.arctanh(top))
+            s0 = monotone._log_start(eps, ys)
             assert np.all(s0 >= 0.0)
             # h is increasing, so h(s0) <= y puts s0 at or below the root;
             # evaluating h(s0) rounds by up to 2 float spacings of y
             h = np.tanh(s0) + 2.0 * eps * s0
-            assert np.all(h <= y + 4.0 * np.spacing(y)), eps
+            assert np.all(h <= ys + 4.0 * np.spacing(ys)), eps
 
     def test_never_more_steps_than_from_the_previous_start(self, monkeypatch):
         counter = _CountingNumpy()
         monkeypatch.setattr(monotone, "np", counter)
 
         def steps(eps, x):
-            before = counter.cosh_calls
+            before = counter.tanh_calls
             monotone._log_root(eps, x)
-            return counter.cosh_calls - before
+            return counter.tanh_calls - before - 1
 
         xs = np.linspace(-20.0, 20.0, 161)
         for eps in self.EPS[::2]:
@@ -349,8 +359,8 @@ class TestLogarithmicNewton:
             assert steps(eps, grid) <= _steps_from_the_previous_start(eps, grid)
         # the measured gain at the bench's eps values
         grid = np.linspace(-3.0, 3.0, 48)
-        assert (steps(0.05, grid), _steps_from_the_previous_start(0.05, grid)) == (6, 7)
-        assert (steps(1e-3, grid), _steps_from_the_previous_start(1e-3, grid)) == (7, 8)
+        assert (steps(0.05, grid), _steps_from_the_previous_start(0.05, grid)) == (6, 6)
+        assert (steps(1e-3, grid), _steps_from_the_previous_start(1e-3, grid)) == (3, 7)
 
 
 class TestScaleAwareStopping:

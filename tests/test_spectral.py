@@ -172,6 +172,16 @@ class TestNorms:
         lap = spectral.to_grid(b, -b.eigenvalues * c)[1:-1]
         assert np.max(np.abs(fd - lap)) <= 1e-4 * np.max(np.abs(lap))
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_grid_integral_of_a_stack_gives_each_grids_bits(self, dims):
+        b = spectral.build_basis(dims, 1.0, 8)
+        grids = np.random.default_rng(6).standard_normal((2, 3) + b.grid_shape)
+        got = spectral.grid_integral(b, grids)
+        assert got.shape == (2, 3)
+        alone = [[spectral.grid_integral(b, g) for g in row] for row in grids]
+        assert type(alone[0][0]) is float
+        assert np.array_equal(got, alone)
+
     def test_w_norm_formula(self):
         b = spectral.build_basis(1, math.pi, 4)
         c = np.eye(4)[2]  # lambda = 4
