@@ -415,7 +415,8 @@ class _Rhs:
         self.save_evals += record
         phi_grid, arg = self.analyse(y)
         ex, zeta, xi = self.explicit(self.beta_eps(phi_grid), self.graph_eps(arg), y, record)
-        return ex + self.source(t), zeta, xi
+        ex += self.source(t)
+        return ex, zeta, xi
 
     def full(self, t, y, record=False):
         """(d y/dt, zeta, xi) at one state; zeta and xi are None unless
@@ -467,10 +468,24 @@ def _dp45_step(ctx, t, y, dt, tol, k1):
     return y5, err, k7
 
 
+_FLOAT_MAX, _FLOAT_TINY = float(np.finfo(float).max), float(np.finfo(float).tiny)
+# (ceiling/2)^2 is capped at the largest float for ceilings above this
+_CAPPED_CEILING = 2.0 * math.sqrt(_FLOAT_MAX)
+
+
 def _check_state(t, y, ceiling):
     """Raise BlowUpError if a coefficient of the state is over the ceiling
-    or NaN.  One test covers the whole state; the member and the field are
-    looked up only when it fails."""
+    or NaN.  One dot product of the state with itself clears it first: a
+    sum of squares is at least each coefficient's rounded square, so a sum
+    within (ceiling/2)^2 puts every coefficient under the ceiling.  That
+    bound is capped at the largest float, and the dot product is skipped
+    where it is below the least normal float, whose squares may underflow.
+    A NaN, an overflow (``vdot`` does not warn of it) or a larger sum falls
+    through to the exact test; the member and the field are looked up only
+    when that fails."""
+    bound = _FLOAT_MAX if ceiling > _CAPPED_CEILING else 0.25 * ceiling * ceiling
+    if bound >= _FLOAT_TINY and np.vdot(y, y) <= bound:
+        return
     if np.abs(y).max(initial=0.0) <= ceiling:
         return
     worst = np.max(np.abs(y), axis=-1)
@@ -528,18 +543,30 @@ def solve(params, initial, schedule, on_save=None):
     steps = rejected = 0
     h_min, h_max = math.inf, 0.0
     h = float(ts[1]) / 8.0      # the first DP45 trial step
+    dens = {}                   # the IMEX denominators of each substep length
     for j in range(schedule.n_saves - 1):
         t0, t1 = float(ts[j]), float(ts[j + 1])
         if schedule.method != "rk45":
             nsub = max(1, math.ceil((t1 - t0) / schedule.dt - 1e-12))
             h = (t1 - t0) / nsub
             h_min, h_max = min(h_min, h), max(h_max, h)
-            # the IMEX denominators (1 + h nu lam, 1 + h k lam) of this substep
-            den = 1.0 + (h * ctx.diffusivity) * ctx.lam if imex else None
+            if imex:
+                # (1 + h nu lam, 1 + h k lam), built once per distinct h
+                den = dens.get(h)
+                if den is None:
+                    den = dens[h] = 1.0 + (h * ctx.diffusivity) * ctx.lam
             t = t0
             for i in range(nsub):
                 k1 = first if i == 0 else stage(t, y)[0]
-                y = (y + h * k1) / den if imex else _rk4_step(ctx, t, y, h, k1)
+                if imex:
+                    # (y + h k1)/den, in place on the fresh stage; a save's
+                    # stage is already in DY
+                    k1 *= h
+                    k1 += y
+                    k1 /= den
+                    y = k1
+                else:
+                    y = _rk4_step(ctx, t, y, h, k1)
                 t += h
                 steps += 1
                 _check_state(t, y, params.blowup_ceiling)

@@ -552,8 +552,11 @@ def _ladder_report(axis, values, bases, trajs, overshoot):
 def galerkin_convergence(factory, ns, schedule):
     """Truncation-level ladder: factory(n) -> (params, initial).  Reports the
     C0([0,T];H) differences between consecutive levels; levels must share the
-    domain, the sample grid and all coefficients.  The ladder is refused as
-    in :func:`_ladder_values`."""
+    domain, the sample grid and all coefficients.  The levels also share
+    ``schedule`` and so its ``dt``: the ladder measures convergence in n of
+    the time-discrete scheme, and its differences can fall below each
+    level's own time error.  The ladder is refused as in
+    :func:`_ladder_values`."""
     ns = sorted(_ladder_values(ns, int, "mode counts"))
     params, trajs = _solve_members(factory, ns, schedule)
     return _ladder_report("n", ns, [p.basis for p in params], trajs, None)

@@ -24,7 +24,10 @@ Most resolvents are closed forms, the quartic well's among them (the real
 root of a depressed cubic).  The logarithmic well and the weighted power
 with q != 1/2 solve their scalar equation by a Newton iteration that climbs
 to the root from below without a bracket; each root-find raises
-:class:`ResolventError` when it does not converge.
+:class:`ResolventError` when it does not converge.  The logarithmic well's
+kernel starts from a table bound for its eps, which may lie above the root:
+the equation is concave, so the first step lands below it, and only the
+residual decides convergence.
 
 The semigroup identity (A_eps)_delta = A_{eps+delta} needs no root-find to
 be checked: with u = x - delta*A_{eps+delta}(x), the map
@@ -350,7 +353,8 @@ _LOG_ATANH_TOP = math.atanh(_LOG_TOP)
 
 
 def _log_start(eps, y):
-    """A start at or below the root s of h(s) = tanh(s) + 2*eps*s = y >= 0.
+    """A start at or below the root s of h(s) = tanh(s) + 2*eps*s = y >= 0,
+    for the public maps, whose eps may vary from point to point.
 
     Since tanh(s) <= s, h(s) <= (1 + 2*eps)*s, so y/(1 + 2*eps) is at or
     below the root; it is the closer start when eps is large.  The other is
@@ -367,25 +371,61 @@ def _log_start(eps, y):
     return np.maximum(y / (1.0 + 2.0 * eps), step)
 
 
-def _log_root(eps, x):
-    """The root u in (-1, 1) of u + eps*log((1+u)/(1-u)) = x, elementwise.
+@functools.cache
+def _log_nodes():
+    """The table's nodes s_k on [0, artanh(top)], the largest root there is.
+
+    Interpolating the inverse of h(s) = tanh(s) + 2*eps*s linearly between
+    nodes a width d apart misses the root by about d^2 |h''|/(8 h'), and one
+    Newton step from there leaves a residual of about
+    d^4 |h''|^3/(128 h'^2).  For any eps that is at most
+    d^4 sech^2(s) tanh^3(s)/16, so the nodes are spaced as
+    (sech^2(s) tanh^3(s))^(-1/4): they are uniform in
+    w = (1 - sech(s)^(1/2))^(7/8), which has that spacing near s = 0 and
+    in the tail.  In a dense scan of y, 2048 nodes bring the residual after
+    one step under ``RESOLVENT_TOL`` for every eps from 1e-12 to 10, and
+    1280 already do."""
+    w = np.linspace(0.0, (1.0 - math.sqrt(1.0 / math.cosh(_LOG_ATANH_TOP))) ** (7 / 8), 2048)
+    s = np.arccosh((1.0 - w ** (8 / 7)) ** -2.0)
+    s[0], s[-1] = 0.0, _LOG_ATANH_TOP
+    s.flags.writeable = False
+    return s
+
+
+def _log_table(eps):
+    """The start of the kernel at one scalar eps: the root of
+    h(s) = tanh(s) + 2*eps*s = y interpolated linearly in y between the
+    nodes (h(s_k), s_k) of :func:`_log_nodes`, and the last node beyond
+    them.  h is concave, so its inverse is convex and the interpolated
+    start may lie above the root; :func:`_log_root` takes it from there."""
+    s = _log_nodes()
+    y = np.tanh(s) + 2.0 * eps * s
+    return lambda v: np.interp(v, y, s)
+
+
+def _log_root(eps, x, start):
+    """The root u in (-1, 1) of u + eps*log((1+u)/(1-u)) = x, elementwise,
+    from the Newton start ``start(y)`` for y = |x|.
 
     The substitution u = tanh(s) turns the equation for |x| into
     h(s) = tanh(s) + 2*eps*s = |x|, with h increasing and concave on s >= 0,
     so Newton steps started below the root climb to it and need no
-    bracket; :func:`_log_start` gives such a start.  Each step takes
-    h'(s) = sech^2(s) + 2*eps as 1 - t^2 + 2*eps from the t = tanh(s) its
-    residual needs.  Where tanh(s) rounds to within a few ulps of 1, that
-    sech^2 is off by up to about 2e-16, so a step may exceed the exact
-    Newton step by a relative 1e-16/eps and pass the root; from above it,
-    the next step falls back below, and only the residual decides
-    convergence.  The left side maps (-1, 1) onto R, but the largest float
-    below 1 caps the representable roots: |x| beyond its image saturates
-    there.  NaN x gives NaN.
+    bracket.  The public maps start at or below the root, from
+    :func:`_log_start`; a kernel at one eps starts from its table,
+    :func:`_log_table`, which may lie above the root.  By concavity the
+    first step from above lands below it, so both climb from there.  Each
+    step takes h'(s) = sech^2(s) + 2*eps as 1 - t^2 + 2*eps from the
+    t = tanh(s) its residual needs.  Where tanh(s) rounds to within a few
+    ulps of 1, that sech^2 is off by up to about 2e-16, so a step may
+    exceed the exact Newton step by a relative 1e-16/eps and pass the root;
+    from above it, the next step falls back below.  Only the residual
+    decides convergence.  The left side maps (-1, 1) onto R, but the
+    largest float below 1 caps the representable roots: |x| beyond its
+    image saturates there.  NaN x gives NaN.
     """
     y = np.minimum(np.abs(x), _LOG_TOP + 2.0 * eps * _LOG_ATANH_TOP)
     res_tol = RESOLVENT_TOL * np.maximum(1.0, y)
-    s = _log_start(eps, y)
+    s = start(y)
     for _ in range(RESOLVENT_MAX_ITER):
         t = np.tanh(s)
         r = y - t - 2.0 * eps * s
@@ -439,14 +479,16 @@ class SubdiffBetaHat(MonotoneGraph):
             return np.minimum(np.maximum(x, -1.0), 1.0)
         if self.variant == "regular":
             return _cubic_root(eps)(x)
-        return _log_root(eps, x)
+        return _log_root(eps, x, functools.partial(_log_start, eps))
 
     def yosida_kernel(self, eps):
-        """The quartic well's kernel binds its cubic root's constants."""
-        if self.variant != "regular":
+        """The quartic well's kernel binds its cubic root's constants, and
+        the logarithmic well's the start table of its scalar eps."""
+        if self.variant == "obstacle":
             return super().yosida_kernel(eps)
         _check_eps(eps)
-        root = _cubic_root(eps)
+        root = (_cubic_root(eps) if self.variant == "regular"
+                else functools.partial(_log_root, eps, start=_log_table(eps)))
         return lambda x: (x - root(x)) / eps
 
 

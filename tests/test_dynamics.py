@@ -651,6 +651,28 @@ class TestStackedSolve:
         assert "blow-up detected in theta of stack row 1" in str(err.value)
 
 
+class TestStoredSaves:
+    # the IMEX update runs in place on the stage that a save returns, so a
+    # stored derivative must still be the right-hand side at its stored state
+    @pytest.mark.parametrize("cfg", [
+        get_scenario("log_sign"),
+        with_overrides(get_scenario("regular_sign"), dims=2, lengths=(1.0, 1.0),
+                       modes=6, quadrature=None, phi0="cosine 0.5 1 1",
+                       eta0="cosine 0.3 1 0", eta_star="cosine 0.2 1 1", t_final=0.05,
+                       saves=21),
+    ], ids=["1d_log_sign", "2d_regular_sign"])
+    def test_each_save_derivative_is_the_rhs_at_its_state(self, cfg):
+        params, init, sched = build_problem(cfg)
+        assert sched.method == "imex"
+        traj = solve(params, init, sched)
+        rhs = _Rhs(params)
+        for j, t in enumerate(traj.times):
+            y = np.stack((traj.phi[j], traj.theta[j]))
+            ex = rhs.explicit_parts(float(t), y, record=True)[0]
+            assert np.array_equal(rhs.neg_diff * y + ex,
+                                  np.stack((traj.dphi[j], traj.dtheta[j]))), j
+
+
 class TestRhsReuse:
     # each step takes its first stage from the save or the FSAL evaluation
     # that already assembled the right-hand side at the same (t, a, b)
@@ -825,6 +847,41 @@ class TestCheckState:
             assert math.isnan(err.value.norm)
         else:
             assert err.value.norm == abs(bad)
+
+    # the dot-product pre-check must neither miss a blow-up nor invent one,
+    # also where its bound (ceiling/2)^2 overflows or underflows
+    CEILINGS = (1e8, 1e200, 1e-170, math.ldexp(1.0, -511))
+
+    @pytest.mark.parametrize("ceiling", CEILINGS)
+    def test_norm_over_the_ceiling_with_every_coefficient_under_it_passes(self, ceiling):
+        y = np.full((4, 2, 5), math.nextafter(ceiling, 0.0))
+        y[..., 1, :] *= -1.0
+        assert math.hypot(*y.ravel()) > ceiling
+        _check_state(0.1, y, ceiling)
+        _check_state(0.1, y[2], ceiling)
+
+    @pytest.mark.parametrize("ceiling", CEILINGS + (np.finfo(float).max,))
+    @pytest.mark.parametrize("member, field", [(0, "phi"), (2, "theta"), (3, "phi")])
+    def test_one_coefficient_just_over_the_ceiling_fails(self, ceiling, member, field):
+        over = math.nextafter(ceiling, math.inf)
+        y = self.stack() * (ceiling * 1e-3)
+        y[member, ("phi", "theta").index(field), 3] = -over
+        with pytest.raises(BlowUpError) as err:
+            _check_state(0.25, y, ceiling)
+        assert (err.value.member, err.value.field, err.value.norm) == (member, field, over)
+        with pytest.raises(BlowUpError) as err:
+            _check_state(0.25, y[member], ceiling)
+        assert (err.value.member, err.value.field, err.value.norm) == (None, field, over)
+
+    def test_nan_fails_under_an_infinite_ceiling(self):
+        y = self.stack()
+        y[1, 1, 2] = np.nan
+        with pytest.raises(BlowUpError) as err:
+            _check_state(0.25, y, math.inf)
+        assert (err.value.member, err.value.field) == (1, "theta")
+        assert math.isnan(err.value.norm)
+        # finite coefficients whose squares overflow the sum still pass
+        _check_state(0.25, np.full((2, 3), 1e300), math.inf)
 
 
 class TestTransformCount:

@@ -1,6 +1,7 @@
 """Graph-level tests: closed-form values cross-checked against the
 set-valued bisection oracle, plus the regularization identities."""
 
+import functools
 import math
 
 import numpy as np
@@ -347,7 +348,7 @@ class TestLogarithmicNewton:
 
         def steps(eps, x):
             before = counter.tanh_calls
-            monotone._log_root(eps, x)
+            monotone._log_root(eps, x, functools.partial(monotone._log_start, eps))
             return counter.tanh_calls - before - 1
 
         xs = np.linspace(-20.0, 20.0, 161)
@@ -361,6 +362,52 @@ class TestLogarithmicNewton:
         grid = np.linspace(-3.0, 3.0, 48)
         assert (steps(0.05, grid), _steps_from_the_previous_start(0.05, grid)) == (6, 6)
         assert (steps(1e-3, grid), _steps_from_the_previous_start(1e-3, grid)) == (3, 7)
+
+    @staticmethod
+    def kernel_inputs(eps):
+        """x on [-20, 20], at and beyond the saturation value, and beyond
+        the image of the table's last node."""
+        top = np.nextafter(1.0, 0.0)
+        sat = top + 2.0 * eps * np.arctanh(top)
+        last = monotone._log_nodes()[-1]
+        beyond = np.array([sat, np.nextafter(sat, np.inf), 2.0 * sat + 1.0, 1e6,
+                           np.nextafter(np.tanh(last) + 2.0 * eps * last, np.inf)])
+        return np.concatenate([np.linspace(-20.0, 20.0, 4001), beyond, -beyond])
+
+    def test_kernel_agrees_with_the_public_map(self):
+        g = SubdiffBetaHat("logarithmic")
+        for eps in self.EPS:
+            x = self.kernel_inputs(eps)
+            a, ref = g.yosida_kernel(eps)(x), np.asarray(g.yosida(eps, x))
+            # the map is (x - u)/eps, so compare eps times it in ulps of x.
+            # The public root u stops at the resolvent tolerance, and
+            # x -> u + eps*beta(u) has slope at least 1, so its residual
+            # bounds its own error: at x = 1 and eps = 1.8e-12 its start
+            # is far below the root, and it stops 26 ulps from it
+            u = np.asarray(g.resolvent(eps, x))
+            residual = np.abs(u + eps * (np.log1p(u) - np.log1p(-u)) - x)
+            ulps = np.spacing(np.maximum(1.0, np.abs(x)))
+            assert np.all(eps * np.abs(a - ref) <= 4.0 * ulps + residual), eps
+            odd = np.array([np.nan, np.inf, -np.inf])
+            assert np.array_equal(g.yosida_kernel(eps)(odd), g.yosida(eps, odd), equal_nan=True)
+
+    def test_kernel_steps_from_its_table(self, monkeypatch):
+        counter = _CountingNumpy()
+        monkeypatch.setattr(monotone, "np", counter)
+
+        def steps(eps, x):
+            kernel = SubdiffBetaHat("logarithmic").yosida_kernel(eps)
+            before = counter.tanh_calls
+            kernel(x)
+            return counter.tanh_calls - before - 1
+
+        # one step from the table leaves a residual under the tolerance, and
+        # the next confirms it
+        for eps in self.EPS:
+            assert steps(eps, self.kernel_inputs(eps)) <= 2, eps
+        # the grid and eps values of the public pins above
+        grid = np.linspace(-3.0, 3.0, 48)
+        assert (steps(0.05, grid), steps(1e-3, grid)) == (2, 2)
 
 
 class TestScaleAwareStopping:
