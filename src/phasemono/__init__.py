@@ -28,7 +28,6 @@ from .dynamics import (  # noqa: F401
     Schedule,
     SolutionTrajectory,
     StepFailure,
-    mollify_forcing,
     prepare_initial,
     solve,
 )

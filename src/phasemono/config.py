@@ -67,7 +67,6 @@ class ScenarioConfig:
     graph_q: float = 0.5
     graph_weight: str = "constant 1.0"
     eps: float = 0.1
-    mollify_forcing: bool = False
     eta0: str = "zero"
     phi0: str = "zero"
     eta_star: str = "zero"
@@ -101,7 +100,6 @@ _KEYS = (
     ("graph", "q", "graph_q", "float"),
     ("graph", "weight", "graph_weight", "str"),
     ("regularization", "eps", "eps", "float"),
-    ("regularization", "mollify_forcing", "mollify_forcing", "bool"),
     ("initial", "eta0", "eta0", "str"),
     ("initial", "phi0", "phi0", "str"),
     ("initial", "eta_star", "eta_star", "str"),
@@ -113,15 +111,6 @@ _KEYS = (
     ("run", "seed", "seed", "int"),
     ("run", "blowup_ceiling", "blowup_ceiling", "float_inf"),
 )
-
-
-def _parse_bool(raw):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_lengths(raw):
@@ -142,7 +131,6 @@ _PARSE = {
     "float_inf": float,
     "str": str.strip,
     "opt_int": lambda raw: None if raw.strip().lower() in ("", "none", "auto") else int(raw),
-    "bool": _parse_bool,
     "lengths": _parse_lengths,
 }
 _FORMAT = {
@@ -151,7 +139,6 @@ _FORMAT = {
     "float_inf": _format_float,
     "str": str,
     "opt_int": lambda v: "auto" if v is None else str(v),
-    "bool": lambda v: "true" if v else "false",
     "lengths": lambda v: " ".join(map(_format_float, v)),
 }
 
@@ -322,8 +309,6 @@ def build_problem(cfg):
     star = spectral.from_grid(basis, star_grid)
     f_coeffs = spectral.from_grid(basis, forcing_grid)
     forcing = Forcing.constant(f_coeffs, cfg.t_final)
-    if cfg.mollify_forcing:
-        forcing = forcing.mollified(cfg.eps, n_samples=257)
 
     try:
         initial = prepare_initial(basis, eta0_grid, phi0_grid, potential, cfg.eps)

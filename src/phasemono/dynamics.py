@@ -42,7 +42,6 @@ __all__ = [
     "Schedule",
     "BlowUpError",
     "StepFailure",
-    "mollify_forcing",
     "prepare_initial",
     "solve",
 ]
@@ -132,54 +131,6 @@ class Forcing:
         i = np.minimum(np.maximum(i, 0), len(self._t) - 2)
         dt = np.minimum(np.maximum(t - self._t[i], 0.0), self._widths[i])
         return self._c[i] + np.reshape(dt, np.shape(dt) + self._tail) * self._slopes[i]
-
-    def resampled(self, n_samples):
-        ts = np.linspace(self.times[0], self.times[-1], n_samples)
-        return Forcing(ts, self.at(ts))
-
-    def mollified(self, eps, n_samples):
-        src = self.resampled(n_samples)
-        return Forcing(src.times, mollify_forcing(src.times, src.coeffs, eps))
-
-
-def mollify_forcing(times, values, eps):
-    """Elliptic-in-time smoothing of sampled data: solves
-
-        -eps * g'' + g = f on (0, T),   g(0) = g(T) = 0,
-
-    with second-order finite differences on the (uniform) sample grid.  The
-    smoothed samples converge to f in L2(0, T) as eps vanishes whenever f is
-    continuous and vanishes at the endpoints.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    t = np.asarray(times, dtype=float)
-    if len(t) < 3:
-        raise ValueError("need at least three time samples to mollify")
-    h = np.diff(t)
-    if not np.allclose(h, h[0], rtol=1e-8, atol=0.0):
-        raise ValueError("mollifier requires a uniform time grid")
-    vals = np.asarray(values, dtype=float)
-    flat = vals.reshape(len(t), -1)
-    r = eps / h[0] ** 2
-    m = len(t) - 2
-    # Thomas sweep for the constant-coefficient tridiagonal system
-    diag = 1.0 + 2.0 * r
-    cp = np.empty(m)
-    dp = np.empty((m, flat.shape[1]))
-    cp[0] = -r / diag
-    dp[0] = flat[1] / diag
-    for i in range(1, m):
-        denom = diag + r * cp[i - 1]
-        cp[i] = -r / denom
-        dp[i] = (flat[i + 1] + r * dp[i - 1]) / denom
-    sol = np.empty_like(dp)
-    sol[m - 1] = dp[m - 1]
-    for i in range(m - 2, -1, -1):
-        sol[i] = dp[i] - cp[i] * sol[i + 1]
-    out = np.zeros_like(flat)
-    out[1:-1] = sol
-    return out.reshape(vals.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,10 +24,10 @@ Most resolvents are closed forms, the quartic well's among them (the real
 root of a depressed cubic).  The logarithmic well and the weighted power
 with q != 1/2 solve their scalar equation by a Newton iteration that climbs
 to the root from below without a bracket; each root-find raises
-:class:`ResolventError` when it does not converge.  The logarithmic well's
-kernel starts from a table bound for its eps, which may lie above the root:
-the equation is concave, so the first step lands below it, and only the
-residual decides convergence.
+:class:`ResolventError` when it does not converge.  At a scalar eps the
+logarithmic well starts from a table bound for that eps, which may lie
+above the root: the equation is concave, so the first step lands below it,
+and only the residual decides convergence.
 
 The semigroup identity (A_eps)_delta = A_{eps+delta} needs no root-find to
 be checked: with u = x - delta*A_{eps+delta}(x), the map
@@ -354,7 +354,7 @@ _LOG_ATANH_TOP = math.atanh(_LOG_TOP)
 
 def _log_start(eps, y):
     """A start at or below the root s of h(s) = tanh(s) + 2*eps*s = y >= 0,
-    for the public maps, whose eps may vary from point to point.
+    for the public maps at an eps that varies from point to point.
 
     Since tanh(s) <= s, h(s) <= (1 + 2*eps)*s, so y/(1 + 2*eps) is at or
     below the root; it is the closer start when eps is large.  The other is
@@ -393,9 +393,9 @@ def _log_nodes():
 
 
 def _log_table(eps):
-    """The start of the kernel at one scalar eps: the root of
-    h(s) = tanh(s) + 2*eps*s = y interpolated linearly in y between the
-    nodes (h(s_k), s_k) of :func:`_log_nodes`, and the last node beyond
+    """The start at one scalar eps, for the kernel and the public maps: the
+    root of h(s) = tanh(s) + 2*eps*s = y interpolated linearly in y between
+    the nodes (h(s_k), s_k) of :func:`_log_nodes`, and the last node beyond
     them.  h is concave, so its inverse is convex and the interpolated
     start may lie above the root; :func:`_log_root` takes it from there."""
     s = _log_nodes()
@@ -410,18 +410,18 @@ def _log_root(eps, x, start):
     The substitution u = tanh(s) turns the equation for |x| into
     h(s) = tanh(s) + 2*eps*s = |x|, with h increasing and concave on s >= 0,
     so Newton steps started below the root climb to it and need no
-    bracket.  The public maps start at or below the root, from
-    :func:`_log_start`; a kernel at one eps starts from its table,
-    :func:`_log_table`, which may lie above the root.  By concavity the
-    first step from above lands below it, so both climb from there.  Each
-    step takes h'(s) = sech^2(s) + 2*eps as 1 - t^2 + 2*eps from the
-    t = tanh(s) its residual needs.  Where tanh(s) rounds to within a few
-    ulps of 1, that sech^2 is off by up to about 2e-16, so a step may
-    exceed the exact Newton step by a relative 1e-16/eps and pass the root;
-    from above it, the next step falls back below.  Only the residual
-    decides convergence.  The left side maps (-1, 1) onto R, but the
-    largest float below 1 caps the representable roots: |x| beyond its
-    image saturates there.  NaN x gives NaN.
+    bracket.  An eps per point starts at or below the root, from
+    :func:`_log_start`; a scalar eps from its table, :func:`_log_table`,
+    which may lie above the root.  By concavity the first step from above
+    lands below it, so both climb from there.  Each step takes
+    h'(s) = sech^2(s) + 2*eps as 1 - t^2 + 2*eps from the t = tanh(s) its
+    residual needs.  Where tanh(s) rounds to within a few ulps of 1, that
+    sech^2 is off by up to about 2e-16, so a step may exceed the exact
+    Newton step by a relative 1e-16/eps and pass the root; from above it,
+    the next step falls back below.  Only the residual decides convergence.
+    The left side maps (-1, 1) onto R, but the largest float below 1 caps
+    the representable roots: |x| beyond its image saturates there.  NaN x
+    gives NaN.
     """
     y = np.minimum(np.abs(x), _LOG_TOP + 2.0 * eps * _LOG_ATANH_TOP)
     res_tol = RESOLVENT_TOL * np.maximum(1.0, y)
@@ -479,7 +479,8 @@ class SubdiffBetaHat(MonotoneGraph):
             return np.minimum(np.maximum(x, -1.0), 1.0)
         if self.variant == "regular":
             return _cubic_root(eps)(x)
-        return _log_root(eps, x, functools.partial(_log_start, eps))
+        start = _log_table(eps) if np.ndim(eps) == 0 else functools.partial(_log_start, eps)
+        return _log_root(eps, x, start)
 
     def yosida_kernel(self, eps):
         """The quartic well's kernel binds its cubic root's constants, and

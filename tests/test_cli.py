@@ -49,7 +49,7 @@ class TestConfig:
         assert len(set(fields)) == len(fields)
         assert len({row[:2] for row in config._KEYS}) == len(config._KEYS)
         kinds = {row[3] for row in config._KEYS}
-        assert kinds <= config._PARSE.keys() and kinds <= config._FORMAT.keys()
+        assert kinds == config._PARSE.keys() == config._FORMAT.keys()
 
     def test_round_trip_sets_every_key(self):
         inf = float("inf")
@@ -58,7 +58,7 @@ class TestConfig:
             ell=1.25, alpha=0.75, k=0.5, nu=0.25, gamma=0.125, t_final=0.3,
             potential="obstacle", c0=2.0, graph="weighted_power", graph_alpha1=0.5,
             graph_alpha2=2.0, graph_q=0.75, graph_weight="cosine 0.5 1 1",
-            eps=0.01, mollify_forcing=True, eta0="cosine 0.2 1 0",
+            eps=0.01, eta0="cosine 0.2 1 0",
             phi0="tanh 0.5 0.1", eta_star="constant 0.1", forcing="random-smooth 0.3",
             method="rk45", dt=inf, tol=inf, saves=11, seed=7, blowup_ceiling=inf)
         default = ScenarioConfig()
@@ -68,12 +68,18 @@ class TestConfig:
         assert same == ["normalization"]
         assert parse_config(serialize_config(cfg)) == cfg
 
-    def test_unknown_key_reports_line(self):
-        text = scenario_text("zero").replace("[model]", "[model]\nbogus = 1")
+    # the second case is a line that every config echo written before the
+    # key was removed still carries
+    @pytest.mark.parametrize("section, line", [
+        ("model", "bogus = 1"), ("regularization", "mollify_forcing = false")],
+        ids=["bogus", "removed"])
+    def test_unknown_key_reports_line(self, section, line):
+        text = scenario_text("zero").replace(f"[{section}]", f"[{section}]\n{line}")
+        key = line.split(" = ")[0]
         with pytest.raises(ConfigError) as err:
             parse_config(text)
-        assert "bogus" in str(err.value)
-        assert "line" in str(err.value)
+        lineno = text.splitlines().index(line) + 1
+        assert f"line {lineno}: unknown key {key!r} in [{section}]" in str(err.value)
 
     def test_bad_value_reports_location(self):
         text = scenario_text("zero").replace("k = 1.0", "k = fast")

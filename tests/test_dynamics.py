@@ -1,4 +1,4 @@
-"""Galerkin assembly, integrator, and mollifier tests."""
+"""Galerkin assembly, forcing, integrator and blow-up tests."""
 
 import dataclasses
 import math
@@ -19,7 +19,6 @@ from phasemono.dynamics import (
     StepFailure,
     _check_state,
     _Rhs,
-    mollify_forcing,
     prepare_initial,
     solve,
 )
@@ -95,48 +94,6 @@ def rk4_samples(rhs, a, e, ts, dt):
         phis.append(a)
         etas.append(e)
     return np.array(phis), np.array(etas)
-
-
-class TestMollifier:
-    def test_zero_stays_zero(self):
-        ts = np.linspace(0, 1, 33)
-        out = mollify_forcing(ts, np.zeros_like(ts), 0.1)
-        assert np.all(out == 0.0)
-
-    def test_constant_against_closed_form(self):
-        # -eps g'' + g = 1, g(0) = g(1) = 0 has the explicit cosh solution
-        ts = np.linspace(0, 1, 1001)
-        eps = 0.01
-        out = mollify_forcing(ts, np.ones_like(ts), eps)
-        exact = 1.0 - np.cosh((ts - 0.5) / math.sqrt(eps)) / math.cosh(0.5 / math.sqrt(eps))
-        assert np.max(np.abs(out - exact)) <= 1e-4
-
-    def test_l2_error_decreases_with_eps(self):
-        ts = np.linspace(0, 1, 801)
-        f = np.ones_like(ts)
-        errs = []
-        for eps in (1e-1, 1e-2, 1e-3):
-            g = mollify_forcing(ts, f, eps)
-            errs.append(math.sqrt(float(np.trapezoid((g - f) ** 2, ts))))
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_needs_three_samples(self):
-        with pytest.raises(ValueError):
-            mollify_forcing(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 0.1)
-
-    def test_matrix_valued_samples(self):
-        ts = np.linspace(0, 2, 101)
-        vals = np.stack([np.sin(math.pi * ts / 2), np.ones_like(ts)], axis=1)
-        out = mollify_forcing(ts, vals, 0.05)
-        assert out.shape == vals.shape
-        assert np.all(out[0] == 0.0) and np.all(out[-1] == 0.0)
-
-    def test_forcing_wrapper(self):
-        f = Forcing.constant(np.array([1.0, 0.0]), 1.0)
-        g = f.mollified(0.01, n_samples=501)
-        assert np.all(g.coeffs[0] == 0.0) and np.all(g.coeffs[-1] == 0.0)
-        mid = g.at(0.5)
-        assert mid[0] == pytest.approx(1.0 - 1.0 / math.cosh(5.0), abs=1e-3)
 
 
 class TestAssembly:
@@ -389,16 +346,6 @@ class TestWeightedPowerGraph:
         assert params.graph.growth_constant == pytest.approx(1.5)
         traj = solve(params, init, sched)
         assert np.all(np.isfinite(traj.theta))
-
-
-class TestMollifyFlag:
-    def test_config_mollifies_forcing(self):
-        cfg = with_overrides(get_scenario("regular_sign"), mollify_forcing=True)
-        params, _, _ = build_problem(cfg)
-        assert np.all(params.forcing.coeffs[0] == 0.0)
-        assert np.all(params.forcing.coeffs[-1] == 0.0)
-        mid = params.forcing.at(params.t_final / 2)
-        assert np.max(np.abs(mid)) > 0.0
 
 
 class TestInitialData:
@@ -739,7 +686,6 @@ NAN_INPUTS = {
     "yosida_eps": lambda: ScalarSign().yosida(NAN, np.ones(3)),
     "yosida_eps_array": lambda: ScalarSign().yosida(np.array([0.1, NAN, 0.1]), np.ones(3)),
     "envelope_eps": lambda: envelope(PotentialSpec("regular"), NAN, np.ones(3)),
-    "mollify_eps": lambda: mollify_forcing(np.linspace(0.0, 1.0, 5), np.ones(5), NAN),
 }
 
 
