@@ -81,6 +81,19 @@ class TestConfig:
         lineno = text.splitlines().index(line) + 1
         assert f"line {lineno}: unknown key {key!r} in [{section}]" in str(err.value)
 
+    def test_an_old_config_echo_parses_once_the_removed_line_is_dropped(self):
+        # an echo written while the key existed carried it after eps
+        for name in scenario_names():
+            text = serialize_config(get_scenario(name))
+            lines = text.splitlines()
+            at = lines.index("[regularization]") + 2
+            old = "\n".join(lines[:at] + ["mollify_forcing = false"] + lines[at:]) + "\n"
+            with pytest.raises(ConfigError) as err:
+                parse_config(old)
+            assert f"line {at + 1}: unknown key 'mollify_forcing'" in str(err.value)
+            kept = [line for line in old.splitlines() if not line.startswith("mollify_forcing")]
+            assert parse_config("\n".join(kept) + "\n") == get_scenario(name)
+
     def test_bad_value_reports_location(self):
         text = scenario_text("zero").replace("k = 1.0", "k = fast")
         with pytest.raises(ConfigError) as err:

@@ -24,7 +24,7 @@ from phasemono.dynamics import (
 )
 from phasemono.monotone import ScalarSign, Stefan, SubdiffBetaHat, WeightedPower, ZeroGraph
 from phasemono.potentials import PotentialSpec, envelope
-from phasemono.scenarios import get_scenario
+from phasemono.scenarios import get_scenario, scenario_names
 
 
 def make_params(n=4, L=math.pi, gamma=0.0, graph=None, potential=None,
@@ -480,6 +480,23 @@ class TestForcing:
         f = Forcing(np.array([0.0, 1.0]), np.full((2, 3), np.nan))
         assert np.all(np.isnan(f.at(0.5)))
         assert np.all(np.isnan(f.at(np.array([0.0, 0.5, 2.0]))))
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_a_config_forcing_is_constant_in_time(self, name, monkeypatch):
+        # a config names one profile for f, so its forcing spans [0, T] with
+        # equal end samples and takes the constant row's path at every time
+        params, _, _ = build_problem(get_scenario(name))
+        f = params.forcing
+        assert np.array_equal(f.times, [0.0, params.t_final])
+        assert np.array_equal(f.coeffs[0], f.coeffs[-1])
+        assert f.coeffs.shape == (2, params.basis.total_modes)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a config forcing looked up a time")
+
+        monkeypatch.setattr(np, "searchsorted", forbidden)
+        for t in np.linspace(0.0, params.t_final, 7):
+            assert np.array_equal(f.at(float(t)), f.coeffs[0])
 
 
 def coeff_data(eta0, phi0):

@@ -409,6 +409,27 @@ class TestLogarithmicNewton:
         assert (steps(0.05, grid), steps(1e-3, grid)) == (2, 2)
 
 
+    def test_an_eps_array_gives_each_points_scalar_root(self):
+        # a per-point eps, as the self-test passes, starts from _log_start
+        # rather than a table.  Each root stops with a residual under the
+        # tolerance, and x -> u + eps*beta(u) has slope at least 1, so each
+        # lies within that residual of the root: every eps of EPS meets the
+        # inputs where the starts differ most, |x| = 1 among them
+        g = SubdiffBetaHat("logarithmic")
+        special = np.array([1.0, -1.0, 0.999, 1.001, 0.5, 3.0, 1e6])
+        x = np.concatenate([np.linspace(-20.0, 20.0, 4001), np.repeat(special, len(self.EPS))])
+        eps = np.concatenate([np.resize(self.EPS, 4001), np.tile(self.EPS, len(special))])
+        bound = 2.0 * monotone.RESOLVENT_TOL * np.maximum(1.0, np.abs(x))
+        got = np.asarray(g.resolvent(eps, x))
+        ref = np.array([g.resolvent(e, xi) for e, xi in zip(eps, x)], dtype=float)
+        assert np.all(np.abs(got - ref) <= bound)
+        # eps times the map is x - u up to the rounding of x - u
+        got = np.asarray(g.yosida(eps, x))
+        ref = np.array([g.yosida(e, xi) for e, xi in zip(eps, x)], dtype=float)
+        ulps = np.spacing(np.maximum(1.0, np.abs(x)))
+        assert np.all(eps * np.abs(got - ref) <= bound + 4.0 * ulps)
+
+
 class TestScaleAwareStopping:
     def test_yosida_of_stefan_at_large_x(self):
         # the bracket closes to a few ulp of 848, above an absolute 1e-13
