@@ -249,6 +249,14 @@ def _invariant_failures(report):
     return failures
 
 
+def _pair_dissipation_failures(rep):
+    """The deltas of a contraction sweep at which a pair-dissipation
+    integral went negative, at the bound of the run's dissipation check."""
+    return [f"pair dissipation of ({pair}) went negative ({m:.3e}) at delta {d!r}"
+            for pair, mins in zip(("zeta, eta", "xi, phi"), rep.pair_dissipation_min)
+            for d, m in zip(rep.deltas.tolist(), mins.tolist()) if m < -1e-9]
+
+
 def _load_config(args):
     if getattr(args, "scenario", None):
         if args.config:
@@ -398,18 +406,21 @@ def _cmd_sweep(args):
     payload["tool_version"] = __version__
     _json_dump(out / "sweep.json", payload)
 
-    keys = [k for k, v in payload.items()
-            if isinstance(v, list) and len(v) in (len(values), len(values) - 1)]
+    # every list of the payload is a per-member or per-pair column
+    keys = [k for k, v in payload.items() if isinstance(v, list)]
     depth = max(len(payload[k]) for k in keys) if keys else 0
     _write_csv(out / "sweep.csv", keys,
                [[payload[k][j] if j < len(payload[k]) else "" for k in keys]
                 for j in range(depth)])
 
+    failures = _pair_dissipation_failures(rep) if args.axis == "delta" else []
     print(f"sweep over {args.axis}: {values}")
     for key in ("consecutive_total", "overshoot", "c_observed", "slope"):
         if key in payload:
             print(f"  {key}: {payload[key]}")
-    return EXIT_OK
+    for f in failures:
+        print(f"invariant failure: {f}", file=sys.stderr)
+    return EXIT_INVARIANT if failures else EXIT_OK
 
 
 def _cmd_selftest(args):

@@ -23,9 +23,11 @@ The factor 2 converts the halved gradient/time-derivative terms produced by
 the absorption steps back into E1.  Sharpness is never asserted.
 
 The continuous-dependence sweep requires alpha = ell.  It integrates the
-base data and every perturbed member as one stacked solve and reports, per
-member, the observed stability constant: the solution differences from the
-base over the data differences.  The Gronwall-derived constant
+base data and every perturbed member as one stacked solve and reports one
+column per member: the four data differences, the four solution
+differences from the base, the minima of the two pair-dissipation
+integrals, and the observed stability constant, solution over data
+differences.  The Gronwall-derived constant
 
     M  = max((4 gamma^2 k ell^2 + 2 nu C_pi) / nu, 1/2)
     C0 = max(1/2, k ell^2 / (2 nu)),   C1 = exp(T M)
@@ -55,7 +57,6 @@ from .dynamics import (
 __all__ = [
     "EnergyReport",
     "ContractionData",
-    "ContractionReport",
     "ContractionSweepReport",
     "ConvergenceReport",
     "first_estimate_constants",
@@ -281,35 +282,6 @@ class ContractionData:
     forcing: object
 
 
-@dataclass(frozen=True, eq=False)
-class ContractionReport:
-    data_diff_f: float
-    data_diff_star: float
-    data_diff_eta0: float
-    data_diff_phi0: float
-    sol_linf_h_eta: float
-    sol_l2_v_eta: float
-    sol_linf_h_phi: float
-    sol_l2_v_phi: float
-    pair_dissipation_eta_min: float
-    pair_dissipation_phi_min: float
-
-    @property
-    def data_total(self):
-        return (self.data_diff_f + self.data_diff_star
-                + self.data_diff_eta0 + self.data_diff_phi0)
-
-    @property
-    def sol_total(self):
-        return (self.sol_linf_h_eta + self.sol_l2_v_eta
-                + self.sol_linf_h_phi + self.sol_l2_v_phi)
-
-    @property
-    def c_observed(self):
-        """Observed stability constant: solution over data differences."""
-        return self.sol_total / self.data_total if self.data_total > 0 else None
-
-
 def _data_diffs(basis, ts, data1, data2):
     """The four data differences (f, eta*, eta0, phi0) in the norms of the
     continuous-dependence inequality."""
@@ -322,9 +294,13 @@ def _data_diffs(basis, ts, data1, data2):
 
 def _contraction_reports(params, base, members, traj):
     """Compare each member of a stacked trajectory with its base: row 0 holds
-    the base data, rows 1.. the members in order.  Time series are reduced
-    over contiguous rows of shape (members, saves), which sums each member
-    in the order of a standalone one-dimensional reduction."""
+    the base data, rows 1.. the members in order.  Returns one column per
+    member in each of three arrays: the data differences (4, M), of f, eta*,
+    eta0 and phi0; the solution differences (4, M), sup-H and L2-V of eta,
+    then of phi; and the pair-dissipation minima (2, M), of (zeta, eta), then
+    of (xi, phi).  Time series are reduced over contiguous rows of shape
+    (members, saves), which sums each member in the order of a standalone
+    one-dimensional reduction."""
     basis = params.basis
     ts = traj.times
     eta = traj.eta
@@ -344,12 +320,10 @@ def _contraction_reports(params, base, members, traj):
                       axis=-1)
         return np.min(_cumtrapz(ts, rows(pair)), axis=-1)
 
-    # per-member columns, in the field order of ContractionReport
-    sol = (*diff_norms(eta), *diff_norms(traj.phi),
-           pair_dissipation_min(traj.zeta, eta), pair_dissipation_min(traj.xi, traj.phi))
-    return tuple(ContractionReport(*_data_diffs(basis, ts, base, m),
-                                   *(float(col[r]) for col in sol))
-                 for r, m in enumerate(members))
+    return (np.array([_data_diffs(basis, ts, base, m) for m in members]).T,
+            np.array([*diff_norms(eta), *diff_norms(traj.phi)]),
+            np.array([pair_dissipation_min(traj.zeta, eta),
+                      pair_dissipation_min(traj.xi, traj.phi)]))
 
 
 def perturb_initial(params, data, delta):
@@ -367,22 +341,29 @@ def perturb_initial(params, data, delta):
 
 @dataclass(frozen=True, eq=False)
 class ContractionSweepReport:
-    """One member report per delta, in the order of ``deltas``."""
+    """One column per delta, in the order of ``deltas``, in the three arrays
+    of :func:`_contraction_reports`."""
 
     deltas: np.ndarray
-    reports: tuple
+    data_diffs: np.ndarray
+    sol_diffs: np.ndarray
+    pair_dissipation_min: np.ndarray
 
+    # the totals add their rows left to right, as a scalar sum of the four would
     @property
     def sol_totals(self):
-        return np.array([r.sol_total for r in self.reports])
+        return sum(self.sol_diffs)
 
     @property
     def data_totals(self):
-        return np.array([r.data_total for r in self.reports])
+        return sum(self.data_diffs)
 
     @property
     def c_observed(self):
-        return np.array([r.c_observed for r in self.reports], dtype=float)
+        """Observed stability constant, solution over data differences; NaN
+        where the data do not differ."""
+        data = self.data_totals
+        return np.divide(self.sol_totals, data, out=np.full_like(data, np.nan), where=data > 0)
 
     @property
     def slope(self):
@@ -400,6 +381,8 @@ class ContractionSweepReport:
             "sol_totals": self.sol_totals.tolist(),
             "data_totals": self.data_totals.tolist(),
             "c_observed": self.c_observed.tolist(),
+            "pair_dissipation_eta_min": self.pair_dissipation_min[0].tolist(),
+            "pair_dissipation_phi_min": self.pair_dissipation_min[1].tolist(),
             "slope": self.slope,
             "c_spread": self.c_spread,
         }
@@ -441,9 +424,8 @@ def contraction_sweep(params, data, deltas, schedule):
         blamed = deltas[row - 1] if row else deltas[0]
         raise LadderMemberError(blamed, exc) from exc
 
-    return ContractionSweepReport(
-        deltas=np.array(deltas),
-        reports=_contraction_reports(params, data, members, traj))
+    return ContractionSweepReport(np.array(deltas),
+                                  *_contraction_reports(params, data, members, traj))
 
 
 class LadderMemberError(RuntimeError):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from phasemono import cli
-from phasemono.config import build_problem, with_overrides
+from phasemono.config import build_problem, parse_config, with_overrides
 from phasemono.dynamics import Schedule, solve
 from phasemono.estimates import (
     ContractionData,
@@ -24,6 +24,49 @@ from phasemono.scenarios import get_scenario
 from phasemono.selftest import builtin_graphs
 
 
+# a 2D field with an obstacle well and a scalar sign graph: the benchmark's
+# 2D run at seed 5, on 16 modes per axis instead of 64
+FIELD_2D = """\
+[domain]
+dims = 2
+lengths = 1.0 1.0
+modes = 16
+normalization = h
+
+[model]
+ell = 1.0
+alpha = 0.5
+k = 0.5
+nu = 0.08
+gamma = 0.5
+t_final = 0.3
+
+[potential]
+variant = obstacle
+c0 = 1.0
+
+[graph]
+variant = scalar_sign
+
+[regularization]
+eps = 1e-2
+
+[initial]
+eta0 = random-smooth 0.5
+phi0 = tanh 0.9 0.12
+eta_star = zero
+forcing = zero
+
+[integrator]
+method = imex
+dt = 2.5e-4
+saves = 101
+
+[run]
+seed = 5
+"""
+
+
 def report(line):
     print(f"ACCEPTANCE {line}")
 
@@ -35,6 +78,50 @@ def run_scenario(name, **overrides):
     params, initial, schedule = build_problem(cfg)
     traj = solve(params, initial, schedule)
     return params, traj
+
+
+def assert_n_ladder(name, cfg):
+    def factory(n):
+        p, i, _ = build_problem(with_overrides(cfg, modes=n, quadrature=None))
+        return p, i
+
+    _, _, schedule = build_problem(cfg)
+    diffs = galerkin_convergence(factory, [8, 16, 32, 64], schedule).consecutive_total
+    assert np.all(diffs[1:] < diffs[:-1]), diffs
+    assert diffs[-1] <= 1e-3
+    report(f"5 (n-ladder, {name}): PASS  diffs "
+           + " > ".join(f"{d:.2e}" for d in diffs)
+           + f", final {diffs[-1]:.2e} <= 1e-3")
+
+
+def assert_eps_ladder(name, cfg):
+    def factory(eps):
+        dt = min(cfg.dt, 0.25 * eps)
+        p, i, _ = build_problem(with_overrides(cfg, eps=eps, dt=dt))
+        return p, i
+
+    _, _, schedule = build_problem(cfg)
+    rep = yosida_convergence(factory, [1e-1, 1e-2, 1e-3, 1e-4], schedule)
+    over = rep.overshoot
+    assert np.all(np.diff(over) < 0), over
+    diffs = rep.consecutive_total
+    assert np.all(diffs[1:] < diffs[:-1]), diffs
+    assert diffs[-1] <= 2e-2
+    report(f"6 (eps-ladder, {name}): PASS  overshoot "
+           + " > ".join(f"{o:.2e}" for o in over)
+           + f"; Cauchy diffs final {diffs[-1]:.2e}")
+
+
+def assert_dyadic_sweep(name, cfg):
+    params, initial, schedule = build_problem(cfg)
+    data = ContractionData(initial=initial, eta_star=params.eta_star,
+                           forcing=params.forcing)
+    deltas = [0.02 * 2.0 ** -j for j in range(1, 9)]
+    rep = contraction_sweep(params, data, deltas, schedule)
+    assert abs(rep.slope - 1.0) <= 0.15
+    assert rep.c_spread <= 2.0
+    report(f"7 (contraction sweep, {name}): PASS  slope {rep.slope:.4f}, "
+           f"C_obs in [{np.min(rep.c_observed):.3f}, {np.max(rep.c_observed):.3f}]")
 
 
 class TestCriterion1ResolventOracle:
@@ -124,8 +211,7 @@ class TestCriterion4EnergyEstimate:
         data = ContractionData(initial=initial, eta_star=params.eta_star,
                                forcing=params.forcing)
         rep = contraction_sweep(params, data, [0.05, 0.025], schedule)
-        eta_min = min(m.pair_dissipation_eta_min for m in rep.reports)
-        phi_min = min(m.pair_dissipation_phi_min for m in rep.reports)
+        eta_min, phi_min = np.min(rep.pair_dissipation_min, axis=1)
         assert eta_min >= -1e-9
         assert phi_min >= -1e-9
         report(f"4 (pair dissipation): PASS  eta {eta_min:.2e}, phi {phi_min:.2e}")
@@ -133,41 +219,18 @@ class TestCriterion4EnergyEstimate:
 
 class TestCriterion5GalerkinConvergence:
     def test_tanh_front_ladder(self):
-        cfg = get_scenario("tanh_front")
+        assert_n_ladder("tanh_front", get_scenario("tanh_front"))
 
-        def factory(n):
-            p, i, _ = build_problem(with_overrides(cfg, modes=n, quadrature=None))
-            return p, i
-
-        _, _, schedule = build_problem(cfg)
-        rep = galerkin_convergence(factory, [8, 16, 32, 64], schedule)
-        diffs = rep.consecutive_total
-        assert np.all(diffs[1:] < diffs[:-1]), diffs
-        assert diffs[-1] <= 1e-3
-        report("5 (n-ladder): PASS  diffs "
-               + " > ".join(f"{d:.2e}" for d in diffs)
-               + f", final {diffs[-1]:.2e} <= 1e-3")
+    def test_field_2d_ladder(self):
+        assert_n_ladder("2D field", parse_config(FIELD_2D))
 
 
 class TestCriterion6YosidaConvergence:
     def test_obstacle_eps_ladder(self):
-        cfg = get_scenario("obstacle_sign")
+        assert_eps_ladder("obstacle_sign", get_scenario("obstacle_sign"))
 
-        def factory(eps):
-            dt = min(cfg.dt, 0.25 * eps)
-            p, i, _ = build_problem(with_overrides(cfg, eps=eps, dt=dt))
-            return p, i
-
-        _, _, schedule = build_problem(cfg)
-        rep = yosida_convergence(factory, [1e-1, 1e-2, 1e-3, 1e-4], schedule)
-        over = rep.overshoot
-        assert np.all(np.diff(over) < 0), over
-        diffs = rep.consecutive_total
-        assert np.all(diffs[1:] < diffs[:-1]), diffs
-        assert diffs[-1] <= 2e-2
-        report("6 (eps-ladder): PASS  overshoot "
-               + " > ".join(f"{o:.2e}" for o in over)
-               + f"; Cauchy diffs final {diffs[-1]:.2e}")
+    def test_field_2d_eps_ladder(self):
+        assert_eps_ladder("2D field", parse_config(FIELD_2D))
 
 
 class TestCriterion7ContinuousDependence:
@@ -181,16 +244,14 @@ class TestCriterion7ContinuousDependence:
         report("7 (uniqueness): PASS  identical data give bitwise-identical trajectories")
 
     def test_dyadic_sweep(self):
-        cfg = get_scenario("contraction_base")
-        params, initial, schedule = build_problem(cfg)
-        data = ContractionData(initial=initial, eta_star=params.eta_star,
-                               forcing=params.forcing)
-        deltas = [0.02 * 2.0 ** -j for j in range(1, 9)]
-        rep = contraction_sweep(params, data, deltas, schedule)
-        assert abs(rep.slope - 1.0) <= 0.15
-        assert rep.c_spread <= 2.0
-        report(f"7 (contraction sweep): PASS  slope {rep.slope:.4f}, "
-               f"C_obs in [{np.min(rep.c_observed):.3f}, {np.max(rep.c_observed):.3f}]")
+        assert_dyadic_sweep("contraction_base", get_scenario("contraction_base"))
+
+    def test_dyadic_sweep_2d(self):
+        # contraction_base on the unit square, its profiles constant in y
+        cfg = with_overrides(get_scenario("contraction_base"), dims=2, lengths=(1.0, 1.0),
+                             eta0="cosine 0.4 2 0", phi0="cosine 0.6 1 0",
+                             eta_star="cosine 0.3 1 0")
+        assert_dyadic_sweep("2D contraction_base", cfg)
 
 
 class TestCriterion8Reproducibility:

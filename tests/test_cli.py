@@ -20,7 +20,7 @@ from phasemono.config import (
     with_overrides,
 )
 from phasemono.dynamics import solve
-from phasemono.monotone import ResolventError, SubdiffBetaHat
+from phasemono.monotone import ResolventError, ScalarSign, SubdiffBetaHat
 from phasemono.scenarios import get_scenario, scenario_names, scenario_text
 
 
@@ -684,12 +684,29 @@ class TestSweep:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "sweep.json").exists()
 
-    def test_eps_ladder_deterministic(self, tmp_path):
+    @pytest.mark.parametrize("axis, scenario, values", [
+        ("n", "tanh_front", "8 16 32"),
+        ("eps", "obstacle_sign", "1e-1 1e-2"),
+        ("delta", "contraction_base", "0.01 0.005"),
+    ], ids=("n", "eps", "delta"))
+    def test_ladder_deterministic(self, tmp_path, axis, scenario, values):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert cli.main(["sweep", "--scenario", "obstacle_sign", "--axis", "eps",
-                             "--values", "1e-1 1e-2", "--out", str(out)]) == 0
-        assert (a / "sweep.json").read_bytes() == (b / "sweep.json").read_bytes()
+            assert cli.main(["sweep", "--scenario", scenario, "--axis", axis,
+                             "--values", values, "--out", str(out)]) == 0
+        for name in ("sweep.json", "sweep.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        # sweep.csv holds every list of sweep.json as a column, blank-padded
+        payload = json.loads((a / "sweep.json").read_text())
+        lines = (a / "sweep.csv").read_text().splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        assert sorted(header) == sorted(k for k, v in payload.items() if isinstance(v, list))
+        assert len(set(header)) == len(header)
+        depth = max(len(payload[k]) for k in header)
+        assert len(rows) == depth
+        for i, key in enumerate(header):
+            column = [str(v) for v in payload[key]]
+            assert [row[i] for row in rows] == column + [""] * (depth - len(column)), key
 
     def test_delta_sweep_requires_matched_coefficients(self, tmp_path):
         code = cli.main(["sweep", "--scenario", "regular_sign", "--axis", "delta",
@@ -790,6 +807,29 @@ class TestSweep:
         assert code == 0
         payload = json.loads((out / "sweep.json").read_text())
         assert payload["slope"] == pytest.approx(1.0, abs=0.15)
+        for key in ("pair_dissipation_eta_min", "pair_dissipation_phi_min"):
+            assert len(payload[key]) == 3
+            assert min(payload[key]) >= -1e-9, key
+
+    def test_negative_pair_dissipation_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a decreasing Yosida kernel is not monotone: the pairing of two
+        # solutions' selections against their difference goes negative
+        def decreasing(self, eps, x):
+            return -np.minimum(np.maximum(x / eps, -1.0), 1.0)
+
+        monkeypatch.setattr(ScalarSign, "_yosida", decreasing)
+        out = tmp_path / "d"
+        code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
+                         "--values", "0.01 0.005", "--out", str(out)])
+        assert code == 3
+        payload = json.loads((out / "sweep.json").read_text())
+        assert min(payload["pair_dissipation_eta_min"]) < -1e-9
+        assert (out / "sweep.csv").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        failures = [line for line in err.splitlines() if line.startswith(
+            "invariant failure: pair dissipation of (zeta, eta) went negative (")]
+        assert [line.rsplit(" ", 1)[1] for line in failures] == ["0.01", "0.005"]
 
 
 class TestOtherCommands:

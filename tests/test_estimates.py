@@ -12,6 +12,7 @@ from phasemono import estimates
 from phasemono.dynamics import BlowUpError, Schedule, envelope_integral, solve
 from phasemono.estimates import (
     ContractionData,
+    ContractionSweepReport,
     LadderMemberError,
     constraint_overshoot,
     contraction_sweep,
@@ -238,10 +239,12 @@ class TestContraction:
         params, initial, schedule, _ = run_scenario("contraction_base")
         data = self.make_data(params, initial)
         traj = solve(params, estimates._stack_initial([initial, initial]), schedule)
-        (rep,) = estimates._contraction_reports(params, data, [data], traj)
-        assert rep.data_total == 0.0
-        assert rep.sol_total == 0.0
-        assert rep.c_observed is None
+        columns = estimates._contraction_reports(params, data, [data], traj)
+        assert [c.shape for c in columns] == [(4, 1), (4, 1), (2, 1)]
+        rep = ContractionSweepReport(np.array([0.01]), *columns)
+        assert rep.data_totals.tolist() == [0.0]
+        assert rep.sol_totals.tolist() == [0.0]
+        assert np.isnan(rep.c_observed).tolist() == [True]
 
     def test_heat_decay_perturbation_linf_exact(self):
         # gamma = 0 decouples the order parameter: the perturbed flow starts
@@ -250,17 +253,17 @@ class TestContraction:
         data = self.make_data(params, initial)
         deltas = [0.01, 0.005]
         rep = contraction_sweep(params, data, deltas, schedule)
-        for delta, member in zip(deltas, rep.reports):
-            assert member.data_diff_phi0 == pytest.approx(delta, abs=1e-12)
-            assert member.sol_linf_h_phi == pytest.approx(delta, abs=1e-12)
+        # data row 3 is phi0; solution row 2 is the sup-H norm of phi
+        assert rep.data_diffs[3] == pytest.approx(deltas, abs=1e-12)
+        assert rep.sol_diffs[2] == pytest.approx(deltas, abs=1e-12)
 
     def test_pair_dissipations_nonnegative(self):
         params, initial, schedule, _ = run_scenario("contraction_base")
         data = self.make_data(params, initial)
         rep = contraction_sweep(params, data, [0.05, 0.025], schedule)
-        for member in rep.reports:
-            assert member.pair_dissipation_eta_min >= -1e-9
-            assert member.pair_dissipation_phi_min >= -1e-9
+        eta_mins, phi_mins = rep.pair_dissipation_min
+        assert np.all(eta_mins >= -1e-9)
+        assert np.all(phi_mins >= -1e-9)
 
     def test_dyadic_sweep_linear_scaling(self):
         params, initial, schedule, _ = run_scenario("contraction_base")
