@@ -94,10 +94,18 @@ def solve_increasing(fun, target, lo, hi, tol=RESOLVENT_TOL, max_iter=RESOLVENT_
     is the convergence criterion: it stops at tol, or at a few float spacings
     of |target| where those exceed tol.  Where rounding keeps the residual
     above that, the bracket closing to a few float spacings of u stops instead.
+
+    The bracket ends are updated in place and each midpoint is formed as
+    (lo + hi) * 0.5, the bits of 0.5 * (lo + hi).  The residual test comes
+    first and returns u once every point passes it.  The bracket-width test
+    needs a pass of ``np.spacing``, so it is built only when the first point
+    still open by residual has closed its own bracket: while that point is
+    open on both counts, the loop cannot stop.  Points, iterations and map
+    evaluations are those of applying both tests at every step.
     """
     t = np.asarray(target, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).astype(float).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).astype(float).copy()
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).astype(float)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).astype(float)
     finite = np.isfinite(t) & np.isfinite(lo) & np.isfinite(hi)
     if not np.all(finite):
         # propagate non-finite inputs instead of stalling the bracket
@@ -107,16 +115,22 @@ def solve_increasing(fun, target, lo, hi, tol=RESOLVENT_TOL, max_iter=RESOLVENT_
         out = solve_increasing(fun, t, lo, hi, tol=tol, max_iter=max_iter)
         return np.where(finite, out, np.nan)
     res_tol = np.maximum(tol, 4.0 * np.spacing(np.abs(t)))
-    u = 0.5 * (lo + hi)
+    u = lo + hi
+    u *= 0.5
     for _ in range(max_iter):
         r = fun(u) - t
-        hi = np.where(r >= 0.0, u, hi)
-        lo = np.where(r <= 0.0, u, lo)
+        np.copyto(hi, u, where=r >= 0.0)
+        np.copyto(lo, u, where=r <= 0.0)
         small_res = np.abs(r) <= res_tol
-        small_gap = (hi - lo) <= 4.0 * np.spacing(np.abs(u))
-        if np.all(small_res | small_gap):
-            return np.where(small_res, u, 0.5 * (lo + hi))
-        u = 0.5 * (lo + hi)
+        if small_res.all():
+            return u
+        k = small_res.argmin()
+        if hi.flat[k] - lo.flat[k] <= 4.0 * np.spacing(abs(u.flat[k])):
+            small_gap = (hi - lo) <= 4.0 * np.spacing(np.abs(u))
+            if (small_res | small_gap).all():
+                return np.where(small_res, u, 0.5 * (lo + hi))
+        u = lo + hi
+        u *= 0.5
     width = float(np.max(hi - lo))
     res = float(np.max(np.abs(fun(0.5 * (lo + hi)) - t)))
     raise ResolventError(
@@ -208,16 +222,20 @@ class ScalarSign(MonotoneGraph):
 
     def value_interval(self, u):
         u = np.asarray(u, dtype=float)
-        lo = np.where(u < 0, -1.0, np.where(u > 0, 1.0, -1.0))
-        hi = np.where(u < 0, -1.0, np.where(u > 0, 1.0, 1.0))
-        return lo, hi
+        return np.where(u > 0, 1.0, -1.0), np.where(u < 0, -1.0, 1.0)
 
     def _resolvent(self, eps, x):
         # soft threshold: shrink |x| by eps, zero inside the dead band
         return np.sign(x) * np.maximum(np.abs(x) - eps, 0.0)
 
     def _yosida(self, eps, x):
-        return np.minimum(np.maximum(x / eps, -1.0), 1.0)
+        # clipped in place on the fresh quotient; for the public maps' 0-d
+        # input that quotient is a numpy scalar, which takes no out=
+        t = x / eps
+        if not t.ndim:
+            return np.minimum(np.maximum(t, -1.0), 1.0)
+        np.maximum(t, -1.0, out=t)
+        return np.minimum(t, 1.0, out=t)
 
 
 class Stefan(MonotoneGraph):
@@ -326,6 +344,13 @@ def _cubic_root(eps):
     u = (2/k) sinh(asinh(1.5*k*x)/3) with k = sqrt(3*eps).  It is exactly
     odd in x, has no cancellation at small |x|, and leaves a residual below
     1e-14*|x|.  Non-finite x gives NaN.
+
+    One ``vdot`` of the root with itself clears it as finite, as in the
+    state check of :mod:`phasemono.dynamics`: its terms are squares, so an
+    infinite root makes the sum infinite and a NaN makes it NaN, and neither
+    passes the test ``< inf``.  ``vdot`` raises no floating-point warning.
+    A sum that overflows on finite roots only takes the slower path below,
+    which gives the same values.
     """
     k = np.sqrt(3.0 * eps)
     a, b = 1.5 * k, 2.0 / k
@@ -333,7 +358,7 @@ def _cubic_root(eps):
     def root(x):
         z = a * x
         u = b * np.sinh(np.arcsinh(z) / 3.0)
-        if np.isfinite(u).all():
+        if np.vdot(u, u) < math.inf:
             return u
         # where 1.5*k*x overflowed for a finite x, asinh(z) = log(2|z|)
         # exactly in double precision and is taken in logs
@@ -462,10 +487,12 @@ class SubdiffBetaHat(MonotoneGraph):
             self.domain = (-1.0, 1.0)
 
     def value_interval(self, u):
+        """A(u) as (lo, hi).  The quartic well's u^3 is formed by products:
+        on signed arrays ``u ** 3`` takes numpy's slow pow path."""
         self._check_domain(u)
         u = np.asarray(u, dtype=float)
         if self.variant == "regular":
-            v = u ** 3
+            v = u * u * u
             return v, v
         if self.variant == "logarithmic":
             v = np.log1p(u) - np.log1p(-u)

@@ -69,9 +69,13 @@ class PotentialSpec:
         return abs(self.pi_slope)
 
     def beta_hat(self, r):
+        """The convex part at r, elementwise; the quartic well's r^4/4 is
+        formed by products, since on signed arrays ``r ** 4`` takes numpy's
+        slow pow path."""
         r = np.asarray(r, dtype=float)
         if self.variant == "regular":
-            out = 0.25 * r ** 4
+            r2 = r * r
+            out = 0.25 * (r2 * r2)
         elif self.variant == "logarithmic":
             out = np.where(np.abs(r) <= 1.0, _entropy(np.clip(r, -1.0, 1.0)), math.inf)
         else:

@@ -20,7 +20,7 @@ from phasemono.monotone import (
     resolvent_oracle,
     solve_increasing,
 )
-from phasemono.selftest import builtin_graphs, graph_checks
+from phasemono.selftest import builtin_graphs, builtin_potentials, graph_checks
 
 
 def oracle(graph, eps, x):
@@ -251,10 +251,75 @@ class TestRegularityProperties:
         assert not semigroup(SlowSign())
 
 
+def _reference_bisection(fun, target, lo, hi, tol=monotone.RESOLVENT_TOL,
+                         max_iter=monotone.RESOLVENT_MAX_ITER):
+    """The bisection of :func:`solve_increasing` on fresh arrays, with both
+    stopping tests built at every step."""
+    t = np.asarray(target, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).astype(float)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).astype(float)
+    finite = np.isfinite(t) & np.isfinite(lo) & np.isfinite(hi)
+    if not np.all(finite):
+        out = _reference_bisection(fun, np.where(finite, t, 0.0), np.where(finite, lo, 0.0),
+                                   np.where(finite, hi, 0.0), tol, max_iter)
+        return np.where(finite, out, np.nan)
+    res_tol = np.maximum(tol, 4.0 * np.spacing(np.abs(t)))
+    u = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        r = fun(u) - t
+        hi = np.where(r >= 0.0, u, hi)
+        lo = np.where(r <= 0.0, u, lo)
+        small_res = np.abs(r) <= res_tol
+        small_gap = (hi - lo) <= 4.0 * np.spacing(np.abs(u))
+        if np.all(small_res | small_gap):
+            return np.where(small_res, u, 0.5 * (lo + hi))
+        u = 0.5 * (lo + hi)
+    raise ResolventError("iteration cap")
+
+
+def _counted(fun):
+    def wrapped(u):
+        wrapped.calls += 1
+        return fun(u)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def _steep(u):
+    return u + np.exp(40.0 * u)
+
+
 class TestSolver:
     def test_iteration_cap_raises(self):
         with pytest.raises(ResolventError):
             solve_increasing(lambda u: u, 0.5, -1e6, 1e6, tol=1e-14, max_iter=3)
+        with pytest.raises(ResolventError):
+            solve_increasing(_steep, np.exp(40.0 * np.linspace(0.6, 1.4, 9)), 0.0, 2.0,
+                             max_iter=20)
+
+    @pytest.mark.parametrize("case", ["steep", "non_finite_stack", "zero_d"])
+    def test_bits_and_evaluations_match_reference(self, case):
+        rng = np.random.default_rng(23)
+        if case == "steep":
+            fun, target, lo, hi = _steep, np.exp(40.0 * np.linspace(0.6, 1.4, 9)), 0.0, 2.0
+        elif case == "non_finite_stack":
+            target = rng.uniform(-30.0, 30.0, (3, 16))
+            target[0, 3], target[1, 7], target[2, 0] = np.nan, np.inf, -np.inf
+            fun, lo, hi = (lambda u: u + u * u * u), -4.0, 4.0
+        else:
+            # a point that stops by bracket width
+            fun, target, lo, hi = _steep, np.exp(40.0 * 0.6), 0.0, 2.0
+        ref_fun, new_fun = _counted(fun), _counted(fun)
+        ref = _reference_bisection(ref_fun, target, lo, hi)
+        out = solve_increasing(new_fun, target, lo, hi)
+        assert np.shape(out) == np.shape(target)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert new_fun.calls == ref_fun.calls
+        if case == "steep":
+            # two points stop by bracket width, the others by residual
+            res_tol = np.maximum(monotone.RESOLVENT_TOL, 4.0 * np.spacing(target))
+            assert np.sum(np.abs(_steep(out) - target) > res_tol) == 2
 
     def test_weighted_power_generic_exponent(self):
         g = WeightedPower(0.3, 2.0)
@@ -617,6 +682,37 @@ class TestArrayEps:
             ScalarSign().yosida(np.array([0.1, 0.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             resolvent_oracle(Stefan(1.0, 1.0), np.array([0.1, -1.0]), np.array([1.0, 2.0]))
+
+
+def _kernel_graphs():
+    graphs = dict(builtin_graphs())
+    graphs.update({f"potential {name}": spec.beta_graph()
+                   for name, spec in builtin_potentials().items()})
+    return graphs
+
+
+class TestKernelsLeaveInput:
+    """A kernel may work in place only on an array of its own: the input
+    stays unchanged and shares no memory with the result."""
+
+    @pytest.mark.parametrize("shape", [(1, 48), (3, 48), (128, 128)])
+    @pytest.mark.parametrize("name", sorted(_kernel_graphs()))
+    def test_no_write_no_alias(self, name, shape):
+        g = _kernel_graphs()[name]
+        x = np.random.default_rng(7).uniform(-3.0, 3.0, shape)
+        kept = x.copy()
+        out = g.yosida_kernel(0.05)(x)
+        assert np.array_equal(x, kept)
+        assert out.shape == shape
+        assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n, g in _kernel_graphs().items() if not g.is_nonlocal))
+    def test_zero_d_input_gives_float(self, name):
+        g = _kernel_graphs()[name]
+        for x in (0.25, np.float64(-0.25), np.array(0.25)):
+            assert type(g.yosida(0.5, x)) is float
+            assert type(g.resolvent(0.5, x)) is float
 
 
 class TestZeroGraph:

@@ -70,6 +70,17 @@ class TestSplit:
         for spec in builtin_potentials().values():
             assert np.all(np.asarray(spec.beta_hat(r)) >= 0.0)
 
+    def test_quartic_convex_part_within_two_ulps_of_power(self):
+        # r^4/4 is formed by products; the power form is the reference
+        rng = np.random.default_rng(19)
+        big = np.geomspace(1e-60, 1e60, 241)
+        r = np.concatenate([rng.uniform(-3.0, 3.0, 4000), -big, big, [0.0, -0.0]])
+        spec = PotentialSpec("regular")
+        ref = 0.25 * r ** 4
+        assert np.all(np.abs(spec.beta_hat(r) - ref) <= 2.0 * np.spacing(ref))
+        assert spec.beta_hat(-1.5) == 0.25 * 1.5 ** 4
+        assert type(spec.beta_hat(np.float64(-1.5))) is float
+
 
 class TestEnvelope:
     def test_obstacle_value(self):
