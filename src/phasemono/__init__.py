@@ -32,7 +32,6 @@ from .dynamics import (  # noqa: F401
     solve,
 )
 from .estimates import (  # noqa: F401
-    ContractionData,
     contraction_sweep,
     energy_monitor,
     first_estimate_constants,

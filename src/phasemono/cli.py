@@ -1,7 +1,8 @@
 """Command-line interface: scenario runs, parameter sweeps, graph self-tests.
 
 Exit codes: 0 success, 2 configuration or output error (an --out that
-cannot be created or written, or a problem that does not fit in memory), 3
+cannot be created or written, a ladder member that cannot be built, or a
+problem that does not fit in memory), 3
 invariant or acceptance failure, 4 numerical failure (blow-up, step-control
 collapse, or a resolvent root-find that does not converge).
 
@@ -35,14 +36,13 @@ from . import __version__, spectral
 from .config import ConfigError, build_problem, parse_config, serialize_config, with_overrides
 from .dynamics import METHODS, BlowUpError, StepFailure, solve
 from .estimates import (
-    ContractionData,
     LadderMemberError,
     contraction_sweep,
     energy_monitor,
     galerkin_convergence,
     yosida_convergence,
 )
-from .monotone import ResolventError
+from .monotone import DomainError, ResolventError
 from .scenarios import get_scenario, scenario_names, scenario_text, SCENARIOS
 from .selftest import run_selftest
 
@@ -370,9 +370,7 @@ def _cmd_sweep(args):
 
     if args.axis == "delta":
         values = _parse_values(args.values, float)
-        data = ContractionData(initial=initial, eta_star=params.eta_star,
-                               forcing=params.forcing)
-        ladder = partial(contraction_sweep, params, data, values, schedule)
+        ladder = partial(contraction_sweep, params, initial, values, schedule)
     else:
         if args.axis == "n":
             values = _parse_values(args.values, int)
@@ -385,6 +383,9 @@ def _cmd_sweep(args):
             convergence = yosida_convergence
 
             def overrides(eps):
+                # this dt is only validated by build_problem: factory's [:2]
+                # drops the member's schedule, and every member is solved
+                # with the caller's (ROADMAP item 1)
                 dt = min(cfg.dt, 0.25 * eps) if cfg.method == "imex" else cfg.dt
                 return {"eps": eps, "dt": dt}
 
@@ -395,9 +396,9 @@ def _cmd_sweep(args):
     try:
         rep = ladder()
     except ValueError as exc:
-        # an inadmissible ladder, or a delta ladder without alpha = ell or
-        # on a one-mode basis, refused before any solve; a failed build or
-        # solve of a member is a LadderMemberError
+        # an inadmissible ladder, or a delta ladder without alpha = ell, on a
+        # one-mode basis or with a delta that rounds away, refused before any
+        # solve; a failed build or solve of a member is a LadderMemberError
         raise ConfigError(str(exc)) from exc
     payload = rep.to_dict()
 
@@ -522,7 +523,9 @@ def main(argv=None):
         if isinstance(exc.cause, MemoryError):
             return _out_of_memory(f"ladder member {exc.value!r}", exc.cause)
         print(f"sweep failure: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, ConfigError):
+        # a member that cannot be built: its config, or its datum outside
+        # the potential's domain
+        if isinstance(exc.cause, (ConfigError, DomainError)):
             return EXIT_CONFIG
         return EXIT_BLOWUP
     except MemoryError as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .monotone import ZeroGraph
+from .monotone import DomainError, ZeroGraph
 from .potentials import envelope
 
 __all__ = [
@@ -181,14 +181,15 @@ def prepare_initial(basis, eta0_grid, phi0_grid, potential, eps):
 
     which dominates the integral of the envelope of the projected datum.
     Validates that the convex part is integrable on the supplied datum (for
-    the bounded-domain wells this means |phi0| <= 1 everywhere).
+    the bounded-domain wells this means |phi0| <= 1 everywhere), and raises
+    DomainError otherwise.
     """
     phi0_grid = np.asarray(phi0_grid, dtype=float)
     eta0_grid = np.asarray(eta0_grid, dtype=float)
     dlo, dhi = potential.domain
     worst = float(np.max(np.abs(phi0_grid))) if phi0_grid.size else 0.0
     if math.isfinite(dhi) and worst > dhi:
-        raise ValueError(
+        raise DomainError(
             f"initial order parameter leaves the potential domain "
             f"(max |phi0| = {worst:.6g} > {dhi:g})")
     beta_l1 = spectral.grid_integral(basis, potential.beta_hat(phi0_grid))

@@ -22,12 +22,13 @@ constants spelled out:
 The factor 2 converts the halved gradient/time-derivative terms produced by
 the absorption steps back into E1.  Sharpness is never asserted.
 
-The continuous-dependence sweep requires alpha = ell.  It integrates the
-base data and every perturbed member as one stacked solve and reports one
-column per member: the four data differences, the four solution
-differences from the base, the minima of the two pair-dissipation
-integrals, and the observed stability constant, solution over data
-differences.  The Gronwall-derived constant
+The continuous-dependence sweep requires alpha = ell.  It builds the base
+data and every perturbed member as one coefficient stack, each member the
+base with its delta added to one coefficient of phi0, integrates the stack
+as one solve and reports one column per member: the four data differences
+over the stack, the four solution differences from the base, the minima of
+the two pair-dissipation integrals, and the observed stability constant,
+solution over data differences.  The Gronwall-derived constant
 
     M  = max((4 gamma^2 k ell^2 + 2 nu C_pi) / nu, 1/2)
     C0 = max(1/2, k ell^2 / (2 nu)),   C1 = exp(T M)
@@ -40,7 +41,7 @@ is reported by the energy monitor (``gron_C4``); the two are never compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .dynamics import (
 
 __all__ = [
     "EnergyReport",
-    "ContractionData",
     "ContractionSweepReport",
     "ConvergenceReport",
     "first_estimate_constants",
@@ -64,7 +64,6 @@ __all__ = [
     "gronwall_bound",
     "energy_monitor",
     "contraction_sweep",
-    "perturb_initial",
     "galerkin_convergence",
     "yosida_convergence",
     "constraint_overshoot",
@@ -273,70 +272,48 @@ def energy_monitor(traj, params):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ContractionData:
-    """One admissible data set (f, eta*, eta0, phi0) for the coupled system."""
-
-    initial: object
-    eta_star: object
-    forcing: object
-
-
-def _data_diffs(basis, ts, data1, data2):
-    """The four data differences (f, eta*, eta0, phi0) in the norms of the
-    continuous-dependence inequality."""
-    g = data1.forcing.at(ts) - data2.forcing.at(ts)
-    return (math.sqrt(float(np.trapezoid(np.sum(g * g, axis=-1), ts))),
-            spectral.w_norm(basis, data1.eta_star.coeffs - data2.eta_star.coeffs),
-            spectral.h_norm(basis, data1.initial.eta0.coeffs - data2.initial.eta0.coeffs),
-            spectral.h_norm(basis, data1.initial.phi0.coeffs - data2.initial.phi0.coeffs))
-
-
-def _contraction_reports(params, base, members, traj):
-    """Compare each member of a stacked trajectory with its base: row 0 holds
-    the base data, rows 1.. the members in order.  Returns one column per
-    member in each of three arrays: the data differences (4, M), of f, eta*,
-    eta0 and phi0; the solution differences (4, M), sup-H and L2-V of eta,
-    then of phi; and the pair-dissipation minima (2, M), of (zeta, eta), then
-    of (xi, phi).  Time series are reduced over contiguous rows of shape
-    (members, saves), which sums each member in the order of a standalone
-    one-dimensional reduction."""
+def _contraction_reports(params, initial, traj):
+    """Compare each member of a stacked solve with its base: row 0 of the
+    stacked ``initial`` and of ``traj`` holds the base, rows 1.. the members
+    in order.  Returns one column per member in each of three arrays: the
+    data differences (4, M), of f, eta*, eta0 and phi0, with f and eta*
+    broadcast over the rows; the solution differences (4, M), sup-H and L2-V
+    of eta, then of phi; and the pair-dissipation minima (2, M), of (zeta,
+    eta), then of (xi, phi).  Time series are reduced over contiguous rows
+    of shape (members, saves), which sums each member in the order of a
+    standalone one-dimensional reduction."""
     basis = params.basis
     ts = traj.times
     eta = traj.eta
+    shape = initial.phi0.coeffs.shape
+
+    def apart(stack):
+        # the base row minus each member row; rows are the second-last axis
+        return stack[..., :1, :] - stack[..., 1:, :]
 
     def rows(series):
         return np.ascontiguousarray(series.T)
 
     def diff_norms(series):
-        d = series[:, :1] - series[:, 1:]
+        d = apart(series)
         h2 = rows(np.sum(d * d, axis=-1))
         v2 = rows(np.sum((1.0 + basis.eigenvalues) * d * d, axis=-1))
         return np.max(np.sqrt(h2), axis=-1), np.sqrt(np.trapezoid(v2, ts, axis=-1))
 
     def pair_dissipation_min(sel, series):
         # monotone pair dissipation of the two realized selection terms
-        pair = np.sum((sel[:, :1] - sel[:, 1:]) * (series[:, :1] - series[:, 1:]),
-                      axis=-1)
+        pair = np.sum(apart(sel) * apart(series), axis=-1)
         return np.min(_cumtrapz(ts, rows(pair)), axis=-1)
 
-    return (np.array([_data_diffs(basis, ts, base, m) for m in members]).T,
+    f = apart(np.broadcast_to(params.forcing.at(ts)[:, None], (len(ts), *shape)))
+    data = (np.sqrt(np.trapezoid(rows(np.sum(f * f, axis=-1)), ts, axis=-1)),
+            spectral.w_norm(basis, apart(np.broadcast_to(params.eta_star.coeffs, shape))),
+            spectral.h_norm(basis, apart(initial.eta0.coeffs)),
+            spectral.h_norm(basis, apart(initial.phi0.coeffs)))
+    return (np.array(data),
             np.array([*diff_norms(eta), *diff_norms(traj.phi)]),
             np.array([pair_dissipation_min(traj.zeta, eta),
                       pair_dissipation_min(traj.xi, traj.phi)]))
-
-
-def perturb_initial(params, data, delta):
-    """Shift the order-parameter initial datum by delta times basis mode 1
-    (flattened index)."""
-    basis = params.basis
-    unit = np.zeros(basis.total_modes)
-    unit[1] = 1.0
-    phi_grid = spectral.to_grid(
-        basis, np.asarray(data.initial.phi0.coeffs) + delta * unit)
-    eta_grid = spectral.to_grid(basis, data.initial.eta0.coeffs)
-    initial = prepare_initial(basis, eta_grid, phi_grid, params.potential, params.eps)
-    return ContractionData(initial=initial, eta_star=data.eta_star, forcing=data.forcing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,44 +365,52 @@ class ContractionSweepReport:
         }
 
 
-def _stack_initial(initials):
-    """One InitialData whose fields stack those of the given members."""
-    return InitialData(
-        eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials])),
-        phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials])),
-        q_eps=np.array([i.q_eps for i in initials]))
-
-
-def contraction_sweep(params, data, deltas, schedule):
+def contraction_sweep(params, initial, deltas, schedule):
     """Dyadic perturbation study of the continuous-dependence inequality.
 
-    The base data and one perturbation per delta are integrated together
-    as a single stacked solve, so the base is solved once.  A failure names
-    the delta of the row it happened in; a failure of the base row, or one
-    no row can be blamed for, names the first delta.  The ladder must hold
-    at least two distinct deltas, all positive and finite, none repeated,
-    for the log-log slope, and the basis at least two modes, since the
-    perturbation shifts mode 1; it is refused with ValueError before any
-    solve otherwise."""
+    The members form one (M+1, m) coefficient stack, integrated as a single
+    solve: row 0 holds the base's phi0 and eta0, and row j the base with the
+    j-th delta, in decreasing order, added to the mode-1 coefficient of
+    phi0; f and eta* are those of ``params``.  :func:`prepare_initial`
+    checks each member's datum on its grid and gives its envelope budget.
+    A failure names the delta of its row; a failure of the base row, or one
+    no row can be blamed for, names the first delta.  The ladder is refused
+    as in :func:`_ladder_values`, and with ValueError before any solve
+    unless alpha = ell, the basis has two modes or more, and every row has
+    its own mode-1 coefficient: a delta that rounds away leaves a member
+    equal to the base."""
     if params.alpha != params.ell:
         raise ValueError("continuous-dependence check requires alpha = ell")
-    if params.basis.total_modes < 2:
+    basis = params.basis
+    if basis.total_modes < 2:
         raise ValueError("continuous-dependence check perturbs basis mode 1 "
                          "and needs at least 2 modes")
     deltas = _ladder_values(deltas, float, "deltas")
-    members = _run_many(
-        lambda delta: perturb_initial(params, data, delta), deltas)
+    phi0 = np.tile(initial.phi0.coeffs, (len(deltas) + 1, 1))
+    phi0[1:, 1] += deltas
+    c1 = phi0[:, 1].tolist()
+    if len(set(c1)) < len(c1):
+        raise ValueError(f"the deltas {deltas} do not give every member its own mode-1 "
+                         f"coefficient of phi0, {c1[0]!r} at the base: one rounds away")
+    eta0_grid = spectral.to_grid(basis, initial.eta0.coeffs)
+    members = dict(zip(deltas, phi0[1:]))
+
+    def budget(delta):
+        return prepare_initial(basis, eta0_grid, spectral.to_grid(basis, members[delta]),
+                               params.potential, params.eps).q_eps
+
+    stack = InitialData(eta0=FieldCoeffs(np.tile(initial.eta0.coeffs, (len(phi0), 1))),
+                        phi0=FieldCoeffs(phi0),
+                        q_eps=np.array([initial.q_eps, *_run_many(budget, deltas)]))
     try:
-        traj = solve(replace(params, eta_star=data.eta_star, forcing=data.forcing),
-                     _stack_initial([data.initial] + [m.initial for m in members]),
-                     schedule)
+        traj = solve(params, stack, schedule)
     except Exception as exc:
         row = exc.member if isinstance(exc, BlowUpError) else None
         blamed = deltas[row - 1] if row else deltas[0]
         raise LadderMemberError(blamed, exc) from exc
 
     return ContractionSweepReport(np.array(deltas),
-                                  *_contraction_reports(params, data, members, traj))
+                                  *_contraction_reports(params, stack, traj))
 
 
 class LadderMemberError(RuntimeError):
@@ -554,7 +539,9 @@ def yosida_convergence(factory, eps_values, schedule):
     """Regularization ladder: factory(eps) -> (params, initial), fixed basis.
     Reports consecutive trajectory differences (Cauchy check) and, when the
     potential is the obstacle well, the constraint overshoot of the order
-    parameter.  The ladder is refused as in :func:`_ladder_values`."""
+    parameter.  The members share ``schedule`` and so its ``dt``, whatever
+    step they were built with: at an eps below the step, the last
+    differences measure the time error.  Refused as in :func:`_ladder_values`."""
     eps_values = _ladder_values(eps_values, float, "eps values")
     params, trajs = _solve_members(factory, eps_values, schedule)
     bases = [p.basis for p in params]

@@ -13,7 +13,6 @@ from phasemono import cli
 from phasemono.config import build_problem, parse_config, with_overrides
 from phasemono.dynamics import Schedule, solve
 from phasemono.estimates import (
-    ContractionData,
     contraction_sweep,
     energy_monitor,
     galerkin_convergence,
@@ -114,10 +113,8 @@ def assert_eps_ladder(name, cfg):
 
 def assert_dyadic_sweep(name, cfg):
     params, initial, schedule = build_problem(cfg)
-    data = ContractionData(initial=initial, eta_star=params.eta_star,
-                           forcing=params.forcing)
     deltas = [0.02 * 2.0 ** -j for j in range(1, 9)]
-    rep = contraction_sweep(params, data, deltas, schedule)
+    rep = contraction_sweep(params, initial, deltas, schedule)
     assert abs(rep.slope - 1.0) <= 0.15
     assert rep.c_spread <= 2.0
     report(f"7 (contraction sweep, {name}): PASS  slope {rep.slope:.4f}, "
@@ -208,9 +205,7 @@ class TestCriterion4EnergyEstimate:
     def test_pair_dissipation(self):
         cfg = get_scenario("contraction_base")
         params, initial, schedule = build_problem(cfg)
-        data = ContractionData(initial=initial, eta_star=params.eta_star,
-                               forcing=params.forcing)
-        rep = contraction_sweep(params, data, [0.05, 0.025], schedule)
+        rep = contraction_sweep(params, initial, [0.05, 0.025], schedule)
         eta_min, phi_min = np.min(rep.pair_dissipation_min, axis=1)
         assert eta_min >= -1e-9
         assert phi_min >= -1e-9

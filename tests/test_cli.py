@@ -800,6 +800,52 @@ class TestSweep:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "sweep.json").exists()
 
+    def test_inadmissible_delta_member_exit_code(self, tmp_path, capsys):
+        # the base datum stays in the obstacle's domain, the 0.01 member
+        # leaves it: a member that cannot be built exits 2, as on the other
+        # axes and in run
+        path = tmp_path / "obstacle.cfg"
+        path.write_text(edited_config("contraction_base", [
+            ("potential", "variant", "obstacle"), ("potential", "c0", "1.0"),
+            ("initial", "phi0", "cosine 0.995 1")]))
+        code = cli.main(["sweep", "--config", str(path), "--axis", "delta",
+                         "--values", "0.01 0.005", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ladder member 0.01 failed: initial order parameter leaves" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.json").exists()
+
+    @pytest.mark.parametrize("values", ["1e-30 1e-31", "0.01 0.010000000000000002"])
+    def test_delta_ladder_that_rounds_away_exit_code(self, tmp_path, capsys, values):
+        # both deltas of the second ladder give phi0 the same mode-1 coefficient
+        code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
+                         "--values", values, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "own mode-1 coefficient" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.json").exists()
+
+    def test_traced_delta_sweep(self, tmp_path, monkeypatch):
+        # the benchmark's tracer counts the solves of a contraction sweep and
+        # the distinct data they receive, read from the coefficient arrays
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        bindings = [(owner, attr, vars(owner)[attr])
+                    for owner, attr, _ in tracer._targets()]
+        with tracing.installed(tracer):
+            assert cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
+                             "--values", "0.01 0.005", "--out", str(tmp_path / "o")]) == 0
+        assert tracer.stats["dynamics.solve"].calls == 1
+        assert tracer.counters["contraction_solves"] == 1
+        assert tracer.counters["contraction_distinct"] == 1
+        assert all(vars(owner)[attr] is original for owner, attr, original in bindings)
+
     def test_delta_sweep(self, tmp_path):
         out = tmp_path / "d"
         code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",

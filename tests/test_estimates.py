@@ -9,9 +9,15 @@ import pytest
 from phasemono import spectral
 from phasemono.config import build_problem, with_overrides
 from phasemono import estimates
-from phasemono.dynamics import BlowUpError, Schedule, envelope_integral, solve
+from phasemono.dynamics import (
+    BlowUpError,
+    FieldCoeffs,
+    InitialData,
+    Schedule,
+    envelope_integral,
+    solve,
+)
 from phasemono.estimates import (
-    ContractionData,
     ContractionSweepReport,
     LadderMemberError,
     constraint_overshoot,
@@ -20,11 +26,19 @@ from phasemono.estimates import (
     first_estimate_constants,
     galerkin_convergence,
     gronwall_bound,
-    perturb_initial,
     stability_constants,
     yosida_convergence,
 )
 from phasemono.scenarios import get_scenario, scenario_names
+
+
+def stack_of(initial, deltas=()):
+    """The base initial data and one member per delta, the base with delta
+    added to the mode-1 coefficient of phi0, as one stack."""
+    phi0 = np.tile(initial.phi0.coeffs, (len(deltas) + 1, 1))
+    phi0[1:, 1] += deltas
+    return InitialData(eta0=FieldCoeffs(np.tile(initial.eta0.coeffs, (len(phi0), 1))),
+                       phi0=FieldCoeffs(phi0), q_eps=np.full(len(phi0), initial.q_eps))
 
 
 def run_scenario(name, **overrides):
@@ -127,7 +141,7 @@ class TestEnergyMonitor:
 
     def test_a_stacked_trajectory_is_refused_before_any_work(self, monkeypatch):
         params, initial, schedule, _ = run_scenario("contraction_base")
-        traj = solve(params, estimates._stack_initial([initial] * 3), schedule)
+        traj = solve(params, stack_of(initial, [0.0, 0.0]), schedule)
 
         def forbidden(*args):
             raise AssertionError("envelope_integral called")
@@ -203,88 +217,129 @@ class TestEnergyMonitor:
 
 
 class TestContraction:
-    def make_data(self, params, initial):
-        return ContractionData(initial=initial, eta_star=params.eta_star,
-                               forcing=params.forcing)
-
     def test_requires_matched_coefficients(self, monkeypatch):
         params, initial, schedule, _ = run_scenario("regular_sign")
-        data = self.make_data(params, initial)
 
         def forbidden(*args):
             raise AssertionError("solve called")
 
         monkeypatch.setattr(estimates, "solve", forbidden)
         with pytest.raises(ValueError, match="alpha = ell"):
-            contraction_sweep(params, data, [0.01, 0.005], schedule)
+            contraction_sweep(params, initial, [0.01, 0.005], schedule)
 
     def test_requires_two_modes(self, monkeypatch):
         # the perturbation shifts basis mode 1, which a one-mode basis lacks
         cfg = with_overrides(get_scenario("contraction_base"), modes=1, quadrature=None,
                              eta0="constant 0.1", phi0="constant 0.3", eta_star="zero")
         params, initial, schedule = build_problem(cfg)
-        data = self.make_data(params, initial)
 
         def forbidden(*args):
             raise AssertionError("solve called")
 
         monkeypatch.setattr(estimates, "solve", forbidden)
-        monkeypatch.setattr(estimates, "perturb_initial", forbidden)
+        monkeypatch.setattr(estimates, "prepare_initial", forbidden)
         with pytest.raises(ValueError, match="at least 2 modes"):
-            contraction_sweep(params, data, [0.01, 0.005], schedule)
+            contraction_sweep(params, initial, [0.01, 0.005], schedule)
 
     def test_identical_data_zero_differences(self):
         # a member with the base's data follows the base row exactly, and
         # without a data difference there is no observed constant
         params, initial, schedule, _ = run_scenario("contraction_base")
-        data = self.make_data(params, initial)
-        traj = solve(params, estimates._stack_initial([initial, initial]), schedule)
-        columns = estimates._contraction_reports(params, data, [data], traj)
+        stack = stack_of(initial, [0.0])
+        traj = solve(params, stack, schedule)
+        columns = estimates._contraction_reports(params, stack, traj)
         assert [c.shape for c in columns] == [(4, 1), (4, 1), (2, 1)]
         rep = ContractionSweepReport(np.array([0.01]), *columns)
         assert rep.data_totals.tolist() == [0.0]
         assert rep.sol_totals.tolist() == [0.0]
         assert np.isnan(rep.c_observed).tolist() == [True]
 
+    def test_members_are_the_base_plus_delta_e1(self, monkeypatch):
+        # row 0 is the base exactly; row j adds the j-th delta, in decreasing
+        # order, to the mode-1 coefficient of phi0 and leaves the rest alone
+        params, initial, schedule, _ = run_scenario("contraction_base")
+        deltas = [0.0025, 0.01, 0.005]
+        stacks = []
+
+        def counted(p, init, sched):
+            stacks.append(init)
+            return solve(p, init, sched)
+
+        monkeypatch.setattr(estimates, "solve", counted)
+        contraction_sweep(params, initial, deltas, schedule)
+        [stack] = stacks
+        phi0, eta0 = initial.phi0.coeffs, initial.eta0.coeffs
+        assert stack.phi0.coeffs.tobytes() == np.stack(
+            [phi0] + [phi0 + np.eye(len(phi0))[1] * d for d in (0.01, 0.005, 0.0025)]
+        ).tobytes()
+        assert stack.eta0.coeffs.tobytes() == np.stack([eta0] * 4).tobytes()
+
+    def test_data_differences_are_the_mode1_shift(self):
+        # f, eta* and eta0 are the base's in every row: their differences
+        # are exactly 0, and phi0's is the shift of its mode-1 coefficient
+        params, initial, schedule, _ = run_scenario("contraction_base")
+        deltas = [0.01, 0.005]
+        rep = contraction_sweep(params, initial, deltas, schedule)
+        c1 = float(initial.phi0.coeffs[1])
+        assert rep.data_diffs[0:3].tolist() == [[0.0, 0.0]] * 3
+        assert rep.data_diffs[3].tolist() == [abs((c1 + d) - c1) for d in deltas]
+
+    @pytest.mark.parametrize("deltas", [[1e-30, 1e-31], "same coefficient"])
+    def test_ladder_that_rounds_away_refused_before_solving(self, monkeypatch, deltas):
+        # a delta lost in the mode-1 coefficient leaves a member equal to the
+        # base (or to another member), and NaN constants in the report
+        params, initial, schedule, _ = run_scenario("contraction_base")
+        c1 = float(initial.phi0.coeffs[1])
+        if deltas == "same coefficient":
+            deltas = [0.01, float(np.nextafter(0.01, 1.0))]
+            assert deltas[0] != deltas[1] and c1 + deltas[0] == c1 + deltas[1]
+
+        def forbidden(*args):
+            raise AssertionError("member built or solved")
+
+        monkeypatch.setattr(estimates, "solve", forbidden)
+        monkeypatch.setattr(estimates, "prepare_initial", forbidden)
+        with pytest.raises(ValueError, match="own mode-1 coefficient"):
+            contraction_sweep(params, initial, deltas, schedule)
+
     def test_heat_decay_perturbation_linf_exact(self):
         # gamma = 0 decouples the order parameter: the perturbed flow starts
         # delta apart and contracts, so the sup-norm difference is delta
         params, initial, schedule, _ = run_scenario("heat_decay")
-        data = self.make_data(params, initial)
         deltas = [0.01, 0.005]
-        rep = contraction_sweep(params, data, deltas, schedule)
+        rep = contraction_sweep(params, initial, deltas, schedule)
         # data row 3 is phi0; solution row 2 is the sup-H norm of phi
         assert rep.data_diffs[3] == pytest.approx(deltas, abs=1e-12)
         assert rep.sol_diffs[2] == pytest.approx(deltas, abs=1e-12)
 
     def test_pair_dissipations_nonnegative(self):
         params, initial, schedule, _ = run_scenario("contraction_base")
-        data = self.make_data(params, initial)
-        rep = contraction_sweep(params, data, [0.05, 0.025], schedule)
+        rep = contraction_sweep(params, initial, [0.05, 0.025], schedule)
         eta_mins, phi_mins = rep.pair_dissipation_min
         assert np.all(eta_mins >= -1e-9)
         assert np.all(phi_mins >= -1e-9)
 
     def test_dyadic_sweep_linear_scaling(self):
         params, initial, schedule, _ = run_scenario("contraction_base")
-        data = self.make_data(params, initial)
         deltas = [0.02 * 2.0 ** -j for j in range(1, 7)]
-        rep = contraction_sweep(params, data, deltas, schedule)
+        rep = contraction_sweep(params, initial, deltas, schedule)
         assert rep.slope == pytest.approx(1.0, abs=0.15)
         assert rep.c_spread <= 2.0
         assert np.all(np.isfinite(rep.c_observed))
 
     def test_sweep_rows_match_pairwise_checks(self):
         # the stacked sweep solves the base once; each member's report equals
-        # the comparison of two standalone solves, the member's and the base's
+        # the comparison of two standalone solves, the base's and the
+        # member's, the base with delta added to the mode-1 coefficient of phi0
         params, initial, schedule, _ = run_scenario("contraction_base")
         basis = params.basis
-        data = self.make_data(params, initial)
         deltas = [0.01, 0.0025]
-        rep = contraction_sweep(params, data, deltas, schedule)
+        rep = contraction_sweep(params, initial, deltas, schedule)
         base = solve(params, initial, schedule)
         for j, delta in enumerate(sorted(deltas, reverse=True)):
-            member = perturb_initial(params, data, delta).initial
+            phi0 = initial.phi0.coeffs.copy()
+            phi0[1] += delta
+            member = dataclasses.replace(initial, phi0=FieldCoeffs(phi0))
             traj = solve(params, member, schedule)
             sol_total = 0.0
             for d in (base.eta - traj.eta, base.phi - traj.phi):
@@ -300,7 +355,6 @@ class TestContraction:
 
     def test_sweep_is_one_stacked_solve(self, monkeypatch):
         params, initial, schedule, _ = run_scenario("contraction_base")
-        data = self.make_data(params, initial)
         shapes = []
 
         def counted(p, init, sched):
@@ -308,27 +362,25 @@ class TestContraction:
             return solve(p, init, sched)
 
         monkeypatch.setattr(estimates, "solve", counted)
-        contraction_sweep(params, data, [0.01, 0.005, 0.0025], schedule)
+        contraction_sweep(params, initial, [0.01, 0.005, 0.0025], schedule)
         assert shapes == [(4, params.basis.total_modes)]
 
     @pytest.mark.parametrize("deltas", [[0.01, 0.0], [0.01, -0.01], [0.01], [0.01, 0.01],
                                         [0.01, 0.005, 0.01]])
     def test_inadmissible_ladder_refused_before_solving(self, monkeypatch, deltas):
         params, initial, schedule, _ = run_scenario("contraction_base")
-        data = self.make_data(params, initial)
 
         def forbidden(*args):
             raise AssertionError("solve called")
 
         monkeypatch.setattr(estimates, "solve", forbidden)
         with pytest.raises(ValueError, match="two distinct deltas, all positive"):
-            contraction_sweep(params, data, deltas, schedule)
+            contraction_sweep(params, initial, deltas, schedule)
 
     def test_sweep_failure_names_the_member(self):
         params, initial, schedule, _ = run_scenario("contraction_base")
-        data = self.make_data(params, initial)
         with pytest.raises(LadderMemberError) as err:
-            contraction_sweep(params, data, [0.01, 1e9], schedule)
+            contraction_sweep(params, initial, [0.01, 1e9], schedule)
         assert err.value.value == 1e9
         assert isinstance(err.value.cause, BlowUpError)
 
@@ -336,14 +388,13 @@ class TestContraction:
     def test_sweep_failure_attribution(self, monkeypatch, row, blamed):
         # row 0 is the base; rows 1.. follow the deltas in decreasing order
         params, initial, schedule, _ = run_scenario("contraction_base")
-        data = self.make_data(params, initial)
 
         def fails(p, init, sched):
             raise BlowUpError(0.1, 1e9, "phi", row)
 
         monkeypatch.setattr(estimates, "solve", fails)
         with pytest.raises(LadderMemberError) as err:
-            contraction_sweep(params, data, [0.0025, 0.01, 0.005], schedule)
+            contraction_sweep(params, initial, [0.0025, 0.01, 0.005], schedule)
         assert err.value.value == blamed
 
 
