@@ -161,6 +161,8 @@ class ModelParams:
             raise ValueError("t_final must be positive")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
+        if not self.blowup_ceiling > 0:
+            raise ValueError("blowup_ceiling must be positive")
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,11 +23,11 @@ caller of the bisection :func:`solve_increasing`.
 Most resolvents are closed forms, the quartic well's among them (the real
 root of a depressed cubic).  The logarithmic well and the weighted power
 with q != 1/2 solve their scalar equation by a Newton iteration that climbs
-to the root from below without a bracket; each root-find raises
+to the root from below without a bracket, in one loop that raises
 :class:`ResolventError` when it does not converge.  At a scalar eps the
 logarithmic well starts from a table bound for that eps, which may lie
 above the root: the equation is concave, so the first step lands below it,
-and only the residual decides convergence.
+and only the residual decides convergence.  An eps per point starts below.
 
 The semigroup identity (A_eps)_delta = A_{eps+delta} needs no root-find to
 be checked: with u = x - delta*A_{eps+delta}(x), the map
@@ -308,6 +308,21 @@ class WeightedPower(MonotoneGraph):
         return self.weight * np.sign(x) * self._root(eps, x) ** self.q
 
 
+def _newton(name, step, z, res_tol):
+    """Iterate ``z, r = step(z)``, the next iterate and the residual at the
+    last, until no r lies above res_tol; the Newton loop of both root-finds.
+    At the ``RESOLVENT_MAX_ITER`` cap, raise :class:`ResolventError`."""
+    for _ in range(RESOLVENT_MAX_ITER):
+        z, r = step(z)
+        # once the residual is small, the step just taken leaves an error of
+        # its square; written so that NaN entries count as converged
+        if not (np.abs(r) > res_tol).any():
+            return z
+    raise ResolventError(
+        f"{name} resolvent hit the {RESOLVENT_MAX_ITER}-iteration cap "
+        f"(residual {float(np.nanmax(np.abs(r))):.3e})")
+
+
 def _power_root(q, ew, s):
     """The root t >= 0 of t + ew*t^q = s >= 0, elementwise, for 0 < q < 1.
 
@@ -320,19 +335,14 @@ def _power_root(q, ew, s):
     the start, so both stay below the root.  Infinite or NaN s gives NaN.
     """
     s = np.where(s < np.inf, s, np.nan)
-    res_tol = RESOLVENT_TOL * np.maximum(1.0, s)
-    t = (s / (s ** (1.0 - q) + ew + _TINY)) ** (1.0 / q)
-    for _ in range(RESOLVENT_MAX_ITER):
+
+    def step(t):
         p = t ** q
         r = s - t - ew * p
-        t = t + r * (t / (t + q * ew * p + _TINY))
-        # once the residual is small, the step just taken leaves an error of
-        # its square; written so that NaN entries count as converged
-        if not (np.abs(r) > res_tol).any():
-            return t
-    raise ResolventError(
-        f"power resolvent hit the {RESOLVENT_MAX_ITER}-iteration cap "
-        f"(residual {float(np.nanmax(np.abs(r))):.3e})")
+        return t + r * (t / (t + q * ew * p + _TINY)), r
+
+    t = (s / (s ** (1.0 - q) + ew + _TINY)) ** (1.0 / q)
+    return _newton("power", step, t, RESOLVENT_TOL * np.maximum(1.0, s))
 
 
 def _cubic_root(eps):
@@ -377,25 +387,6 @@ _LOG_TOP = math.nextafter(1.0, 0.0)
 _LOG_ATANH_TOP = math.atanh(_LOG_TOP)
 
 
-def _log_start(eps, y):
-    """A start at or below the root s of h(s) = tanh(s) + 2*eps*s = y >= 0,
-    for the public maps at an eps that varies from point to point.
-
-    Since tanh(s) <= s, h(s) <= (1 + 2*eps)*s, so y/(1 + 2*eps) is at or
-    below the root; it is the closer start when eps is large.  The other is
-    the Newton step from a = artanh(t), t = min(y, top), an upper bound on
-    the root for y < 1.  Since h is concave, a tangent step from any point
-    lands at or below the root.  The step is written as
-    (a*g + y - t)/(g + 2*eps) with g = 1 - t^2, whose terms are all
-    nonnegative, so that no cancellation lifts it above the root.  For
-    large y it agrees with (y - 1)/(2*eps), the step from s = infinity, to
-    a relative 1e-16/eps."""
-    t = np.minimum(y, _LOG_TOP)
-    g = 1.0 - t * t
-    step = (np.arctanh(t) * g + (y - t)) / (g + 2.0 * eps)
-    return np.maximum(y / (1.0 + 2.0 * eps), step)
-
-
 @functools.cache
 def _log_nodes():
     """The table's nodes s_k on [0, artanh(top)], the largest root there is.
@@ -435,10 +426,11 @@ def _log_root(eps, x, start):
     The substitution u = tanh(s) turns the equation for |x| into
     h(s) = tanh(s) + 2*eps*s = |x|, with h increasing and concave on s >= 0,
     so Newton steps started below the root climb to it and need no
-    bracket.  An eps per point starts at or below the root, from
-    :func:`_log_start`; a scalar eps from its table, :func:`_log_table`,
-    which may lie above the root.  By concavity the first step from above
-    lands below it, so both climb from there.  Each step takes
+    bracket.  An eps per point starts at y/(1 + 2*eps), at or below the
+    root because tanh(s) <= s gives h(s) <= (1 + 2*eps)*s; a scalar eps
+    from its table, :func:`_log_table`, which may lie above the root.  By
+    concavity the first step from above lands below it, so both climb from
+    there.  Each step takes
     h'(s) = sech^2(s) + 2*eps as 1 - t^2 + 2*eps from the t = tanh(s) its
     residual needs.  Where tanh(s) rounds to within a few ulps of 1, that
     sech^2 is off by up to about 2e-16, so a step may exceed the exact
@@ -449,19 +441,14 @@ def _log_root(eps, x, start):
     gives NaN.
     """
     y = np.minimum(np.abs(x), _LOG_TOP + 2.0 * eps * _LOG_ATANH_TOP)
-    res_tol = RESOLVENT_TOL * np.maximum(1.0, y)
-    s = start(y)
-    for _ in range(RESOLVENT_MAX_ITER):
+
+    def step(s):
         t = np.tanh(s)
         r = y - t - 2.0 * eps * s
-        s = s + r / ((1.0 - t * t) + 2.0 * eps)
-        # once the residual is small, the step just taken leaves an error of
-        # its square; written so that NaN entries count as converged
-        if not (np.abs(r) > res_tol).any():
-            return np.copysign(np.minimum(np.tanh(s), _LOG_TOP), x)
-    raise ResolventError(
-        f"logarithmic resolvent hit the {RESOLVENT_MAX_ITER}-iteration cap "
-        f"(residual {float(np.nanmax(np.abs(r))):.3e})")
+        return s + r / ((1.0 - t * t) + 2.0 * eps), r
+
+    s = _newton("logarithmic", step, start(y), RESOLVENT_TOL * np.maximum(1.0, y))
+    return np.copysign(np.minimum(np.tanh(s), _LOG_TOP), x)
 
 
 class SubdiffBetaHat(MonotoneGraph):
@@ -471,7 +458,8 @@ class SubdiffBetaHat(MonotoneGraph):
     log((1+r)/(1-r)) on (-1, 1), 'obstacle' gives the normal cone of [-1, 1].
     The regular and obstacle resolvents are closed forms (the real root of
     u + eps*u^3 = x, and the clip to [-1, 1]); the logarithmic one is a
-    Newton iteration without bracket, see :func:`_log_root`.
+    Newton iteration without bracket, see :func:`_log_root`.  The public
+    maps and the kernel both bind the resolvent through :meth:`_bind_root`.
     """
 
     VARIANTS = ("regular", "logarithmic", "obstacle")
@@ -501,22 +489,23 @@ class SubdiffBetaHat(MonotoneGraph):
         hi = np.where(u == 1.0, math.inf, 0.0)
         return lo, hi
 
-    def _resolvent(self, eps, x):
+    def _bind_root(self, eps):
+        """J_eps at this checked eps as a function of a float array; the
+        logarithmic well starts from the table of a scalar eps, or from
+        y/(1 + 2*eps) for an eps per point."""
         if self.variant == "obstacle":
-            return np.minimum(np.maximum(x, -1.0), 1.0)
+            return lambda x: np.minimum(np.maximum(x, -1.0), 1.0)
         if self.variant == "regular":
-            return _cubic_root(eps)(x)
-        start = _log_table(eps) if np.ndim(eps) == 0 else functools.partial(_log_start, eps)
-        return _log_root(eps, x, start)
+            return _cubic_root(eps)
+        start = _log_table(eps) if np.ndim(eps) == 0 else lambda y: y / (1.0 + 2.0 * eps)
+        return functools.partial(_log_root, eps, start=start)
+
+    def _resolvent(self, eps, x):
+        return self._bind_root(eps)(x)
 
     def yosida_kernel(self, eps):
-        """The quartic well's kernel binds its cubic root's constants, and
-        the logarithmic well's the start table of its scalar eps."""
-        if self.variant == "obstacle":
-            return super().yosida_kernel(eps)
         _check_eps(eps)
-        root = (_cubic_root(eps) if self.variant == "regular"
-                else functools.partial(_log_root, eps, start=_log_table(eps)))
+        root = self._bind_root(eps)
         return lambda x: (x - root(x)) / eps
 
 

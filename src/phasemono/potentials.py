@@ -52,9 +52,7 @@ class PotentialSpec:
     @property
     def domain(self):
         """Closure of the effective domain of the convex part."""
-        if self.variant == "regular":
-            return (-math.inf, math.inf)
-        return (-1.0, 1.0)
+        return self.beta_graph().domain
 
     @property
     def pi_slope(self):

@@ -6,7 +6,8 @@ A profile is given as a whitespace-separated string:
     constant V
     cosine AMP I [J]          -- AMP cos(I pi x / Lx) [cos(J pi y / Ly)]
     tanh AMP WIDTH [CENTER]   -- front along x at CENTER (fraction of L)
-    random-smooth AMP [DECAY] -- seeded random field with decaying spectrum
+    random-smooth AMP [DECAY] -- seeded random field with decaying spectrum,
+                                 DECAY >= 0
     csv PATH                  -- (x, value) samples, interpolated (1D only)
 
 Random-smooth fields draw a fixed-size master coefficient block, so the same
@@ -107,6 +108,8 @@ def _evaluate(basis, text, rng):
         if name == "random-smooth":
             amp = float(args[0])
             decay = float(args[1]) if len(args) > 1 else 0.35
+            if not decay >= 0:
+                raise ValueError("random-smooth decay must be nonnegative")
             if rng is None:
                 rng = np.random.default_rng(0)
             return _random_smooth(basis, amp, decay, rng)

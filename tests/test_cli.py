@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasemono import cli, config, spectral
+from phasemono import cli, config, monotone, spectral
 from phasemono.config import (
     ConfigError,
     ScenarioConfig,
@@ -216,10 +216,13 @@ class TestRun:
         [("graph", "variant", "weighted_power"), ("graph", "weight", "constant nan")],
         [("initial", "phi0", "csv missing.csv")],
         [("initial", "phi0", "csv .")],
+        [("initial", "eta0", "random-smooth 0.5 -10")],
+        [("initial", "eta0", "random-smooth 0.5 -1")],
     ], ids=lambda edits: ",".join(f"{k}={v}" for _, k, v in edits))
     def test_bad_profiles_exit_as_config_errors(self, tmp_path, capsys, monkeypatch,
                                                 edits):
-        # a non-finite profile, or a csv profile that cannot be read
+        # a non-finite profile, a csv profile that cannot be read, or a
+        # random field whose spectrum grows
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "bad.cfg"
         path.write_text(edited_config("regular_sign", edits))
@@ -251,6 +254,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "Traceback" not in err
+
+    def test_resolvent_cap_in_the_solve_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the logarithmic well's Newton root-find gives up inside the
+        # right-hand side: exit 4 with the map named, and no table written
+        monkeypatch.setattr(monotone, "RESOLVENT_MAX_ITER", 1)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--scenario", "log_sign", "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "logarithmic resolvent hit the 1-iteration cap" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
 
     def test_huge_state_exits_as_blow_up(self, tmp_path, capsys):
         # the quartic-well resolvent is a closed form and solves |phi| = 1e12;

@@ -368,6 +368,15 @@ class TestInitialData:
         with pytest.raises(ValueError):
             make_params(t_final=0.0)
 
+    def test_rejects_a_blowup_ceiling_that_is_not_positive(self):
+        # at or below 0 no state is ever checked; at NaN every state reads
+        # as a blow-up
+        p = make_params()
+        for ceiling in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="blowup_ceiling"):
+                dataclasses.replace(p, blowup_ceiling=ceiling)
+        assert dataclasses.replace(p, blowup_ceiling=math.inf).blowup_ceiling == math.inf
+
 
 class TestEnvelopeIntegral:
     """The envelope quadrature of a stack of fields, in blocks of at most

@@ -1,7 +1,6 @@
 """Graph-level tests: closed-form values cross-checked against the
 set-valued bisection oracle, plus the regularization identities."""
 
-import functools
 import math
 
 import numpy as np
@@ -366,23 +365,6 @@ class _CountingNumpy:
         return getattr(np, name)
 
 
-def _steps_from_the_previous_start(eps, x):
-    """Newton steps of the logarithmic iteration as it was before the
-    Newton step from the upper bound joined its start: started at
-    max(y/(1 + 2 eps), (y - 1)/(2 eps)), with sech^2 from cosh."""
-    top = np.nextafter(1.0, 0.0)
-    y = np.minimum(np.abs(x), top + 2.0 * eps * np.arctanh(top))
-    res_tol = monotone.RESOLVENT_TOL * np.maximum(1.0, y)
-    s = np.maximum(y / (1.0 + 2.0 * eps), (y - 1.0) / (2.0 * eps))
-    for step in range(1, monotone.RESOLVENT_MAX_ITER + 1):
-        r = y - np.tanh(s) - 2.0 * eps * s
-        c = np.cosh(s)
-        s = s + r / (1.0 / (c * c) + 2.0 * eps)
-        if not np.any(np.abs(r) > res_tol):
-            return step
-    raise AssertionError("reference iteration did not converge")
-
-
 class TestLogarithmicNewton:
     """The Newton iteration for tanh(s) + 2 eps s = y behind the logarithmic
     well's resolvent."""
@@ -391,42 +373,6 @@ class TestLogarithmicNewton:
     # slope's 1 - tanh(s)^2 (up to about 2e-16 where tanh(s) is near 1)
     # shows in the Newton step
     EPS = np.geomspace(1e-12, 10.0, 105)
-
-    def test_start_at_or_below_the_root(self):
-        top = np.nextafter(1.0, 0.0)
-        near_one = np.geomspace(1e-16, 1e-12, 41)
-        y = np.concatenate([np.linspace(0.0, 20.0, 2001), np.geomspace(1e-300, 1e12, 400),
-                            1.0 - near_one, 1.0 + near_one, [top, 1.0]])
-        for eps in self.EPS:
-            # the largest y the root accepts: the saturation value
-            ys = np.append(y, top + 2.0 * eps * np.arctanh(top))
-            s0 = monotone._log_start(eps, ys)
-            assert np.all(s0 >= 0.0)
-            # h is increasing, so h(s0) <= y puts s0 at or below the root;
-            # evaluating h(s0) rounds by up to 2 float spacings of y
-            h = np.tanh(s0) + 2.0 * eps * s0
-            assert np.all(h <= ys + 4.0 * np.spacing(ys)), eps
-
-    def test_never_more_steps_than_from_the_previous_start(self, monkeypatch):
-        counter = _CountingNumpy()
-        monkeypatch.setattr(monotone, "np", counter)
-
-        def steps(eps, x):
-            before = counter.tanh_calls
-            monotone._log_root(eps, x, functools.partial(monotone._log_start, eps))
-            return counter.tanh_calls - before - 1
-
-        xs = np.linspace(-20.0, 20.0, 161)
-        for eps in self.EPS[::2]:
-            # per point, and for a 48-point grid on |x| <= 3 as the RHS sees it
-            for x in xs:
-                assert steps(eps, np.array([x])) <= _steps_from_the_previous_start(eps, x)
-            grid = np.linspace(-3.0, 3.0, 48)
-            assert steps(eps, grid) <= _steps_from_the_previous_start(eps, grid)
-        # the measured gain at the bench's eps values
-        grid = np.linspace(-3.0, 3.0, 48)
-        assert (steps(0.05, grid), _steps_from_the_previous_start(0.05, grid)) == (6, 6)
-        assert (steps(1e-3, grid), _steps_from_the_previous_start(1e-3, grid)) == (3, 7)
 
     @staticmethod
     def kernel_inputs(eps):
@@ -464,8 +410,8 @@ class TestLogarithmicNewton:
 
         # one step from the table leaves a residual under the tolerance, and
         # the next confirms it.  The public map at a scalar eps starts from
-        # the same table, so also at |x| = 1, where the per-point start of
-        # _log_start lies far below the root for small eps
+        # the same table, so also at |x| = 1, where the per-point start
+        # y/(1 + 2 eps) lies far below the root for small eps
         for eps in self.EPS:
             assert steps(eps, self.kernel_inputs(eps)) <= 2, eps
             assert public_steps(eps, 1.0) <= 2 and public_steps(eps, -1.0) <= 2, eps
@@ -473,9 +419,20 @@ class TestLogarithmicNewton:
         grid = np.linspace(-3.0, 3.0, 48)
         assert (steps(0.05, grid), steps(1e-3, grid)) == (2, 2)
 
+    @pytest.mark.parametrize("case", ["scalar_eps", "eps_per_point", "kernel"])
+    def test_iteration_cap_raises(self, monkeypatch, case):
+        # from its table, from y/(1 + 2 eps), and bound in a kernel; the
+        # loop it shares with the power root names the map
+        monkeypatch.setattr(monotone, "RESOLVENT_MAX_ITER", 1)
+        g, x = SubdiffBetaHat("logarithmic"), np.linspace(-3.0, 3.0, 48)
+        call = {"scalar_eps": lambda: g.resolvent(0.05, x),
+                "eps_per_point": lambda: g.resolvent(np.full(48, 0.05), x),
+                "kernel": lambda: g.yosida_kernel(0.05)(x)}[case]
+        with pytest.raises(ResolventError, match="^logarithmic resolvent hit the 1-iteration cap"):
+            call()
 
     def test_an_eps_array_gives_each_points_scalar_root(self):
-        # a per-point eps, as the self-test passes, starts from _log_start
+        # a per-point eps, as the self-test passes, starts from y/(1 + 2 eps)
         # rather than a table.  Each root stops with a residual under the
         # tolerance, and x -> u + eps*beta(u) has slope at least 1, so each
         # lies within that residual of the root: every eps of EPS meets the
