@@ -384,8 +384,8 @@ def _cmd_sweep(args):
 
             def overrides(eps):
                 # this dt is only validated by build_problem: factory's [:2]
-                # drops the member's schedule, and every member is solved
-                # with the caller's (ROADMAP item 1)
+                # drops the member's schedule, and the members are solved
+                # as one stack with the caller's (ROADMAP item 1)
                 dt = min(cfg.dt, 0.25 * eps) if cfg.method == "imex" else cfg.dt
                 return {"eps": eps, "dt": dt}
 

@@ -135,7 +135,11 @@ class Forcing:
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """All coefficients, data and operators of one problem instance."""
+    """All coefficients, data and operators of one problem instance.
+
+    ``eps`` is a positive float, or, for :func:`solve` only, a vector with
+    one positive eps per row of a coefficient stack, kept as a read-only
+    float array.  Every other user of ``eps`` takes the float."""
 
     ell: float
     alpha: float
@@ -159,7 +163,14 @@ class ModelParams:
             raise ValueError("gamma must be nonnegative")
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
-        if not self.eps > 0:
+        if np.ndim(self.eps):
+            eps = np.array(self.eps, dtype=float)
+            if eps.ndim != 1 or not eps.size:
+                raise ValueError("eps must be a float or a vector of one eps per stack row")
+            eps.flags.writeable = False
+            object.__setattr__(self, "eps", eps)
+        # written so that a NaN entry is refused
+        if not np.all(np.asarray(self.eps) > 0):
             raise ValueError("eps must be positive")
         if not self.blowup_ceiling > 0:
             raise ValueError("blowup_ceiling must be positive")
@@ -328,7 +339,10 @@ class _Rhs:
     (..., 2, m): row 0 holds phi and row 1 theta.  What does not depend on
     the state is bound once per solve: the Yosida kernels of the graph and
     of beta at the checked eps, the forcing lookup, and the maps of
-    :func:`_grid_maps` with the linear terms folded in.  The potential's
+    :func:`_grid_maps` with the linear terms folded in.  An eps per stack
+    row is bound as a column shaped for each kernel's argument: (B, 1) on
+    1D grids and on coefficient rows (the nonlocal Sign), (B, 1, 1) on 2D
+    grids; a float eps is bound as it is.  The potential's
     pi is linear, pi(r) = pi_slope * r, so its projection is exactly
     pi_slope * phi and it joins phi's coefficient in the phi row.  Only a
     recording evaluation (a save) returns zeta and xi."""
@@ -348,9 +362,13 @@ class _Rhs:
         self.star_rows = (p.gamma * star, p.k * lam * star)
         self.forcing = p.forcing.at
         self._f = self._src = None
-        self.beta_eps = p.potential.beta_graph().yosida_kernel(p.eps)
-        self.graph_eps = p.graph.yosida_kernel(p.eps)
         pointwise = not (p.graph.is_nonlocal or isinstance(p.graph, ZeroGraph))
+
+        def column(axes):
+            return p.eps if np.ndim(p.eps) == 0 else p.eps.reshape((-1,) + (1,) * axes)
+
+        self.beta_eps = p.potential.beta_graph().yosida_kernel(column(p.basis.dims))
+        self.graph_eps = p.graph.yosida_kernel(column(p.basis.dims if pointwise else 1))
         self.analyse, self.explicit = _grid_maps(p.basis, self.dm, pointwise, coupling)
         self.evals = self.save_evals = 0
 
@@ -458,8 +476,14 @@ def solve(params, initial, schedule, on_save=None):
     ``params`` (basis, coefficients, graph, forcing and eta*) and
     ``schedule`` and are integrated as one state.  The trajectory's arrays
     then have shape (n_saves, B, m), and row r of each follows member r.
-    Fixed-step members match their standalone solves up to rounding, and a
-    one-member stack matches exactly.  DP45 advances the stack with one step
+    ``params.eps`` may then be a vector of B values, one per row: member r
+    is regularized at ``eps[r]``, and the members share everything else.
+    An eps vector on a single state, or of another length than B, is
+    refused with ValueError.  Fixed-step members match their standalone
+    solves up to rounding, and a one-member stack matches exactly, with a
+    float eps or a one-entry vector alike, except on the logarithmic well,
+    whose Newton start differs between the two (see
+    :mod:`phasemono.monotone`).  DP45 advances the stack with one step
     size, accepted when the largest per-member error estimate is, so a
     stacked member takes the steps of the hardest one.  A blow-up names the
     first member over the ceiling in ``BlowUpError.member`` and its field in
@@ -475,9 +499,12 @@ def solve(params, initial, schedule, on_save=None):
     saves stored so far.  Rows after ``j`` are not yet written; the
     callback must not write to either array.
     """
+    phi0 = np.asarray(initial.phi0.coeffs, dtype=float)
+    if np.ndim(params.eps) and (phi0.ndim != 2 or len(params.eps) != len(phi0)):
+        raise ValueError(f"an eps vector needs one eps per stack row: got {len(params.eps)} "
+                         f"eps for initial data of shape {phi0.shape}")
     ctx = _Rhs(params)
     ts = np.linspace(0.0, params.t_final, schedule.n_saves)
-    phi0 = np.asarray(initial.phi0.coeffs, dtype=float)
     y = np.stack((phi0, np.asarray(initial.eta0.coeffs, dtype=float) + ctx.dm * phi0), axis=-2)
 
     Y, DY = np.empty((2, schedule.n_saves) + y.shape)
@@ -566,7 +593,10 @@ def envelope_integral(params, phi_coeffs):
     ``envelope`` call per block, so a stack never holds more than a block
     of grids.  A row gives the bits of its own vector call, except that a
     1D block's matrix product may round differently from a single row's,
-    by a few ulps of the integral."""
+    by a few ulps of the integral.  ``params.eps`` must be a float: an eps
+    per stack row is refused with ValueError."""
+    if np.ndim(params.eps):
+        raise ValueError("envelope_integral takes a float eps, not one eps per stack row")
     basis = params.basis
     c = np.asarray(phi_coeffs, dtype=float)
     rows = c.reshape(-1, c.shape[-1])

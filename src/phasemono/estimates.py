@@ -36,12 +36,18 @@ solution over data differences.  The Gronwall-derived constant
     C3 = min(1/2, k ell^2 / (2 nu), ell^2 / 2),   C4 = C2 / C3
 
 is reported by the energy monitor (``gron_C4``); the two are never compared.
+
+The two convergence ladders build each member through the caller's
+factory, so a member that cannot be built is named.  The n ladder solves
+each level on its own basis.  The eps ladder's members share everything
+but eps, which is checked, and are solved as one coefficient stack with
+one eps per row; each row is reported as its member.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -535,18 +541,69 @@ def constraint_overshoot(traj, basis):
     return max(float(np.max(np.abs(grid))) - 1.0, 0.0)
 
 
+def _differing_fields(base, params):
+    """The names of the fields other than eps in which two ModelParams
+    differ.  Arrays compare by shape and values, and other objects by type
+    and attributes, so members built apart from one config compare equal."""
+    def same(a, b):
+        if a is b:
+            return True
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, np.ndarray):
+            return a.shape == b.shape and bool(np.array_equal(a, b, equal_nan=True))
+        if isinstance(a, (tuple, list)):
+            return len(a) == len(b) and all(map(same, a, b))
+        if hasattr(a, "__dict__"):
+            return vars(a).keys() == vars(b).keys() and all(
+                same(v, vars(b)[k]) for k, v in vars(a).items())
+        return a == b
+
+    return [f.name for f in fields(base)
+            if f.name != "eps" and not same(getattr(base, f.name), getattr(params, f.name))]
+
+
 def yosida_convergence(factory, eps_values, schedule):
     """Regularization ladder: factory(eps) -> (params, initial), fixed basis.
     Reports consecutive trajectory differences (Cauchy check) and, when the
     potential is the obstacle well, the constraint overshoot of the order
-    parameter.  The members share ``schedule`` and so its ``dt``, whatever
-    step they were built with: at an eps below the step, the last
-    differences measure the time error.  Refused as in :func:`_ladder_values`."""
+    parameter.  Refused as in :func:`_ladder_values`.
+
+    Each member is built through ``factory`` in turn, so a failed build
+    names its eps and each member keeps its own initial data and envelope
+    budget.  A member whose params differ from the first member's in
+    anything but eps is refused with ValueError before any solve.  The
+    members are then solved as one (B, m) stack under the first member's
+    params, with one eps per row, and each row is reported as its member.
+    A blow-up names the eps of its row, and any other failure of the solve
+    the first eps.  The members share ``schedule`` and so its ``dt``,
+    whatever step they were built with: at an eps below the step, the last
+    differences measure the time error, and at ``dt/eps = 10`` they amplify
+    the rounding of the stacked transforms."""
     eps_values = _ladder_values(eps_values, float, "eps values")
-    params, trajs = _solve_members(factory, eps_values, schedule)
-    bases = [p.basis for p in params]
+    params, initials = zip(*_run_many(factory, eps_values))
+    for eps, p in zip(eps_values[1:], params[1:]):
+        names = _differing_fields(params[0], p)
+        if names:
+            raise ValueError(
+                f"eps ladder member {eps!r} differs from member {eps_values[0]!r} in "
+                f"{', '.join(names)}: the members may differ only in eps")
+    stack = InitialData(
+        eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials])),
+        phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials])),
+        q_eps=np.array([i.q_eps for i in initials]))
+    try:
+        traj = solve(replace(params[0], eps=eps_values), stack, schedule)
+    except Exception as exc:
+        row = exc.member if isinstance(exc, BlowUpError) else None
+        raise LadderMemberError(eps_values[row or 0], exc) from exc
+
+    series = ("phi", "theta", "zeta", "xi", "dphi", "dtheta")
+    trajs = [replace(traj, initial=initial,
+                     **{name: getattr(traj, name)[:, r] for name in series})
+             for r, initial in enumerate(initials)]
+    basis = params[0].basis
     overshoot = None
     if params[0].potential.variant == "obstacle":
-        overshoot = np.array([constraint_overshoot(tr, b)
-                              for tr, b in zip(trajs, bases)])
-    return _ladder_report("eps", eps_values, bases, trajs, overshoot)
+        overshoot = np.array([constraint_overshoot(tr, basis) for tr in trajs])
+    return _ladder_report("eps", eps_values, [basis] * len(trajs), trajs, overshoot)

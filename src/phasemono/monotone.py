@@ -1,8 +1,9 @@
 """Maximal monotone graphs with exact resolvents and Yosida regularizations.
 
 Scalar graphs act elementwise on floats or numpy arrays, and their ``eps``
-may be a positive scalar or an array of positive values of the same shape as
-``x`` (one regularization level per point); the nonlocal Sign graph acts on a
+may be a positive scalar or an array of positive values that broadcasts
+against ``x`` (one regularization level per point, or per row of a stack of
+grids); the nonlocal Sign graph acts on a
 whole coefficient vector through its L2 norm, row by row on a stack of
 vectors, with ``eps`` a scalar or one value per row.  Every graph exposes
 

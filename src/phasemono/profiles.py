@@ -7,7 +7,7 @@ A profile is given as a whitespace-separated string:
     cosine AMP I [J]          -- AMP cos(I pi x / Lx) [cos(J pi y / Ly)]
     tanh AMP WIDTH [CENTER]   -- front along x at CENTER (fraction of L)
     random-smooth AMP [DECAY] -- seeded random field with decaying spectrum,
-                                 DECAY >= 0
+                                 DECAY finite and >= 0
     csv PATH                  -- (x, value) samples, interpolated (1D only)
 
 Random-smooth fields draw a fixed-size master coefficient block, so the same
@@ -17,6 +17,8 @@ any malformed profile.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,9 +56,16 @@ def _cosine(basis, amp, modes):
     return amp * np.outer(cx, cy)
 
 
+# exp(-x) underflows to 0 for x above about 745.13, so at any decay from
+# here up every mode but mode 0 has weight exactly 0: capping the decay
+# here changes no bit of the field, and keeps decay * index from overflowing
+_DECAY_CAP = 746.0
+
+
 def _random_smooth(basis, amp, decay, rng):
     # normalize against the full master block so the field is the same
     # underlying function at every truncation level
+    decay = min(decay, _DECAY_CAP)
     if basis.dims == 1:
         master = rng.standard_normal(_MASTER_MODES)
         full = master * np.exp(-decay * np.arange(_MASTER_MODES))
@@ -108,8 +117,8 @@ def _evaluate(basis, text, rng):
         if name == "random-smooth":
             amp = float(args[0])
             decay = float(args[1]) if len(args) > 1 else 0.35
-            if not decay >= 0:
-                raise ValueError("random-smooth decay must be nonnegative")
+            if not 0 <= decay < math.inf:
+                raise ValueError("random-smooth decay must be nonnegative and finite")
             if rng is None:
                 rng = np.random.default_rng(0)
             return _random_smooth(basis, amp, decay, rng)

@@ -218,11 +218,12 @@ class TestRun:
         [("initial", "phi0", "csv .")],
         [("initial", "eta0", "random-smooth 0.5 -10")],
         [("initial", "eta0", "random-smooth 0.5 -1")],
+        [("initial", "eta0", "random-smooth 0.5 inf")],
     ], ids=lambda edits: ",".join(f"{k}={v}" for _, k, v in edits))
     def test_bad_profiles_exit_as_config_errors(self, tmp_path, capsys, monkeypatch,
                                                 edits):
         # a non-finite profile, a csv profile that cannot be read, or a
-        # random field whose spectrum grows
+        # random field whose spectrum grows or whose decay is not finite
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "bad.cfg"
         path.write_text(edited_config("regular_sign", edits))
@@ -231,6 +232,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "blow-up" not in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_random_smooth_decay_runs(self, tmp_path, capsys):
+        # a decay this large leaves only mode 0, and forms no overflow
+        path = tmp_path / "huge.cfg"
+        path.write_text(edited_config("regular_sign",
+                                      [("initial", "eta0", "random-smooth 0.5 1e308")]))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["run", "--out", str(tmp_path / "o")]) == 2
@@ -656,6 +666,16 @@ class TestTableWriter:
         assert write_parts(out) == 1
 
 
+def bench_tracing(monkeypatch):
+    """The benchmark's tracing module, imported from the source checkout."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestSweep:
     def test_n_ladder(self, tmp_path):
         out = tmp_path / "s"
@@ -765,24 +785,6 @@ class TestSweep:
             "config error: ladder member 1000000 does not fit in memory\n")
         assert not (tmp_path / "o" / "sweep.json").exists()
 
-    def test_traced_eps_sweep(self, tmp_path, monkeypatch):
-        # the benchmark's tracer patches module bindings, among them
-        # estimates.solve, which every ladder member must be solved through
-        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, tracing)
-        spec.loader.exec_module(tracing)
-        tracer = tracing.Tracer()
-        bindings = [(owner, attr, vars(owner)[attr])
-                    for owner, attr, _ in tracer._targets()]
-        with tracing.installed(tracer):
-            assert cli.main(["sweep", "--scenario", "obstacle_sign", "--axis", "eps",
-                             "--values", "1e-1 1e-2", "--out", str(tmp_path / "o")]) == 0
-        assert tracer.stats["dynamics.solve"].calls == 2
-        assert tracer.counters["eps_ladder_steps"] > 0
-        assert all(vars(owner)[attr] is original for owner, attr, original in bindings)
-
     def test_delta_member_blow_up_exit_code(self, tmp_path, capsys):
         code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
                          "--values", "0.01 1e9", "--out", str(tmp_path / "o")])
@@ -842,14 +844,28 @@ class TestSweep:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "sweep.json").exists()
 
+    def test_traced_eps_sweep(self, tmp_path, monkeypatch):
+        # the benchmark's tracer patches module bindings, among them
+        # estimates.solve: the ladder's members are solved as one stack, in
+        # the scenario's steps
+        tracing = bench_tracing(monkeypatch)
+        tracer = tracing.Tracer()
+        bindings = [(owner, attr, vars(owner)[attr])
+                    for owner, attr, _ in tracer._targets()]
+        with tracing.installed(tracer):
+            assert cli.main(["sweep", "--scenario", "obstacle_sign", "--axis", "eps",
+                             "--values", "1e-1 1e-2 1e-3 1e-4",
+                             "--out", str(tmp_path / "o")]) == 0
+        cfg = get_scenario("obstacle_sign")
+        assert tracer.stats["estimates.yosida_convergence"].calls == 1
+        assert tracer.stats["dynamics.solve"].calls == 1
+        assert tracer.counters["eps_ladder_steps"] == round(cfg.t_final / cfg.dt) == 300
+        assert all(vars(owner)[attr] is original for owner, attr, original in bindings)
+
     def test_traced_delta_sweep(self, tmp_path, monkeypatch):
         # the benchmark's tracer counts the solves of a contraction sweep and
         # the distinct data they receive, read from the coefficient arrays
-        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, tracing)
-        spec.loader.exec_module(tracing)
+        tracing = bench_tracing(monkeypatch)
         tracer = tracing.Tracer()
         bindings = [(owner, attr, vars(owner)[attr])
                     for owner, attr, _ in tracer._targets()]
@@ -860,6 +876,25 @@ class TestSweep:
         assert tracer.counters["contraction_solves"] == 1
         assert tracer.counters["contraction_distinct"] == 1
         assert all(vars(owner)[attr] is original for owner, attr, original in bindings)
+
+    def test_eps_member_blow_up_names_its_eps(self, tmp_path, capsys, monkeypatch):
+        # the stacked ladder binds one eps per row: a Yosida map that blows
+        # up below eps = 5e-3 sends the rows of 1e-3 and 1e-4 over the
+        # ceiling at the same step, and the first of them is named
+        yosida = monotone.NonlocalSign._yosida
+
+        def unstable(self, eps, v):
+            return yosida(self, eps, v) * np.where(eps < 5e-3, 1e12, 1.0)
+
+        monkeypatch.setattr(monotone.NonlocalSign, "_yosida", unstable)
+        code = cli.main(["sweep", "--scenario", "obstacle_sign", "--axis", "eps",
+                         "--values", "1e-1 1e-2 1e-3 1e-4", "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "sweep failure: ladder member 0.001 failed: blow-up" in err
+        assert "stack row 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "sweep.json").exists()
 
     def test_delta_sweep(self, tmp_path):
         out = tmp_path / "d"

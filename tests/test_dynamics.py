@@ -421,6 +421,13 @@ class TestEnvelopeIntegral:
         params, coeffs = self.field(1, 8, 1, "logarithmic", 2.0)
         assert type(dynamics.envelope_integral(params, coeffs[0])) is float
 
+    def test_an_eps_per_row_is_refused(self):
+        # two rows and two eps would broadcast against the grid's rows, or
+        # against its points, without a word
+        params, coeffs = self.field(1, 8, 2, "regular")
+        with pytest.raises(ValueError, match="float eps"):
+            dynamics.envelope_integral(dataclasses.replace(params, eps=[0.05, 0.02]), coeffs)
+
     @pytest.mark.parametrize("dims, n", [(1, 64), (2, 64)])
     def test_one_envelope_call_per_block(self, monkeypatch, dims, n):
         params, coeffs = self.field(dims, n, 101, "regular")
@@ -709,6 +716,7 @@ NAN_INPUTS = {
     "params_ell": lambda: make_params(ell=NAN),
     "params_gamma": lambda: make_params(gamma=NAN),
     "params_eps": lambda: make_params(eps=NAN),
+    "params_eps_vector": lambda: make_params(eps=[0.1, NAN]),
     "yosida_eps": lambda: ScalarSign().yosida(NAN, np.ones(3)),
     "yosida_eps_array": lambda: ScalarSign().yosida(np.array([0.1, NAN, 0.1]), np.ones(3)),
     "envelope_eps": lambda: envelope(PotentialSpec("regular"), NAN, np.ones(3)),
@@ -780,6 +788,78 @@ class TestRhsEquivalence:
         dy_stage, zeta_stage, xi_stage = rhs.full(0.37, y)
         assert np.array_equal(dy_stage, dy)
         assert zeta_stage is None and xi_stage is None
+
+
+class TestEpsPerRow:
+    """``ModelParams.eps`` as a vector of one eps per stack row."""
+
+    @staticmethod
+    def data(p, lead=()):
+        m = p.basis.total_modes
+        rng = np.random.default_rng(m)
+        decay = 1.0 / (1.0 + np.arange(m))
+        eta0, phi0 = 0.6 * decay * rng.standard_normal((2,) + lead + (m,))
+        return coeff_data(eta0, phi0)
+
+    @pytest.mark.parametrize("method", ["imex", "rk4"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("variant", ["regular", "obstacle"])
+    @pytest.mark.parametrize("graph", sorted(_GRAPHS))
+    def test_one_row_is_the_float_eps_solve(self, graph, variant, dims, method):
+        # the logarithmic well is left out: its Newton start differs between
+        # a float eps and an eps per row
+        p = dataclasses.replace(rhs_params(graph, variant, dims), t_final=0.05)
+        sched = Schedule(method=method, dt=0.01, n_saves=3)
+        init = self.data(p)
+        alone = solve(p, init, sched)
+        one = solve(dataclasses.replace(p, eps=[p.eps]), stacked([init]), sched)
+        for name in SERIES:
+            assert np.array_equal(getattr(one, name)[:, 0], getattr(alone, name)), name
+        assert one.stats == alone.stats
+
+    # members with eps >= 4 dt, so that rounding is not amplified
+    @pytest.mark.parametrize("scenario, kw", [
+        ("obstacle_sign", {}),
+        ("log_sign", {}),
+        ("regular_sign", {"dims": 2, "lengths": (1.0, 1.0), "modes": 5, "quadrature": None,
+                          "phi0": "cosine 0.5 1 1", "eta0": "cosine 0.3 1 0",
+                          "eta_star": "zero", "t_final": 0.05, "saves": 11}),
+    ], ids=["obstacle_sign", "log_sign", "2d_regular_sign"])
+    def test_rows_match_their_float_eps_solves(self, scenario, kw):
+        cfg = with_overrides(get_scenario(scenario), **kw)
+        eps = [0.1, 0.02, 4.0 * cfg.dt]
+        built = [build_problem(with_overrides(cfg, eps=e)) for e in eps]
+        params, _, sched = built[0]
+        stack = solve(dataclasses.replace(params, eps=eps),
+                      stacked([init for _, init, _ in built]), sched)
+        for r, (p, init, _) in enumerate(built):
+            alone = solve(p, init, sched)
+            for name in SERIES:
+                row, ref = getattr(stack, name)[:, r], getattr(alone, name)
+                scale = max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(row - ref)) <= 1e-12 * scale, (name, r)
+
+    def test_an_eps_vector_needs_one_eps_per_row(self):
+        p = make_params(eps=[0.1, 0.05])
+        sched = Schedule(dt=0.1, n_saves=2)
+        for lead in [(), (1,), (3,), (2, 2)]:
+            with pytest.raises(ValueError, match="one eps per stack row"):
+                solve(p, self.data(p, lead), sched)
+        assert solve(p, self.data(p, (2,)), sched).phi.shape == (2, 2, 4)
+
+    @pytest.mark.parametrize("eps", [[0.1, 0.0], [0.1, -0.1], [0.1, math.nan], [],
+                                     [[0.1, 0.1]]], ids=["zero", "negative", "nan", "empty",
+                                                         "matrix"])
+    def test_every_entry_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            make_params(eps=eps)
+
+    def test_a_vector_is_kept_as_a_read_only_array(self):
+        eps = [0.1, 0.05]
+        p = make_params(eps=eps)
+        assert p.eps.dtype == float and np.array_equal(p.eps, eps)
+        assert not p.eps.flags.writeable
+        assert make_params(eps=0.1).eps == 0.1
 
 
 class TestCheckState:

@@ -29,6 +29,7 @@ from phasemono.estimates import (
     stability_constants,
     yosida_convergence,
 )
+from phasemono.monotone import NonlocalSign, ResolventError
 from phasemono.scenarios import get_scenario, scenario_names
 
 
@@ -463,6 +464,57 @@ class TestLadders:
             rep = energy_monitor(traj, params)
             # L = 1, so the H-norm of a pointwise-bounded selection is <= 1
             assert np.max(rep.zeta_norms) <= 1.0 + 1e-9
+
+    @staticmethod
+    def eps_factory(cfg, change=lambda eps: {}):
+        def factory(eps):
+            p, i, _ = build_problem(with_overrides(cfg, eps=eps, **change(eps)))
+            return p, i
+
+        return factory
+
+    def test_stacked_eps_ladder_matches_the_member_solves(self):
+        # members with eps >= 4 dt: the stack's rows match the standalone
+        # solves to rounding, and each row is reported as its member
+        cfg = get_scenario("obstacle_sign")
+        values = [1e-1, 1e-2, 4.0 * cfg.dt]
+        factory = self.eps_factory(cfg)
+        _, _, schedule = build_problem(cfg)
+        rep = yosida_convergence(factory, values, schedule)
+        members = [factory(eps) for eps in values]
+        trajs = [solve(p, i, schedule) for p, i in members]
+        basis = members[0][0].basis
+        ref = estimates._ladder_report(
+            "eps", values, [basis] * 3, trajs,
+            np.array([constraint_overshoot(tr, basis) for tr in trajs]))
+        for name in ("consecutive_phi", "consecutive_eta", "to_reference_total", "overshoot"):
+            assert np.allclose(getattr(rep, name), getattr(ref, name), rtol=1e-12, atol=0.0), name
+        assert rep.rate == pytest.approx(ref.rate, rel=1e-10)
+        assert np.array_equal(rep.values, values)
+
+    @pytest.mark.parametrize("change, field", [
+        (lambda eps: {"gamma": 0.5 if eps == 0.1 else 0.25}, "gamma"),
+        (lambda eps: {"modes": 16 if eps == 0.1 else 8}, "basis"),
+    ], ids=["gamma", "modes"])
+    def test_eps_ladder_members_may_differ_only_in_eps(self, monkeypatch, change, field):
+        def forbidden(*args):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(estimates, "solve", forbidden)
+        factory = self.eps_factory(get_scenario("obstacle_sign"), change)
+        with pytest.raises(ValueError, match=f"member 0.01 differs from member 0.1 in .*{field}"):
+            yosida_convergence(factory, [1e-1, 1e-2], Schedule(method="imex", dt=1e-3))
+
+    def test_eps_ladder_failure_not_of_a_row_names_the_first_eps(self, monkeypatch):
+        def give_up(self, eps, v):
+            raise ResolventError("gave up")
+
+        monkeypatch.setattr(NonlocalSign, "_yosida", give_up)
+        cfg = get_scenario("obstacle_sign")
+        with pytest.raises(LadderMemberError) as err:
+            yosida_convergence(self.eps_factory(cfg), [1e-2, 1e-1], build_problem(cfg)[2])
+        assert err.value.value == 0.1
+        assert isinstance(err.value.cause, ResolventError)
 
     @pytest.mark.parametrize("ladder, values", [
         (galerkin_convergence, [8]), (galerkin_convergence, [8, 8]),

@@ -83,6 +83,24 @@ class TestRandomSmooth:
         c = spectral.from_grid(basis, vals)
         assert spectral.h_norm(basis, c) <= 0.5 + 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("decay", ["inf", "nan"])
+    def test_non_finite_decay_refused(self, basis, decay):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            profile_grid(basis, f"random-smooth 0.5 {decay}", np.random.default_rng(5))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_huge_decay_leaves_mode_zero_bit_for_bit(self, dims):
+        # at decay 800 no product decay * index overflows and every mode but
+        # mode 0 already underflows to weight 0; a larger decay gives its bits
+        b = spectral.build_basis(dims, (1.0,) * dims, 4)
+        fields = [profile_grid(b, f"random-smooth 0.5 {decay}", np.random.default_rng(5))
+                  for decay in ("800", "746", "1e308")]
+        for f in fields[1:]:
+            assert np.array_equal(f, fields[0])
+        assert np.all(fields[0] == fields[0].flat[0]) and fields[0].flat[0] != 0.0
+
 
 class TestCsvImport:
     def test_interpolates_onto_quadrature_grid(self, basis, tmp_path):
