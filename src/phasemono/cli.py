@@ -33,7 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, spectral
-from .config import ConfigError, build_problem, parse_config, serialize_config, with_overrides
+from .config import (
+    ConfigError,
+    _schedule,
+    build_problem,
+    parse_config,
+    serialize_config,
+    with_overrides,
+)
 from .dynamics import METHODS, BlowUpError, StepFailure, solve
 from .estimates import (
     LadderMemberError,
@@ -306,7 +313,8 @@ def _cmd_run(args):
         parts = table.write(traj.times, traj.phi, traj.theta)
 
     failures = _invariant_failures(report)
-    eta_T = traj.eta[-1]
+    # the bits of traj.eta[-1], without forming eta at every save
+    eta_T = traj.theta[-1] - traj.ell_minus_alpha * traj.phi[-1]
     payload = {
         "tool_version": __version__,
         "config": serialize_config(cfg),
@@ -366,10 +374,10 @@ def _cmd_sweep(args):
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params, initial, schedule = build_problem(cfg)
 
     if args.axis == "delta":
         values = _parse_values(args.values, float)
+        params, initial, schedule = build_problem(cfg)
         ladder = partial(contraction_sweep, params, initial, values, schedule)
     else:
         if args.axis == "n":
@@ -392,7 +400,9 @@ def _cmd_sweep(args):
         def factory(v):
             return build_problem(with_overrides(cfg, **overrides(v)))[:2]
 
-        ladder = partial(convergence, factory, values, schedule)
+        # only the config's schedule is shared: its own problem is not built,
+        # as its modes need not hold its profiles
+        ladder = partial(convergence, factory, values, _schedule(cfg))
     try:
         rep = ladder()
     except ValueError as exc:

@@ -37,11 +37,12 @@ solution over data differences.  The Gronwall-derived constant
 
 is reported by the energy monitor (``gron_C4``); the two are never compared.
 
-The two convergence ladders build each member through the caller's
-factory, so a member that cannot be built is named.  The n ladder solves
-each level on its own basis.  The eps ladder's members share everything
-but eps, which is checked, and are solved as one coefficient stack with
-one eps per row; each row is reported as its member.
+Every ladder builds all its members, naming one that cannot be built,
+and then solves them through :func:`_solve_named`, which names the member
+a failure belongs to.  The n ladder solves each level on its own basis.
+The eps ladder's members share everything but eps, which is checked, and
+are solved as one coefficient stack with one eps per row.  The n and eps
+ladders report from each member's (phi, eta) series.
 """
 
 from __future__ import annotations
@@ -408,13 +409,7 @@ def contraction_sweep(params, initial, deltas, schedule):
     stack = InitialData(eta0=FieldCoeffs(np.tile(initial.eta0.coeffs, (len(phi0), 1))),
                         phi0=FieldCoeffs(phi0),
                         q_eps=np.array([initial.q_eps, *_run_many(budget, deltas)]))
-    try:
-        traj = solve(params, stack, schedule)
-    except Exception as exc:
-        row = exc.member if isinstance(exc, BlowUpError) else None
-        blamed = deltas[row - 1] if row else deltas[0]
-        raise LadderMemberError(blamed, exc) from exc
-
+    traj = _solve_named(params, stack, schedule, [deltas[0], *deltas])
     return ContractionSweepReport(np.array(deltas),
                                   *_contraction_reports(params, stack, traj))
 
@@ -451,6 +446,18 @@ def _run_many(fn, values):
     return results
 
 
+def _solve_named(params, initial, schedule, values):
+    """Solve one member, or a coefficient stack with one row per entry of
+    ``values``.  A failure is a LadderMemberError: a BlowUpError names the
+    value of its row, and any other failure the first value.  ``solve`` is
+    called through this module's binding, which a tracer may patch."""
+    try:
+        return solve(params, initial, schedule)
+    except Exception as exc:
+        row = exc.member if isinstance(exc, BlowUpError) else None
+        raise LadderMemberError(values[row or 0], exc) from exc
+
+
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     axis: str
@@ -483,26 +490,15 @@ class ConvergenceReport:
         return out
 
 
-def _solve_members(factory, values, schedule):
-    """Build and solve each ladder member in order, factory(v) -> (params,
-    initial); a failure to build or to solve names its member.  Returns the
-    members' params and trajectories."""
-    def member(v):
-        params, initial = factory(v)
-        return params, solve(params, initial, schedule)
-
-    params, trajs = zip(*_run_many(member, values))
-    return params, trajs
-
-
-def _ladder_report(axis, values, bases, trajs, overshoot):
+def _ladder_report(axis, values, bases, series, overshoot):
+    """Report a ladder from each member's basis and its ``(phi, eta)``
+    coefficients at the saves, each of shape (saves, modes)."""
     def diffs(i, j):
         """C0([0,T];H) differences of phi and of eta between members i and
         j, in the basis of member j."""
         out = []
-        for name in ("phi", "eta"):
-            d = (spectral.embed_coeffs(bases[i], bases[j], getattr(trajs[i], name))
-                 - getattr(trajs[j], name))
+        for a, b in zip(series[i], series[j]):
+            d = spectral.embed_coeffs(bases[i], bases[j], a) - b
             out.append(float(np.max(np.sqrt(np.sum(d * d, axis=1)))))
         return out
 
@@ -531,13 +527,16 @@ def galerkin_convergence(factory, ns, schedule):
     level's own time error.  The ladder is refused as in
     :func:`_ladder_values`."""
     ns = sorted(_ladder_values(ns, int, "mode counts"))
-    params, trajs = _solve_members(factory, ns, schedule)
-    return _ladder_report("n", ns, [p.basis for p in params], trajs, None)
+    members = _run_many(factory, ns)
+    trajs = [_solve_named(p, i, schedule, [n]) for n, (p, i) in zip(ns, members)]
+    return _ladder_report("n", ns, [p.basis for p, _ in members],
+                          [(t.phi, t.eta) for t in trajs], None)
 
 
-def constraint_overshoot(traj, basis):
-    """Largest excursion of the order parameter beyond |phi| = 1."""
-    grid = spectral.to_grid(basis, traj.phi)
+def constraint_overshoot(phi, basis):
+    """Largest excursion of the order parameter beyond |phi| = 1, from its
+    coefficients ``phi`` of shape (saves, modes)."""
+    grid = spectral.to_grid(basis, phi)
     return max(float(np.max(np.abs(grid))) - 1.0, 0.0)
 
 
@@ -592,18 +591,10 @@ def yosida_convergence(factory, eps_values, schedule):
         eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials])),
         phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials])),
         q_eps=np.array([i.q_eps for i in initials]))
-    try:
-        traj = solve(replace(params[0], eps=eps_values), stack, schedule)
-    except Exception as exc:
-        row = exc.member if isinstance(exc, BlowUpError) else None
-        raise LadderMemberError(eps_values[row or 0], exc) from exc
-
-    series = ("phi", "theta", "zeta", "xi", "dphi", "dtheta")
-    trajs = [replace(traj, initial=initial,
-                     **{name: getattr(traj, name)[:, r] for name in series})
-             for r, initial in enumerate(initials)]
+    traj = _solve_named(replace(params[0], eps=eps_values), stack, schedule, eps_values)
+    series = list(zip(traj.phi.swapaxes(0, 1), traj.eta.swapaxes(0, 1)))
     basis = params[0].basis
     overshoot = None
     if params[0].potential.variant == "obstacle":
-        overshoot = np.array([constraint_overshoot(tr, basis) for tr in trajs])
-    return _ladder_report("eps", eps_values, [basis] * len(trajs), trajs, overshoot)
+        overshoot = np.array([constraint_overshoot(phi, basis) for phi, _ in series])
+    return _ladder_report("eps", eps_values, [basis] * len(series), series, overshoot)

@@ -749,13 +749,34 @@ class TestSweep:
         assert code == 2
 
     def test_member_failure_identified(self, tmp_path, capsys):
+        # at this step 8 modes are stable and 32 and 64 blow up, 64 at an
+        # earlier time: the first member that blows up is named
         cfg = with_overrides(get_scenario("tanh_front"), method="rk4", dt=0.05)
         path = tmp_path / "unstable.cfg"
         path.write_text(serialize_config(cfg))
         code = cli.main(["sweep", "--config", str(path), "--axis", "n",
-                         "--values", "8 32", "--out", str(tmp_path / "o")])
+                         "--values", "8 32 64", "--out", str(tmp_path / "o")])
         assert code == 4
-        assert "ladder member" in capsys.readouterr().err
+        assert "sweep failure: ladder member 32 failed: blow-up" in capsys.readouterr().err
+
+    def test_n_sweep_needs_no_base_problem(self, tmp_path):
+        # eta0's mode 6 lies outside a 4-mode basis but inside every
+        # member's: the n ladder takes only the config's schedule, so the
+        # sweep gives the numbers of the same ladder from an 8-mode config
+        payloads = {}
+        for modes in (4, 8):
+            cfg = with_overrides(get_scenario("tanh_front"), modes=modes,
+                                 eta0="cosine 0.3 6")
+            path = tmp_path / f"m{modes}.cfg"
+            path.write_text(serialize_config(cfg))
+            out = tmp_path / f"o{modes}"
+            assert cli.main(["sweep", "--config", str(path), "--axis", "n",
+                             "--values", "8 16", "--out", str(out)]) == 0
+            payloads[modes] = json.loads((out / "sweep.json").read_text())
+            assert payloads[modes].pop("config") == serialize_config(cfg)
+        assert payloads[4] == payloads[8]
+        assert (tmp_path / "o4" / "sweep.csv").read_bytes() == \
+            (tmp_path / "o8" / "sweep.csv").read_bytes()
 
     def test_member_build_failure_identified(self, tmp_path, capsys):
         # regular_sign's phi0 is "cosine 0.5 2", which a 2-mode basis lacks;
@@ -843,6 +864,19 @@ class TestSweep:
         assert "own mode-1 coefficient" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "sweep.json").exists()
+
+    def test_traced_n_sweep(self, tmp_path, monkeypatch):
+        # the n ladder solves each member on its own, through estimates.solve
+        tracing = bench_tracing(monkeypatch)
+        tracer = tracing.Tracer()
+        bindings = [(owner, attr, vars(owner)[attr])
+                    for owner, attr, _ in tracer._targets()]
+        with tracing.installed(tracer):
+            assert cli.main(["sweep", "--scenario", "tanh_front", "--axis", "n",
+                             "--values", "8 16 32 64", "--out", str(tmp_path / "o")]) == 0
+        assert tracer.stats["estimates.galerkin_convergence"].calls == 1
+        assert tracer.stats["dynamics.solve"].calls == 4
+        assert all(vars(owner)[attr] is original for owner, attr, original in bindings)
 
     def test_traced_eps_sweep(self, tmp_path, monkeypatch):
         # the benchmark's tracer patches module bindings, among them

@@ -485,8 +485,8 @@ class TestLadders:
         trajs = [solve(p, i, schedule) for p, i in members]
         basis = members[0][0].basis
         ref = estimates._ladder_report(
-            "eps", values, [basis] * 3, trajs,
-            np.array([constraint_overshoot(tr, basis) for tr in trajs]))
+            "eps", values, [basis] * 3, [(tr.phi, tr.eta) for tr in trajs],
+            np.array([constraint_overshoot(tr.phi, basis) for tr in trajs]))
         for name in ("consecutive_phi", "consecutive_eta", "to_reference_total", "overshoot"):
             assert np.allclose(getattr(rep, name), getattr(ref, name), rtol=1e-12, atol=0.0), name
         assert rep.rate == pytest.approx(ref.rate, rel=1e-10)
@@ -516,6 +516,22 @@ class TestLadders:
         assert err.value.value == 0.1
         assert isinstance(err.value.cause, ResolventError)
 
+    def test_n_ladder_names_a_failed_build_before_any_solve(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("solve called")
+
+        def factory(n):
+            if n == 16:
+                raise MemoryError()
+            return build_problem(with_overrides(cfg, modes=n, quadrature=None))[:2]
+
+        cfg = get_scenario("tanh_front")
+        monkeypatch.setattr(estimates, "solve", forbidden)
+        with pytest.raises(LadderMemberError) as err:
+            galerkin_convergence(factory, [8, 16], build_problem(cfg)[2])
+        assert err.value.value == 16
+        assert isinstance(err.value.cause, MemoryError)
+
     @pytest.mark.parametrize("ladder, values", [
         (galerkin_convergence, [8]), (galerkin_convergence, [8, 8]),
         (galerkin_convergence, [8, 8, 16]), (yosida_convergence, [0.1, 0.01, 0.1]),
@@ -530,4 +546,4 @@ class TestLadders:
 
     def test_overshoot_helper(self):
         params, _, _, traj = run_scenario("obstacle_sign")
-        assert constraint_overshoot(traj, params.basis) > 0.0
+        assert constraint_overshoot(traj.phi, params.basis) > 0.0
