@@ -35,7 +35,6 @@ import numpy as np
 from . import __version__, spectral
 from .config import (
     ConfigError,
-    _schedule,
     build_problem,
     parse_config,
     serialize_config,
@@ -375,40 +374,17 @@ def _cmd_sweep(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.axis == "delta":
-        values = _parse_values(args.values, float)
-        params, initial, schedule = build_problem(cfg)
-        ladder = partial(contraction_sweep, params, initial, values, schedule)
-    else:
-        if args.axis == "n":
-            values = _parse_values(args.values, int)
-            convergence = galerkin_convergence
-
-            def overrides(n):
-                return {"modes": n, "quadrature": None}
-        else:
-            values = _parse_values(args.values, float)
-            convergence = yosida_convergence
-
-            def overrides(eps):
-                # this dt is only validated by build_problem: factory's [:2]
-                # drops the member's schedule, and the members are solved
-                # as one stack with the caller's (ROADMAP item 1)
-                dt = min(cfg.dt, 0.25 * eps) if cfg.method == "imex" else cfg.dt
-                return {"eps": eps, "dt": dt}
-
-        def factory(v):
-            return build_problem(with_overrides(cfg, **overrides(v)))[:2]
-
-        # only the config's schedule is shared: its own problem is not built,
-        # as its modes need not hold its profiles
-        ladder = partial(convergence, factory, values, _schedule(cfg))
+    values = _parse_values(args.values, int if args.axis == "n" else float)
+    # looked up at each call, so that a tracer's patch of a binding is seen
+    ladder = {"n": galerkin_convergence, "eps": yosida_convergence,
+              "delta": contraction_sweep}[args.axis]
     try:
-        rep = ladder()
+        rep = ladder(cfg, values)
     except ValueError as exc:
-        # an inadmissible ladder, or a delta ladder without alpha = ell, on a
-        # one-mode basis or with a delta that rounds away, refused before any
-        # solve; a failed build or solve of a member is a LadderMemberError
+        # an inadmissible ladder, a delta base that cannot be built, or a
+        # delta ladder without alpha = ell, on a one-mode basis or with a
+        # delta that rounds away, refused before any solve; a failed build or
+        # solve of a member is a LadderMemberError
         raise ConfigError(str(exc)) from exc
     payload = rep.to_dict()
 

@@ -282,11 +282,6 @@ def _build_potential(cfg):
         raise ConfigError(str(exc)) from exc
 
 
-def _schedule(cfg):
-    """The config's integrator schedule; needs no basis or profile."""
-    return Schedule(method=cfg.method, dt=cfg.dt, tol=cfg.tol, n_saves=cfg.saves)
-
-
 def build_problem(cfg):
     """Turn a config into (params, initial, schedule).
 
@@ -326,4 +321,5 @@ def build_problem(cfg):
         eta_star=FieldCoeffs(star), forcing=forcing,
         graph=graph, potential=potential, eps=cfg.eps,
         blowup_ceiling=cfg.blowup_ceiling)
-    return params, initial, _schedule(cfg)
+    return params, initial, Schedule(method=cfg.method, dt=cfg.dt, tol=cfg.tol,
+                                     n_saves=cfg.saves)

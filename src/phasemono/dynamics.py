@@ -179,7 +179,8 @@ class ModelParams:
 @dataclass(frozen=True, eq=False)
 class InitialData:
     """Projected initial data plus the quantities controlling the convex-part
-    envelope of the projected order parameter."""
+    envelope of the projected order parameter.  ``q_eps`` is the envelope
+    budget: a float, or an array of one budget per row of a stack."""
 
     eta0: FieldCoeffs
     phi0: FieldCoeffs
@@ -205,13 +206,16 @@ def prepare_initial(basis, eta0_grid, phi0_grid, potential, eps):
         raise DomainError(
             f"initial order parameter leaves the potential domain "
             f"(max |phi0| = {worst:.6g} > {dhi:g})")
-    beta_l1 = spectral.grid_integral(basis, potential.beta_hat(phi0_grid))
     phi0_c = spectral.from_grid(basis, phi0_grid)
     eta0_c = spectral.from_grid(basis, eta0_grid)
-    diff = phi0_grid - spectral.to_grid(basis, phi0_c)
-    n_phi0 = math.sqrt(max(spectral.grid_integral(basis, phi0_grid ** 2), 0.0))
-    n_proj = spectral.h_norm(basis, phi0_c)
-    n_diff = math.sqrt(max(spectral.grid_integral(basis, diff ** 2), 0.0))
+    # a datum whose squares overflow has the budget inf; the solve then
+    # stops it at the blow-up ceiling before its first step
+    with np.errstate(over="ignore"):
+        beta_l1 = spectral.grid_integral(basis, potential.beta_hat(phi0_grid))
+        diff = phi0_grid - spectral.to_grid(basis, phi0_c)
+        n_phi0 = math.sqrt(max(spectral.grid_integral(basis, phi0_grid ** 2), 0.0))
+        n_proj = spectral.h_norm(basis, phi0_c)
+        n_diff = math.sqrt(max(spectral.grid_integral(basis, diff ** 2), 0.0))
     q_eps = beta_l1 + n_diff * (n_phi0 + n_proj) / (2.0 * eps)
     return InitialData(
         eta0=FieldCoeffs(eta0_c),
@@ -487,7 +491,8 @@ def solve(params, initial, schedule, on_save=None):
     size, accepted when the largest per-member error estimate is, so a
     stacked member takes the steps of the hardest one.  A blow-up names the
     first member over the ceiling in ``BlowUpError.member`` and its field in
-    ``BlowUpError.field``.
+    ``BlowUpError.field``; a datum already over the ceiling fails at
+    ``t = 0``, before any evaluation.
 
     ``stats`` counts steps, rejected steps and evaluations (``rhs_evals``,
     ``rhs_evals_saves`` of them at the saves), and holds the smallest and
@@ -522,6 +527,7 @@ def solve(params, initial, schedule, on_save=None):
             on_save(j, ts, Y)
         return ex if imex else dy
 
+    _check_state(0.0, y, params.blowup_ceiling)
     first = record(0, 0.0, y)
     steps = rejected = 0
     h_min, h_max = math.inf, 0.0

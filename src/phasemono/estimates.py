@@ -37,22 +37,27 @@ solution over data differences.  The Gronwall-derived constant
 
 is reported by the energy monitor (``gron_C4``); the two are never compared.
 
-Every ladder builds all its members, naming one that cannot be built,
-and then solves them through :func:`_solve_named`, which names the member
-a failure belongs to.  The n ladder solves each level on its own basis.
-The eps ladder's members share everything but eps, which is checked, and
-are solved as one coefficient stack with one eps per row.  The n and eps
-ladders report from each member's (phi, eta) series.
+Every ladder takes a config and its values, and builds each member as
+``build_problem(with_overrides(cfg, **override))``: ``modes=n,
+quadrature=None`` for n, ``eps=eps`` for eps, and ``cfg`` itself as the
+base of the delta sweep.  Each member keeps the schedule its build returns.
+A ladder builds all its members, naming one that cannot be built, and then
+solves them through :func:`_solve_named`, which names the member a failure
+belongs to.  The n ladder solves each level on its own basis.  The eps
+ladder's members differ only in eps and are solved as one coefficient
+stack with one eps per row.  The n and eps ladders report from each
+member's (phi, eta) series.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectral
+from .config import build_problem, with_overrides
 from .dynamics import (
     BlowUpError,
     FieldCoeffs,
@@ -372,27 +377,29 @@ class ContractionSweepReport:
         }
 
 
-def contraction_sweep(params, initial, deltas, schedule):
+def contraction_sweep(cfg, deltas):
     """Dyadic perturbation study of the continuous-dependence inequality.
 
-    The members form one (M+1, m) coefficient stack, integrated as a single
+    The base is ``build_problem(cfg)``, solved at its own schedule.  The
+    members form one (M+1, m) coefficient stack, integrated as a single
     solve: row 0 holds the base's phi0 and eta0, and row j the base with the
     j-th delta, in decreasing order, added to the mode-1 coefficient of
-    phi0; f and eta* are those of ``params``.  :func:`prepare_initial`
-    checks each member's datum on its grid and gives its envelope budget.
-    A failure names the delta of its row; a failure of the base row, or one
-    no row can be blamed for, names the first delta.  The ladder is refused
-    as in :func:`_ladder_values`, and with ValueError before any solve
-    unless alpha = ell, the basis has two modes or more, and every row has
-    its own mode-1 coefficient: a delta that rounds away leaves a member
-    equal to the base."""
-    if params.alpha != params.ell:
+    phi0; f and eta* are the base's.  :func:`prepare_initial` checks each
+    member's datum on its grid and gives its envelope budget.  A failure
+    names the delta of its row; a failure of the base row, or one no row
+    can be blamed for, names the first delta.  The ladder is refused as in
+    :func:`_ladder_values`, and with ValueError before any solve unless
+    alpha = ell, the basis has two modes or more, and every row has its own
+    mode-1 coefficient: a delta that rounds away leaves a member equal to
+    the base."""
+    deltas = _ladder_values(deltas, float, "deltas")
+    if cfg.alpha != cfg.ell:
         raise ValueError("continuous-dependence check requires alpha = ell")
+    params, initial, schedule = build_problem(cfg)
     basis = params.basis
     if basis.total_modes < 2:
         raise ValueError("continuous-dependence check perturbs basis mode 1 "
                          "and needs at least 2 modes")
-    deltas = _ladder_values(deltas, float, "deltas")
     phi0 = np.tile(initial.phi0.coeffs, (len(deltas) + 1, 1))
     phi0[1:, 1] += deltas
     c1 = phi0[:, 1].tolist()
@@ -518,18 +525,18 @@ def _ladder_report(axis, values, bases, series, overshoot):
         rate=rate, overshoot=overshoot)
 
 
-def galerkin_convergence(factory, ns, schedule):
-    """Truncation-level ladder: factory(n) -> (params, initial).  Reports the
-    C0([0,T];H) differences between consecutive levels; levels must share the
-    domain, the sample grid and all coefficients.  The levels also share
-    ``schedule`` and so its ``dt``: the ladder measures convergence in n of
-    the time-discrete scheme, and its differences can fall below each
-    level's own time error.  The ladder is refused as in
-    :func:`_ladder_values`."""
+def galerkin_convergence(cfg, ns):
+    """Truncation-level ladder: member n is ``cfg`` with ``modes=n`` and its
+    default quadrature.  Reports the C0([0,T];H) differences between
+    consecutive levels.  Every level keeps the config's schedule and so its
+    ``dt``: the ladder measures convergence in n of the time-discrete
+    scheme, and its differences can fall below each level's own time error.
+    The ladder is refused as in :func:`_ladder_values`."""
     ns = sorted(_ladder_values(ns, int, "mode counts"))
-    members = _run_many(factory, ns)
-    trajs = [_solve_named(p, i, schedule, [n]) for n, (p, i) in zip(ns, members)]
-    return _ladder_report("n", ns, [p.basis for p, _ in members],
+    members = _run_many(
+        lambda n: build_problem(with_overrides(cfg, modes=n, quadrature=None)), ns)
+    trajs = [_solve_named(p, i, s, [n]) for n, (p, i, s) in zip(ns, members)]
+    return _ladder_report("n", ns, [p.basis for p, _, _ in members],
                           [(t.phi, t.eta) for t in trajs], None)
 
 
@@ -540,58 +547,29 @@ def constraint_overshoot(phi, basis):
     return max(float(np.max(np.abs(grid))) - 1.0, 0.0)
 
 
-def _differing_fields(base, params):
-    """The names of the fields other than eps in which two ModelParams
-    differ.  Arrays compare by shape and values, and other objects by type
-    and attributes, so members built apart from one config compare equal."""
-    def same(a, b):
-        if a is b:
-            return True
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, np.ndarray):
-            return a.shape == b.shape and bool(np.array_equal(a, b, equal_nan=True))
-        if isinstance(a, (tuple, list)):
-            return len(a) == len(b) and all(map(same, a, b))
-        if hasattr(a, "__dict__"):
-            return vars(a).keys() == vars(b).keys() and all(
-                same(v, vars(b)[k]) for k, v in vars(a).items())
-        return a == b
+def yosida_convergence(cfg, eps_values):
+    """Regularization ladder: member eps is ``cfg`` with that eps, on the
+    config's basis.  Reports consecutive trajectory differences (Cauchy
+    check) and, when the potential is the obstacle well, the constraint
+    overshoot of the order parameter.  Refused as in :func:`_ladder_values`.
 
-    return [f.name for f in fields(base)
-            if f.name != "eps" and not same(getattr(base, f.name), getattr(params, f.name))]
-
-
-def yosida_convergence(factory, eps_values, schedule):
-    """Regularization ladder: factory(eps) -> (params, initial), fixed basis.
-    Reports consecutive trajectory differences (Cauchy check) and, when the
-    potential is the obstacle well, the constraint overshoot of the order
-    parameter.  Refused as in :func:`_ladder_values`.
-
-    Each member is built through ``factory`` in turn, so a failed build
-    names its eps and each member keeps its own initial data and envelope
-    budget.  A member whose params differ from the first member's in
-    anything but eps is refused with ValueError before any solve.  The
-    members are then solved as one (B, m) stack under the first member's
-    params, with one eps per row, and each row is reported as its member.
-    A blow-up names the eps of its row, and any other failure of the solve
-    the first eps.  The members share ``schedule`` and so its ``dt``,
-    whatever step they were built with: at an eps below the step, the last
-    differences measure the time error, and at ``dt/eps = 10`` they amplify
-    the rounding of the stacked transforms."""
+    Each member is built in turn, so a failed build names its eps and each
+    member keeps its own initial data and envelope budget.  The members
+    differ only in eps, so they are solved as one (B, m) stack under the
+    first member's params and schedule, with one eps per row, and each row
+    is reported as its member.  A blow-up names the eps of its row, and any
+    other failure of the solve the first eps.  The members keep the
+    config's ``dt``: at an eps below the step, the last differences measure
+    the time error, and at ``dt/eps = 10`` they amplify the rounding of the
+    stacked transforms."""
     eps_values = _ladder_values(eps_values, float, "eps values")
-    params, initials = zip(*_run_many(factory, eps_values))
-    for eps, p in zip(eps_values[1:], params[1:]):
-        names = _differing_fields(params[0], p)
-        if names:
-            raise ValueError(
-                f"eps ladder member {eps!r} differs from member {eps_values[0]!r} in "
-                f"{', '.join(names)}: the members may differ only in eps")
+    params, initials, schedules = zip(*_run_many(
+        lambda eps: build_problem(with_overrides(cfg, eps=eps)), eps_values))
     stack = InitialData(
         eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials])),
         phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials])),
         q_eps=np.array([i.q_eps for i in initials]))
-    traj = _solve_named(replace(params[0], eps=eps_values), stack, schedule, eps_values)
+    traj = _solve_named(replace(params[0], eps=eps_values), stack, schedules[0], eps_values)
     series = list(zip(traj.phi.swapaxes(0, 1), traj.eta.swapaxes(0, 1)))
     basis = params[0].basis
     overshoot = None

@@ -80,12 +80,7 @@ def run_scenario(name, **overrides):
 
 
 def assert_n_ladder(name, cfg):
-    def factory(n):
-        p, i, _ = build_problem(with_overrides(cfg, modes=n, quadrature=None))
-        return p, i
-
-    _, _, schedule = build_problem(cfg)
-    diffs = galerkin_convergence(factory, [8, 16, 32, 64], schedule).consecutive_total
+    diffs = galerkin_convergence(cfg, [8, 16, 32, 64]).consecutive_total
     assert np.all(diffs[1:] < diffs[:-1]), diffs
     assert diffs[-1] <= 1e-3
     report(f"5 (n-ladder, {name}): PASS  diffs "
@@ -94,13 +89,7 @@ def assert_n_ladder(name, cfg):
 
 
 def assert_eps_ladder(name, cfg):
-    def factory(eps):
-        dt = min(cfg.dt, 0.25 * eps)
-        p, i, _ = build_problem(with_overrides(cfg, eps=eps, dt=dt))
-        return p, i
-
-    _, _, schedule = build_problem(cfg)
-    rep = yosida_convergence(factory, [1e-1, 1e-2, 1e-3, 1e-4], schedule)
+    rep = yosida_convergence(cfg, [1e-1, 1e-2, 1e-3, 1e-4])
     over = rep.overshoot
     assert np.all(np.diff(over) < 0), over
     diffs = rep.consecutive_total
@@ -112,9 +101,8 @@ def assert_eps_ladder(name, cfg):
 
 
 def assert_dyadic_sweep(name, cfg):
-    params, initial, schedule = build_problem(cfg)
     deltas = [0.02 * 2.0 ** -j for j in range(1, 9)]
-    rep = contraction_sweep(params, initial, deltas, schedule)
+    rep = contraction_sweep(cfg, deltas)
     assert abs(rep.slope - 1.0) <= 0.15
     assert rep.c_spread <= 2.0
     report(f"7 (contraction sweep, {name}): PASS  slope {rep.slope:.4f}, "
@@ -203,9 +191,7 @@ class TestCriterion4EnergyEstimate:
                f"dissipation >= {rep.dissipation_min:.2e}")
 
     def test_pair_dissipation(self):
-        cfg = get_scenario("contraction_base")
-        params, initial, schedule = build_problem(cfg)
-        rep = contraction_sweep(params, initial, [0.05, 0.025], schedule)
+        rep = contraction_sweep(get_scenario("contraction_base"), [0.05, 0.025])
         eta_min, phi_min = np.min(rep.pair_dissipation_min, axis=1)
         assert eta_min >= -1e-9
         assert phi_min >= -1e-9

@@ -278,8 +278,8 @@ class TestRun:
         assert not list(out.glob("*"))
 
     def test_huge_state_exits_as_blow_up(self, tmp_path, capsys):
-        # the quartic-well resolvent is a closed form and solves |phi| = 1e12;
-        # the run then stops at the blow-up ceiling
+        # a datum of 1e12 is over the blow-up ceiling of 1e8: the run stops
+        # at t = 0, before the quartic-well resolvent is evaluated
         cfg = with_overrides(get_scenario("regular_sign"), phi0="constant 1e12")
         path = tmp_path / "huge.cfg"
         path.write_text(serialize_config(cfg))
@@ -288,6 +288,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "blow-up" in err
         assert "Traceback" not in err
+
+    def test_datum_whose_squares_overflow_exits_at_t_0(self, tmp_path, capsys):
+        # the envelope budget of a datum of 1e200 overflows to inf without a
+        # warning, and the solve stops it before its first step
+        cfg = with_overrides(get_scenario("contraction_base"), phi0="constant 1e200")
+        path = tmp_path / "huge.cfg"
+        path.write_text(serialize_config(cfg))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: blow-up detected in phi at t = 0 (" in err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
 
     def test_problem_too_large_for_memory_exits_as_config_error(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -813,6 +825,15 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "ladder member" in err and "1000000000.0" in err
         assert "Traceback" not in err
+
+    def test_delta_member_over_the_ceiling_exits_at_t_0(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--scenario", "contraction_base", "--axis", "delta",
+                         "--values", "1e300 0.01", "--out", str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert ("sweep failure: ladder member 1e+300 failed: blow-up detected in phi "
+                "of stack row 1 at t = 0 (") in err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("values", ["0.01 0", "0.01 -0.01", "0.01", "0.01 0.01 0.005",
                                         "inf 0.01", "nan 0.01 0.02"])

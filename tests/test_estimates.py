@@ -219,20 +219,19 @@ class TestEnergyMonitor:
 
 class TestContraction:
     def test_requires_matched_coefficients(self, monkeypatch):
-        params, initial, schedule, _ = run_scenario("regular_sign")
+        cfg = get_scenario("regular_sign")
 
         def forbidden(*args):
             raise AssertionError("solve called")
 
         monkeypatch.setattr(estimates, "solve", forbidden)
         with pytest.raises(ValueError, match="alpha = ell"):
-            contraction_sweep(params, initial, [0.01, 0.005], schedule)
+            contraction_sweep(cfg, [0.01, 0.005])
 
     def test_requires_two_modes(self, monkeypatch):
         # the perturbation shifts basis mode 1, which a one-mode basis lacks
         cfg = with_overrides(get_scenario("contraction_base"), modes=1, quadrature=None,
                              eta0="constant 0.1", phi0="constant 0.3", eta_star="zero")
-        params, initial, schedule = build_problem(cfg)
 
         def forbidden(*args):
             raise AssertionError("solve called")
@@ -240,7 +239,7 @@ class TestContraction:
         monkeypatch.setattr(estimates, "solve", forbidden)
         monkeypatch.setattr(estimates, "prepare_initial", forbidden)
         with pytest.raises(ValueError, match="at least 2 modes"):
-            contraction_sweep(params, initial, [0.01, 0.005], schedule)
+            contraction_sweep(cfg, [0.01, 0.005])
 
     def test_identical_data_zero_differences(self):
         # a member with the base's data follows the base row exactly, and
@@ -258,7 +257,8 @@ class TestContraction:
     def test_members_are_the_base_plus_delta_e1(self, monkeypatch):
         # row 0 is the base exactly; row j adds the j-th delta, in decreasing
         # order, to the mode-1 coefficient of phi0 and leaves the rest alone
-        params, initial, schedule, _ = run_scenario("contraction_base")
+        cfg = get_scenario("contraction_base")
+        _, initial, _ = build_problem(cfg)
         deltas = [0.0025, 0.01, 0.005]
         stacks = []
 
@@ -267,7 +267,7 @@ class TestContraction:
             return solve(p, init, sched)
 
         monkeypatch.setattr(estimates, "solve", counted)
-        contraction_sweep(params, initial, deltas, schedule)
+        contraction_sweep(cfg, deltas)
         [stack] = stacks
         phi0, eta0 = initial.phi0.coeffs, initial.eta0.coeffs
         assert stack.phi0.coeffs.tobytes() == np.stack(
@@ -278,9 +278,10 @@ class TestContraction:
     def test_data_differences_are_the_mode1_shift(self):
         # f, eta* and eta0 are the base's in every row: their differences
         # are exactly 0, and phi0's is the shift of its mode-1 coefficient
-        params, initial, schedule, _ = run_scenario("contraction_base")
+        cfg = get_scenario("contraction_base")
+        _, initial, _ = build_problem(cfg)
         deltas = [0.01, 0.005]
-        rep = contraction_sweep(params, initial, deltas, schedule)
+        rep = contraction_sweep(cfg, deltas)
         c1 = float(initial.phi0.coeffs[1])
         assert rep.data_diffs[0:3].tolist() == [[0.0, 0.0]] * 3
         assert rep.data_diffs[3].tolist() == [abs((c1 + d) - c1) for d in deltas]
@@ -289,7 +290,8 @@ class TestContraction:
     def test_ladder_that_rounds_away_refused_before_solving(self, monkeypatch, deltas):
         # a delta lost in the mode-1 coefficient leaves a member equal to the
         # base (or to another member), and NaN constants in the report
-        params, initial, schedule, _ = run_scenario("contraction_base")
+        cfg = get_scenario("contraction_base")
+        _, initial, _ = build_problem(cfg)
         c1 = float(initial.phi0.coeffs[1])
         if deltas == "same coefficient":
             deltas = [0.01, float(np.nextafter(0.01, 1.0))]
@@ -301,29 +303,29 @@ class TestContraction:
         monkeypatch.setattr(estimates, "solve", forbidden)
         monkeypatch.setattr(estimates, "prepare_initial", forbidden)
         with pytest.raises(ValueError, match="own mode-1 coefficient"):
-            contraction_sweep(params, initial, deltas, schedule)
+            contraction_sweep(cfg, deltas)
 
     def test_heat_decay_perturbation_linf_exact(self):
         # gamma = 0 decouples the order parameter: the perturbed flow starts
         # delta apart and contracts, so the sup-norm difference is delta
-        params, initial, schedule, _ = run_scenario("heat_decay")
+        cfg = get_scenario("heat_decay")
         deltas = [0.01, 0.005]
-        rep = contraction_sweep(params, initial, deltas, schedule)
+        rep = contraction_sweep(cfg, deltas)
         # data row 3 is phi0; solution row 2 is the sup-H norm of phi
         assert rep.data_diffs[3] == pytest.approx(deltas, abs=1e-12)
         assert rep.sol_diffs[2] == pytest.approx(deltas, abs=1e-12)
 
     def test_pair_dissipations_nonnegative(self):
-        params, initial, schedule, _ = run_scenario("contraction_base")
-        rep = contraction_sweep(params, initial, [0.05, 0.025], schedule)
+        cfg = get_scenario("contraction_base")
+        rep = contraction_sweep(cfg, [0.05, 0.025])
         eta_mins, phi_mins = rep.pair_dissipation_min
         assert np.all(eta_mins >= -1e-9)
         assert np.all(phi_mins >= -1e-9)
 
     def test_dyadic_sweep_linear_scaling(self):
-        params, initial, schedule, _ = run_scenario("contraction_base")
+        cfg = get_scenario("contraction_base")
         deltas = [0.02 * 2.0 ** -j for j in range(1, 7)]
-        rep = contraction_sweep(params, initial, deltas, schedule)
+        rep = contraction_sweep(cfg, deltas)
         assert rep.slope == pytest.approx(1.0, abs=0.15)
         assert rep.c_spread <= 2.0
         assert np.all(np.isfinite(rep.c_observed))
@@ -332,10 +334,11 @@ class TestContraction:
         # the stacked sweep solves the base once; each member's report equals
         # the comparison of two standalone solves, the base's and the
         # member's, the base with delta added to the mode-1 coefficient of phi0
-        params, initial, schedule, _ = run_scenario("contraction_base")
+        cfg = get_scenario("contraction_base")
+        params, initial, schedule = build_problem(cfg)
         basis = params.basis
         deltas = [0.01, 0.0025]
-        rep = contraction_sweep(params, initial, deltas, schedule)
+        rep = contraction_sweep(cfg, deltas)
         base = solve(params, initial, schedule)
         for j, delta in enumerate(sorted(deltas, reverse=True)):
             phi0 = initial.phi0.coeffs.copy()
@@ -355,7 +358,8 @@ class TestContraction:
             assert rep.c_observed[j] == pytest.approx(sol_total / data_total, rel=1e-12, abs=0)
 
     def test_sweep_is_one_stacked_solve(self, monkeypatch):
-        params, initial, schedule, _ = run_scenario("contraction_base")
+        cfg = get_scenario("contraction_base")
+        params, _, _ = build_problem(cfg)
         shapes = []
 
         def counted(p, init, sched):
@@ -363,65 +367,51 @@ class TestContraction:
             return solve(p, init, sched)
 
         monkeypatch.setattr(estimates, "solve", counted)
-        contraction_sweep(params, initial, [0.01, 0.005, 0.0025], schedule)
+        contraction_sweep(cfg, [0.01, 0.005, 0.0025])
         assert shapes == [(4, params.basis.total_modes)]
 
     @pytest.mark.parametrize("deltas", [[0.01, 0.0], [0.01, -0.01], [0.01], [0.01, 0.01],
                                         [0.01, 0.005, 0.01]])
     def test_inadmissible_ladder_refused_before_solving(self, monkeypatch, deltas):
-        params, initial, schedule, _ = run_scenario("contraction_base")
+        cfg = get_scenario("contraction_base")
 
         def forbidden(*args):
             raise AssertionError("solve called")
 
         monkeypatch.setattr(estimates, "solve", forbidden)
         with pytest.raises(ValueError, match="two distinct deltas, all positive"):
-            contraction_sweep(params, initial, deltas, schedule)
+            contraction_sweep(cfg, deltas)
 
     def test_sweep_failure_names_the_member(self):
-        params, initial, schedule, _ = run_scenario("contraction_base")
+        cfg = get_scenario("contraction_base")
         with pytest.raises(LadderMemberError) as err:
-            contraction_sweep(params, initial, [0.01, 1e9], schedule)
+            contraction_sweep(cfg, [0.01, 1e9])
         assert err.value.value == 1e9
         assert isinstance(err.value.cause, BlowUpError)
 
     @pytest.mark.parametrize("row, blamed", [(None, 0.01), (0, 0.01), (2, 0.005)])
     def test_sweep_failure_attribution(self, monkeypatch, row, blamed):
         # row 0 is the base; rows 1.. follow the deltas in decreasing order
-        params, initial, schedule, _ = run_scenario("contraction_base")
+        cfg = get_scenario("contraction_base")
 
         def fails(p, init, sched):
             raise BlowUpError(0.1, 1e9, "phi", row)
 
         monkeypatch.setattr(estimates, "solve", fails)
         with pytest.raises(LadderMemberError) as err:
-            contraction_sweep(params, initial, [0.0025, 0.01, 0.005], schedule)
+            contraction_sweep(cfg, [0.0025, 0.01, 0.005])
         assert err.value.value == blamed
 
 
 class TestLadders:
     def test_linear_dynamics_inside_coarse_span(self):
         # heat decay lives in the first two modes: refining changes nothing
-        cfg = get_scenario("heat_decay")
-
-        def factory(n):
-            p, i, _ = build_problem(with_overrides(cfg, modes=n, quadrature=None))
-            return p, i
-
-        _, _, schedule = build_problem(cfg)
-        rep = galerkin_convergence(factory, [4, 8], schedule)
+        rep = galerkin_convergence(get_scenario("heat_decay"), [4, 8])
         # zero up to projection roundoff on the two quadrature grids
         assert np.all(rep.consecutive_total <= 1e-13)
 
     def test_tanh_front_ladder_decreases(self):
-        cfg = get_scenario("tanh_front")
-
-        def factory(n):
-            p, i, _ = build_problem(with_overrides(cfg, modes=n, quadrature=None))
-            return p, i
-
-        _, _, schedule = build_problem(cfg)
-        rep = galerkin_convergence(factory, [8, 16, 32], schedule)
+        rep = galerkin_convergence(get_scenario("tanh_front"), [8, 16, 32])
         assert rep.decreasing
         assert rep.rate < 0
 
@@ -431,25 +421,11 @@ class TestLadders:
         cfg = with_overrides(get_scenario("obstacle_sign"), graph="zero",
                              phi0="cosine 0.3 1", eta0="cosine 0.2 1",
                              gamma=0.1, t_final=0.1)
-
-        def factory(eps):
-            p, i, _ = build_problem(with_overrides(cfg, eps=eps))
-            return p, i
-
-        _, _, schedule = build_problem(cfg)
-        rep = yosida_convergence(factory, [1e-1, 1e-2, 1e-3], schedule)
+        rep = yosida_convergence(cfg, [1e-1, 1e-2, 1e-3])
         assert np.all(rep.consecutive_total == 0.0)
 
     def test_obstacle_overshoot_decreases(self):
-        cfg = get_scenario("obstacle_sign")
-
-        def factory(eps):
-            dt = min(cfg.dt, 0.25 * eps)
-            p, i, _ = build_problem(with_overrides(cfg, eps=eps, dt=dt))
-            return p, i
-
-        _, _, schedule = build_problem(cfg)
-        rep = yosida_convergence(factory, [1e-1, 1e-2, 1e-3], schedule)
+        rep = yosida_convergence(get_scenario("obstacle_sign"), [1e-1, 1e-2, 1e-3])
         over = rep.overshoot
         assert np.all(np.diff(over) < 0)
         assert rep.decreasing
@@ -465,54 +441,46 @@ class TestLadders:
             # L = 1, so the H-norm of a pointwise-bounded selection is <= 1
             assert np.max(rep.zeta_norms) <= 1.0 + 1e-9
 
-    @staticmethod
-    def eps_factory(cfg, change=lambda eps: {}):
-        def factory(eps):
-            p, i, _ = build_problem(with_overrides(cfg, eps=eps, **change(eps)))
-            return p, i
-
-        return factory
-
-    def test_stacked_eps_ladder_matches_the_member_solves(self):
+    @pytest.mark.parametrize("case", ["obstacle_sign", "weighted_random"])
+    def test_stacked_eps_ladder_matches_the_member_solves(self, tmp_path, case):
         # members with eps >= 4 dt: the stack's rows match the standalone
-        # solves to rounding, and each row is reported as its member
-        cfg = get_scenario("obstacle_sign")
+        # solves to rounding, and each row is reported as its member.  The
+        # second config rebuilds a graph weight read from a file and seeded
+        # random data for every member
+        if case == "obstacle_sign":
+            cfg = get_scenario("obstacle_sign")
+        else:
+            weight = tmp_path / "weight.csv"
+            xs = np.linspace(0.0, 1.0, 11)
+            np.savetxt(weight, np.column_stack([xs, 1.0 + 0.5 * xs]), delimiter=",")
+            cfg = with_overrides(get_scenario("regular_sign"), graph="weighted_power",
+                                 graph_q=0.3, graph_weight=f"csv {weight}",
+                                 eta0="random-smooth 0.5", phi0="random-smooth 0.4", seed=3)
         values = [1e-1, 1e-2, 4.0 * cfg.dt]
-        factory = self.eps_factory(cfg)
-        _, _, schedule = build_problem(cfg)
-        rep = yosida_convergence(factory, values, schedule)
-        members = [factory(eps) for eps in values]
-        trajs = [solve(p, i, schedule) for p, i in members]
+        rep = yosida_convergence(cfg, values)
+        members = [build_problem(with_overrides(cfg, eps=eps)) for eps in values]
+        trajs = [solve(*member) for member in members]
         basis = members[0][0].basis
+        overshoot = None
+        if members[0][0].potential.variant == "obstacle":
+            overshoot = np.array([constraint_overshoot(tr.phi, basis) for tr in trajs])
         ref = estimates._ladder_report(
-            "eps", values, [basis] * 3, [(tr.phi, tr.eta) for tr in trajs],
-            np.array([constraint_overshoot(tr.phi, basis) for tr in trajs]))
+            "eps", values, [basis] * 3, [(tr.phi, tr.eta) for tr in trajs], overshoot)
+        assert (rep.overshoot is None) == (overshoot is None)
         for name in ("consecutive_phi", "consecutive_eta", "to_reference_total", "overshoot"):
-            assert np.allclose(getattr(rep, name), getattr(ref, name), rtol=1e-12, atol=0.0), name
+            if getattr(ref, name) is not None:
+                assert np.allclose(getattr(rep, name), getattr(ref, name),
+                                   rtol=1e-12, atol=0.0), name
         assert rep.rate == pytest.approx(ref.rate, rel=1e-10)
         assert np.array_equal(rep.values, values)
-
-    @pytest.mark.parametrize("change, field", [
-        (lambda eps: {"gamma": 0.5 if eps == 0.1 else 0.25}, "gamma"),
-        (lambda eps: {"modes": 16 if eps == 0.1 else 8}, "basis"),
-    ], ids=["gamma", "modes"])
-    def test_eps_ladder_members_may_differ_only_in_eps(self, monkeypatch, change, field):
-        def forbidden(*args):
-            raise AssertionError("solve called")
-
-        monkeypatch.setattr(estimates, "solve", forbidden)
-        factory = self.eps_factory(get_scenario("obstacle_sign"), change)
-        with pytest.raises(ValueError, match=f"member 0.01 differs from member 0.1 in .*{field}"):
-            yosida_convergence(factory, [1e-1, 1e-2], Schedule(method="imex", dt=1e-3))
 
     def test_eps_ladder_failure_not_of_a_row_names_the_first_eps(self, monkeypatch):
         def give_up(self, eps, v):
             raise ResolventError("gave up")
 
         monkeypatch.setattr(NonlocalSign, "_yosida", give_up)
-        cfg = get_scenario("obstacle_sign")
         with pytest.raises(LadderMemberError) as err:
-            yosida_convergence(self.eps_factory(cfg), [1e-2, 1e-1], build_problem(cfg)[2])
+            yosida_convergence(get_scenario("obstacle_sign"), [1e-2, 1e-1])
         assert err.value.value == 0.1
         assert isinstance(err.value.cause, ResolventError)
 
@@ -520,15 +488,15 @@ class TestLadders:
         def forbidden(*args):
             raise AssertionError("solve called")
 
-        def factory(n):
-            if n == 16:
+        def build(cfg):
+            if cfg.modes == 16:
                 raise MemoryError()
-            return build_problem(with_overrides(cfg, modes=n, quadrature=None))[:2]
+            return build_problem(cfg)
 
-        cfg = get_scenario("tanh_front")
         monkeypatch.setattr(estimates, "solve", forbidden)
+        monkeypatch.setattr(estimates, "build_problem", build)
         with pytest.raises(LadderMemberError) as err:
-            galerkin_convergence(factory, [8, 16], build_problem(cfg)[2])
+            galerkin_convergence(get_scenario("tanh_front"), [8, 16])
         assert err.value.value == 16
         assert isinstance(err.value.cause, MemoryError)
 
@@ -537,12 +505,13 @@ class TestLadders:
         (galerkin_convergence, [8, 8, 16]), (yosida_convergence, [0.1, 0.01, 0.1]),
         (galerkin_convergence, [0, 8]), (yosida_convergence, [0.1]),
         (yosida_convergence, [0.1, -0.1])])
-    def test_inadmissible_ladder_refused_before_any_member(self, ladder, values):
-        def forbidden(value):
-            raise AssertionError("factory called")
+    def test_inadmissible_ladder_refused_before_any_member(self, monkeypatch, ladder, values):
+        def forbidden(cfg):
+            raise AssertionError("member built")
 
+        monkeypatch.setattr(estimates, "build_problem", forbidden)
         with pytest.raises(ValueError, match="at least two distinct"):
-            ladder(forbidden, values, Schedule(method="imex", dt=1e-3))
+            ladder(get_scenario("obstacle_sign"), values)
 
     def test_overshoot_helper(self):
         params, _, _, traj = run_scenario("obstacle_sign")
