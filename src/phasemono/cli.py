@@ -49,7 +49,7 @@ from .estimates import (
     yosida_convergence,
 )
 from .monotone import DomainError, ResolventError
-from .scenarios import get_scenario, scenario_names, scenario_text, SCENARIOS
+from .scenarios import SCENARIOS, get_scenario, scenario_names
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -237,30 +237,11 @@ def _json_dump(path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _invariant_failures(report):
-    failures = []
-    if not report.gronwall_ok:
-        failures.append(
-            f"energy exceeded the Gronwall bound (log-margin "
-            f"{report.gronwall_margin_min:.3e} at t = {report.gronwall_margin_t:.6g})")
-    if not report.selection_ok:
-        failures.append(
-            f"selection norm violated the linear-growth bound "
-            f"(margin {report.selection_margin:.3e})")
-    if report.dissipation_min < -1e-9:
-        failures.append(
-            f"graph dissipation integral went negative ({report.dissipation_min:.3e})")
-    if report.envelope_initial > report.q_eps + 1e-9:
-        failures.append("initial envelope exceeded its budget")
-    return failures
-
-
-def _pair_dissipation_failures(rep):
-    """The deltas of a contraction sweep at which a pair-dissipation
-    integral went negative, at the bound of the run's dissipation check."""
-    return [f"pair dissipation of ({pair}) went negative ({m:.3e}) at delta {d!r}"
-            for pair, mins in zip(("zeta, eta", "xi, phi"), rep.pair_dissipation_min)
-            for d, m in zip(rep.deltas.tolist(), mins.tolist()) if m < -1e-9]
+def _exit_for(failures):
+    """Print each invariant failure; exit 3 if there is one, else 0."""
+    for f in failures:
+        print(f"invariant failure: {f}", file=sys.stderr)
+    return EXIT_INVARIANT if failures else EXIT_OK
 
 
 def _load_config(args):
@@ -311,7 +292,7 @@ def _cmd_run(args):
         t3 = time.perf_counter()
         parts = table.write(traj.times, traj.phi, traj.theta)
 
-    failures = _invariant_failures(report)
+    failures = report.failures
     # the bits of traj.eta[-1], without forming eta at every save
     eta_T = traj.theta[-1] - traj.ell_minus_alpha * traj.phi[-1]
     payload = {
@@ -354,9 +335,7 @@ def _cmd_run(args):
     print(f"run: {traj.stats['steps']} steps, "
           f"final |eta|_H = {payload['trajectory']['final_eta_h']:.6g}, "
           f"outputs in {out}")
-    for f in failures:
-        print(f"invariant failure: {f}", file=sys.stderr)
-    return EXIT_INVARIANT if failures else EXIT_OK
+    return _exit_for(failures)
 
 
 def _parse_values(raw, kind):
@@ -400,14 +379,11 @@ def _cmd_sweep(args):
                [[payload[k][j] if j < len(payload[k]) else "" for k in keys]
                 for j in range(depth)])
 
-    failures = _pair_dissipation_failures(rep) if args.axis == "delta" else []
     print(f"sweep over {args.axis}: {values}")
     for key in ("consecutive_total", "overshoot", "c_observed", "slope"):
         if key in payload:
             print(f"  {key}: {payload[key]}")
-    for f in failures:
-        print(f"invariant failure: {f}", file=sys.stderr)
-    return EXIT_INVARIANT if failures else EXIT_OK
+    return _exit_for(rep.failures)
 
 
 def _cmd_selftest(args):
@@ -443,7 +419,7 @@ def _cmd_scenarios(args):
         return EXIT_OK
     if not args.name:
         raise ConfigError("scenario name required")
-    print(scenario_text(args.name), end="")
+    print(serialize_config(get_scenario(args.name)), end="")
     return EXIT_OK
 
 

@@ -116,8 +116,10 @@ class Forcing:
 
     @staticmethod
     def constant(coeffs, t_final):
+        """The forcing equal to ``coeffs``, a vector or a (B, m) stack, at
+        every time."""
         c = np.asarray(coeffs, dtype=float)
-        return Forcing(np.array([0.0, t_final]), np.vstack([c, c]))
+        return Forcing(np.array([0.0, t_final]), np.stack((c, c)))
 
     def at(self, t):
         """The forcing at time t, or at each time of an array t: one row of

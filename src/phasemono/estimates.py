@@ -37,6 +37,11 @@ solution over data differences.  The Gronwall-derived constant
 
 is reported by the energy monitor (``gron_C4``); the two are never compared.
 
+Every report names the invariants its run broke in ``failures``, all at the
+one tolerance ``_INVARIANT_TOL``: the energy report its Gronwall, selection,
+dissipation and envelope-budget checks, the sweep report each negative
+pair dissipation, and a convergence ladder none.
+
 Every ladder takes a config and its values, and builds each member as
 ``build_problem(with_overrides(cfg, **override))``: ``modes=n,
 quadrature=None`` for n, ``eps=eps`` for eps, and ``cfg`` itself as the
@@ -82,6 +87,10 @@ __all__ = [
 ]
 
 MIN_SAMPLES_FOR_QUADRATURE = 33
+
+# the slack of every invariant verdict: a margin, integral or budget excess
+# within it of its bound holds
+_INVARIANT_TOL = 1e-9
 
 
 def _cumtrapz(ts, ys):
@@ -180,6 +189,23 @@ class EnergyReport:
             "quadrature_warning": bool(self.quadrature_warning),
         }
 
+    @property
+    def failures(self):
+        """One message per invariant the trajectory broke, in the order the
+        run reports them."""
+        out = []
+        if not self.gronwall_ok:
+            out.append(f"energy exceeded the Gronwall bound (log-margin "
+                       f"{self.gronwall_margin_min:.3e} at t = {self.gronwall_margin_t:.6g})")
+        if not self.selection_ok:
+            out.append(f"selection norm violated the linear-growth bound "
+                       f"(margin {self.selection_margin:.3e})")
+        if self.dissipation_min < -_INVARIANT_TOL:
+            out.append(f"graph dissipation integral went negative ({self.dissipation_min:.3e})")
+        if self.envelope_initial > self.q_eps + _INVARIANT_TOL:
+            out.append("initial envelope exceeded its budget")
+        return tuple(out)
+
 
 def energy_monitor(traj, params):
     """Evaluate the energy functional, the explicit Gronwall certificate and
@@ -222,7 +248,7 @@ def energy_monitor(traj, params):
     # smallest margin and fails the certificate
     margins = log_bound - np.log(np.maximum(e1, 1e-300))
     worst = int(np.argmin(margins))
-    gronwall_ok = bool(margins[worst] >= -1e-9)
+    gronwall_ok = bool(margins[worst] >= -_INVARIANT_TOL)
 
     # companion estimate quantities
     lap_phi2 = np.sum(lam * lam * traj.phi * traj.phi, axis=1)
@@ -243,7 +269,7 @@ def energy_monitor(traj, params):
     else:
         allowed = growth * (1.0 + np.sqrt(eta_h2))
         selection_margin = float(np.max(zeta_norms - allowed))
-        selection_ok = bool(selection_margin <= 1e-9)
+        selection_ok = bool(selection_margin <= _INVARIANT_TOL)
 
     # monotone dissipation of the graph term against eta
     pairing = np.sum(traj.zeta * eta, axis=1)
@@ -364,6 +390,15 @@ class ContractionSweepReport:
         c_obs = self.c_observed
         return float(np.max(c_obs) / np.min(c_obs))
 
+    @property
+    def failures(self):
+        """One message per delta at which a pair-dissipation integral went
+        negative, those of (zeta, eta) first."""
+        return tuple(
+            f"pair dissipation of ({pair}) went negative ({m:.3e}) at delta {d!r}"
+            for pair, mins in zip(("zeta, eta", "xi, phi"), self.pair_dissipation_min)
+            for d, m in zip(self.deltas.tolist(), mins.tolist()) if m < -_INVARIANT_TOL)
+
     def to_dict(self):
         return {
             "deltas": self.deltas.tolist(),
@@ -475,6 +510,9 @@ class ConvergenceReport:
     to_reference_total: np.ndarray
     rate: float | None
     overshoot: np.ndarray | None
+
+    # a ladder of convergence differences certifies no invariant
+    failures = ()
 
     @property
     def decreasing(self):

@@ -12,8 +12,9 @@ A profile is given as a whitespace-separated string:
 
 Random-smooth fields draw a fixed-size master coefficient block, so the same
 seed produces the same field at every truncation level.  Every value of a
-profile must be finite, and a csv file that cannot be read is an error like
-any malformed profile.
+profile must be finite, and a profile with more or fewer arguments than its
+line above shows, or a csv file that cannot be read, is an error like any
+malformed profile.
 """
 
 from __future__ import annotations
@@ -96,6 +97,14 @@ def _evaluate(basis, text, rng):
     if not parts:
         raise ValueError("empty profile")
     name, args = parts[0], parts[1:]
+    # the argument counts of each profile's grammar
+    counts = {"zero": (0,), "constant": (1,), "cosine": (1 + basis.dims,), "tanh": (2, 3),
+              "random-smooth": (1, 2), "csv": (1,)}
+    if name not in counts:
+        raise ValueError(f"unknown profile {name!r} (expected one of {PROFILE_NAMES})")
+    if len(args) not in counts[name]:
+        raise ValueError(f"bad profile {text!r}: {name} takes "
+                         f"{' or '.join(map(str, counts[name]))} arguments, got {len(args)}")
     try:
         if name == "zero":
             return np.zeros(basis.grid_shape)
@@ -103,10 +112,7 @@ def _evaluate(basis, text, rng):
             return float(args[0]) * np.ones(basis.grid_shape)
         if name == "cosine":
             amp = float(args[0])
-            modes = tuple(int(a) for a in args[1:])
-            if len(modes) != basis.dims:
-                raise ValueError("cosine profile needs one mode index per dimension")
-            return _cosine(basis, amp, modes)
+            return _cosine(basis, amp, tuple(int(a) for a in args[1:]))
         if name == "tanh":
             amp = float(args[0])
             width = float(args[1])
@@ -129,4 +135,3 @@ def _evaluate(basis, text, rng):
             return np.interp(basis.nodes[0], data[:, 0], data[:, 1])
     except (IndexError, ValueError, OSError) as exc:
         raise ValueError(f"bad profile {text!r}: {exc}") from exc
-    raise ValueError(f"unknown profile {name!r} (expected one of {PROFILE_NAMES})")

@@ -21,7 +21,7 @@ from phasemono.config import (
 )
 from phasemono.dynamics import solve
 from phasemono.monotone import ResolventError, ScalarSign, SubdiffBetaHat
-from phasemono.scenarios import get_scenario, scenario_names, scenario_text
+from phasemono.scenarios import SCENARIOS, get_scenario, scenario_names
 
 
 def edited_config(scenario, edits):
@@ -42,6 +42,15 @@ class TestConfig:
     def test_round_trip_is_identity(self, name):
         cfg = get_scenario(name)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenario_states_only_what_is_its_own(self, name):
+        default = ScenarioConfig()
+        overrides = SCENARIOS[name][1]
+        fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert overrides.keys() <= fields
+        for key, value in overrides.items():
+            assert value != getattr(default, key), key
 
     def test_key_table_names_every_field_once(self):
         fields = [row[2] for row in config._KEYS]
@@ -74,7 +83,8 @@ class TestConfig:
         ("model", "bogus = 1"), ("regularization", "mollify_forcing = false")],
         ids=["bogus", "removed"])
     def test_unknown_key_reports_line(self, section, line):
-        text = scenario_text("zero").replace(f"[{section}]", f"[{section}]\n{line}")
+        text = serialize_config(get_scenario("zero"))
+        text = text.replace(f"[{section}]", f"[{section}]\n{line}")
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError) as err:
             parse_config(text)
@@ -95,7 +105,7 @@ class TestConfig:
             assert parse_config("\n".join(kept) + "\n") == get_scenario(name)
 
     def test_bad_value_reports_location(self):
-        text = scenario_text("zero").replace("k = 1.0", "k = fast")
+        text = serialize_config(get_scenario("zero")).replace("k = 1.0", "k = fast")
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert "k" in str(err.value)
@@ -219,12 +229,22 @@ class TestRun:
         [("initial", "eta0", "random-smooth 0.5 -10")],
         [("initial", "eta0", "random-smooth 0.5 -1")],
         [("initial", "eta0", "random-smooth 0.5 inf")],
+        [("initial", "eta0", "zero 5")],
+        [("initial", "phi0", "constant 0.3 0.1")],
+        [("initial", "phi0", "constant")],
+        [("initial", "phi0", "cosine 0.8 1 1")],
+        [("initial", "phi0", "tanh 0.9")],
+        [("initial", "phi0", "tanh 0.9 0.12 0.5 7")],
+        [("initial", "eta0", "random-smooth 0.5 0.35 9")],
+        [("initial", "phi0", "csv a.csv b")],
     ], ids=lambda edits: ",".join(f"{k}={v}" for _, k, v in edits))
     def test_bad_profiles_exit_as_config_errors(self, tmp_path, capsys, monkeypatch,
                                                 edits):
-        # a non-finite profile, a csv profile that cannot be read, or a
-        # random field whose spectrum grows or whose decay is not finite
+        # a non-finite profile, a csv profile that cannot be read, a random
+        # field whose spectrum grows or whose decay is not finite, or a
+        # profile with an argument count outside its grammar
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_text("0.0,0.1\n1.0,0.2\n")
         path = tmp_path / "bad.cfg"
         path.write_text(edited_config("regular_sign", edits))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -994,6 +1014,13 @@ class TestOtherCommands:
         assert cli.main(["scenarios", "show", "heat_decay"]) == 0
         printed = capsys.readouterr().out
         assert parse_config(printed) == get_scenario("heat_decay")
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenarios_show_prints_the_run_echo(self, tmp_path, capsys, name):
+        assert cli.main(["scenarios", "show", name]) == 0
+        printed = capsys.readouterr().out
+        assert cli.main(["run", "--scenario", name, "--out", str(tmp_path)]) == 0
+        assert printed == json.loads((tmp_path / "report.json").read_text())["config"]
 
     def test_scenarios_show_needs_a_name(self, capsys):
         assert cli.main(["scenarios", "show"]) == 2

@@ -476,6 +476,16 @@ class TestForcing:
         with pytest.raises(ValueError):
             f.at(0.5)[0] = 1.0      # the stored row is read-only
 
+    def test_constant_forcing_takes_a_stack(self):
+        stack = np.arange(12.0).reshape(3, 4)
+        f = Forcing.constant(stack, 2.0)
+        for t in (0.0, 0.7, 2.0):
+            assert np.array_equal(f.at(t), stack)
+        assert np.array_equal(f.at(np.array([0.1, 1.5])), np.stack((stack, stack)))
+        # a vector gives the samples it always gave
+        row = stack[1]
+        assert np.array_equal(Forcing.constant(row, 2.0).coeffs, np.vstack([row, row]))
+
     def test_array_times_give_the_rows_of_scalar_times(self):
         rng = np.random.default_rng(5)
         times = np.array([0.0, 0.3, 0.5, 1.2])

@@ -203,6 +203,23 @@ class TestEnergyMonitor:
         assert rep.gronwall_margin_t == 0.0
         assert not rep.gronwall_ok
 
+    def test_failures_name_each_broken_invariant_in_order(self):
+        params, _, _, traj = run_scenario("zero")
+        rep = energy_monitor(traj, params)
+        assert rep.failures == ()
+        # a dissipation integral or budget excess at the tolerance holds
+        edge = dataclasses.replace(rep, dissipation_min=-1e-9,
+                                   envelope_initial=rep.q_eps + 1e-9)
+        assert edge.failures == ()
+        broken = dataclasses.replace(rep, gronwall_ok=False, selection_ok=False,
+                                     dissipation_min=-2e-9,
+                                     envelope_initial=rep.q_eps + 2e-9)
+        assert [f.split(" (")[0] for f in broken.failures] == [
+            "energy exceeded the Gronwall bound",
+            "selection norm violated the linear-growth bound",
+            "graph dissipation integral went negative",
+            "initial envelope exceeded its budget"]
+
     def test_quadrature_warning_on_sparse_sampling(self):
         params, initial, _, _ = run_scenario("regular_sign")
         traj = solve(params, initial, Schedule(method="imex", dt=5e-4, n_saves=9))
@@ -322,6 +339,15 @@ class TestContraction:
         assert np.all(eta_mins >= -1e-9)
         assert np.all(phi_mins >= -1e-9)
 
+    def test_failures_name_each_negative_pair_dissipation(self):
+        rep = ContractionSweepReport(
+            deltas=np.array([0.02, 0.01]), data_diffs=np.ones((4, 2)),
+            sol_diffs=np.ones((4, 2)),
+            pair_dissipation_min=np.array([[-1e-9, -2e-9], [-3e-9, 0.0]]))
+        assert rep.failures == (
+            "pair dissipation of (zeta, eta) went negative (-2.000e-09) at delta 0.01",
+            "pair dissipation of (xi, phi) went negative (-3.000e-09) at delta 0.02")
+
     def test_dyadic_sweep_linear_scaling(self):
         cfg = get_scenario("contraction_base")
         deltas = [0.02 * 2.0 ** -j for j in range(1, 7)]
@@ -409,6 +435,7 @@ class TestLadders:
         rep = galerkin_convergence(get_scenario("heat_decay"), [4, 8])
         # zero up to projection roundoff on the two quadrature grids
         assert np.all(rep.consecutive_total <= 1e-13)
+        assert rep.failures == ()
 
     def test_tanh_front_ladder_decreases(self):
         rep = galerkin_convergence(get_scenario("tanh_front"), [8, 16, 32])

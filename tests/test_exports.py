@@ -1,5 +1,6 @@
-"""The package's public names resolve to the modules that declare them, and
-each is used by the package itself."""
+"""The package's public names resolve to the modules that declare them,
+each is used by the package itself, and the README's Python sketch of them
+runs."""
 
 import ast
 import importlib
@@ -49,3 +50,11 @@ def test_every_public_name_is_used_by_the_package():
         for name in getattr(importlib.import_module(f"phasemono.{info.name}"), "__all__", ())
         if name not in used)
     assert unused == []
+
+
+def test_readme_python_sketch_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("\n```")[0]
+    exec(compile(code, str(readme), "exec"), {})
