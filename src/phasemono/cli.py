@@ -27,19 +27,14 @@ import signal
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, spectral
-from .config import (
-    ConfigError,
-    build_problem,
-    parse_config,
-    serialize_config,
-    with_overrides,
-)
+from .config import ConfigError, build_problem, parse_config, serialize_config
 from .dynamics import METHODS, BlowUpError, StepFailure, solve
 from .estimates import (
     LadderMemberError,
@@ -263,7 +258,7 @@ def _load_config(args):
     if getattr(args, "method", None):
         overrides["method"] = args.method
     if overrides:
-        cfg = with_overrides(cfg, **overrides)
+        cfg = replace(cfg, **overrides)
     return cfg
 
 
@@ -314,12 +309,11 @@ def _cmd_run(args):
         "energy": report.to_dict(),
         "invariant_failures": failures,
     }
-    comps = ("eta_h2_half", "grad_eta_int", "dphi_int", "phi_v2_scaled", "envelope")
     parts = max(parts, _write_csv(
         out / "plot.csv",
-        ["t", "e1", "bound", *comps, "zeta_norm", "dissipation"],
+        ["t", "e1", "bound", *report.components, "zeta_norm", "dissipation"],
         np.column_stack((report.times, report.e1, report.bound,
-                         *(report.components[c] for c in comps),
+                         *report.components.values(),
                          report.zeta_norms, report.dissipation))))
     _json_dump(out / "report.json", payload)
     t4 = time.perf_counter()

@@ -1,11 +1,14 @@
 """Scenario configuration: a sectioned key-value format, its canonical
 serialization, and the builder that turns a parsed config into solver inputs.
 
-The table ``_KEYS`` lists every key once, in canonical order, with its
-section, its ScenarioConfig field and its kind; parsing, the number checks
-and ``serialize_config`` all read it.  Each choice list lives with the code
-that implements it: ``dynamics.METHODS``, ``SubdiffBetaHat.VARIANTS`` and
-the graph builders of ``_GRAPHS``.
+Each ScenarioConfig field declares its key once: its section, its kind and,
+where it differs from the field name, its key.  The field order is the
+canonical order.  ``_KEYS`` is read off the fields, and parsing, the number
+checks and ``serialize_config`` all read it.  A ScenarioConfig is validated
+when it is made, so ``dataclasses.replace``, which makes every ladder member
+and command-line override, re-validates.  Each choice list lives with the
+code that implements it: ``dynamics.METHODS``, ``SubdiffBetaHat.VARIANTS``
+and the graph builders of ``_GRAPHS``.
 
 Parsing is strict: unknown sections or keys and malformed values are
 reported with the offending line number.  Float keys must be finite, except
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,79 +41,60 @@ from .monotone import (
 )
 from .potentials import PotentialSpec
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "serialize_config",
-           "build_problem", "with_overrides"]
+__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "serialize_config", "build_problem"]
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
+def _key(section, kind, default, key=None):
+    """A ScenarioConfig field: its default, and its key in ``[section]``
+    (the field name unless ``key`` is given), read and written as ``kind``."""
+    return field(default=default, metadata={"section": section, "kind": kind, "key": key})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    dims: int = 1
-    lengths: tuple = (1.0,)
-    modes: int = 16
-    quadrature: int | None = None
-    normalization: str = "h"
-    ell: float = 1.0
-    alpha: float = 1.0
-    k: float = 1.0
-    nu: float = 1.0
-    gamma: float = 0.5
-    t_final: float = 0.5
-    potential: str = "regular"
-    c0: float = 1.0
-    graph: str = "zero"
-    graph_alpha1: float = 1.0
-    graph_alpha2: float = 1.0
-    graph_q: float = 0.5
-    graph_weight: str = "constant 1.0"
-    eps: float = 0.1
-    eta0: str = "zero"
-    phi0: str = "zero"
-    eta_star: str = "zero"
-    forcing: str = "zero"
-    method: str = "imex"
-    dt: float = 1e-3
-    tol: float = 1e-8
-    saves: int = 101
-    seed: int = 0
-    blowup_ceiling: float = 1e8
+    """The field order is the canonical key order; every instance is validated."""
+
+    dims: int = _key("domain", "int", 1)
+    lengths: tuple = _key("domain", "lengths", (1.0,))
+    modes: int = _key("domain", "int", 16)
+    quadrature: int | None = _key("domain", "opt_int", None)
+    normalization: str = _key("domain", "str", "h")
+    ell: float = _key("model", "float", 1.0)
+    alpha: float = _key("model", "float", 1.0)
+    k: float = _key("model", "float", 1.0)
+    nu: float = _key("model", "float", 1.0)
+    gamma: float = _key("model", "float", 0.5)
+    t_final: float = _key("model", "float", 0.5)
+    potential: str = _key("potential", "str", "regular", "variant")
+    c0: float = _key("potential", "float", 1.0)
+    graph: str = _key("graph", "str", "zero", "variant")
+    graph_alpha1: float = _key("graph", "float", 1.0, "alpha1")
+    graph_alpha2: float = _key("graph", "float", 1.0, "alpha2")
+    graph_q: float = _key("graph", "float", 0.5, "q")
+    graph_weight: str = _key("graph", "str", "constant 1.0", "weight")
+    eps: float = _key("regularization", "float", 0.1)
+    eta0: str = _key("initial", "str", "zero")
+    phi0: str = _key("initial", "str", "zero")
+    eta_star: str = _key("initial", "str", "zero")
+    forcing: str = _key("initial", "str", "zero")
+    method: str = _key("integrator", "str", "imex")
+    dt: float = _key("integrator", "float_inf", 1e-3)
+    tol: float = _key("integrator", "float_inf", 1e-8)
+    saves: int = _key("integrator", "int", 101)
+    seed: int = _key("run", "int", 0)
+    blowup_ceiling: float = _key("run", "float_inf", 1e8)
+
+    def __post_init__(self):
+        _validate(self)
 
 
-# (section, key, ScenarioConfig field, kind), one row per key in canonical order
-_KEYS = (
-    ("domain", "dims", "dims", "int"),
-    ("domain", "lengths", "lengths", "lengths"),
-    ("domain", "modes", "modes", "int"),
-    ("domain", "quadrature", "quadrature", "opt_int"),
-    ("domain", "normalization", "normalization", "str"),
-    ("model", "ell", "ell", "float"),
-    ("model", "alpha", "alpha", "float"),
-    ("model", "k", "k", "float"),
-    ("model", "nu", "nu", "float"),
-    ("model", "gamma", "gamma", "float"),
-    ("model", "t_final", "t_final", "float"),
-    ("potential", "variant", "potential", "str"),
-    ("potential", "c0", "c0", "float"),
-    ("graph", "variant", "graph", "str"),
-    ("graph", "alpha1", "graph_alpha1", "float"),
-    ("graph", "alpha2", "graph_alpha2", "float"),
-    ("graph", "q", "graph_q", "float"),
-    ("graph", "weight", "graph_weight", "str"),
-    ("regularization", "eps", "eps", "float"),
-    ("initial", "eta0", "eta0", "str"),
-    ("initial", "phi0", "phi0", "str"),
-    ("initial", "eta_star", "eta_star", "str"),
-    ("initial", "forcing", "forcing", "str"),
-    ("integrator", "method", "method", "str"),
-    ("integrator", "dt", "dt", "float_inf"),
-    ("integrator", "tol", "tol", "float_inf"),
-    ("integrator", "saves", "saves", "int"),
-    ("run", "seed", "seed", "int"),
-    ("run", "blowup_ceiling", "blowup_ceiling", "float_inf"),
-)
+# (section, key, ScenarioConfig field, kind), one row per field in field order
+_KEYS = tuple((f.metadata["section"], f.metadata["key"] or f.name, f.name, f.metadata["kind"])
+              for f in fields(ScenarioConfig))
 
 
 def _parse_lengths(raw):
@@ -191,9 +175,7 @@ def parse_config(text):
                 where = f"line {line}" if line else f"[{section}] {key}"
                 raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
-    cfg = ScenarioConfig(**values)
-    _validate(cfg)
-    return cfg
+    return ScenarioConfig(**values)
 
 
 def _check_numbers(cfg):
@@ -248,8 +230,7 @@ def _validate(cfg):
 
 
 def serialize_config(cfg):
-    """Canonical text form, keys in the order of the key table;
-    parse(serialize(cfg)) == cfg."""
+    """Canonical text form, keys in field order; parse(serialize(cfg)) == cfg."""
     lines, current = [], None
     for section, key, name, kind in _KEYS:
         if section != current:
@@ -257,13 +238,6 @@ def serialize_config(cfg):
             current = section
         lines.append(f"{key} = {_FORMAT[kind](getattr(cfg, name))}")
     return "\n".join(lines) + "\n"
-
-
-def with_overrides(cfg, **kw):
-    """Replace fields and re-validate."""
-    new = replace(cfg, **kw)
-    _validate(new)
-    return new
 
 
 def _build_graph(cfg, basis):

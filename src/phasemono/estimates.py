@@ -43,7 +43,7 @@ dissipation and envelope-budget checks, the sweep report each negative
 pair dissipation, and a convergence ladder none.
 
 Every ladder takes a config and its values, and builds each member as
-``build_problem(with_overrides(cfg, **override))``: ``modes=n,
+``build_problem(replace(cfg, **override))``: ``modes=n,
 quadrature=None`` for n, ``eps=eps`` for eps, and ``cfg`` itself as the
 base of the delta sweep.  Each member keeps the schedule its build returns.
 A ladder builds all its members, naming one that cannot be built, and then
@@ -62,7 +62,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .config import build_problem, with_overrides
+from .config import build_problem
 from .dynamics import (
     BlowUpError,
     FieldCoeffs,
@@ -151,7 +151,7 @@ class EnergyReport:
     times: np.ndarray
     e1: np.ndarray
     bound: np.ndarray
-    components: dict
+    components: dict          # the five terms of E1, in plot.csv column order
     laplacian_phi_l2: float
     dt_eta_l2: float
     grad_eta_final: float
@@ -572,7 +572,7 @@ def galerkin_convergence(cfg, ns):
     The ladder is refused as in :func:`_ladder_values`."""
     ns = sorted(_ladder_values(ns, int, "mode counts"))
     members = _run_many(
-        lambda n: build_problem(with_overrides(cfg, modes=n, quadrature=None)), ns)
+        lambda n: build_problem(replace(cfg, modes=n, quadrature=None)), ns)
     trajs = [_solve_named(p, i, s, [n]) for n, (p, i, s) in zip(ns, members)]
     return _ladder_report("n", ns, [p.basis for p, _, _ in members],
                           [(t.phi, t.eta) for t in trajs], None)
@@ -602,7 +602,7 @@ def yosida_convergence(cfg, eps_values):
     stacked transforms."""
     eps_values = _ladder_values(eps_values, float, "eps values")
     params, initials, schedules = zip(*_run_many(
-        lambda eps: build_problem(with_overrides(cfg, eps=eps)), eps_values))
+        lambda eps: build_problem(replace(cfg, eps=eps)), eps_values))
     stack = InitialData(
         eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials])),
         phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials])),

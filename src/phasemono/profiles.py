@@ -8,18 +8,21 @@ A profile is given as a whitespace-separated string:
     tanh AMP WIDTH [CENTER]   -- front along x at CENTER (fraction of L)
     random-smooth AMP [DECAY] -- seeded random field with decaying spectrum,
                                  DECAY finite and >= 0
-    csv PATH                  -- (x, value) samples, interpolated (1D only)
+    csv PATH                  -- (x, value) rows, x strictly increasing,
+                                 interpolated (1D only)
 
 Random-smooth fields draw a fixed-size master coefficient block, so the same
 seed produces the same field at every truncation level.  Every value of a
 profile must be finite, and a profile with more or fewer arguments than its
-line above shows, or a csv file that cannot be read, is an error like any
-malformed profile.
+line above shows, or a csv file that cannot be read, holds no rows or has an
+x column that is not strictly increasing, is an error like any malformed
+profile.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -98,8 +101,7 @@ def _evaluate(basis, text, rng):
         raise ValueError("empty profile")
     name, args = parts[0], parts[1:]
     # the argument counts of each profile's grammar
-    counts = {"zero": (0,), "constant": (1,), "cosine": (1 + basis.dims,), "tanh": (2, 3),
-              "random-smooth": (1, 2), "csv": (1,)}
+    counts = dict(zip(PROFILE_NAMES, ((0,), (1,), (1 + basis.dims,), (2, 3), (1, 2), (1,))))
     if name not in counts:
         raise ValueError(f"unknown profile {name!r} (expected one of {PROFILE_NAMES})")
     if len(args) not in counts[name]:
@@ -131,7 +133,15 @@ def _evaluate(basis, text, rng):
         if name == "csv":
             if basis.dims != 1:
                 raise ValueError("csv profiles are only supported in 1D")
-            data = np.loadtxt(args[0], delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty file is refused below, without numpy's warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(args[0], delimiter=",", ndmin=2)
+            if not data.size:
+                raise ValueError(f"{args[0]} holds no rows")
+            # np.interp assumes increasing x; NaN or a repeated x fails here too
+            if not np.all(np.diff(data[:, 0]) > 0):
+                raise ValueError("the x column must be strictly increasing")
             return np.interp(basis.nodes[0], data[:, 0], data[:, 1])
     except (IndexError, ValueError, OSError) as exc:
         raise ValueError(f"bad profile {text!r}: {exc}") from exc

@@ -1,21 +1,21 @@
 """Bundled scenarios.
 
 Each scenario is a description and the fields in which it differs from the
-ScenarioConfig defaults; `get_scenario` applies them with `with_overrides`,
-the same call that builds every ladder member and applies `--seed` and
-`--method`.  Its canonical text is `serialize_config(get_scenario(name))`,
-which `scenarios show` prints and `report.json` echoes.  The collection
-covers the verification harness: an exact linear oracle, the three
-potential wells combined with pointwise and nonlocal sign perturbations, a
-front-propagation case for truncation ladders, and a contraction-ready case
-with matching coupling coefficients.
+ScenarioConfig defaults; `get_scenario` makes `ScenarioConfig(**overrides)`,
+which is validated when it is made, as every ladder member and every
+`--seed` or `--method` override is.  Its canonical text is
+`serialize_config(get_scenario(name))`, which `scenarios show` prints and
+`report.json` echoes.  The collection covers the verification harness: an
+exact linear oracle, the three potential wells combined with pointwise and
+nonlocal sign perturbations, a front-propagation case for truncation
+ladders, and a contraction-ready case with matching coupling coefficients.
 """
 
 from __future__ import annotations
 
 import math
 
-from .config import ConfigError, ScenarioConfig, with_overrides
+from .config import ConfigError, ScenarioConfig
 
 __all__ = ["SCENARIOS", "scenario_names", "get_scenario"]
 
@@ -78,4 +78,4 @@ def get_scenario(name):
     except KeyError:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {', '.join(scenario_names())}") from None
-    return with_overrides(ScenarioConfig(), **overrides)
+    return ScenarioConfig(**overrides)

@@ -5,12 +5,13 @@ prints a single PASS line on success (run with -s or -v to see them).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from phasemono import cli
-from phasemono.config import build_problem, parse_config, with_overrides
+from phasemono.config import build_problem, parse_config
 from phasemono.dynamics import Schedule, solve
 from phasemono.estimates import (
     contraction_sweep,
@@ -73,7 +74,7 @@ def report(line):
 def run_scenario(name, **overrides):
     cfg = get_scenario(name)
     if overrides:
-        cfg = with_overrides(cfg, **overrides)
+        cfg = replace(cfg, **overrides)
     params, initial, schedule = build_problem(cfg)
     traj = solve(params, initial, schedule)
     return params, traj
@@ -171,7 +172,7 @@ class TestCriterion3LinearOracle:
         errs, dts = [], (2e-2, 1e-2, 5e-3, 2.5e-3)
         for dt in dts:
             params, initial, _ = build_problem(
-                with_overrides(cfg, method="imex", dt=dt))
+                replace(cfg, method="imex", dt=dt))
             traj = solve(params, initial, Schedule(method="imex", dt=dt, n_saves=11))
             errs.append(abs(traj.eta[-1][1] / traj.eta[0][1] - math.exp(-1.0)))
         slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
@@ -229,9 +230,9 @@ class TestCriterion7ContinuousDependence:
 
     def test_dyadic_sweep_2d(self):
         # contraction_base on the unit square, its profiles constant in y
-        cfg = with_overrides(get_scenario("contraction_base"), dims=2, lengths=(1.0, 1.0),
-                             eta0="cosine 0.4 2 0", phi0="cosine 0.6 1 0",
-                             eta_star="cosine 0.3 1 0")
+        cfg = replace(get_scenario("contraction_base"), dims=2, lengths=(1.0, 1.0),
+                      eta0="cosine 0.4 2 0", phi0="cosine 0.6 1 0",
+                      eta_star="cosine 0.3 1 0")
         assert_dyadic_sweep("2D contraction_base", cfg)
 
 

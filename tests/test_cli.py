@@ -17,7 +17,6 @@ from phasemono.config import (
     build_problem,
     parse_config,
     serialize_config,
-    with_overrides,
 )
 from phasemono.dynamics import solve
 from phasemono.monotone import ResolventError, ScalarSign, SubdiffBetaHat
@@ -53,9 +52,12 @@ class TestConfig:
             assert value != getattr(default, key), key
 
     def test_key_table_names_every_field_once(self):
-        fields = [row[2] for row in config._KEYS]
-        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
-        assert len(set(fields)) == len(fields)
+        # every section is known, and its keys are contiguous and in this
+        # order, so the canonical text opens each section once
+        sections = ("domain", "model", "potential", "graph", "regularization", "initial",
+                    "integrator", "run")
+        order = [row[0] for row in config._KEYS]
+        assert order == sorted(order, key=sections.index)
         assert len({row[:2] for row in config._KEYS}) == len(config._KEYS)
         kinds = {row[3] for row in config._KEYS}
         assert kinds == config._PARSE.keys() == config._FORMAT.keys()
@@ -115,7 +117,16 @@ class TestConfig:
         for kw in ({"gamma": -1.0}, {"modes": 0}, {"method": "euler"},
                    {"potential": "sextic"}, {"dims": 3}):
             with pytest.raises(ConfigError):
-                with_overrides(cfg, **kw)
+                dataclasses.replace(cfg, **kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"modes": 0}, "need at least one mode"),
+        ({"dims": 3}, "domain dims must be 1 or 2"),
+        ({"gamma": -1.0}, "model gamma must be nonnegative"),
+    ], ids=["modes", "dims", "gamma"])
+    def test_a_config_is_validated_when_it_is_made(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(**kw)
 
     def test_inf_allowed_where_it_means_no_bound(self):
         edits = [("integrator", "dt", "inf"), ("integrator", "tol", "inf"),
@@ -140,7 +151,7 @@ class TestConfig:
             parse_config("[cooling]\nrate = 1\n")
 
     def test_obstacle_rejects_out_of_range_data(self):
-        cfg = with_overrides(get_scenario("obstacle_sign"), phi0="constant 1.5")
+        cfg = dataclasses.replace(get_scenario("obstacle_sign"), phi0="constant 1.5")
         from phasemono.config import build_problem
         with pytest.raises(ConfigError):
             build_problem(cfg)
@@ -237,14 +248,21 @@ class TestRun:
         [("initial", "phi0", "tanh 0.9 0.12 0.5 7")],
         [("initial", "eta0", "random-smooth 0.5 0.35 9")],
         [("initial", "phi0", "csv a.csv b")],
+        [("initial", "phi0", "csv decreasing.csv")],
+        [("initial", "phi0", "csv repeated.csv")],
+        [("initial", "phi0", "csv nan.csv")],
     ], ids=lambda edits: ",".join(f"{k}={v}" for _, k, v in edits))
     def test_bad_profiles_exit_as_config_errors(self, tmp_path, capsys, monkeypatch,
                                                 edits):
-        # a non-finite profile, a csv profile that cannot be read, a random
-        # field whose spectrum grows or whose decay is not finite, or a
-        # profile with an argument count outside its grammar
+        # a non-finite profile, a csv profile that cannot be read or whose x
+        # column is not strictly increasing, a random field whose spectrum
+        # grows or whose decay is not finite, or a profile with an argument
+        # count outside its grammar
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a.csv").write_text("0.0,0.1\n1.0,0.2\n")
+        (tmp_path / "decreasing.csv").write_text("1.0,1.0\n0.0,0.0\n")
+        (tmp_path / "repeated.csv").write_text("0.0,0.0\n0.0,0.5\n1.0,1.0\n")
+        (tmp_path / "nan.csv").write_text("0.0,0.0\nnan,0.5\n1.0,1.0\n")
         path = tmp_path / "bad.cfg"
         path.write_text(edited_config("regular_sign", edits))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -252,6 +270,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "blow-up" not in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_empty_csv_profile_is_refused_without_a_warning(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.csv").write_text("")
+        path = tmp_path / "bad.cfg"
+        path.write_text(edited_config("regular_sign", [("initial", "phi0", "csv empty.csv")]))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: bad profile 'csv empty.csv': empty.csv holds no rows" in err
+        assert "UserWarning" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_random_smooth_decay_runs(self, tmp_path, capsys):
@@ -266,7 +297,7 @@ class TestRun:
         assert cli.main(["run", "--out", str(tmp_path / "o")]) == 2
 
     def test_blowup_exit_code(self, tmp_path):
-        cfg = with_overrides(get_scenario("tanh_front"), method="rk4", dt=0.05)
+        cfg = dataclasses.replace(get_scenario("tanh_front"), method="rk4", dt=0.05)
         path = tmp_path / "unstable.cfg"
         path.write_text(serialize_config(cfg))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -300,7 +331,7 @@ class TestRun:
     def test_huge_state_exits_as_blow_up(self, tmp_path, capsys):
         # a datum of 1e12 is over the blow-up ceiling of 1e8: the run stops
         # at t = 0, before the quartic-well resolvent is evaluated
-        cfg = with_overrides(get_scenario("regular_sign"), phi0="constant 1e12")
+        cfg = dataclasses.replace(get_scenario("regular_sign"), phi0="constant 1e12")
         path = tmp_path / "huge.cfg"
         path.write_text(serialize_config(cfg))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -312,7 +343,7 @@ class TestRun:
     def test_datum_whose_squares_overflow_exits_at_t_0(self, tmp_path, capsys):
         # the envelope budget of a datum of 1e200 overflows to inf without a
         # warning, and the solve stops it before its first step
-        cfg = with_overrides(get_scenario("contraction_base"), phi0="constant 1e200")
+        cfg = dataclasses.replace(get_scenario("contraction_base"), phi0="constant 1e200")
         path = tmp_path / "huge.cfg"
         path.write_text(serialize_config(cfg))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -436,7 +467,7 @@ def needs_fork():
 def config_2d(tmp_path, **overrides):
     """A 32-mode 2D run: 101 saves of 1 + 2*32*32 + 4 columns, 207353 cells,
     over the split threshold."""
-    cfg = with_overrides(get_scenario("regular_sign"), **{
+    cfg = dataclasses.replace(get_scenario("regular_sign"), **{
         "dims": 2, "lengths": (1.0, 1.0), "modes": 32, "quadrature": None,
         "phi0": "cosine 0.5 1 1", "eta0": "random-smooth 0.3", "eta_star": "zero",
         "t_final": 0.01, "dt": 1e-4, "saves": 101, **overrides})
@@ -676,8 +707,8 @@ class TestTableWriter:
     def test_many_saves_fork_once(self, tmp_path, needs_fork, monkeypatch):
         # 2000 saves of a 64-mode 1D run, 133 columns each: one fork,
         # however many saves; plot.csv, 2000 rows of 10 cells, none
-        cfg = with_overrides(get_scenario("tanh_front"),
-                             modes=64, quadrature=None, saves=2000)
+        cfg = dataclasses.replace(get_scenario("tanh_front"),
+                                  modes=64, quadrature=None, saves=2000)
         path = tmp_path / "long.cfg"
         path.write_text(serialize_config(cfg))
         forks = count_forks(monkeypatch)
@@ -783,7 +814,7 @@ class TestSweep:
     def test_member_failure_identified(self, tmp_path, capsys):
         # at this step 8 modes are stable and 32 and 64 blow up, 64 at an
         # earlier time: the first member that blows up is named
-        cfg = with_overrides(get_scenario("tanh_front"), method="rk4", dt=0.05)
+        cfg = dataclasses.replace(get_scenario("tanh_front"), method="rk4", dt=0.05)
         path = tmp_path / "unstable.cfg"
         path.write_text(serialize_config(cfg))
         code = cli.main(["sweep", "--config", str(path), "--axis", "n",
@@ -797,8 +828,8 @@ class TestSweep:
         # sweep gives the numbers of the same ladder from an 8-mode config
         payloads = {}
         for modes in (4, 8):
-            cfg = with_overrides(get_scenario("tanh_front"), modes=modes,
-                                 eta0="cosine 0.3 6")
+            cfg = dataclasses.replace(get_scenario("tanh_front"), modes=modes,
+                                      eta0="cosine 0.3 6")
             path = tmp_path / f"m{modes}.cfg"
             path.write_text(serialize_config(cfg))
             out = tmp_path / f"o{modes}"
@@ -867,8 +898,8 @@ class TestSweep:
         assert not (tmp_path / "o" / "sweep.json").exists()
 
     def test_one_mode_delta_sweep_exit_code(self, tmp_path, capsys):
-        cfg = with_overrides(get_scenario("contraction_base"), modes=1, quadrature=None,
-                             eta0="constant 0.1", phi0="constant 0.3", eta_star="zero")
+        cfg = dataclasses.replace(get_scenario("contraction_base"), modes=1, quadrature=None,
+                                  eta0="constant 0.1", phi0="constant 0.3", eta_star="zero")
         path = tmp_path / "one_mode.cfg"
         path.write_text(serialize_config(cfg))
         code = cli.main(["sweep", "--config", str(path), "--axis", "delta",

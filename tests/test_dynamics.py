@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phasemono import dynamics, spectral
-from phasemono.config import _GRAPHS, ScenarioConfig, build_problem, with_overrides
+from phasemono.config import _GRAPHS, ScenarioConfig, build_problem
 from phasemono.dynamics import (
     METHODS,
     BlowUpError,
@@ -203,7 +203,7 @@ class TestSolve:
         assert slope == pytest.approx(1.0, abs=0.2)
 
     def test_rk4_fourth_order_on_smooth_nonlinear_run(self):
-        cfg = with_overrides(
+        cfg = dataclasses.replace(
             get_scenario("regular_sign"), graph="zero", modes=8,
             t_final=0.1, method="rk4")
         params, init, _ = build_problem(cfg)
@@ -233,7 +233,7 @@ class TestSolve:
     @pytest.mark.parametrize("method", METHODS)
     def test_on_save_sees_each_stored_save(self, method):
         params, init, _ = build_problem(
-            with_overrides(get_scenario("regular_sign"), t_final=0.05))
+            dataclasses.replace(get_scenario("regular_sign"), t_final=0.05))
         sched = Schedule(method=method, dt=1e-4, tol=1e-6, n_saves=6)
         seen = []
 
@@ -260,7 +260,7 @@ class TestSolve:
         assert np.all(np.diff(traj.times) > 0)
 
     def test_change_of_variable_consistency(self):
-        cfg = with_overrides(get_scenario("regular_sign"), method="rk4")
+        cfg = dataclasses.replace(get_scenario("regular_sign"), method="rk4")
         params, init, sched = build_problem(cfg)
         traj = solve(params, init, sched)
         phi, eta = rk4_samples(eta_form_rhs(params), init.phi0.coeffs,
@@ -271,7 +271,7 @@ class TestSolve:
     def test_blowup_detected(self):
         # explicit RK4 far beyond its stability limit must be reported,
         # not silently clipped
-        cfg = with_overrides(get_scenario("tanh_front"), method="rk4", dt=0.05)
+        cfg = dataclasses.replace(get_scenario("tanh_front"), method="rk4", dt=0.05)
         params, init, sched = build_problem(cfg)
         with pytest.raises(BlowUpError) as err:
             solve(params, init, sched)
@@ -307,7 +307,7 @@ class TestTwoDimensional:
         assert abs(ratio - math.exp(-1.0)) <= 1e-4
 
     def test_2d_nonlinear_run_from_config(self):
-        cfg = with_overrides(
+        cfg = dataclasses.replace(
             get_scenario("regular_sign"), dims=2, lengths=(1.0, 1.0),
             modes=6, quadrature=None, phi0="cosine 0.5 1 1",
             eta0="cosine 0.3 1 0", eta_star="zero", t_final=0.05, saves=21)
@@ -320,7 +320,7 @@ class TestTwoDimensional:
 class TestWeightedPowerGraph:
     def test_negative_weight_profile_rejected(self):
         from phasemono.config import ConfigError
-        cfg = with_overrides(
+        cfg = dataclasses.replace(
             get_scenario("regular_sign"), graph="weighted_power",
             graph_q=0.5, graph_weight="cosine 0.5 1", t_final=0.1)
         with pytest.raises(ConfigError):
@@ -330,7 +330,7 @@ class TestWeightedPowerGraph:
         path = tmp_path / "weight.csv"
         xs = np.linspace(0, 1, 11)
         np.savetxt(path, np.column_stack([xs, 1.0 + xs]), delimiter=",")
-        cfg = with_overrides(
+        cfg = dataclasses.replace(
             get_scenario("regular_sign"), graph="weighted_power",
             graph_q=0.5, graph_weight=f"csv {path}", t_final=0.2)
         params, init, sched = build_problem(cfg)
@@ -339,7 +339,7 @@ class TestWeightedPowerGraph:
         assert np.all(np.isfinite(traj.theta))
 
     def test_constant_weight_run(self):
-        cfg = with_overrides(
+        cfg = dataclasses.replace(
             get_scenario("regular_sign"), graph="weighted_power",
             graph_q=0.5, graph_weight="constant 1.5", t_final=0.2)
         params, init, sched = build_problem(cfg)
@@ -568,7 +568,7 @@ class TestStackedSolve:
     def test_rows_match_standalone_solves(self, case, method):
         scenario, kw = self.CASES[case]
         params, init, sched = build_problem(
-            with_overrides(get_scenario(scenario), method=method, **kw))
+            dataclasses.replace(get_scenario(scenario), method=method, **kw))
         members = perturbed_members(init, 4)
         stack = solve(params, stacked(members), sched)
         m = params.basis.total_modes
@@ -584,7 +584,7 @@ class TestStackedSolve:
 
     def test_one_member_rk45_is_the_unstacked_solve(self):
         params, init, sched = build_problem(
-            with_overrides(get_scenario("contraction_base"), method="rk45"))
+            dataclasses.replace(get_scenario("contraction_base"), method="rk45"))
         alone = solve(params, init, sched)
         # step counts of the unstacked DP45 path on this scenario
         assert (alone.stats["steps"], alone.stats["rejected"]) == (217, 15)
@@ -599,7 +599,7 @@ class TestStackedSolve:
         # a vector state and a one-row stack take the same product shapes
         scenario, kw = self.CASES[case]
         params, init, sched = build_problem(
-            with_overrides(get_scenario(scenario), method=method, **kw))
+            dataclasses.replace(get_scenario(scenario), method=method, **kw))
         alone = solve(params, init, sched)
         one = solve(params, stacked([init]), sched)
         for name in SERIES:
@@ -646,10 +646,10 @@ class TestStoredSaves:
     # stored derivative must still be the right-hand side at its stored state
     @pytest.mark.parametrize("cfg", [
         get_scenario("log_sign"),
-        with_overrides(get_scenario("regular_sign"), dims=2, lengths=(1.0, 1.0),
-                       modes=6, quadrature=None, phi0="cosine 0.5 1 1",
-                       eta0="cosine 0.3 1 0", eta_star="cosine 0.2 1 1", t_final=0.05,
-                       saves=21),
+        dataclasses.replace(get_scenario("regular_sign"), dims=2, lengths=(1.0, 1.0),
+                            modes=6, quadrature=None, phi0="cosine 0.5 1 1",
+                            eta0="cosine 0.3 1 0", eta_star="cosine 0.2 1 1", t_final=0.05,
+                            saves=21),
     ], ids=["1d_log_sign", "2d_regular_sign"])
     def test_each_save_derivative_is_the_rhs_at_its_state(self, cfg):
         params, init, sched = build_problem(cfg)
@@ -676,7 +676,7 @@ class TestRhsReuse:
     @pytest.mark.parametrize("method, stages", [("imex", 1), ("rk4", 4)])
     def test_fixed_step_reuses_the_save(self, method, stages):
         params, init, sched = build_problem(
-            with_overrides(get_scenario("contraction_base"), method=method))
+            dataclasses.replace(get_scenario("contraction_base"), method=method))
         st = solve(params, init, sched).stats
         assert st["rhs_evals"] == stages * st["steps"] - (sched.n_saves - 1) + sched.n_saves
 
@@ -745,7 +745,7 @@ RHS_GRAPH_CFG = {"graph_alpha1": 1.3, "graph_alpha2": 0.7, "graph_q": 0.3,
 
 
 def rhs_params(graph, variant, dims):
-    cfg = with_overrides(
+    cfg = dataclasses.replace(
         ScenarioConfig(), dims=dims, lengths=(1.0,) * dims, modes=8 if dims == 1 else 4,
         ell=1.2, alpha=0.7, k=0.8, nu=0.6, gamma=0.5, eps=0.05,
         potential=variant, c0=2.0, graph=graph, **RHS_GRAPH_CFG,
@@ -836,9 +836,9 @@ class TestEpsPerRow:
                           "eta_star": "zero", "t_final": 0.05, "saves": 11}),
     ], ids=["obstacle_sign", "log_sign", "2d_regular_sign"])
     def test_rows_match_their_float_eps_solves(self, scenario, kw):
-        cfg = with_overrides(get_scenario(scenario), **kw)
+        cfg = dataclasses.replace(get_scenario(scenario), **kw)
         eps = [0.1, 0.02, 4.0 * cfg.dt]
-        built = [build_problem(with_overrides(cfg, eps=e)) for e in eps]
+        built = [build_problem(dataclasses.replace(cfg, eps=e)) for e in eps]
         params, _, sched = built[0]
         stack = solve(dataclasses.replace(params, eps=eps),
                       stacked([init for _, init, _ in built]), sched)
@@ -985,7 +985,7 @@ class TestTransformCount:
     def test_2d_transforms_per_evaluation(self, monkeypatch, graph, projections):
         _, kw = TestStackedSolve.CASES["2d_regular_sign"]
         params, init, sched = build_problem(
-            with_overrides(get_scenario("regular_sign"), graph=graph, **kw))
+            dataclasses.replace(get_scenario("regular_sign"), graph=graph, **kw))
         calls, st = self.counted_solve(monkeypatch, params, init, sched)
         assert calls["to_grid"] == st["rhs_evals"]
         assert calls["from_grid"] == projections * st["rhs_evals"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phasemono import spectral
-from phasemono.config import build_problem, with_overrides
+from phasemono.config import build_problem
 from phasemono import estimates
 from phasemono.dynamics import (
     BlowUpError,
@@ -45,7 +45,7 @@ def stack_of(initial, deltas=()):
 def run_scenario(name, **overrides):
     cfg = get_scenario(name)
     if overrides:
-        cfg = with_overrides(cfg, **overrides)
+        cfg = dataclasses.replace(cfg, **overrides)
     params, initial, schedule = build_problem(cfg)
     traj = solve(params, initial, schedule)
     return params, initial, schedule, traj
@@ -247,8 +247,8 @@ class TestContraction:
 
     def test_requires_two_modes(self, monkeypatch):
         # the perturbation shifts basis mode 1, which a one-mode basis lacks
-        cfg = with_overrides(get_scenario("contraction_base"), modes=1, quadrature=None,
-                             eta0="constant 0.1", phi0="constant 0.3", eta_star="zero")
+        cfg = dataclasses.replace(get_scenario("contraction_base"), modes=1, quadrature=None,
+                                  eta0="constant 0.1", phi0="constant 0.3", eta_star="zero")
 
         def forbidden(*args):
             raise AssertionError("solve called")
@@ -445,9 +445,9 @@ class TestLadders:
     def test_eps_independent_when_graphs_inactive(self):
         # obstacle convex part is flat inside |phi| < 1 and the perturbation
         # graph is zero: trajectories cannot depend on eps
-        cfg = with_overrides(get_scenario("obstacle_sign"), graph="zero",
-                             phi0="cosine 0.3 1", eta0="cosine 0.2 1",
-                             gamma=0.1, t_final=0.1)
+        cfg = dataclasses.replace(get_scenario("obstacle_sign"), graph="zero",
+                                  phi0="cosine 0.3 1", eta0="cosine 0.2 1",
+                                  gamma=0.1, t_final=0.1)
         rep = yosida_convergence(cfg, [1e-1, 1e-2, 1e-3])
         assert np.all(rep.consecutive_total == 0.0)
 
@@ -461,7 +461,7 @@ class TestLadders:
         # |A_eps| <= |A^0| <= 1 for the pointwise sign perturbation
         cfg = get_scenario("regular_sign")
         for eps in (1e-1, 1e-2, 1e-3):
-            params, initial, schedule = build_problem(with_overrides(
+            params, initial, schedule = build_problem(dataclasses.replace(
                 cfg, eps=eps, dt=min(cfg.dt, 0.25 * eps)))
             traj = solve(params, initial, schedule)
             rep = energy_monitor(traj, params)
@@ -480,12 +480,12 @@ class TestLadders:
             weight = tmp_path / "weight.csv"
             xs = np.linspace(0.0, 1.0, 11)
             np.savetxt(weight, np.column_stack([xs, 1.0 + 0.5 * xs]), delimiter=",")
-            cfg = with_overrides(get_scenario("regular_sign"), graph="weighted_power",
-                                 graph_q=0.3, graph_weight=f"csv {weight}",
-                                 eta0="random-smooth 0.5", phi0="random-smooth 0.4", seed=3)
+            cfg = dataclasses.replace(get_scenario("regular_sign"), graph="weighted_power",
+                                      graph_q=0.3, graph_weight=f"csv {weight}",
+                                      eta0="random-smooth 0.5", phi0="random-smooth 0.4", seed=3)
         values = [1e-1, 1e-2, 4.0 * cfg.dt]
         rep = yosida_convergence(cfg, values)
-        members = [build_problem(with_overrides(cfg, eps=eps)) for eps in values]
+        members = [build_problem(dataclasses.replace(cfg, eps=eps)) for eps in values]
         trajs = [solve(*member) for member in members]
         basis = members[0][0].basis
         overshoot = None
