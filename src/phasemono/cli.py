@@ -13,7 +13,8 @@ guarantee.  A large CSV table is formatted by one niced forked child as well
 as by this process, a large trajectory.csv while the solve runs (see
 _TableWriter), and its bytes do not change.  A CSV table is written under a
 ".part" name and renamed once it is whole, so a failed write or solve leaves
-no partial table behind.
+no partial table behind.  ``run`` and ``sweep`` delete their outputs of an
+earlier run from --out before the build, so a failure leaves none of them.
 """
 
 from __future__ import annotations
@@ -262,10 +263,19 @@ def _load_config(args):
     return cfg
 
 
+def _fresh_out(path, names):
+    """Make the output directory and delete the command's outputs ``names``
+    from an earlier run there, so that a failure leaves none behind."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        (out / name).unlink(missing_ok=True)
+    return out
+
+
 def _cmd_run(args):
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _fresh_out(args.out, ("trajectory.csv", "plot.csv", "report.json", "timing.json"))
     t0 = time.perf_counter()
     params, initial, schedule = build_problem(cfg)
     t1 = time.perf_counter()
@@ -342,17 +352,19 @@ def _parse_values(raw, kind):
     return vals
 
 
+# sweep axis -> the kind of its values and the name of its ladder, looked up
+# in this module at each call, so that a tracer's patch of the binding is seen
+_SWEEPS = {"eps": (float, "yosida_convergence"), "n": (int, "galerkin_convergence"),
+           "delta": (float, "contraction_sweep")}
+
+
 def _cmd_sweep(args):
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    values = _parse_values(args.values, int if args.axis == "n" else float)
-    # looked up at each call, so that a tracer's patch of a binding is seen
-    ladder = {"n": galerkin_convergence, "eps": yosida_convergence,
-              "delta": contraction_sweep}[args.axis]
+    kind, ladder = _SWEEPS[args.axis]
+    values = _parse_values(args.values, kind)
+    out = _fresh_out(args.out, ("sweep.json", "sweep.csv"))
     try:
-        rep = ladder(cfg, values)
+        rep = globals()[ladder](cfg, values)
     except ValueError as exc:
         # an inadmissible ladder, a delta base that cannot be built, or a
         # delta ladder without alpha = ell, on a one-mode basis or with a
@@ -440,7 +452,7 @@ def _build_parser():
 
     p_sweep = sub.add_parser("sweep", help="ladder studies over eps, n, or data perturbations")
     add_common(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=("eps", "n", "delta"))
+    p_sweep.add_argument("--axis", required=True, choices=tuple(_SWEEPS))
     p_sweep.add_argument("--values", required=True,
                          help="space- or comma-separated ladder values")
     p_sweep.set_defaults(fn=_cmd_sweep)

@@ -6,9 +6,11 @@ where it differs from the field name, its key.  The field order is the
 canonical order.  ``_KEYS`` is read off the fields, and parsing, the number
 checks and ``serialize_config`` all read it.  A ScenarioConfig is validated
 when it is made, so ``dataclasses.replace``, which makes every ladder member
-and command-line override, re-validates.  Each choice list lives with the
-code that implements it: ``dynamics.METHODS``, ``SubdiffBetaHat.VARIANTS``
-and the graph builders of ``_GRAPHS``.
+and command-line override, re-validates.  Each value must read back as
+itself from the text its kind writes, so a value of the wrong type
+(``modes=2.5``, ``lengths=[1.0]``) is a ConfigError.  Each choice list
+lives with the code that implements it: ``dynamics.METHODS``,
+``SubdiffBetaHat.VARIANTS`` and the graph builders of ``_GRAPHS``.
 
 Parsing is strict: unknown sections or keys and malformed values are
 reported with the offending line number.  Float keys must be finite, except
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -179,19 +182,33 @@ def parse_config(text):
 
 
 def _check_numbers(cfg):
-    """No float key may be NaN, and only the float_inf keys may be inf."""
+    """No float key may be NaN, and only the float_inf keys may be inf.
+    A value that is not a number is left to :func:`_reads_back`."""
     for section, key, name, kind in _KEYS:
         if kind not in ("float", "float_inf", "lengths"):
             continue
         inf_ok = kind == "float_inf"
         for v in np.atleast_1d(getattr(cfg, name)):
-            if math.isnan(v) or (math.isinf(v) and not inf_ok):
+            if isinstance(v, numbers.Real) and (math.isnan(v) or (math.isinf(v) and not inf_ok)):
                 what = "a number or inf" if inf_ok else "a finite number"
                 raise ConfigError(f"[{section}] {key} must be {what}, got {float(v)}")
 
 
+def _reads_back(kind, value):
+    """Whether ``value`` parses back as itself from the text it is written as."""
+    try:
+        return bool(_PARSE[kind](_FORMAT[kind](value)) == value)
+    except (TypeError, ValueError):
+        return False
+
+
 def _validate(cfg):
     _check_numbers(cfg)
+    for section, key, name, kind in _KEYS:
+        value = getattr(cfg, name)
+        if not _reads_back(kind, value):
+            raise ConfigError(f"[{section}] {key} has the wrong type: "
+                              f"{value!r} does not read back from its own text")
     if cfg.dims not in (1, 2):
         raise ConfigError("domain dims must be 1 or 2")
     if len(cfg.lengths) != cfg.dims:

@@ -42,16 +42,16 @@ one tolerance ``_INVARIANT_TOL``: the energy report its Gronwall, selection,
 dissipation and envelope-budget checks, the sweep report each negative
 pair dissipation, and a convergence ladder none.
 
-Every ladder takes a config and its values, and builds each member as
-``build_problem(replace(cfg, **override))``: ``modes=n,
-quadrature=None`` for n, ``eps=eps`` for eps, and ``cfg`` itself as the
-base of the delta sweep.  Each member keeps the schedule its build returns.
-A ladder builds all its members, naming one that cannot be built, and then
-solves them through :func:`_solve_named`, which names the member a failure
-belongs to.  The n ladder solves each level on its own basis.  The eps
-ladder's members differ only in eps and are solved as one coefficient
-stack with one eps per row.  The n and eps ladders report from each
-member's (phi, eta) series.
+The n and eps ladders are two rows of one table, ``_AXES``, run by one
+engine.  A row gives its value kind, the override that makes member v as
+``build_problem(replace(cfg, **override(v)))``, the member order and whether
+the report adds the obstacle overshoot.  The engine builds every member,
+naming one that cannot be built, and solves together the members whose
+configs agree but for eps: one as itself, more as one stack with one eps per
+row.  So the n ladder solves each level alone, the eps ladder one stack.
+Every member keeps the config's ``dt``, so the n ladder measures the
+time-discrete scheme, and at an eps below the step the eps ladder's last
+differences measure the time error.
 """
 
 from __future__ import annotations
@@ -563,19 +563,63 @@ def _ladder_report(axis, values, bases, series, overshoot):
         rate=rate, overshoot=overshoot)
 
 
+# axis -> value kind, plural, override, descending, obstacle overshoot
+_AXES = {
+    "n": (int, "mode counts", lambda n: {"modes": n, "quadrature": None}, False, False),
+    "eps": (float, "eps values", lambda eps: {"eps": eps}, True, True),
+}
+
+
+def _stack_groups(cfg, configs):
+    """The indices of ``configs``, grouped by the config each equals once
+    its eps is set back to ``cfg.eps``, in order of first appearance."""
+    groups = {}
+    for i, c in enumerate(configs):
+        groups.setdefault(replace(c, eps=cfg.eps), []).append(i)
+    return list(groups.values())
+
+
+def _solve_group(members, values):
+    """Solve members that differ at most in eps, one as itself and more as
+    one stack with one eps per row; return each one's (phi, eta) series."""
+    if len(members) == 1:
+        traj = _solve_named(*members[0], values)
+        return [(traj.phi, traj.eta)]
+    params, initials, schedules = zip(*members)
+    stack = InitialData(
+        eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials])),
+        phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials])),
+        q_eps=np.array([i.q_eps for i in initials]))
+    traj = _solve_named(replace(params[0], eps=[p.eps for p in params]),
+                        stack, schedules[0], values)
+    return list(zip(traj.phi.swapaxes(0, 1), traj.eta.swapaxes(0, 1)))
+
+
+def _convergence(axis, cfg, values):
+    """Run the ladder of ``axis``'s row of ``_AXES``."""
+    kind, plural, override, descending, adds_overshoot = _AXES[axis]
+    values = sorted(_ladder_values(values, kind, plural), reverse=descending)
+
+    def member(v):
+        c = replace(cfg, **override(v))
+        return c, build_problem(c)
+
+    configs, members = zip(*_run_many(member, values))
+    series = [None] * len(values)
+    for group in _stack_groups(cfg, configs):
+        solved = _solve_group([members[i] for i in group], [values[i] for i in group])
+        for i, s in zip(group, solved):
+            series[i] = s
+    bases = [p.basis for p, _, _ in members]
+    overshoot = None
+    if adds_overshoot and members[0][0].potential.variant == "obstacle":
+        overshoot = np.array([constraint_overshoot(phi, b) for (phi, _), b in zip(series, bases)])
+    return _ladder_report(axis, values, bases, series, overshoot)
+
+
 def galerkin_convergence(cfg, ns):
-    """Truncation-level ladder: member n is ``cfg`` with ``modes=n`` and its
-    default quadrature.  Reports the C0([0,T];H) differences between
-    consecutive levels.  Every level keeps the config's schedule and so its
-    ``dt``: the ladder measures convergence in n of the time-discrete
-    scheme, and its differences can fall below each level's own time error.
-    The ladder is refused as in :func:`_ladder_values`."""
-    ns = sorted(_ladder_values(ns, int, "mode counts"))
-    members = _run_many(
-        lambda n: build_problem(replace(cfg, modes=n, quadrature=None)), ns)
-    trajs = [_solve_named(p, i, s, [n]) for n, (p, i, s) in zip(ns, members)]
-    return _ladder_report("n", ns, [p.basis for p, _, _ in members],
-                          [(t.phi, t.eta) for t in trajs], None)
+    """The n ladder: the ``n`` row of ``_AXES``, run by :func:`_convergence`."""
+    return _convergence("n", cfg, ns)
 
 
 def constraint_overshoot(phi, basis):
@@ -586,31 +630,5 @@ def constraint_overshoot(phi, basis):
 
 
 def yosida_convergence(cfg, eps_values):
-    """Regularization ladder: member eps is ``cfg`` with that eps, on the
-    config's basis.  Reports consecutive trajectory differences (Cauchy
-    check) and, when the potential is the obstacle well, the constraint
-    overshoot of the order parameter.  Refused as in :func:`_ladder_values`.
-
-    Each member is built in turn, so a failed build names its eps and each
-    member keeps its own initial data and envelope budget.  The members
-    differ only in eps, so they are solved as one (B, m) stack under the
-    first member's params and schedule, with one eps per row, and each row
-    is reported as its member.  A blow-up names the eps of its row, and any
-    other failure of the solve the first eps.  The members keep the
-    config's ``dt``: at an eps below the step, the last differences measure
-    the time error, and at ``dt/eps = 10`` they amplify the rounding of the
-    stacked transforms."""
-    eps_values = _ladder_values(eps_values, float, "eps values")
-    params, initials, schedules = zip(*_run_many(
-        lambda eps: build_problem(replace(cfg, eps=eps)), eps_values))
-    stack = InitialData(
-        eta0=FieldCoeffs(np.stack([i.eta0.coeffs for i in initials])),
-        phi0=FieldCoeffs(np.stack([i.phi0.coeffs for i in initials])),
-        q_eps=np.array([i.q_eps for i in initials]))
-    traj = _solve_named(replace(params[0], eps=eps_values), stack, schedules[0], eps_values)
-    series = list(zip(traj.phi.swapaxes(0, 1), traj.eta.swapaxes(0, 1)))
-    basis = params[0].basis
-    overshoot = None
-    if params[0].potential.variant == "obstacle":
-        overshoot = np.array([constraint_overshoot(phi, basis) for phi, _ in series])
-    return _ladder_report("eps", eps_values, [basis] * len(series), series, overshoot)
+    """The eps ladder: the ``eps`` row of ``_AXES``, run by :func:`_convergence`."""
+    return _convergence("eps", cfg, eps_values)

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -123,7 +124,18 @@ class TestConfig:
         ({"modes": 0}, "need at least one mode"),
         ({"dims": 3}, "domain dims must be 1 or 2"),
         ({"gamma": -1.0}, "model gamma must be nonnegative"),
-    ], ids=["modes", "dims", "gamma"])
+        # a value of the wrong type does not read back from its own text
+        ({"modes": 2.5}, r"\[domain\] modes has the wrong type"),
+        ({"seed": 1.5}, r"\[run\] seed has the wrong type"),
+        ({"dims": True}, r"\[domain\] dims has the wrong type"),
+        ({"quadrature": 40.0}, r"\[domain\] quadrature has the wrong type"),
+        ({"lengths": [1.0]}, r"\[domain\] lengths has the wrong type"),
+        ({"ell": "1.0"}, r"\[model\] ell has the wrong type"),
+        # NaN and inf keep the number check's wording
+        ({"ell": float("nan")}, r"\[model\] ell must be a finite number, got nan"),
+        ({"lengths": (float("inf"),)}, r"\[domain\] lengths must be a finite number, got inf"),
+    ], ids=["modes", "dims", "gamma", "modes-float", "seed-float", "dims-bool",
+            "quadrature-float", "lengths-list", "ell-str", "ell-nan", "lengths-inf"])
     def test_a_config_is_validated_when_it_is_made(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig(**kw)
@@ -302,6 +314,21 @@ class TestRun:
         path.write_text(serialize_config(cfg))
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 4
+
+    def test_a_failed_run_leaves_no_earlier_output(self, tmp_path):
+        # a config that cannot be read leaves --out as it was; a run that
+        # fails once --out is made leaves none of an earlier run's outputs
+        out = tmp_path / "o"
+        outputs = ("trajectory.csv", "plot.csv", "report.json", "timing.json")
+        assert cli.main(["run", "--scenario", "tanh_front", "--out", str(out)]) == 0
+        missing = tmp_path / "missing.cfg"
+        assert cli.main(["run", "--config", str(missing), "--out", str(out)]) == 2
+        assert all((out / name).exists() for name in outputs)
+        path = tmp_path / "unstable.cfg"
+        path.write_text(serialize_config(dataclasses.replace(
+            get_scenario("tanh_front"), method="rk4", dt=0.05)))
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 4
+        assert [name for name in outputs if (out / name).exists()] == []
 
     def test_resolvent_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # an inner resolvent root-find that gives up ends the run with exit
@@ -822,6 +849,19 @@ class TestSweep:
         assert code == 4
         assert "sweep failure: ladder member 32 failed: blow-up" in capsys.readouterr().err
 
+    def test_a_failed_sweep_leaves_no_earlier_output(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--scenario", "obstacle_sign", "--axis", "eps",
+                         "--values", "1e-1 1e-2", "--out", str(out)]) == 0
+        assert (out / "sweep.json").exists() and (out / "sweep.csv").exists()
+        # at this step the 32-mode member blows up
+        path = tmp_path / "unstable.cfg"
+        path.write_text(serialize_config(dataclasses.replace(
+            get_scenario("tanh_front"), method="rk4", dt=0.05)))
+        assert cli.main(["sweep", "--config", str(path), "--axis", "n",
+                         "--values", "8 32", "--out", str(out)]) == 4
+        assert not (out / "sweep.json").exists() and not (out / "sweep.csv").exists()
+
     def test_n_sweep_needs_no_base_problem(self, tmp_path):
         # eta0's mode 6 lies outside a 4-mode basis but inside every
         # member's: the n ladder takes only the config's schedule, so the
@@ -1063,6 +1103,19 @@ class TestOtherCommands:
             assert cli.main(argv) == 2
             assert capsys.readouterr().err.startswith(
                 "config error: unknown scenario 'nope'; available: "), argv
+
+    def test_readme_command_lines_parse(self):
+        # every command line of README's usage block parses as written, its
+        # sweep values too, so a renamed flag or axis choice fails here;
+        # nothing is run
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+                 if line.startswith("    phasemono ")]
+        assert len(lines) == 8
+        for argv in lines:
+            args = cli._build_parser().parse_args(argv)
+            if args.command == "sweep":
+                cli._parse_values(args.values, cli._SWEEPS[args.axis][0])
 
     def test_selftest_passes(self, selftest_run):
         # exit 0 means every row passed; the property tests name failing rows

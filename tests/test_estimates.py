@@ -501,6 +501,25 @@ class TestLadders:
         assert rep.rate == pytest.approx(ref.rate, rel=1e-10)
         assert np.array_equal(rep.values, values)
 
+    def test_n_ladder_reports_its_members_standalone_solves_bit_for_bit(self):
+        # each n member is a group of one, solved as itself with its float
+        # eps: on the logarithmic well a one-row stack rounds differently
+        cfg = get_scenario("log_sign")
+        ns = [8, 16, 32]
+        members = [build_problem(dataclasses.replace(cfg, modes=n, quadrature=None))
+                   for n in ns]
+        trajs = [solve(*member) for member in members]
+        ref = estimates._ladder_report("n", ns, [p.basis for p, _, _ in members],
+                                       [(tr.phi, tr.eta) for tr in trajs], None)
+        assert galerkin_convergence(cfg, ns).to_dict() == ref.to_dict()
+
+    def test_members_share_a_stack_only_where_they_differ_in_eps_alone(self):
+        cfg = get_scenario("obstacle_sign")
+        configs = [dataclasses.replace(cfg, **kw) for kw in (
+            {"eps": 0.1}, {"modes": 8}, {"eps": 0.01}, {"dt": cfg.dt / 2},
+            {"eps": 0.001, "dt": cfg.dt / 2}, {"modes": 8, "eps": 0.5})]
+        assert estimates._stack_groups(cfg, configs) == [[0, 2], [1, 5], [3, 4]]
+
     def test_eps_ladder_failure_not_of_a_row_names_the_first_eps(self, monkeypatch):
         def give_up(self, eps, v):
             raise ResolventError("gave up")
