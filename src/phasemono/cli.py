@@ -9,9 +9,12 @@ collapse, or a resolvent root-find that does not converge).
 All deterministic outputs (trajectory.csv, plot.csv, report.json, sweep.*)
 are byte-identical across repeated runs with the same config and seed; wall
 clock timings go to the separate timing.json, which is excluded from that
-guarantee.  A large CSV table is formatted by one niced forked child as well
-as by this process, a large trajectory.csv while the solve runs (see
-_TableWriter), and its bytes do not change.  A CSV table is written under a
+guarantee.  Every float of a CSV table is written as repr writes it: a
+float table with enough nonzero cells by the numpy kernel of _floatfmt,
+which gives the same bytes, and other rows through str.  A large CSV table
+is formatted by one niced forked child as well as by this process, a large
+trajectory.csv while the solve runs (see _TableWriter), and its bytes do
+not change.  A CSV table is written under a
 ".part" name and renamed once it is whole, so a failed write or solve leaves
 no partial table behind.  ``run`` and ``sweep`` delete their outputs of an
 earlier run from --out before the build, so a failure leaves none of them.
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, spectral
+from . import __version__, _floatfmt, spectral
 from .config import ConfigError, build_problem, parse_config, serialize_config
 from .dynamics import METHODS, BlowUpError, StepFailure, solve
 from .estimates import (
@@ -55,15 +58,30 @@ EXIT_BLOWUP = 4
 
 
 # A table of at least this many cells (rows x columns) is formatted by a forked
-# child as well as by this process, where fork exists.  Formatting floats by
-# repr is the cost of a large write; below this size a fork is not worth it.
+# child as well as by this process, where fork exists: even the kernel takes
+# about 0.3 µs a cell, too much to leave after the solve (see _TableWriter).
+# Below this size a fork is not worth it.
 _SPLIT_CELLS = 1 << 17
+
+# A float table with fewer nonzero cells is formatted by str: the kernel's
+# fixed cost of about 0.2 ms a call exceeds what it saves below about 240
+# cells.  The kernel takes a table in blocks of whole rows, of at most
+# _BLOCK_CELLS cells or of one row, so that a large table's text is not held
+# whole.
+_KERNEL_CELLS = 256
+_BLOCK_CELLS = 8192
 
 
 def _csv_lines(rows):
-    """One line per row, as ASCII bytes.  A table row is turned into Python
-    floats first, so every float is written by str, which is its repr; other
-    rows hold Python floats and blank strings."""
+    """One line per row, as ASCII bytes, each float as repr writes it.  A
+    float table with at least _KERNEL_CELLS nonzero cells is formatted by
+    ``_floatfmt.csv_text``; other rows, of a smaller table or of Python
+    floats and blank strings, by str."""
+    if isinstance(rows, np.ndarray) and np.count_nonzero(rows) >= _KERNEL_CELLS:
+        step = max(1, _BLOCK_CELLS // rows.shape[1])
+        for lo in range(0, len(rows), step):
+            yield from _floatfmt.csv_text(rows[lo:lo + step]).splitlines(keepends=True)
+        return
     for row in rows:
         cells = row.tolist() if isinstance(row, np.ndarray) else row
         yield (",".join(map(str, cells)) + "\n").encode("ascii")
@@ -72,6 +90,13 @@ def _csv_lines(rows):
 class _TableWriter:
     """Writes one CSV table to ``path``, formatting its rows in a forked
     child as well as in this process when the table is large.
+
+    Both processes format a row with ``_csv_lines``, so a row of enough
+    nonzero floats with the kernel of ``_floatfmt``.  That takes about a
+    third of str's time, but the 101 rows of 8197 cells of a 64-mode 2D
+    run still cost about 0.25 s of CPU.  The child formats them while the
+    solve runs, on another core where there is one, and leaves this process
+    the few rows still queued when the solve ends (``tail_rows``).
 
     ``rows(*source, lo, hi)`` builds rows ``lo`` to ``hi - 1`` (a table or a
     list of rows, of floats where the table forks) from the arrays in
@@ -107,6 +132,7 @@ class _TableWriter:
         self._width = 8 * len(header)   # bytes of a row in the row spool
         self._queue, self._spools, self._pid = [], [], None
         self._spooled = self._queued = 0    # rows below these are spooled, queued
+        self.tail_rows = None               # set by write
         self.forks = n_rows * len(header) >= _SPLIT_CELLS and hasattr(os, "fork") and self._fork()
 
     def __enter__(self):
@@ -153,7 +179,7 @@ class _TableWriter:
     def _line(self, j):
         """Row j's line, from the row spool."""
         row = os.pread(self._spools[0].fileno(), self._width, j * self._width)
-        return next(_csv_lines([np.frombuffer(row)]))
+        return next(_csv_lines(np.frombuffer(row)[None]))
 
     def ready(self, n, *source):
         """Rows below ``n`` can be built from ``source``: where ``forks``
@@ -171,12 +197,15 @@ class _TableWriter:
 
     def write(self, *source):
         """Write the table to ``path``; return how many processes formatted
-        its rows: 2 where a child was forked, else 1."""
+        its rows: 2 where a child was forked, else 1.  ``tail_rows`` then
+        holds how many rows this process formatted here: those it took from
+        the queue or never queued, or all where no child was forked."""
         if self.forks:
             self.ready(self.n_rows, *source)
             os.close(self._queue.pop())
             mine = {j: self._line(j) for j in itertools.chain(
                 iter(self._take, None), range(self._queued, self.n_rows))}
+            self.tail_rows = len(mine)
             status = os.waitpid(self._pid, 0)[1]
             self._pid = None
             if status != 0:
@@ -187,6 +216,7 @@ class _TableWriter:
             lines = (mine.pop(j) if j in mine else spool.readline() for j in range(self.n_rows))
         else:
             lines = _csv_lines(self._rows(*source, 0, self.n_rows))
+            self.tail_rows = self.n_rows
         part = self.path.with_name(self.path.name + ".part")
         try:
             with part.open("wb") as out:
@@ -334,6 +364,7 @@ def _cmd_run(args):
         "monitor_s": t3 - t2,
         "write_s": t4 - t3,
         "write_parts": parts,
+        "tail_rows": table.tail_rows,
     })
 
     print(f"run: {traj.stats['steps']} steps, "

@@ -304,7 +304,9 @@ def _grid_maps(basis, dm, pointwise, coupling):
         def explicit(b, g, y, record=False):
             xi = spectral.from_grid(basis, b)
             zeta = spectral.from_grid(basis, g) if pointwise else g
-            ex = y[..., :1, :] * c_phi + y[..., 1:, :] * c_theta - np.stack((xi, zeta), axis=-2)
+            ex = y[..., :1, :] * c_phi + y[..., 1:, :] * c_theta
+            ex[..., 0, :] -= xi
+            ex[..., 1, :] -= zeta
             return (ex, zeta, xi) if record else (ex, None, None)
 
         return analyse, explicit
@@ -479,9 +481,12 @@ def solve(params, initial, schedule, on_save=None):
 
     ``initial.phi0.coeffs`` and ``initial.eta0.coeffs`` are either vectors of
     the ``m`` basis modes or stacks of shape (B, m): B members that share
-    ``params`` (basis, coefficients, graph, forcing and eta*) and
-    ``schedule`` and are integrated as one state.  The trajectory's arrays
-    then have shape (n_saves, B, m), and row r of each follows member r.
+    ``params`` (basis, coefficients and graph) and ``schedule`` and are
+    integrated as one state.  The trajectory's arrays then have shape
+    (n_saves, B, m), and row r of each follows member r.  The members share
+    eta* and the forcing too, except where ``params.eta_star.coeffs`` is a
+    (B, m) stack or the forcing's samples have shape (n_t, B, m): member r
+    then follows row r of it.
     ``params.eps`` may then be a vector of B values, one per row: member r
     is regularized at ``eps[r]``, and the members share everything else.
     An eps vector on a single state, or of another length than B, is

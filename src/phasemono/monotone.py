@@ -506,6 +506,14 @@ class SubdiffBetaHat(MonotoneGraph):
 
     def yosida_kernel(self, eps):
         _check_eps(eps)
+        if self.variant == "obstacle":
+            # (x - clip(x))/eps, in place on the one array that maximum makes
+            def kernel(x):
+                r = np.maximum(x, -1.0)
+                np.minimum(r, 1.0, out=r)
+                np.subtract(x, r, out=r)
+                return np.divide(r, eps, out=r)
+            return kernel
         root = self._bind_root(eps)
         return lambda x: (x - root(x)) / eps
 

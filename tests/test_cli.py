@@ -399,12 +399,14 @@ class TestRun:
         assert cli.main(["run", "--scenario", "zero", "--out", str(out)]) == 0
         timing = json.loads((out / "timing.json").read_text())
         keys = ("wall_clock_seconds", "build_s", "solve_s", "monitor_s", "write_s")
-        assert set(timing) == {*keys, "write_parts"}
+        assert set(timing) == {*keys, "write_parts", "tail_rows"}
         assert all(timing[k] >= 0.0 for k in keys)
         # the whole run, its writes included
         assert timing["wall_clock_seconds"] >= sum(timing[k] for k in keys[1:]) - 1e-6
-        # the zero scenario's tables are far below the split threshold
+        # the zero scenario's tables are far below the split threshold, so
+        # this process formats every row of trajectory.csv after the solve
         assert timing["write_parts"] == 1
+        assert timing["tail_rows"] == get_scenario("zero").saves
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "zero"],
@@ -661,6 +663,10 @@ class TestTableWriter:
             out = tmp_path / sub
             assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
             assert write_parts(out) == (2 if split and sub != "no_fork" else 1)
+            # the rows of the 101 that this process formatted after the solve
+            tail = json.loads((out / "timing.json").read_text())["tail_rows"]
+            assert type(tail) is int and 0 <= tail <= 101
+            assert tail == 101 or write_parts(out) == 2
             outs.append(out)
         assert (outs[0] / "trajectory.csv").read_text() == reference_2d
         for fname in ("trajectory.csv", "plot.csv", "report.json"):

@@ -582,6 +582,28 @@ class TestStackedSolve:
         assert stack.stats["steps"] == alone.stats["steps"]
         assert stack.stats["rhs_evals"] == alone.stats["rhs_evals"]
 
+    def test_members_follow_their_own_eta_star_and_forcing(self):
+        # eta* as a (3, m) stack and forcing samples of shape (n_t, 3, m):
+        # row r of the stack is member r's standalone solve with row r of each
+        params, init, sched = build_problem(get_scenario("contraction_base"))
+        m = params.basis.total_modes
+        rng = np.random.default_rng(23)
+        stars = params.eta_star.coeffs + 0.05 * rng.standard_normal((3, m))
+        times = np.linspace(0.0, params.t_final, 5)
+        samples = params.forcing.at(times)[:, None, :] + 0.1 * rng.standard_normal((5, 3, m))
+        members = perturbed_members(init, 3)
+        stack = solve(dataclasses.replace(params, eta_star=FieldCoeffs(stars),
+                                          forcing=Forcing(times, samples)),
+                      stacked(members), sched)
+        for r, member in enumerate(members):
+            alone = solve(dataclasses.replace(params, eta_star=FieldCoeffs(stars[r]),
+                                              forcing=Forcing(times, samples[:, r])),
+                          member, sched)
+            for name in SERIES:
+                row, ref = getattr(stack, name)[:, r], getattr(alone, name)
+                scale = float(np.max(np.abs(ref)))
+                assert np.max(np.abs(row - ref)) <= 1e-12 * scale, (name, r)
+
     def test_one_member_rk45_is_the_unstacked_solve(self):
         params, init, sched = build_problem(
             dataclasses.replace(get_scenario("contraction_base"), method="rk45"))
