@@ -274,8 +274,11 @@ def _cells_text(x, end, cols):
     out[:, :_BODY] |= body
     out.view(np.uint32)[cells, 6] |= exp_ascii[row] & exponent[cls[cells]]
     out[end::cols, 28] = ord("\n")
-    for i in np.flatnonzero(slow):
-        text = (repr(float(x[i])) + ("\n" if (i - end) % cols == 0 else ",")).encode("ascii")
-        out[i] = 0
-        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    # the cells handed to repr, each followed by its separator; a repr text
+    # holds no NUL, so its length is its count of nonzero bytes
+    i = np.flatnonzero(slow)
+    texts = np.array([repr(v).encode() for v in x[i].tolist()], f"S{_WIDTH}")
+    texts = texts.view(np.uint8).reshape(-1, _WIDTH)
+    out[i] = texts
+    out[i, np.count_nonzero(texts, axis=1)] = np.where((i - end) % cols == 0, ord("\n"), ord(","))
     return out.tobytes().translate(None, b"\0")

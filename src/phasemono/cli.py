@@ -11,12 +11,12 @@ are byte-identical across repeated runs with the same config and seed; wall
 clock timings go to the separate timing.json, which is excluded from that
 guarantee.  Every float of a CSV table is written as repr writes it: a
 float table with enough nonzero cells by the numpy kernel of _floatfmt,
-which gives the same bytes, and other rows through str.  A large CSV table
-is formatted by one niced forked child as well as by this process, a large
-trajectory.csv while the solve runs (see _TableWriter), and its bytes do
-not change.  A CSV table is written under a
-".part" name and renamed once it is whole, so a failed write or solve leaves
-no partial table behind.  ``run`` and ``sweep`` delete their outputs of an
+which gives the same bytes, and other rows through str.  The rows of a
+large CSV table are formatted and written by one niced forked child, those
+of a large trajectory.csv while the solve runs (see _TableWriter), and its
+bytes do not change.  A CSV table is written under a ".part" name and
+renamed once it is whole, so a failed write or solve leaves no partial
+table behind.  ``run`` and ``sweep`` delete their outputs of an
 earlier run from --out before the build, so a failure leaves none of them.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import signal
@@ -57,10 +56,10 @@ EXIT_INVARIANT = 3
 EXIT_BLOWUP = 4
 
 
-# A table of at least this many cells (rows x columns) is formatted by a forked
-# child as well as by this process, where fork exists: even the kernel takes
-# about 0.3 µs a cell, too much to leave after the solve (see _TableWriter).
-# Below this size a fork is not worth it.
+# A table of at least this many cells (rows x columns) is formatted and written
+# by a forked child, where fork exists: even the kernel takes about 0.3 µs a
+# cell, too much to leave after the solve (see _TableWriter).  Below this size
+# a fork is not worth it.
 _SPLIT_CELLS = 1 << 17
 
 # A float table with fewer nonzero cells is formatted by str: the kernel's
@@ -88,15 +87,13 @@ def _csv_lines(rows):
 
 
 class _TableWriter:
-    """Writes one CSV table to ``path``, formatting its rows in a forked
-    child as well as in this process when the table is large.
+    """Writes one CSV table to ``path``; a forked child formats and writes
+    the rows of a large one.
 
-    Both processes format a row with ``_csv_lines``, so a row of enough
-    nonzero floats with the kernel of ``_floatfmt``.  That takes about a
-    third of str's time, but the 101 rows of 8197 cells of a 64-mode 2D
-    run still cost about 0.25 s of CPU.  The child formats them while the
-    solve runs, on another core where there is one, and leaves this process
-    the few rows still queued when the solve ends (``tail_rows``).
+    A row is formatted by ``_csv_lines``, by the kernel of ``_floatfmt``
+    where it has enough nonzero floats.  Even so, the 101 rows of 8197 cells
+    of a 64-mode 2D run cost about 0.25 s of CPU, which the child spends
+    while the solve runs, on another core where there is one.
 
     ``rows(*source, lo, hi)`` builds rows ``lo`` to ``hi - 1`` (a table or a
     list of rows, of floats where the table forks) from the arrays in
@@ -104,35 +101,31 @@ class _TableWriter:
     to ``path`` once whole, and its bytes are those one process writes.
 
     ``forks`` holds where the table has at least ``_SPLIT_CELLS`` cells and
-    one child was forked when the writer was created.  The child first
-    calls ``os.nice(19)``, so that beside the computation producing the rows
-    it yields the CPU rather than competes.  The rows pass through two
-    unlinked temporary files beside ``path``: the row spool, of the float64
-    rows this process builds, and the line spool, of the lines the child
-    formats.
+    one child was forked when the writer was created.  This process writes
+    the header first.  The child calls ``os.nice(19)``, so that beside the
+    computation producing the rows it yields the CPU rather than competes,
+    and appends every row's line.
 
-    - ``ready(n, *source)`` appends the rows below ``n`` not yet built to
-      the row spool and puts their indices on a queue pipe, 4 bytes per
-      write so each arrives whole.  The child takes indices from the queue
-      and appends their lines to the line spool until the queue is closed
-      and empty.
-    - ``write(*source)`` closes the queue and takes the indices left on it
-      as well.  Both processes take indices in increasing order, so row j's
-      line is this process's if it took j (or j found the queue full), and
-      else the next of the line spool.
+    - ``ready(n, *source)`` appends the float64 rows below ``n`` not yet
+      built to the row spool, an unlinked temporary file beside ``path``,
+      and writes the count ``n`` on a pipe, 4 bytes that arrive whole.  At
+      each read the child takes every count waiting and formats the
+      spooled rows below the last.
+    - ``write(*source)`` sends the last rows, closes the pipe and waits for
+      the child.
 
-    A refused fork leaves the table to this process, and a failed child
-    raises OSError naming the file.  ``close``, also run on leaving a
-    ``with`` block, kills and reaps a child still alive and closes the
-    queue and the spools.
+    A refused fork leaves the table to this process.  A failed child raises
+    OSError naming the file, from ``write`` or from a ``ready`` that finds
+    the pipe closed.  ``close``, also run on leaving a ``with`` block, kills
+    and reaps a child still alive, closes the pipe and the spool, and
+    deletes a ".part" file left behind.
     """
 
     def __init__(self, path, header, n_rows, rows):
         self.path, self.header, self.n_rows, self._rows = path, header, n_rows, rows
-        self._width = 8 * len(header)   # bytes of a row in the row spool
-        self._queue, self._spools, self._pid = [], [], None
-        self._spooled = self._queued = 0    # rows below these are spooled, queued
-        self.tail_rows = None               # set by write
+        self._part = path.with_name(path.name + ".part")
+        self._pipe = self._spool = self._pid = None
+        self._spooled = 0                   # rows below this are spooled
         self.forks = n_rows * len(header) >= _SPLIT_CELLS and hasattr(os, "fork") and self._fork()
 
     def __enter__(self):
@@ -141,109 +134,110 @@ class _TableWriter:
     def __exit__(self, *exc):
         self.close()
 
+    def _header(self):
+        return (",".join(self.header) + "\n").encode("ascii")
+
     def _fork(self):
-        """Fork the child; return False if the queue, a spool or the fork
-        cannot be made."""
+        """Fork the child; return False if the spool, the pipe, the ".part"
+        file or the fork cannot be made."""
         # the child must not inherit unwritten output that it could write again
         sys.stdout.flush()
         sys.stderr.flush()
         try:
-            self._queue = list(os.pipe())
-            os.set_blocking(self._queue[1], False)
-            self._spools = [tempfile.TemporaryFile(dir=self.path.parent) for _ in range(2)]
-            pid = os.fork()
+            self._spool = tempfile.TemporaryFile(dir=self.path.parent)
+            counts, self._pipe = os.pipe()
+            try:
+                with self._part.open("wb") as part:
+                    part.write(self._header())
+                    part.flush()
+                    pid = os.fork()
+                    if pid == 0:
+                        self._format(counts, part)
+            finally:
+                # the child's copy is then the last read end, so that its
+                # death breaks the pipe
+                os.close(counts)
         except OSError:
             self.close()
             return False
-        if pid == 0:
-            status = 1
-            try:
-                os.close(self._queue.pop())
-                with contextlib.suppress(OSError):
-                    os.nice(19)
-                lines = self._spools[1]
-                for j in iter(self._take, None):
-                    lines.write(self._line(j))
-                lines.flush()
-                status = 0
-            finally:
-                os._exit(status)
         self._pid = pid
         return True
 
-    def _take(self):
-        """The next index on the queue, or None once it is closed and empty."""
-        record = os.read(self._queue[0], 4)
-        return int.from_bytes(record, "little") if record else None
+    def _format(self, counts, part):
+        """In the child: append the lines of the spooled rows to ``part`` as
+        their counts arrive on the pipe, until it is closed; then exit."""
+        status = 1
+        try:
+            os.close(self._pipe)
+            with contextlib.suppress(OSError):
+                os.nice(19)
+            done, width = 0, 8 * len(self.header)
+            while waiting := os.read(counts, 1 << 16):
+                n = int.from_bytes(waiting[-4:], "little")
+                block = os.pread(self._spool.fileno(), (n - done) * width, done * width)
+                part.writelines(_csv_lines(np.frombuffer(block).reshape(n - done, -1)))
+                done = n
+            part.flush()
+            status = 0
+        finally:
+            os._exit(status)
 
-    def _line(self, j):
-        """Row j's line, from the row spool."""
-        row = os.pread(self._spools[0].fileno(), self._width, j * self._width)
-        return next(_csv_lines(np.frombuffer(row)[None]))
+    def _reap(self):
+        """Wait for the child; raise OSError if it failed."""
+        status = os.waitpid(self._pid, 0)[1]
+        self._pid = None
+        if status != 0:
+            raise OSError(f"cannot write {self.path}: the process formatting its rows "
+                          f"exited with code {os.waitstatus_to_exitcode(status)}")
 
     def ready(self, n, *source):
         """Rows below ``n`` can be built from ``source``: where ``forks``
-        holds, spool and queue those not yet spooled."""
+        holds, spool those not yet spooled and send their count."""
         if not self.forks or n <= self._spooled:
             return
-        spool = self._spools[0]
-        spool.write(np.asarray(self._rows(*source, self._spooled, n), np.float64).tobytes())
-        spool.flush()
+        self._spool.write(np.asarray(self._rows(*source, self._spooled, n), np.float64).tobytes())
+        self._spool.flush()
         self._spooled = n
-        with contextlib.suppress(BlockingIOError):      # the queue is full
-            while self._queued < n:
-                os.write(self._queue[1], self._queued.to_bytes(4, "little"))
-                self._queued += 1
+        try:
+            os.write(self._pipe, n.to_bytes(4, "little"))
+        except BrokenPipeError:
+            self._reap()
+            raise
 
     def write(self, *source):
-        """Write the table to ``path``; return how many processes formatted
-        its rows: 2 where a child was forked, else 1.  ``tail_rows`` then
-        holds how many rows this process formatted here: those it took from
-        the queue or never queued, or all where no child was forked."""
+        """Write the table to ``path``; return how many processes wrote it:
+        2 where a child was forked, else 1."""
         if self.forks:
             self.ready(self.n_rows, *source)
-            os.close(self._queue.pop())
-            mine = {j: self._line(j) for j in itertools.chain(
-                iter(self._take, None), range(self._queued, self.n_rows))}
-            self.tail_rows = len(mine)
-            status = os.waitpid(self._pid, 0)[1]
-            self._pid = None
-            if status != 0:
-                raise OSError(f"cannot write {self.path}: the process formatting its rows "
-                              f"exited with code {os.waitstatus_to_exitcode(status)}")
-            spool = self._spools[1]
-            spool.seek(0)
-            lines = (mine.pop(j) if j in mine else spool.readline() for j in range(self.n_rows))
+            os.close(self._pipe)
+            self._pipe = None
+            self._reap()
         else:
-            lines = _csv_lines(self._rows(*source, 0, self.n_rows))
-            self.tail_rows = self.n_rows
-        part = self.path.with_name(self.path.name + ".part")
-        try:
-            with part.open("wb") as out:
-                out.write((",".join(self.header) + "\n").encode("ascii"))
-                out.writelines(lines)
-            os.replace(part, self.path)
-        except BaseException:
-            part.unlink(missing_ok=True)
-            raise
+            with self._part.open("wb") as part:
+                part.write(self._header())
+                part.writelines(_csv_lines(self._rows(*source, 0, self.n_rows)))
+        os.replace(self._part, self.path)
         return 2 if self.forks else 1
 
     def close(self):
-        """Kill and reap a child still alive, and close the queue and the
-        spools."""
+        """Kill and reap a child still alive, close the pipe and the spool,
+        and delete the ".part" file if it is left."""
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
-        while self._queue:
-            os.close(self._queue.pop())
-        while self._spools:
-            self._spools.pop().close()
+        if self._pipe is not None:
+            os.close(self._pipe)
+            self._pipe = None
+        if self._spool is not None:
+            self._spool.close()
+            self._spool = None
+        self._part.unlink(missing_ok=True)
 
 
 def _write_csv(path, header, rows):
     """Write ``rows`` (a table or a list of rows) under ``header``; return
-    how many processes formatted them (see ``_TableWriter``)."""
+    how many processes wrote them (see ``_TableWriter``)."""
     with _TableWriter(path, header, len(rows), lambda table, lo, hi: table[lo:hi]) as writer:
         return writer.write(rows)
 
@@ -364,7 +358,6 @@ def _cmd_run(args):
         "monitor_s": t3 - t2,
         "write_s": t4 - t3,
         "write_parts": parts,
-        "tail_rows": table.tail_rows,
     })
 
     print(f"run: {traj.stats['steps']} steps, "

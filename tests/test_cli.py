@@ -4,8 +4,11 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import shlex
+import signal
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,26 @@ from phasemono.config import (
 from phasemono.dynamics import solve
 from phasemono.monotone import ResolventError, ScalarSign, SubdiffBetaHat
 from phasemono.scenarios import SCENARIOS, get_scenario, scenario_names
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_or_fd_left():
+    """Every test leaves no child process, and no open fd where
+    /proc/self/fd can count them."""
+    fds = open_fds() if Path("/proc/self/fd").is_dir() else None
+    yield
+    assert_no_child()
+    if fds is not None:
+        assert open_fds() == fds
 
 
 def edited_config(scenario, edits):
@@ -399,14 +422,13 @@ class TestRun:
         assert cli.main(["run", "--scenario", "zero", "--out", str(out)]) == 0
         timing = json.loads((out / "timing.json").read_text())
         keys = ("wall_clock_seconds", "build_s", "solve_s", "monitor_s", "write_s")
-        assert set(timing) == {*keys, "write_parts", "tail_rows"}
+        assert set(timing) == {*keys, "write_parts"}
         assert all(timing[k] >= 0.0 for k in keys)
         # the whole run, its writes included
         assert timing["wall_clock_seconds"] >= sum(timing[k] for k in keys[1:]) - 1e-6
         # the zero scenario's tables are far below the split threshold, so
-        # this process formats every row of trajectory.csv after the solve
+        # this process formats them after the solve
         assert timing["write_parts"] == 1
-        assert timing["tail_rows"] == get_scenario("zero").saves
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "zero"],
@@ -455,15 +477,6 @@ def csv_reference(header, table):
                    + [",".join(map(repr, row)) + "\n" for row in table.tolist()])
 
 
-def open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def failing_formatter(monkeypatch, in_parent):
     """Make cli._csv_lines raise in this process or only in a forked one."""
     parent, real = os.getpid(), cli._csv_lines
@@ -474,17 +487,6 @@ def failing_formatter(monkeypatch, in_parent):
         return real(rows)
 
     monkeypatch.setattr(cli, "_csv_lines", lines)
-
-
-def takes_nothing(monkeypatch, in_parent):
-    """Make the table writer find its queue empty in this process or only in
-    a forked one, so that the other process formats every queued row."""
-    parent, real = os.getpid(), cli._TableWriter._take
-
-    def take(self):
-        return None if (os.getpid() == parent) == in_parent else real(self)
-
-    monkeypatch.setattr(cli._TableWriter, "_take", take)
 
 
 @pytest.fixture
@@ -525,7 +527,6 @@ def write_parts(out):
     return json.loads((out / "timing.json").read_text())["write_parts"]
 
 
-@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts /proc/self/fd")
 class TestTableWriter:
     rng = np.random.default_rng(4)
     # above the split threshold; magnitudes from 1e-30 to 1e30, signed zeros
@@ -533,15 +534,8 @@ class TestTableWriter:
     big = rng.standard_normal((131, 1001)) * 10.0 ** rng.integers(-30, 30, (131, 1001))
     big[0, :6] = (0.0, -0.0, 1e16, 1e-5, 5e-324, -1.7976931348623157e308)
     header = [f"c{i}" for i in range(big.shape[1])]
-    # more rows than a queue pipe of 64 KiB holds records of 4 bytes
+    # more rows than a pipe of 64 KiB holds counts of 4 bytes
     long = rng.standard_normal((20000, 7))
-
-    @pytest.fixture(autouse=True)
-    def no_child_or_fd_left(self):
-        fds = open_fds()
-        yield
-        assert_no_child()
-        assert open_fds() == fds
 
     @pytest.fixture(scope="class")
     def big_text(self):
@@ -578,28 +572,53 @@ class TestTableWriter:
         assert not forks
         assert path.read_text() == csv_reference(self.header, table)
 
-    @pytest.mark.parametrize("idle", ["parent", "child"])
-    @pytest.mark.parametrize("shape", ["big", "short_rows", "long"])
-    def test_either_process_may_format_every_row(self, tmp_path, needs_fork, monkeypatch,
-                                                 idle, shape):
-        # whichever process takes the queued rows, the lines are put back in
-        # row order; short lines and a queue too full for every row included
-        table, header = {"big": (self.big, self.header),
-                         "short_rows": (self.big[:7, :3], self.header[:3]),
+    @pytest.mark.parametrize("shape", ["short_rows", "long"])
+    def test_the_child_writes_every_row(self, tmp_path, needs_fork, monkeypatch, shape):
+        # one count a row, more of them than the pipe holds for "long"; this
+        # process formats no row, and holds one spool and the pipe's write end
+        table, header = {"short_rows": (self.big[:7, :3], self.header[:3]),
                          "long": (self.long, self.header[:7])}[shape]
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
-        takes_nothing(monkeypatch, in_parent=idle == "parent")
+        failing_formatter(monkeypatch, in_parent=True)
         forks = count_forks(monkeypatch)
         path = tmp_path / "t.csv"
+        fds = open_fds() if Path("/proc/self/fd").is_dir() else None
         with cli._TableWriter(path, header, len(table), lambda t, lo, hi: t[lo:hi]) as writer:
             assert writer.forks
-            writer.ready(len(table), table)
-            if idle == "child" and shape == "long":
-                assert writer._queued < len(table)      # the queue is full
+            assert fds is None or open_fds() == fds + 2
+            for n in range(1, len(table) + 1):
+                writer.ready(n, table)
             assert writer.write(table) == 2
         assert len(forks) == 1
         assert path.read_text() == csv_reference(header, table)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_a_dead_child_never_hangs_the_run(self, tmp_path, needs_fork, monkeypatch):
+        # the child fails on its first rows; this process, which would block
+        # for good on a full pipe that the child no longer reads, must find
+        # the pipe closed and name the file
+        monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
+        failing_formatter(monkeypatch, in_parent=False)
+        path, header = tmp_path / "t.csv", self.header[:7]
+
+        def hang(signum, frame):
+            pytest.fail("the run hangs on a dead child")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(60)
+        try:
+            with pytest.raises(OSError, match=re.escape(
+                    f"cannot write {path}: the process formatting its rows exited with code 1")):
+                with cli._TableWriter(path, header, len(self.long),
+                                      lambda t, lo, hi: t[lo:hi]) as writer:
+                    assert writer.forks
+                    for n in range(1, len(self.long) + 1):
+                        writer.ready(n, self.long)
+                    writer.write(self.long)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not any(tmp_path.iterdir())  # no table, part file or spool
 
     def test_fork_refused_writes_in_one_process(self, tmp_path, needs_fork, monkeypatch,
                                                 big_text):
@@ -611,11 +630,9 @@ class TestTableWriter:
 
     def test_child_failure_exits_2_and_leaves_nothing(self, tmp_path, capsys, needs_fork,
                                                       monkeypatch):
-        # under a threshold of one cell even the zero scenario's table forks,
-        # and the child formats every row
+        # under a threshold of one cell even the zero scenario's table forks
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
         failing_formatter(monkeypatch, in_parent=False)
-        takes_nothing(monkeypatch, in_parent=True)
         out = tmp_path / "o"
         assert cli.main(["run", "--scenario", "zero", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -625,19 +642,29 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("failing", ["rows", "formatter"])
     def test_parent_failure_reaps_the_child(self, tmp_path, needs_fork, monkeypatch, failing):
+        # this process fails building the rows, or while the child formats
+        # them (here for a minute): the child is killed, not waited for
+        parent, real = os.getpid(), cli._csv_lines
+
         def rows(table, lo, hi):
             if failing == "rows":
                 raise RuntimeError("rows failed")
             return table[lo:hi]
 
-        if failing == "formatter":
-            failing_formatter(monkeypatch, in_parent=True)
-            takes_nothing(monkeypatch, in_parent=False)
-        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        def lines(rows):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return real(rows)
+
+        monkeypatch.setattr(cli, "_csv_lines", lines)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="failed"):
             with cli._TableWriter(tmp_path / "t.csv", self.header, len(self.big),
                                   rows) as writer:
                 assert writer.forks
-                writer.write(self.big)
+                writer.ready(1, self.big)
+                raise RuntimeError("the solve failed")
+        assert time.monotonic() - start < 30
         assert not any(tmp_path.iterdir())
 
     def test_pending_output_printed_once(self, tmp_path, capfd, needs_fork, monkeypatch):
@@ -663,10 +690,6 @@ class TestTableWriter:
             out = tmp_path / sub
             assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
             assert write_parts(out) == (2 if split and sub != "no_fork" else 1)
-            # the rows of the 101 that this process formatted after the solve
-            tail = json.loads((out / "timing.json").read_text())["tail_rows"]
-            assert type(tail) is int and 0 <= tail <= 101
-            assert tail == 101 or write_parts(out) == 2
             outs.append(out)
         assert (outs[0] / "trajectory.csv").read_text() == reference_2d
         for fname in ("trajectory.csv", "plot.csv", "report.json"):
@@ -697,11 +720,11 @@ class TestTableWriter:
     def test_the_fork_precedes_the_solve_and_saves_are_queued(self, tmp_path, needs_fork,
                                                               monkeypatch, reference_2d):
         forks, real_solve, real_ready = count_forks(monkeypatch), cli.solve, cli._TableWriter.ready
-        queued = []     # (rows ready, rows queued) after each save
+        queued = []     # (rows ready, rows spooled and counted) after each save
 
         def ready(self, n, *source):
             real_ready(self, n, *source)
-            queued.append((n, self._queued))
+            queued.append((n, self._spooled))
 
         def solve(*args, on_save=None):
             assert len(forks) == 1 and on_save is not None
@@ -719,7 +742,7 @@ class TestTableWriter:
 
     def test_the_child_formats_at_a_lower_priority(self, tmp_path, needs_fork, monkeypatch,
                                                    big_text):
-        # the child formats every row, and fails unless it runs niced
+        # the child fails unless it runs niced
         parent, priority = os.getpid(), os.getpriority(os.PRIO_PROCESS, 0)
         if priority >= 19:
             pytest.skip("this process already runs at the least priority")
@@ -731,7 +754,6 @@ class TestTableWriter:
             return real(rows)
 
         monkeypatch.setattr(cli, "_csv_lines", lines)
-        takes_nothing(monkeypatch, in_parent=True)
         path = tmp_path / "t.csv"
         assert cli._write_csv(path, self.header, self.big) == 2
         assert path.read_text() == big_text
