@@ -1,10 +1,10 @@
 """The CSV text of a float64 table, each float written as ``repr`` writes it.
 
 ``csv_text(table)`` gives, for every row of a 2-D float64 table, the bytes
-of ``",".join(map(str, row.tolist())) + "\\n"``, computed with numpy for the
-whole table at once.  Formatting one float at a time through ``repr`` costs
-about 1 µs a cell, and that is most of the time it takes to write a large
-table.
+of ``",".join(map(str, row.tolist())) + "\\n"``, computed with numpy
+``_CHUNK`` cells at a time, one block of text each.  Formatting one float
+at a time through ``repr`` costs about 1 µs a cell, and that is most of the
+time it takes to write a large table.
 
 ``repr`` writes the shortest digits that read back as the float and, of
 those, the ones nearest to it (David Gay's ``dtoa`` in mode 0).  It writes
@@ -215,13 +215,14 @@ def _shortest(a):
 
 def csv_text(table):
     """The CSV lines of a 2-D float64 table's rows, as ``repr`` writes each
-    float, joined into one bytes object."""
+    float, as byte blocks of the text of at most ``_CHUNK`` cells each."""
     rows, cols = table.shape
     x = np.ascontiguousarray(table, dtype=np.float64).ravel()
     if not x.size:
-        return b"\n" * rows
-    return b"".join(_cells_text(x[lo:lo + _CHUNK], (cols - 1 - lo) % cols, cols)
-                    for lo in range(0, x.size, _CHUNK))
+        yield b"\n" * rows
+        return
+    for lo in range(0, x.size, _CHUNK):
+        yield _cells_text(x[lo:lo + _CHUNK], (cols - 1 - lo) % cols, cols)
 
 
 def _cells_text(x, end, cols):

@@ -10,14 +10,15 @@ All deterministic outputs (trajectory.csv, plot.csv, report.json, sweep.*)
 are byte-identical across repeated runs with the same config and seed; wall
 clock timings go to the separate timing.json, which is excluded from that
 guarantee.  Every float of a CSV table is written as repr writes it: a
-float table with enough nonzero cells by the numpy kernel of _floatfmt,
-which gives the same bytes, and other rows through str.  The rows of a
-large CSV table are formatted and written by one niced forked child, those
-of a large trajectory.csv while the solve runs (see _TableWriter), and its
-bytes do not change.  A CSV table is written under a ".part" name and
-renamed once it is whole, so a failed write or solve leaves no partial
-table behind.  ``run`` and ``sweep`` delete their outputs of an
-earlier run from --out before the build, so a failure leaves none of them.
+float table by the numpy kernel of _floatfmt, which gives the same bytes,
+and the list rows of sweep.csv through str.  The rows of a large CSV table
+are sent down a pipe to one niced forked child, which formats and writes
+them, those of a large trajectory.csv while the solve runs (see
+_TableWriter); its bytes do not change.  Every output file is written
+under a ".part" name and renamed once it is whole, so a failed write or
+solve leaves no partial file behind.  ``run``, ``sweep`` and
+``graph-selftest --out`` delete their outputs of an earlier run from --out
+before they compute, so a failure leaves none of them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import json
 import os
 import signal
 import sys
-import tempfile
 import time
 from dataclasses import replace
 from functools import partial
@@ -62,28 +62,28 @@ EXIT_BLOWUP = 4
 # a fork is not worth it.
 _SPLIT_CELLS = 1 << 17
 
-# A float table with fewer nonzero cells is formatted by str: the kernel's
-# fixed cost of about 0.2 ms a call exceeds what it saves below about 240
-# cells.  The kernel takes a table in blocks of whole rows, of at most
-# _BLOCK_CELLS cells or of one row, so that a large table's text is not held
-# whole.
-_KERNEL_CELLS = 256
-_BLOCK_CELLS = 8192
-
 
 def _csv_lines(rows):
-    """One line per row, as ASCII bytes, each float as repr writes it.  A
-    float table with at least _KERNEL_CELLS nonzero cells is formatted by
-    ``_floatfmt.csv_text``; other rows, of a smaller table or of Python
-    floats and blank strings, by str."""
-    if isinstance(rows, np.ndarray) and np.count_nonzero(rows) >= _KERNEL_CELLS:
-        step = max(1, _BLOCK_CELLS // rows.shape[1])
-        for lo in range(0, len(rows), step):
-            yield from _floatfmt.csv_text(rows[lo:lo + step]).splitlines(keepends=True)
-        return
-    for row in rows:
-        cells = row.tolist() if isinstance(row, np.ndarray) else row
-        yield (",".join(map(str, cells)) + "\n").encode("ascii")
+    """The lines of ``rows`` as ASCII byte blocks, each float as repr writes
+    it: a float table's by ``_floatfmt.csv_text``, list rows (of Python
+    floats and blank strings) by str."""
+    if isinstance(rows, np.ndarray):
+        return _floatfmt.csv_text(rows)
+    return ((",".join(map(str, row)) + "\n").encode("ascii") for row in rows)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Open ``path`` with ".part" appended to write bytes; rename it to
+    ``path`` when the block ends, or delete it if the block raises, so that
+    ``path`` is never left partly written."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("wb") as f:
+            yield f
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 class _TableWriter:
@@ -91,9 +91,9 @@ class _TableWriter:
     the rows of a large one.
 
     A row is formatted by ``_csv_lines``, by the kernel of ``_floatfmt``
-    where it has enough nonzero floats.  Even so, the 101 rows of 8197 cells
-    of a 64-mode 2D run cost about 0.25 s of CPU, which the child spends
-    while the solve runs, on another core where there is one.
+    where it is a float.  Even so, the 101 rows of 8197 cells of a 64-mode
+    2D run cost about 0.25 s of CPU, which the child spends while the solve
+    runs, on another core where there is one.
 
     ``rows(*source, lo, hi)`` builds rows ``lo`` to ``hi - 1`` (a table or a
     list of rows, of floats where the table forks) from the arrays in
@@ -106,26 +106,26 @@ class _TableWriter:
     computation producing the rows it yields the CPU rather than competes,
     and appends every row's line.
 
-    - ``ready(n, *source)`` appends the float64 rows below ``n`` not yet
-      built to the row spool, an unlinked temporary file beside ``path``,
-      and writes the count ``n`` on a pipe, 4 bytes that arrive whole.  At
-      each read the child takes every count waiting and formats the
-      spooled rows below the last.
+    - ``ready(n, *source)`` writes the float64 bytes of the rows below ``n``
+      not yet sent into a pipe.  A full pipe makes it wait for the child.
+      The child reads what the pipe holds, formats the whole rows in it and
+      keeps the rest for the next read.
     - ``write(*source)`` sends the last rows, closes the pipe and waits for
-      the child.
+      the child, which stops at the end of the pipe.
 
-    A refused fork leaves the table to this process.  A failed child raises
-    OSError naming the file, from ``write`` or from a ``ready`` that finds
-    the pipe closed.  ``close``, also run on leaving a ``with`` block, kills
-    and reaps a child still alive, closes the pipe and the spool, and
+    While the child runs, this process holds the pipe's write end and no
+    other file.  A refused fork leaves the table to this process.  A
+    failed child raises OSError naming the file, from ``write`` or from a
+    ``ready`` that finds the pipe broken.  ``close``, also run on leaving a
+    ``with`` block, kills and reaps a child still alive, closes the pipe and
     deletes a ".part" file left behind.
     """
 
     def __init__(self, path, header, n_rows, rows):
         self.path, self.header, self.n_rows, self._rows = path, header, n_rows, rows
         self._part = path.with_name(path.name + ".part")
-        self._pipe = self._spool = self._pid = None
-        self._spooled = 0                   # rows below this are spooled
+        self._pipe = self._pid = None
+        self._sent = 0                      # rows below this are in the pipe
         self.forks = n_rows * len(header) >= _SPLIT_CELLS and hasattr(os, "fork") and self._fork()
 
     def __enter__(self):
@@ -138,45 +138,45 @@ class _TableWriter:
         return (",".join(self.header) + "\n").encode("ascii")
 
     def _fork(self):
-        """Fork the child; return False if the spool, the pipe, the ".part"
-        file or the fork cannot be made."""
+        """Fork the child; return False if the pipe, the ".part" file or the
+        fork cannot be made."""
         # the child must not inherit unwritten output that it could write again
         sys.stdout.flush()
         sys.stderr.flush()
         try:
-            self._spool = tempfile.TemporaryFile(dir=self.path.parent)
-            counts, self._pipe = os.pipe()
+            read_end, self._pipe = os.pipe()
             try:
                 with self._part.open("wb") as part:
                     part.write(self._header())
                     part.flush()
                     pid = os.fork()
                     if pid == 0:
-                        self._format(counts, part)
+                        self._format(read_end, part)
             finally:
                 # the child's copy is then the last read end, so that its
                 # death breaks the pipe
-                os.close(counts)
+                os.close(read_end)
         except OSError:
             self.close()
             return False
         self._pid = pid
         return True
 
-    def _format(self, counts, part):
-        """In the child: append the lines of the spooled rows to ``part`` as
-        their counts arrive on the pipe, until it is closed; then exit."""
+    def _format(self, read_end, part):
+        """In the child: append the lines of the rows read from the pipe to
+        ``part`` until the pipe is closed; then exit."""
         status = 1
         try:
             os.close(self._pipe)
             with contextlib.suppress(OSError):
                 os.nice(19)
-            done, width = 0, 8 * len(self.header)
-            while waiting := os.read(counts, 1 << 16):
-                n = int.from_bytes(waiting[-4:], "little")
-                block = os.pread(self._spool.fileno(), (n - done) * width, done * width)
-                part.writelines(_csv_lines(np.frombuffer(block).reshape(n - done, -1)))
-                done = n
+            cols, held = len(self.header), b""
+            while block := os.read(read_end, 1 << 20):
+                held += block
+                whole = len(held) // (8 * cols)
+                part.writelines(_csv_lines(
+                    np.frombuffer(held, count=whole * cols).reshape(whole, cols)))
+                held = held[whole * 8 * cols:]
             part.flush()
             status = 0
         finally:
@@ -192,36 +192,36 @@ class _TableWriter:
 
     def ready(self, n, *source):
         """Rows below ``n`` can be built from ``source``: where ``forks``
-        holds, spool those not yet spooled and send their count."""
-        if not self.forks or n <= self._spooled:
+        holds, write those not yet sent into the pipe."""
+        if not self.forks or n <= self._sent:
             return
-        self._spool.write(np.asarray(self._rows(*source, self._spooled, n), np.float64).tobytes())
-        self._spool.flush()
-        self._spooled = n
+        data = memoryview(np.asarray(self._rows(*source, self._sent, n), np.float64).tobytes())
         try:
-            os.write(self._pipe, n.to_bytes(4, "little"))
+            while data:
+                data = data[os.write(self._pipe, data):]
         except BrokenPipeError:
             self._reap()
             raise
+        self._sent = n
 
     def write(self, *source):
         """Write the table to ``path``; return how many processes wrote it:
         2 where a child was forked, else 1."""
-        if self.forks:
-            self.ready(self.n_rows, *source)
-            os.close(self._pipe)
-            self._pipe = None
-            self._reap()
-        else:
-            with self._part.open("wb") as part:
+        if not self.forks:
+            with _replacing(self.path) as part:
                 part.write(self._header())
                 part.writelines(_csv_lines(self._rows(*source, 0, self.n_rows)))
+            return 1
+        self.ready(self.n_rows, *source)
+        os.close(self._pipe)
+        self._pipe = None
+        self._reap()
         os.replace(self._part, self.path)
-        return 2 if self.forks else 1
+        return 2
 
     def close(self):
-        """Kill and reap a child still alive, close the pipe and the spool,
-        and delete the ".part" file if it is left."""
+        """Kill and reap a child still alive, close the pipe, and delete the
+        ".part" file if it is left."""
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
@@ -229,9 +229,6 @@ class _TableWriter:
         if self._pipe is not None:
             os.close(self._pipe)
             self._pipe = None
-        if self._spool is not None:
-            self._spool.close()
-            self._spool = None
         self._part.unlink(missing_ok=True)
 
 
@@ -254,7 +251,8 @@ def _trajectory_rows(basis, dm, times, phi, theta, lo, hi):
 
 
 def _json_dump(path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _replacing(path) as f:
+        f.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii"))
 
 
 def _exit_for(failures):
@@ -417,6 +415,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_selftest(args):
+    out = args.out and _fresh_out(args.out, ("selftest.json",))
     rows = run_selftest()
     widths = [14, 26, 30, 6]
     header = ["suite", "variant", "property", "result", "worst", "detail"]
@@ -427,9 +426,7 @@ def _cmd_selftest(args):
         print("  ".join(c.ljust(w) for c, w in zip(cells, widths))
               + f"  {cells[4]}  {cells[5]}")
         failed += 0 if r.passed else 1
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         _json_dump(out / "selftest.json", {
             "tool_version": __version__,
             "results": [

@@ -443,6 +443,47 @@ class TestRun:
         assert "output error" in err and "/dev/null/x" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, name", [
+        *((["run", "--scenario", "zero"], name)
+          for name in ("trajectory.csv", "plot.csv", "report.json", "timing.json")),
+        *((["sweep", "--scenario", "tanh_front", "--axis", "n", "--values", "8 16"], name)
+          for name in ("sweep.json", "sweep.csv")),
+        (["graph-selftest"], "selftest.json"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_a_write_failing_part_way_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                     argv, name):
+        # the first write to the file puts half its bytes on disk, then fails
+        # as a full disk would
+        monkeypatch.setattr(cli, "run_selftest", lambda: [])
+        real_open, written = Path.open, []
+
+        class HalfWritten:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                written.append(self.f.write(data[:len(data) // 2]))
+                self.f.flush()
+                raise OSError(28, "No space left on device")
+
+        def open_(path, *args, **kwargs):
+            f = real_open(path, *args, **kwargs)
+            return HalfWritten(f) if path.name == f"{name}.part" else f
+
+        monkeypatch.setattr(Path, "open", open_)
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("output error")
+        assert written and written[0] > 0
+        assert not (out / name).exists()
+        assert not (out / f"{name}.part").exists()
+
     def test_threads_option_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "--scenario", "zero", "--out", str(tmp_path / "o"),
@@ -534,8 +575,27 @@ class TestTableWriter:
     big = rng.standard_normal((131, 1001)) * 10.0 ** rng.integers(-30, 30, (131, 1001))
     big[0, :6] = (0.0, -0.0, 1e16, 1e-5, 5e-324, -1.7976931348623157e308)
     header = [f"c{i}" for i in range(big.shape[1])]
-    # more rows than a pipe of 64 KiB holds counts of 4 bytes
+    # 1.1 MB of rows, more than a pipe of 64 KiB holds
     long = rng.standard_normal((20000, 7))
+
+    @pytest.fixture(autouse=True)
+    def bounded(self):
+        """Fail a test still running after 60 s: this process waits on a full
+        pipe, so a child that stops reading it would hang the test."""
+        if not hasattr(signal, "SIGALRM"):
+            yield
+            return
+
+        def hang(signum, frame):
+            pytest.fail("the run hangs on its child")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.fixture(scope="class")
     def big_text(self):
@@ -562,7 +622,7 @@ class TestTableWriter:
         assert cli._write_csv(path, self.header, self.big) == 2
         assert len(forks) == 1
         assert path.read_text() == big_text
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]  # spools unlinked
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]  # no part file
 
     def test_a_small_table_never_forks(self, tmp_path, needs_fork, monkeypatch):
         forks, table = count_forks(monkeypatch), self.big[:5]
@@ -574,8 +634,8 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("shape", ["short_rows", "long"])
     def test_the_child_writes_every_row(self, tmp_path, needs_fork, monkeypatch, shape):
-        # one count a row, more of them than the pipe holds for "long"; this
-        # process formats no row, and holds one spool and the pipe's write end
+        # one write a row, more bytes than the pipe holds for "long"; this
+        # process formats no row, and holds the pipe's write end and no file
         table, header = {"short_rows": (self.big[:7, :3], self.header[:3]),
                          "long": (self.long, self.header[:7])}[shape]
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
@@ -585,9 +645,9 @@ class TestTableWriter:
         fds = open_fds() if Path("/proc/self/fd").is_dir() else None
         with cli._TableWriter(path, header, len(table), lambda t, lo, hi: t[lo:hi]) as writer:
             assert writer.forks
-            assert fds is None or open_fds() == fds + 2
             for n in range(1, len(table) + 1):
                 writer.ready(n, table)
+            assert fds is None or open_fds() == fds + 1
             assert writer.write(table) == 2
         assert len(forks) == 1
         assert path.read_text() == csv_reference(header, table)
@@ -600,25 +660,15 @@ class TestTableWriter:
         monkeypatch.setattr(cli, "_SPLIT_CELLS", 1)
         failing_formatter(monkeypatch, in_parent=False)
         path, header = tmp_path / "t.csv", self.header[:7]
-
-        def hang(signum, frame):
-            pytest.fail("the run hangs on a dead child")
-
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(60)
-        try:
-            with pytest.raises(OSError, match=re.escape(
-                    f"cannot write {path}: the process formatting its rows exited with code 1")):
-                with cli._TableWriter(path, header, len(self.long),
-                                      lambda t, lo, hi: t[lo:hi]) as writer:
-                    assert writer.forks
-                    for n in range(1, len(self.long) + 1):
-                        writer.ready(n, self.long)
-                    writer.write(self.long)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert not any(tmp_path.iterdir())  # no table, part file or spool
+        with pytest.raises(OSError, match=re.escape(
+                f"cannot write {path}: the process formatting its rows exited with code 1")):
+            with cli._TableWriter(path, header, len(self.long),
+                                  lambda t, lo, hi: t[lo:hi]) as writer:
+                assert writer.forks
+                for n in range(1, len(self.long) + 1):
+                    writer.ready(n, self.long)
+                writer.write(self.long)
+        assert not any(tmp_path.iterdir())  # no table or part file
 
     def test_fork_refused_writes_in_one_process(self, tmp_path, needs_fork, monkeypatch,
                                                 big_text):
@@ -638,7 +688,7 @@ class TestTableWriter:
         err = capsys.readouterr().err
         assert err.startswith("output error") and "trajectory.csv" in err
         assert "Traceback" not in err
-        assert not any(out.iterdir())   # no trajectory.csv, part file or spool
+        assert not any(out.iterdir())   # no trajectory.csv or part file
 
     @pytest.mark.parametrize("failing", ["rows", "formatter"])
     def test_parent_failure_reaps_the_child(self, tmp_path, needs_fork, monkeypatch, failing):
@@ -715,16 +765,16 @@ class TestTableWriter:
         err = capsys.readouterr().err
         assert "blow-up" in err and "Traceback" not in err
         assert len(forks) == 1
-        assert not any(out.iterdir())   # no trajectory.csv, part file or spool
+        assert not any(out.iterdir())   # no trajectory.csv or part file
 
     def test_the_fork_precedes_the_solve_and_saves_are_queued(self, tmp_path, needs_fork,
                                                               monkeypatch, reference_2d):
         forks, real_solve, real_ready = count_forks(monkeypatch), cli.solve, cli._TableWriter.ready
-        queued = []     # (rows ready, rows spooled and counted) after each save
+        queued = []     # (rows ready, rows sent) after each save
 
         def ready(self, n, *source):
             real_ready(self, n, *source)
-            queued.append((n, self._spooled))
+            queued.append((n, self._sent))
 
         def solve(*args, on_save=None):
             assert len(forks) == 1 and on_save is not None
@@ -1144,6 +1194,19 @@ class TestOtherCommands:
             args = cli._build_parser().parse_args(argv)
             if args.command == "sweep":
                 cli._parse_values(args.values, cli._SWEEPS[args.axis][0])
+
+    def test_a_failed_selftest_leaves_no_earlier_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_selftest", lambda: [])
+        assert cli.main(["graph-selftest", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "selftest.json").exists()
+
+        def give_up():
+            raise ResolventError("resolvent root-find hit the 200-iteration cap")
+
+        monkeypatch.setattr(cli, "run_selftest", give_up)
+        assert cli.main(["graph-selftest", "--out", str(tmp_path)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_selftest_passes(self, selftest_run):
         # exit 0 means every row passed; the property tests name failing rows

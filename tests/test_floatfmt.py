@@ -1,9 +1,10 @@
 """The float table kernel writes exactly the bytes of str, cell for cell.
 
 About 1.2 million seeded doubles go through the production path,
-``cli._csv_lines``, in tables of 1000 columns, and every line is compared
-with ``",".join(map(str, row.tolist()))``.  The module adds about 2 s to
-tier-1 on a 2-core host, most of it in the str reference.
+``cli._csv_lines``, in tables of 1000 columns, and so do small tables with
+few or no nonzero cells.  The joined text is compared with the lines
+``",".join(map(str, row.tolist()))``.  The module adds about 2 s to tier-1
+on a 2-core host, most of it in the str reference.
 """
 
 import os
@@ -61,13 +62,46 @@ def _table(values):
     return np.concatenate([values, np.full(pad, 1.5)]).reshape(-1, WIDTH)
 
 
+def _str_text(table):
+    return b"".join((",".join(map(str, row)) + "\n").encode("ascii")
+                    for row in table.tolist())
+
+
 @pytest.mark.parametrize("family", [_bits, _normals, _short, _integers, _structured],
                          ids=lambda f: f.__name__[1:])
 def test_every_line_is_the_str_line(family):
     table = _table(family(np.random.default_rng(2024)))
-    assert np.count_nonzero(table) >= cli._KERNEL_CELLS      # the kernel formats it
-    for row, line in zip(table.tolist(), cli._csv_lines(table)):
-        assert line == (",".join(map(str, row)) + "\n").encode("ascii")
+    assert b"".join(cli._csv_lines(table)) == _str_text(table)
+
+
+def _small_tables():
+    """Tables with few or no nonzero cells, among them the shapes of the
+    zero scenario's trajectory.csv and plot.csv: 51 saves whose times (and
+    energy bound) are their only nonzero cells."""
+    rng = np.random.default_rng(2025)
+    t = np.linspace(0.0, 0.2, 51)
+    trajectory = np.zeros((51, 21))
+    trajectory[:, 0] = t
+    plot = np.zeros((51, 10))
+    plot[:, 0], plot[:, 2] = t, 1.6 * np.exp(1.7 * t)
+    sparse = np.zeros((40, 50))
+    sparse.flat[rng.choice(sparse.size, 255, replace=False)] = rng.standard_normal(255)
+    return {
+        "no_rows": np.empty((0, 7)),
+        "no_columns": np.empty((3, 0)),
+        "one_cell": np.array([[0.1]]),
+        "signed_zeros": np.array([[0.0, -0.0, -0.0], [-0.0, 0.0, 0.0]]),
+        "zero_trajectory": trajectory,
+        "zero_plot": plot,
+        "255_nonzero": sparse,
+        "12_cells": rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-20, 20, (3, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_small_tables()))
+def test_a_small_table_is_the_str_text(name):
+    table = _small_tables()[name]
+    assert b"".join(cli._csv_lines(table)) == _str_text(table)
 
 
 def test_importing_the_cli_builds_no_table():
