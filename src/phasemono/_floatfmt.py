@@ -33,13 +33,15 @@ notation otherwise.  Here the digits of a finite normal cell with |x| in
    1e17.  So does every cell outside that range, other than 0, inf and
    NaN, whose texts are fixed.
 
-So no byte can differ from ``repr``'s.  Each cell's text is then laid out
-in a row of 32 bytes.  A class of cells, fixed by the sign, the notation,
-the decimal point's place, the number of digits, and the exponent's sign
-and width, picks from tables the fixed characters and the byte masks that
-place the digits.  One gather per cell shifts the digits into place.  The
-NUL padding of the rows is deleted once per call.  The tables are built on
-first use, not at import.
+So no byte can differ from ``repr``'s.  Each cell then gets a source row
+of 32 bytes: "0.e", its 17 digits, the 4 digits of |e|, "-+", its
+separator, a NUL and "infa".  A class of cells, fixed by the sign, the
+notation, the decimal point's place, the number of digits, and the
+exponent's sign and width, has one row of a slot table: for each byte of
+its text, and then of its separator and NUL padding, the byte of the source
+row it copies.  One flat ``take`` lays out the text of every cell, and the
+NUL padding is deleted once per call.  The tables are built on first use,
+not at import.
 """
 
 from __future__ import annotations
@@ -51,15 +53,18 @@ import numpy as np
 _TINY, _HUGE = 1e-270, 1e270
 _E_LO = -272                        # the tables hold one row per e in [_E_LO, -_E_LO]
 _MARGIN = 1e-9
-_WIDTH = 32                         # bytes of a cell's row; the separator at 28
-_BODY = 24                          # columns of the sign, digits and point
-# Cells are formatted in chunks of this many, 48 bytes a cell in the largest
-# temporary array, so that none exceeds 120 KiB: glibc's malloc serves those
-# from its heap, where a larger one takes fresh pages each time.  On the
-# rows of 8197 cells of the 2D benchmark that makes 0 page faults a row
-# against about 1000, and 0.25 against 0.43 µs a cell.  Temporaries are
-# dropped, or updated in place, once used: a chunk then peaks at about
-# 540 KiB, against 800 KiB when each lives to the end of its function.
+# A cell's source row: "0.e", the 17 digits at bytes 3 to 19 (so that their
+# last 16 are 4-byte words), |e| at 20 to 23, "-+", the separator at 26, a
+# NUL at 27 and "infa".
+_SOURCE = np.frombuffer(b"0.e" + bytes(21) + b"-+,\0infa", np.uint8)
+_TEXT = 25                          # "-1.2345678901234567e-100" and its separator
+# Cells are formatted in chunks of this many.  The largest temporary is the
+# gather's index, 200 bytes a cell (500 KiB), and a chunk peaks at about
+# 750 KiB (tracemalloc), since temporaries are dropped once used.  Formatting
+# the 101 rows of 8197 cells of the 2D benchmark one at a time, in a fresh
+# process, took no minor page fault a row and 220-235 ns a cell.  Chunks of
+# 1280 cells took 260-275 ns a cell; whole rows took 1.6 faults a row and
+# raised the peak RSS by 4.2 MB, against 2.0 MB.
 _CHUNK = 2560
 
 # The classes of a cell.  Fixed notation with the point after digit dp
@@ -107,52 +112,29 @@ def _tables():
 
 
 @functools.cache
-def _layouts():
-    """Per class: the fixed characters of its row, the masks of the columns
-    that take a digit from the window (first the digits before the point,
-    then those after it), the mask of its exponent group, and the window
-    that puts its first digit in place."""
-    k = np.arange(2 * _CLASSES)
-    neg, c = np.divmod(k, _CLASSES)
-    fixed = c < _EXP
-    expo = (c >= _EXP) & (c < _ZERO)
-    t = np.where(fixed, c, c - _EXP)
-    n = t % 17 + 1
-    dp = np.where(fixed, t // 17 - 3, 1)
-    lead = fixed & (dp <= 0)                         # "0." and -dp zeros first
-    first = neg + np.where(lead, 2 - dp, 0)          # column of the first digit
-    before = np.where(lead, n, np.where(fixed, dp, 1))   # digits before the point
-    shown = np.where(fixed & (dp >= n), dp, n)       # digits written, zeros included
-    point = first + before                           # column of the point
-    wide = expo & ((t // 17) % 2 == 1)               # a 3-digit exponent
-    window = 10 - first * (c < _ZERO)
-    col = np.arange(_WIDTH)
-    neg, lead, fixed, expo, dp, n, first, point, shown = (
-        v[:, None] for v in (neg, lead, fixed, expo, dp, n, first, point, shown))
-    const = np.zeros((len(k), _WIDTH), np.uint8)
-    for mask, char in (
-            ((col == 0) & (neg == 1) & (c[:, None] != _NAN), "-"),
-            (lead & ((col == neg) | (col >= neg + 2) & (col < first)), "0"),
-            (lead & (col == neg + 1), "."),
-            ((fixed & (dp > 0) | expo & (n > 1)) & (col == point), "."),
-            (fixed & (dp >= n) & (col == point + 1), "0"),
-            (expo & (col == 22), "e"),
-            (expo & (col == 23), "+"),
-            (expo & (col == 23) & (t[:, None] // 34 == 1), "-"),
-            (col == 28, ",")):
-        const[np.broadcast_to(mask, const.shape)] = ord(char)
-    for cls, text in ((_ZERO, b"0.0"), (_INF, b"inf"), (_NAN, b"nan")):
-        for sign in (0, 1):
-            start = sign if cls != _NAN else 0
-            const[sign * _CLASSES + cls, start:start + 3] = np.frombuffer(text, np.uint8)
-    body = col[:_BODY]
-    digit = (c < _ZERO)[:, None]
-    masks = np.concatenate((digit & (body >= first) & (body < point),
-                            digit & (body > point) & (body <= first + shown)), axis=1)
-    exponent = np.zeros((len(k), 4), np.uint8)
-    exponent[expo[:, 0], 2:] = 255
-    exponent[wide, 1] = 255
-    return const, masks.astype(np.uint8) * 255, exponent.view(np.uint32).ravel(), window
+def _slots():
+    """Per class: the bytes of a cell's source row that its text copies,
+    then its separator, then NUL padding."""
+    slots = []
+    d = list(range(3, 20))                          # the 17 digits
+    for k in range(2 * _CLASSES):
+        neg, c = divmod(k, _CLASSES)
+        n = c % 17 + 1
+        if c < _EXP:                                # fixed, the point after digit dp
+            dp = c // 17 - 3
+            if dp <= 0:
+                text = [0, 1] + [0] * -dp + d[:n]
+            else:
+                text = d[:dp] + [1] + (d[dp:n] if dp < n else [0])
+        elif c < _ZERO:
+            kind = (c - _EXP) // 17                 # 2 * (e < 0) + (|e| >= 100)
+            text = (d[:1] + ([1] + d[1:n] if n > 1 else [])
+                    + [2, 24 if kind >= 2 else 25] + [21] * (kind % 2) + [22, 23])
+        else:
+            text = {_ZERO: [0, 1, 0], _INF: [28, 29, 30], _NAN: [29, 31, 29]}[c]
+        row = [24] * (neg and c != _NAN) + text + [26]
+        slots.append(row + [27] * (_TEXT - len(row)))
+    return np.array(slots, np.uint8)
 
 
 def _shortest(a):
@@ -229,7 +211,6 @@ def _cells_text(x, end, cols):
     """The text of the cells of x, each followed by its separator: a newline
     after cell ``end`` and every ``cols``-th cell after it, else a comma."""
     base, exp_ascii, group, trailing = _tables()[4:]
-    const, masks, exponent, window = _layouts()
     a = np.abs(x)
     fast = (a >= _TINY) & (a <= _HUGE)
     if fast.all():
@@ -256,30 +237,25 @@ def _cells_text(x, end, cols):
     slow[cells] |= undecided
     cls[slow] = _ZERO
     cls += _CLASSES * (np.signbit(x) & ~np.isnan(x))
-    # the digits at columns 11 to 27 of a padded row; the class's window of
-    # it puts them in place
-    pad = np.zeros((x.size, 36), np.uint8)
-    pad[cells, 11] = g0 + 48
-    quads = pad.view(np.uint32)
-    for j, g in enumerate((g1, g2, g3, g4), start=3):
-        quads[cells, j] = group[g]
-    del ch, cl, rest, g0, g1, g2, g3, g4, zeros, quads
-    windows = np.ndarray((x.size, 11, _BODY + 1), np.uint8, pad, 0, (36, 1, 1))
-    shifted = windows[np.arange(x.size), window[cls]]
-    del windows, pad
-    m = masks.take(cls, axis=0)
-    body = shifted[:, 1:] & m[:, :_BODY]
-    body |= shifted[:, :_BODY] & m[:, _BODY:]
-    del shifted, m
-    out = const.take(cls, axis=0)
-    out[:, :_BODY] |= body
-    out.view(np.uint32)[cells, 6] |= exp_ascii[row] & exponent[cls[cells]]
-    out[end::cols, 28] = ord("\n")
+    # each cell's source row, from which one gather takes its class's slots
+    src = np.empty((x.size, 32), np.uint8)
+    src[:] = _SOURCE
+    src[cells, 3] = g0 + 48
+    words = src.view(np.uint32)
+    for j, g in enumerate((g1, g2, g3, g4), start=1):
+        words[cells, j] = group[g]
+    words[cells, 5] = exp_ascii[row]
+    src[end::cols, 26] = ord("\n")
+    del ch, cl, rest, g0, g1, g2, g3, g4, zeros, words
+    at = _slots().take(cls, axis=0).astype(np.intp)
+    at += 32 * np.arange(x.size)[:, None]
+    out = src.ravel().take(at)
+    del at
     # the cells handed to repr, each followed by its separator; a repr text
     # holds no NUL, so its length is its count of nonzero bytes
     i = np.flatnonzero(slow)
-    texts = np.array([repr(v).encode() for v in x[i].tolist()], f"S{_WIDTH}")
-    texts = texts.view(np.uint8).reshape(-1, _WIDTH)
+    texts = np.array([repr(v).encode() for v in x[i].tolist()], f"S{_TEXT}")
+    texts = texts.view(np.uint8).reshape(-1, _TEXT)
     out[i] = texts
-    out[i, np.count_nonzero(texts, axis=1)] = np.where((i - end) % cols == 0, ord("\n"), ord(","))
+    out[i, np.count_nonzero(texts, axis=1)] = src[i, 26]
     return out.tobytes().translate(None, b"\0")

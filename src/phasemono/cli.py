@@ -76,11 +76,15 @@ def _csv_lines(rows):
 def _replacing(path):
     """Open ``path`` with ".part" appended to write bytes; rename it to
     ``path`` when the block ends, or delete it if the block raises, so that
-    ``path`` is never left partly written."""
+    ``path`` is never left partly written.  A failed write is raised as an
+    OSError that names ``path``."""
     part = path.with_name(path.name + ".part")
     try:
-        with part.open("wb") as f:
-            yield f
+        try:
+            with part.open("wb") as f:
+                yield f
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc}") from exc
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)

@@ -466,15 +466,17 @@ class LadderMemberError(RuntimeError):
 
 
 def _ladder_values(values, kind, plural):
-    """A ladder's values in decreasing order.  Every ladder needs at least
-    two distinct values, all positive and finite, none repeated, and is
-    refused with ValueError before any member is built or solved otherwise."""
-    values = sorted((kind(v) for v in values), reverse=True)
-    if not (len(values) >= 2 and all(0 < v < math.inf for v in values)
+    """A ladder's values, as ``kind``, in decreasing order.  Every ladder
+    needs at least two distinct values, all positive and finite, none
+    repeated and none changed by ``kind`` (an n of 8.7 is not run as 8), and
+    is refused with ValueError before any member is built or solved
+    otherwise."""
+    values = list(values)
+    if not (len(values) >= 2 and all(0 < v < math.inf and kind(v) == v for v in values)
             and len(set(values)) == len(values)):
         raise ValueError(f"a ladder needs at least two distinct {plural}, "
                          f"all positive and finite, none repeated; got {values}")
-    return values
+    return sorted(map(kind, values), reverse=True)
 
 
 def _run_many(fn, values):

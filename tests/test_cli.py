@@ -479,7 +479,9 @@ class TestRun:
         monkeypatch.setattr(Path, "open", open_)
         out = tmp_path / "o"
         assert cli.main([*argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("output error")
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot write {out / name}: ")
+        assert "No space left on device" in err
         assert written and written[0] > 0
         assert not (out / name).exists()
         assert not (out / f"{name}.part").exists()

@@ -550,7 +550,8 @@ class TestLadders:
         (galerkin_convergence, [8]), (galerkin_convergence, [8, 8]),
         (galerkin_convergence, [8, 8, 16]), (yosida_convergence, [0.1, 0.01, 0.1]),
         (galerkin_convergence, [0, 8]), (yosida_convergence, [0.1]),
-        (yosida_convergence, [0.1, -0.1])])
+        (yosida_convergence, [0.1, -0.1]), (galerkin_convergence, [8.7, 16.2]),
+        (galerkin_convergence, [math.inf, 16])])
     def test_inadmissible_ladder_refused_before_any_member(self, monkeypatch, ladder, values):
         def forbidden(cfg):
             raise AssertionError("member built")

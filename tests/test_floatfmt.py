@@ -56,6 +56,29 @@ def _structured(rng):
     return np.concatenate([near, -near, special])
 
 
+def _digit_classes(rng):
+    """Every layout the kernel writes: for each sign, each decimal exponent
+    of fixed notation (-4 to 15), the least and greatest exponent of each
+    width and sign in exponent notation, and each count of digits from 1 to
+    17, eight values whose repr has exactly those digits.  The digits start
+    with 1, where doubles lie densest, so that 17 of them are often the
+    shortest even at exponent 15."""
+    exponents = [*range(-4, 16), 16, 99, 100, 269, -5, -99, -100, -269]
+    values = []
+    for e in exponents:
+        for n in range(1, 18):
+            found = 0
+            while found < 8:
+                m = int(rng.integers(1, 10)) if n == 1 else (
+                    int(rng.integers(10 ** (n - 2), 2 * 10 ** (n - 2))) * 10
+                    + int(rng.integers(1, 10)))
+                x = float(f"{m}e{e - n + 1}")
+                if repr(x).split("e")[0].replace(".", "").strip("0") == str(m):
+                    values += [x, -x]
+                    found += 1
+    return np.array(values)
+
+
 def _table(values):
     """The values as rows of WIDTH cells, the last row padded with 1.5."""
     pad = -len(values) % WIDTH
@@ -67,7 +90,8 @@ def _str_text(table):
                     for row in table.tolist())
 
 
-@pytest.mark.parametrize("family", [_bits, _normals, _short, _integers, _structured],
+@pytest.mark.parametrize("family", [_bits, _normals, _short, _integers, _structured,
+                                    _digit_classes],
                          ids=lambda f: f.__name__[1:])
 def test_every_line_is_the_str_line(family):
     table = _table(family(np.random.default_rng(2024)))
@@ -107,7 +131,7 @@ def test_a_small_table_is_the_str_text(name):
 def test_importing_the_cli_builds_no_table():
     # the kernel's tables are built on its first call, not at import
     code = ("import phasemono.cli, phasemono._floatfmt as f; "
-            "print(f._tables.cache_info().currsize, f._layouts.cache_info().currsize)")
+            "print(f._tables.cache_info().currsize, f._slots.cache_info().currsize)")
     src = str(Path(phasemono.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
