@@ -267,7 +267,7 @@ def _exit_for(failures):
 
 
 def _load_config(args):
-    if getattr(args, "scenario", None):
+    if args.scenario:
         if args.config:
             raise ConfigError("give either --config or --scenario, not both")
         cfg = get_scenario(args.scenario)
@@ -280,9 +280,9 @@ def _load_config(args):
     else:
         raise ConfigError("a --config file or --scenario name is required")
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "method", None):
+    if args.method:
         overrides["method"] = args.method
     if overrides:
         cfg = replace(cfg, **overrides)

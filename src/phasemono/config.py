@@ -28,6 +28,7 @@ from __future__ import annotations
 import configparser
 import math
 import numbers
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -129,24 +130,26 @@ _FORMAT = {
     "lengths": lambda v: " ".join(map(_format_float, v)),
 }
 
-# graph variant -> builder(cfg, basis)
+# graph variant -> builder(cfg, basis, rng), rng the weight's generator
 _GRAPHS = {
-    "zero": lambda cfg, basis: ZeroGraph(),
-    "scalar_sign": lambda cfg, basis: ScalarSign(),
-    "nonlocal_sign": lambda cfg, basis: NonlocalSign(),
-    "stefan": lambda cfg, basis: Stefan(cfg.graph_alpha1, cfg.graph_alpha2),
-    "weighted_power": lambda cfg, basis: WeightedPower(
-        cfg.graph_q, profiles.profile_grid(basis, cfg.graph_weight)),
+    "zero": lambda cfg, basis, rng: ZeroGraph(),
+    "scalar_sign": lambda cfg, basis, rng: ScalarSign(),
+    "nonlocal_sign": lambda cfg, basis, rng: NonlocalSign(),
+    "stefan": lambda cfg, basis, rng: Stefan(cfg.graph_alpha1, cfg.graph_alpha2),
+    "weighted_power": lambda cfg, basis, rng: WeightedPower(
+        cfg.graph_q, profiles.profile_grid(basis, cfg.graph_weight, rng)),
 }
 
 
 def _line_of(text, section, key):
+    """The line of ``key`` in ``[section]``, matched as configparser reads
+    it: the text before the first ``=`` or ``:``, in lower case."""
     in_section = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             in_section = stripped[1:-1].strip() == section
-        elif in_section and stripped.split("=")[0].strip() == key:
+        elif in_section and re.split("[=:]", stripped, maxsplit=1)[0].strip().lower() == key:
             return lineno
     return None
 
@@ -257,37 +260,29 @@ def serialize_config(cfg):
     return "\n".join(lines) + "\n"
 
 
-def _build_graph(cfg, basis):
-    try:
-        return _GRAPHS[cfg.graph](cfg, basis)
-    except ValueError as exc:
-        raise ConfigError(f"graph {cfg.graph}: {exc}") from exc
-
-
-def _build_potential(cfg):
-    try:
-        if cfg.potential == "regular":
-            return PotentialSpec("regular")
-        return PotentialSpec(cfg.potential, cfg.c0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def build_problem(cfg):
     """Turn a config into (params, initial, schedule).
 
-    Profile randomness is drawn from per-field generators seeded by the run
-    seed, so a field is reproducible independently of the other fields and of
-    the truncation level.
+    Every random profile draws from its own generator, seeded by the run
+    seed and the field's index: 1 to 4 for eta0, phi0, eta_star and the
+    forcing, 5 for the graph's weight.  So a field is reproducible
+    independently of the other fields and of the truncation level.
     """
     basis = spectral.build_basis(cfg.dims, cfg.lengths, cfg.modes, m_quad=cfg.quadrature)
-    potential = _build_potential(cfg)
-    graph = _build_graph(cfg, basis)
-    if graph.growth_constant is None:
-        raise ConfigError("the perturbation graph must carry a linear-growth bound")
 
     def rng_for(idx):
         return np.random.default_rng([cfg.seed, idx])
+
+    try:
+        potential = PotentialSpec(cfg.potential, cfg.c0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    try:
+        graph = _GRAPHS[cfg.graph](cfg, basis, rng_for(5))
+    except ValueError as exc:
+        raise ConfigError(f"graph {cfg.graph}: {exc}") from exc
+    if graph.growth_constant is None:
+        raise ConfigError("the perturbation graph must carry a linear-growth bound")
 
     try:
         eta0_grid = profiles.profile_grid(basis, cfg.eta0, rng_for(1))

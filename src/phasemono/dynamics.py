@@ -86,9 +86,10 @@ class Forcing:
     """Time-sampled coefficient representation of the source term, linearly
     interpolated between samples and held at the end samples outside them.
 
-    The interpolation slopes are computed once, when the forcing is built.
-    So is whether all samples are equal (NaN samples never are): a constant
-    forcing then returns its stored row, read-only, with no lookup."""
+    The interpolation slopes are computed once, when the forcing is built,
+    and so is ``is_constant``: whether all samples are equal (NaN samples
+    never are).  The right-hand side of :func:`solve` reads a constant
+    forcing once, and looks up no time."""
 
     times: np.ndarray
     coeffs: np.ndarray
@@ -102,17 +103,14 @@ class Forcing:
             raise ValueError("forcing samples and times disagree")
         widths = np.diff(t)
         tail = (1,) * (c.ndim - 1)
-        row = c[0].copy() if np.all(c == c[0]) else None
-        if row is not None:
-            row.flags.writeable = False
         # derived once here; the dataclass is frozen
         put = object.__setattr__
+        put(self, "is_constant", bool(np.all(c == c[0])))
         put(self, "_t", t)
         put(self, "_c", c)
         put(self, "_widths", widths)
         put(self, "_tail", tail)
         put(self, "_slopes", np.diff(c, axis=0) / widths.reshape((-1,) + tail))
-        put(self, "_row", row)
 
     @staticmethod
     def constant(coeffs, t_final):
@@ -124,11 +122,6 @@ class Forcing:
     def at(self, t):
         """The forcing at time t, or at each time of an array t: one row of
         ``coeffs`` per time, shaped (len(t), ...) for a vector of times."""
-        if self._row is not None:
-            # a float time, as the integrators pass, skips np.ndim's conversion
-            if isinstance(t, float) or np.ndim(t) == 0:
-                return self._row
-            return np.tile(self._row, np.shape(t) + (1,) * self._row.ndim)
         i = np.searchsorted(self._t, t, side="right") - 1
         i = np.minimum(np.maximum(i, 0), len(self._t) - 2)
         dt = np.minimum(np.maximum(t - self._t[i], 0.0), self._widths[i])
@@ -346,8 +339,11 @@ class _Rhs:
     """Right-hand-side assembly for one parameter set, on states y of shape
     (..., 2, m): row 0 holds phi and row 1 theta.  What does not depend on
     the state is bound once per solve: the Yosida kernels of the graph and
-    of beta at the checked eps, the forcing lookup, and the maps of
-    :func:`_grid_maps` with the linear terms folded in.  An eps per stack
+    of beta at the checked eps, the maps of :func:`_grid_maps` with the
+    linear terms folded in, and ``source(t)``, the rows
+    (gamma eta*, f(t) + k lam eta*).  A constant forcing's source is one
+    array stacked here from the first sample, and any other is stacked from
+    ``Forcing.at(t)`` at each call.  An eps per stack
     row is bound as a column shaped for each kernel's argument: (B, 1) on
     1D grids and on coefficient rows (the nonlocal Sign), (B, 1, 1) on 2D
     grids; a float eps is bound as it is.  The potential's
@@ -367,9 +363,16 @@ class _Rhs:
         coupling[0, 0] = -p.gamma * p.ell - p.potential.pi_slope
         coupling[0, 1] = p.gamma
         coupling[1, 0] = p.k * p.ell * lam
-        self.star_rows = (p.gamma * star, p.k * lam * star)
-        self.forcing = p.forcing.at
-        self._f = self._src = None
+        star_phi, star_theta = p.gamma * star, p.k * lam * star
+
+        def stacked(f):
+            return np.stack(np.broadcast_arrays(star_phi, f + star_theta), axis=-2)
+
+        if p.forcing.is_constant:
+            src = stacked(p.forcing._c[0])
+            self.source = lambda t: src
+        else:
+            self.source = lambda t: stacked(p.forcing.at(t))
         pointwise = not (p.graph.is_nonlocal or isinstance(p.graph, ZeroGraph))
 
         def column(axes):
@@ -379,16 +382,6 @@ class _Rhs:
         self.graph_eps = p.graph.yosida_kernel(column(p.basis.dims if pointwise else 1))
         self.analyse, self.explicit = _grid_maps(p.basis, self.dm, pointwise, coupling)
         self.evals = self.save_evals = 0
-
-    def source(self, t):
-        """The rows (gamma eta*, f(t) + k lam eta*), stacked once for the
-        one stored row that a constant forcing returns."""
-        f = self.forcing(t)
-        if f is not self._f:
-            self._f = f
-            self._src = np.stack(np.broadcast_arrays(
-                self.star_rows[0], f + self.star_rows[1]), axis=-2)
-        return self._src
 
     def explicit_parts(self, t, y, record=False):
         """The explicit part of d y/dt and, when recording, the graph
@@ -400,19 +393,17 @@ class _Rhs:
         ex += self.source(t)
         return ex, zeta, xi
 
-    def full(self, t, y, record=False):
-        """(d y/dt, zeta, xi) at one state; zeta and xi are None unless
-        recording."""
-        ex, zeta, xi = self.explicit_parts(t, y, record)
-        return self.neg_diff * y + ex, zeta, xi
+    def full(self, t, y):
+        """d y/dt at one state."""
+        return self.neg_diff * y + self.explicit_parts(t, y)[0]
 
 
 # Each step takes its first stage, the derivative at (t, y), from the caller.
 
 def _rk4_step(ctx, t, y, dt, k1):
-    k2 = ctx.full(t + 0.5 * dt, y + 0.5 * dt * k1)[0]
-    k3 = ctx.full(t + 0.5 * dt, y + 0.5 * dt * k2)[0]
-    k4 = ctx.full(t + dt, y + dt * k3)[0]
+    k2 = ctx.full(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = ctx.full(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = ctx.full(t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -440,10 +431,10 @@ def _dp45_step(ctx, t, y, dt, tol, k1):
         stage = y
         for w, k in zip(weights, ks):
             stage = stage + dt * w * k
-        ks.append(ctx.full(t + c * dt, stage)[0])
+        ks.append(ctx.full(t + c * dt, stage))
     y5 = y + dt * sum(w * k for w, k in zip(_DP_B5, ks))
     # FSAL stage at the fifth-order solution closes the fourth-order weights
-    k7 = ctx.full(t + dt, y5)[0]
+    k7 = ctx.full(t + dt, y5)
     y4 = y + dt * (sum(w * k for w, k in zip(_DP_B4[:6], ks)) + _DP_B4[6] * k7)
     scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
     err = math.sqrt(float(np.max(np.mean(((y5 - y4) / scale) ** 2, axis=(-2, -1)))))
@@ -523,7 +514,6 @@ def solve(params, initial, schedule, on_save=None):
     Z, XI = np.empty((2,) + Y[..., 0, :].shape)
 
     imex = schedule.method == "imex"
-    stage = ctx.explicit_parts if imex else ctx.full
 
     def record(j, t, y):
         """Store save j and return the first stage of the step from it."""
@@ -553,16 +543,16 @@ def solve(params, initial, schedule, on_save=None):
                     den = dens[h] = 1.0 + (h * ctx.diffusivity) * ctx.lam
             t = t0
             for i in range(nsub):
-                k1 = first if i == 0 else stage(t, y)[0]
                 if imex:
                     # (y + h k1)/den, in place on the fresh stage; a save's
                     # stage is already in DY
+                    k1 = first if i == 0 else ctx.explicit_parts(t, y)[0]
                     k1 *= h
                     k1 += y
                     k1 /= den
                     y = k1
                 else:
-                    y = _rk4_step(ctx, t, y, h, k1)
+                    y = _rk4_step(ctx, t, y, h, first if i == 0 else ctx.full(t, y))
                 t += h
                 steps += 1
                 _check_state(t, y, params.blowup_ceiling)

@@ -128,12 +128,12 @@ def _forcing_term_l2sq(params, ts):
     return float(np.trapezoid(np.sum(g * g, axis=-1), ts))
 
 
-def gronwall_bound(params, initial, ts=None):
-    """Return (D, C5) of the explicit bound E1(t) <= 2 D exp(C5 t)."""
+def gronwall_bound(params, initial, ts):
+    """Return (D, C5) of the explicit bound E1(t) <= 2 D exp(C5 t).  The
+    forcing term of D is integrated by the trapezoid rule on the times
+    ``ts``, the trajectory's save times in :func:`energy_monitor`."""
     basis = params.basis
     consts = first_estimate_constants(params)
-    if ts is None:
-        ts = np.linspace(0.0, params.t_final, 201)
     eta0_h = spectral.h_norm(basis, initial.eta0.coeffs)
     phi0_v = spectral.v_norm(basis, initial.phi0.coeffs)
     star_h = spectral.h_norm(basis, params.eta_star.coeffs)

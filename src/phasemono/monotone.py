@@ -25,7 +25,9 @@ Most resolvents are closed forms, the quartic well's among them (the real
 root of a depressed cubic).  The logarithmic well and the weighted power
 with q != 1/2 solve their scalar equation by a Newton iteration that climbs
 to the root from below without a bracket, in one loop that raises
-:class:`ResolventError` when it does not converge.  At a scalar eps the
+:class:`ResolventError` when it does not converge.  That loop and the
+oracle's bisection read one iteration cap, ``RESOLVENT_MAX_ITER``, and one
+tolerance, ``RESOLVENT_TOL``, each time they run.  At a scalar eps the
 logarithmic well starts from a table bound for that eps, which may lie
 above the root: the equation is concave, so the first step lands below it,
 and only the residual decides convergence.  An eps per point starts below.
@@ -86,15 +88,18 @@ def _restore(x, out):
     return out
 
 
-def solve_increasing(fun, target, lo, hi, tol=RESOLVENT_TOL, max_iter=RESOLVENT_MAX_ITER):
+def solve_increasing(fun, target, lo, hi):
     """Solve fun(u) = target by bisection, for an increasing map whose
     difference quotients are at least 1.
 
     The map solved here is the clipped inclusion of :func:`resolvent_oracle`,
     so the residual |fun(u) - target| bounds the error |u - u*| directly and
-    is the convergence criterion: it stops at tol, or at a few float spacings
-    of |target| where those exceed tol.  Where rounding keeps the residual
-    above that, the bracket closing to a few float spacings of u stops instead.
+    is the convergence criterion: it stops at ``RESOLVENT_TOL``, or at a few
+    float spacings of |target| where those exceed it.  Where rounding keeps
+    the residual above that, the bracket closing to a few float spacings of
+    u stops instead.  After ``RESOLVENT_MAX_ITER`` steps it raises
+    :class:`ResolventError`.  Both are read at each call, as the Newton
+    loop reads them, so one setting caps every root-find of the module.
 
     The bracket ends are updated in place and each midpoint is formed as
     (lo + hi) * 0.5, the bits of 0.5 * (lo + hi).  The residual test comes
@@ -113,12 +118,12 @@ def solve_increasing(fun, target, lo, hi, tol=RESOLVENT_TOL, max_iter=RESOLVENT_
         t = np.where(finite, t, 0.0)
         lo = np.where(finite, lo, 0.0)
         hi = np.where(finite, hi, 0.0)
-        out = solve_increasing(fun, t, lo, hi, tol=tol, max_iter=max_iter)
+        out = solve_increasing(fun, t, lo, hi)
         return np.where(finite, out, np.nan)
-    res_tol = np.maximum(tol, 4.0 * np.spacing(np.abs(t)))
+    res_tol = np.maximum(RESOLVENT_TOL, 4.0 * np.spacing(np.abs(t)))
     u = lo + hi
     u *= 0.5
-    for _ in range(max_iter):
+    for _ in range(RESOLVENT_MAX_ITER):
         r = fun(u) - t
         np.copyto(hi, u, where=r >= 0.0)
         np.copyto(lo, u, where=r <= 0.0)
@@ -135,7 +140,7 @@ def solve_increasing(fun, target, lo, hi, tol=RESOLVENT_TOL, max_iter=RESOLVENT_
     width = float(np.max(hi - lo))
     res = float(np.max(np.abs(fun(0.5 * (lo + hi)) - t)))
     raise ResolventError(
-        f"resolvent root-find hit the {max_iter}-iteration cap "
+        f"resolvent root-find hit the {RESOLVENT_MAX_ITER}-iteration cap "
         f"(bracket width {width:.3e}, residual {res:.3e})")
 
 

@@ -11,8 +11,9 @@ A profile is given as a whitespace-separated string:
     csv PATH                  -- (x, value) rows, x strictly increasing,
                                  interpolated (1D only)
 
-Random-smooth fields draw a fixed-size master coefficient block, so the same
-seed produces the same field at every truncation level.  Every value of a
+Random-smooth fields draw a fixed-size master coefficient block from the
+generator the caller passes, so the same seed produces the same field at
+every truncation level.  Every value of a
 profile must be finite, and a profile with more or fewer arguments than its
 line above shows, or a csv file that cannot be read, holds no rows or has an
 x column that is not strictly increasing, is an error like any malformed
@@ -87,8 +88,9 @@ def _random_smooth(basis, amp, decay, rng):
 
 def profile_grid(basis, text, rng=None):
     """Evaluate a profile string on the quadrature grid of a basis.  A
-    malformed or unreadable profile, or one whose grid is not finite
-    everywhere, raises ValueError."""
+    random-smooth profile draws from ``rng``, a numpy Generator, and is
+    refused without one.  A malformed or unreadable profile, or one whose
+    grid is not finite everywhere, raises ValueError."""
     grid = _evaluate(basis, text, rng)
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"bad profile {text!r}: values must be finite")
@@ -128,7 +130,7 @@ def _evaluate(basis, text, rng):
             if not 0 <= decay < math.inf:
                 raise ValueError("random-smooth decay must be nonnegative and finite")
             if rng is None:
-                rng = np.random.default_rng(0)
+                raise ValueError("random-smooth needs a seeded generator")
             return _random_smooth(basis, amp, decay, rng)
         if name == "csv":
             if basis.dims != 1:

@@ -230,7 +230,7 @@ def graph_checks(name, graph, rng):
     return results
 
 
-def _slope_check(name, graph, eps, extreme=False):
+def _slope_check(name, graph, eps):
     """Finite-difference slopes of A_eps along a line through the origin lie
     in [0, 1/eps] up to float noise.
 
@@ -239,10 +239,12 @@ def _slope_check(name, graph, eps, extreme=False):
     1/eps because the exact slope equals 1/eps on the dead band and the
     difference quotient picks up rounding of order ulp/h there.  The Yosida
     map is globally defined, so the grid is not restricted to the graph
-    domain.
+    domain.  An eps below 1e-2 is an extreme level: the grid is refined on
+    [-4 eps, 4 eps] and the row is labelled ``yosida_slope_extreme``.
     """
     grid = np.linspace(-4.0, 4.0, 4001)
-    if eps < 1e-2:
+    extreme = eps < 1e-2
+    if extreme:
         grid = np.unique(np.concatenate([grid, np.linspace(-4 * eps, 4 * eps, 2001)]))
     d = np.full(_dim(graph), _dim(graph) ** -0.5)
     vals = np.sum(graph.yosida(eps, grid[:, None] * d) * d, axis=-1)
@@ -339,7 +341,7 @@ def run_selftest(seed=20240801):
     for name, graph in builtin_graphs().items():
         rows.extend(graph_checks(name, graph, rng))
     # Lipschitz certificate at an extreme regularization level
-    rows.append(_slope_check("scalar_sign", ScalarSign(), eps=EXTREME_EPS, extreme=True))
+    rows.append(_slope_check("scalar_sign", ScalarSign(), eps=EXTREME_EPS))
     for name, spec in builtin_potentials().items():
         rows.extend(potential_checks(name, spec, rng))
     return rows

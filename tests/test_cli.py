@@ -104,14 +104,16 @@ class TestConfig:
         assert parse_config(serialize_config(cfg)) == cfg
 
     # the second case is a line that every config echo written before the
-    # key was removed still carries
+    # key was removed still carries; configparser lowercases a key and also
+    # takes ":" for "=", and the line is found as it reads it
     @pytest.mark.parametrize("section, line", [
-        ("model", "bogus = 1"), ("regularization", "mollify_forcing = false")],
-        ids=["bogus", "removed"])
+        ("model", "bogus = 1"), ("regularization", "mollify_forcing = false"),
+        ("model", "Bogus = 1"), ("model", "bogus: 1")],
+        ids=["bogus", "removed", "upper_case", "colon"])
     def test_unknown_key_reports_line(self, section, line):
         text = serialize_config(get_scenario("zero"))
         text = text.replace(f"[{section}]", f"[{section}]\n{line}")
-        key = line.split(" = ")[0]
+        key = re.split("[=:]", line, maxsplit=1)[0].strip().lower()
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         lineno = text.splitlines().index(line) + 1
@@ -189,6 +191,37 @@ class TestConfig:
         cfg = dataclasses.replace(get_scenario("obstacle_sign"), phi0="constant 1.5")
         from phasemono.config import build_problem
         with pytest.raises(ConfigError):
+            build_problem(cfg)
+
+    # each random field of a built problem, read from build_problem's outputs
+    RANDOM_FIELDS = {
+        "eta0": lambda params, initial: initial.eta0.coeffs,
+        "phi0": lambda params, initial: initial.phi0.coeffs,
+        "eta_star": lambda params, initial: params.eta_star.coeffs,
+        "forcing": lambda params, initial: params.forcing.coeffs,
+        "graph_weight": lambda params, initial: params.graph.weight,
+    }
+
+    @pytest.mark.parametrize("name", RANDOM_FIELDS)
+    def test_each_random_field_follows_the_seed(self, name):
+        # at decay 10, mode 0 holds nearly all of a field's norm, so seeds 1
+        # and 2 differ only in the small higher modes (by about 4e-5 for the
+        # weight) and both give a positive weight
+        base = dataclasses.replace(ScenarioConfig(), graph="weighted_power",
+                                   **{name: "random-smooth 0.5 10"})
+
+        def drawn(seed):
+            params, initial, _ = build_problem(dataclasses.replace(base, seed=seed))
+            return self.RANDOM_FIELDS[name](params, initial)
+
+        assert np.array_equal(drawn(1), drawn(1))
+        assert not np.array_equal(drawn(1), drawn(2))
+
+    def test_a_negative_random_weight_is_refused(self):
+        # seed 0 draws the weight's mode 0 negative
+        cfg = dataclasses.replace(ScenarioConfig(), graph="weighted_power",
+                                  graph_weight="random-smooth 0.5 10", seed=0)
+        with pytest.raises(ConfigError, match="weight must be nonnegative"):
             build_problem(cfg)
 
 

@@ -102,13 +102,13 @@ class TestAssembly:
         # a scalar heat equation, and the phi equation is untouched
         p = make_params(gamma=0.0)
         b = np.array([0.0, 2.0, 0.0, 1.0])
-        da, db = _Rhs(p).full(0.0, np.stack((np.zeros(4), b)))[0]
+        da, db = _Rhs(p).full(0.0, np.stack((np.zeros(4), b)))
         assert np.allclose(db, -p.k * p.basis.eigenvalues * b, atol=1e-14)
         assert np.allclose(da, 0.0, atol=1e-14)
 
     def test_zero_state_is_equilibrium(self):
         p = make_params(gamma=0.7, graph=ScalarSign())
-        da, db = _Rhs(p).full(0.0, np.zeros((2, 4)))[0]
+        da, db = _Rhs(p).full(0.0, np.zeros((2, 4)))
         assert np.all(da == 0.0) and np.all(db == 0.0)
 
     def test_constant_state_stationarity(self):
@@ -122,7 +122,7 @@ class TestAssembly:
         sqrt_l = math.sqrt(p.basis.lengths[0])
         a = np.array([c * sqrt_l, 0, 0, 0])     # constant-mode coefficient
         b = np.array([d * sqrt_l, 0, 0, 0])
-        da, db = _Rhs(p).full(0.0, np.stack((a, b)))[0]
+        da, db = _Rhs(p).full(0.0, np.stack((a, b)))
         assert np.max(np.abs(da)) <= 1e-12
         assert np.max(np.abs(db)) <= 1e-12
 
@@ -461,21 +461,6 @@ class TestForcing:
         with pytest.raises(ValueError):
             Forcing(np.array([0.0, 0.0]), np.zeros((2, 2)))
 
-    def test_constant_forcing_returns_its_row(self, monkeypatch):
-        row = np.array([0.3, -1.0, 2.5])
-        f = Forcing.constant(row, 2.0)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("constant forcing looked up a time")
-
-        monkeypatch.setattr(np, "searchsorted", forbidden)
-        for t in (0.0, 0.37, 1.0, 2.0, -1.0, 5.0, np.float64(0.7)):
-            assert np.array_equal(f.at(t), row)
-        ts = np.linspace(-1.0, 3.0, 9)
-        assert np.array_equal(f.at(ts), np.tile(row, (9, 1)))
-        with pytest.raises(ValueError):
-            f.at(0.5)[0] = 1.0      # the stored row is read-only
-
     def test_constant_forcing_takes_a_stack(self):
         stack = np.arange(12.0).reshape(3, 4)
         f = Forcing.constant(stack, 2.0)
@@ -508,21 +493,28 @@ class TestForcing:
         assert np.all(np.isnan(f.at(np.array([0.0, 0.5, 2.0]))))
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_a_config_forcing_is_constant_in_time(self, name, monkeypatch):
+    def test_a_config_forcing_is_constant_in_time(self, name):
         # a config names one profile for f, so its forcing spans [0, T] with
-        # equal end samples and takes the constant row's path at every time
+        # equal end samples
         params, _, _ = build_problem(get_scenario(name))
         f = params.forcing
         assert np.array_equal(f.times, [0.0, params.t_final])
         assert np.array_equal(f.coeffs[0], f.coeffs[-1])
         assert f.coeffs.shape == (2, params.basis.total_modes)
+        assert f.is_constant
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_a_scenario_solve_looks_up_no_forcing_time(self, name, monkeypatch):
+        # the right-hand side binds a constant forcing's source once, so no
+        # evaluation of the solve interpolates it
+        params, init, sched = build_problem(get_scenario(name))
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("a config forcing looked up a time")
+            raise AssertionError("the solve looked up a forcing time")
 
         monkeypatch.setattr(np, "searchsorted", forbidden)
-        for t in np.linspace(0.0, params.t_final, 7):
-            assert np.array_equal(f.at(float(t)), f.coeffs[0])
+        traj = solve(params, init, sched)
+        assert traj.stats["rhs_evals"] > sched.n_saves
 
 
 def coeff_data(eta0, phi0):
@@ -809,16 +801,17 @@ class TestRhsEquivalence:
         b = 0.6 * decay * rng.standard_normal(lead + (m,))
         rhs = _Rhs(p)
         y = np.stack((a, b), axis=-2)
-        dy, zeta, xi = rhs.full(0.37, y, record=True)
+        ex, zeta, xi = rhs.explicit_parts(0.37, y, record=True)
+        dy = rhs.full(0.37, y)
         got = (dy[..., 0, :], dy[..., 1, :], zeta, xi)
         for name, g, ref in zip(("dphi", "dtheta", "zeta", "xi"), got,
                                 public_rhs(p, 0.37, a, b)):
             assert g.shape == ref.shape, name
             assert np.all(np.abs(g - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), name
-        # a stage that does not record gives the same state derivative and
-        # projects neither zeta nor xi
-        dy_stage, zeta_stage, xi_stage = rhs.full(0.37, y)
-        assert np.array_equal(dy_stage, dy)
+        # a recording evaluation gives the explicit part of the stage's
+        # state derivative, and a stage projects neither zeta nor xi
+        assert np.array_equal(rhs.neg_diff * y + ex, dy)
+        _, zeta_stage, xi_stage = rhs.explicit_parts(0.37, y)
         assert zeta_stage is None and xi_stage is None
 
 

@@ -228,7 +228,7 @@ class TestEnergyMonitor:
 
     def test_bound_is_positive_and_grows(self):
         params, initial, _, traj = run_scenario("regular_sign")
-        d, c5 = gronwall_bound(params, initial)
+        d, c5 = gronwall_bound(params, initial, traj.times)
         assert d > 0 and c5 > 0
         rep = energy_monitor(traj, params)
         assert np.all(np.diff(rep.bound) >= 0)

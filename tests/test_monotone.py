@@ -290,12 +290,22 @@ def _steep(u):
 
 
 class TestSolver:
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(monotone, "RESOLVENT_MAX_ITER", 20)
         with pytest.raises(ResolventError):
-            solve_increasing(lambda u: u, 0.5, -1e6, 1e6, tol=1e-14, max_iter=3)
+            solve_increasing(_steep, np.exp(40.0 * np.linspace(0.6, 1.4, 9)), 0.0, 2.0)
+        monkeypatch.setattr(monotone, "RESOLVENT_TOL", 1e-14)
+        monkeypatch.setattr(monotone, "RESOLVENT_MAX_ITER", 3)
         with pytest.raises(ResolventError):
-            solve_increasing(_steep, np.exp(40.0 * np.linspace(0.6, 1.4, 9)), 0.0, 2.0,
-                             max_iter=20)
+            solve_increasing(lambda u: u, 0.5, -1e6, 1e6)
+
+    def test_the_module_cap_holds_in_the_oracle(self, monkeypatch):
+        # one setting caps the bisection too, as it caps both Newton loops,
+        # non-finite points and all
+        monkeypatch.setattr(monotone, "RESOLVENT_MAX_ITER", 1)
+        x = np.array([-2.0, 0.3, np.nan, 1.7])
+        with pytest.raises(ResolventError, match="hit the 1-iteration cap"):
+            resolvent_oracle(ScalarSign(), 0.1, x)
 
     @pytest.mark.parametrize("case", ["steep", "non_finite_stack", "zero_d"])
     def test_bits_and_evaluations_match_reference(self, case):
@@ -453,17 +463,19 @@ class TestLogarithmicNewton:
 
 
 class TestScaleAwareStopping:
-    def test_yosida_of_stefan_at_large_x(self):
+    def test_yosida_of_stefan_at_large_x(self, monkeypatch):
         # the bracket closes to a few ulp of 848, above an absolute 1e-13
+        monkeypatch.setattr(monotone, "RESOLVENT_TOL", 1e-13)
         g = Stefan(1.3, 0.7)
-        u = solve_increasing(lambda u: u + g.yosida(0.2, u), 1370.0, 0.0, 1370.0, tol=1e-13)
+        u = solve_increasing(lambda u: u + g.yosida(0.2, u), 1370.0, 0.0, 1370.0)
         assert abs(u + g.yosida(0.2, u) - 1370.0) <= 1e-12 * 1370.0
 
-    def test_yosida_of_quartic_at_large_x(self):
+    def test_yosida_of_quartic_at_large_x(self, monkeypatch):
+        monkeypatch.setattr(monotone, "RESOLVENT_TOL", 1e-13)
         g = SubdiffBetaHat("regular")
         x = np.array([1e7, -3e9, 1e12])
         u = solve_increasing(lambda u: u + g.yosida(0.2, u), x,
-                             np.minimum(x, 0.0), np.maximum(x, 0.0), tol=1e-13)
+                             np.minimum(x, 0.0), np.maximum(x, 0.0))
         resid = u + np.asarray(g.yosida(0.2, u)) - x
         assert np.all(np.abs(resid) <= 1e-12 * np.abs(x))
 

@@ -58,6 +58,11 @@ class TestRandomSmooth:
         b = profile_grid(basis, "random-smooth 0.5", np.random.default_rng(5))
         assert np.array_equal(a, b)
 
+    def test_needs_a_generator(self, basis):
+        # a random field draws only from the stream its caller names
+        with pytest.raises(ValueError, match="needs a seeded generator"):
+            profile_grid(basis, "random-smooth 0.5")
+
     def test_truncation_consistent_across_levels(self):
         # the same seed describes the same underlying field; a finer basis
         # only resolves more of it
