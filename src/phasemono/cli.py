@@ -334,23 +334,13 @@ def _cmd_run(args):
             "samples": len(traj.times),
             "final_eta_h": spectral.h_norm(params.basis, eta_T),
             "final_phi_h": spectral.h_norm(params.basis, traj.phi[-1]),
-            "steps": traj.stats["steps"],
-            "rejected": traj.stats["rejected"],
-            "rhs_evals": traj.stats["rhs_evals"],
-            "rhs_evals_saves": traj.stats["rhs_evals_saves"],
-            "h_min": traj.stats["h_min"],
-            "h_max": traj.stats["h_max"],
-            "method": traj.stats["method"],
+            **traj.stats,
         },
         "energy": report.to_dict(),
         "invariant_failures": failures,
     }
-    parts = max(parts, _write_csv(
-        out / "plot.csv",
-        ["t", "e1", "bound", *report.components, "zeta_norm", "dissipation"],
-        np.column_stack((report.times, report.e1, report.bound,
-                         *report.components.values(),
-                         report.zeta_norms, report.dissipation))))
+    parts = max(parts, _write_csv(out / "plot.csv", list(report.series),
+                                  np.column_stack(tuple(report.series.values()))))
     _json_dump(out / "report.json", payload)
     t4 = time.perf_counter()
     _json_dump(out / "timing.json", {
@@ -398,7 +388,6 @@ def _cmd_sweep(args):
         # solve of a member is a LadderMemberError
         raise ConfigError(str(exc)) from exc
     payload = rep.to_dict()
-
     payload["axis"] = args.axis
     payload["config"] = serialize_config(cfg)
     payload["tool_version"] = __version__

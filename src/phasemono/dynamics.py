@@ -86,10 +86,12 @@ class Forcing:
     """Time-sampled coefficient representation of the source term, linearly
     interpolated between samples and held at the end samples outside them.
 
-    The interpolation slopes are computed once, when the forcing is built,
-    and so is ``is_constant``: whether all samples are equal (NaN samples
-    never are).  The right-hand side of :func:`solve` reads a constant
-    forcing once, and looks up no time."""
+    ``times`` and ``coeffs`` are kept as float arrays.  The interpolation
+    slopes are computed once, when the forcing is built, and so is
+    ``is_constant``: whether all samples are equal (NaN samples never are).
+    Two equal neighbouring samples, infinite ones included, have slope 0, so
+    the forcing between them is that sample exactly.  The right-hand side
+    of :func:`solve` reads a constant forcing once, and looks up no time."""
 
     times: np.ndarray
     coeffs: np.ndarray
@@ -103,14 +105,16 @@ class Forcing:
             raise ValueError("forcing samples and times disagree")
         widths = np.diff(t)
         tail = (1,) * (c.ndim - 1)
+        # the rise between equal samples is 0, never inf - inf
+        rise = np.subtract(c[1:], c[:-1], out=np.zeros_like(c[1:]), where=c[1:] != c[:-1])
         # derived once here; the dataclass is frozen
         put = object.__setattr__
+        put(self, "times", t)
+        put(self, "coeffs", c)
         put(self, "is_constant", bool(np.all(c == c[0])))
-        put(self, "_t", t)
-        put(self, "_c", c)
         put(self, "_widths", widths)
         put(self, "_tail", tail)
-        put(self, "_slopes", np.diff(c, axis=0) / widths.reshape((-1,) + tail))
+        put(self, "_slopes", rise / widths.reshape((-1,) + tail))
 
     @staticmethod
     def constant(coeffs, t_final):
@@ -122,10 +126,10 @@ class Forcing:
     def at(self, t):
         """The forcing at time t, or at each time of an array t: one row of
         ``coeffs`` per time, shaped (len(t), ...) for a vector of times."""
-        i = np.searchsorted(self._t, t, side="right") - 1
-        i = np.minimum(np.maximum(i, 0), len(self._t) - 2)
-        dt = np.minimum(np.maximum(t - self._t[i], 0.0), self._widths[i])
-        return self._c[i] + np.reshape(dt, np.shape(dt) + self._tail) * self._slopes[i]
+        i = np.searchsorted(self.times, t, side="right") - 1
+        i = np.minimum(np.maximum(i, 0), len(self.times) - 2)
+        dt = np.minimum(np.maximum(t - self.times[i], 0.0), self._widths[i])
+        return self.coeffs[i] + np.reshape(dt, np.shape(dt) + self._tail) * self._slopes[i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +373,7 @@ class _Rhs:
             return np.stack(np.broadcast_arrays(star_phi, f + star_theta), axis=-2)
 
         if p.forcing.is_constant:
-            src = stacked(p.forcing._c[0])
+            src = stacked(p.forcing.coeffs[0])
             self.source = lambda t: src
         else:
             self.source = lambda t: stacked(p.forcing.at(t))
@@ -492,9 +496,10 @@ def solve(params, initial, schedule, on_save=None):
     ``BlowUpError.field``; a datum already over the ceiling fails at
     ``t = 0``, before any evaluation.
 
-    ``stats`` counts steps, rejected steps and evaluations (``rhs_evals``,
-    ``rhs_evals_saves`` of them at the saves), and holds the smallest and
-    largest accepted step (for imex and rk4, the substep).
+    ``stats`` names the method, counts steps, rejected steps and
+    evaluations (``rhs_evals``, ``rhs_evals_saves`` of them at the saves),
+    and holds the smallest and largest accepted step (for imex and rk4, the
+    substep).  A run's report.json carries every entry.
 
     ``on_save``, if given, is called as ``on_save(j, times, states)`` each
     time save ``j`` has been stored: ``times`` holds every save time and
@@ -529,7 +534,6 @@ def solve(params, initial, schedule, on_save=None):
     steps = rejected = 0
     h_min, h_max = math.inf, 0.0
     h = float(ts[1]) / 8.0      # the first DP45 trial step
-    dens = {}                   # the IMEX denominators of each substep length
     for j in range(schedule.n_saves - 1):
         t0, t1 = float(ts[j]), float(ts[j + 1])
         if schedule.method != "rk45":
@@ -537,10 +541,8 @@ def solve(params, initial, schedule, on_save=None):
             h = (t1 - t0) / nsub
             h_min, h_max = min(h_min, h), max(h_max, h)
             if imex:
-                # (1 + h nu lam, 1 + h k lam), built once per distinct h
-                den = dens.get(h)
-                if den is None:
-                    den = dens[h] = 1.0 + (h * ctx.diffusivity) * ctx.lam
+                # (1 + h nu lam, 1 + h k lam), once per save interval
+                den = 1.0 + (h * ctx.diffusivity) * ctx.lam
             t = t0
             for i in range(nsub):
                 if imex:
@@ -576,7 +578,7 @@ def solve(params, initial, schedule, on_save=None):
 
     stats = {"method": schedule.method, "steps": steps, "rejected": rejected,
              "rhs_evals": ctx.evals, "rhs_evals_saves": ctx.save_evals,
-             "h_min": h_min, "h_max": h_max, "dt": schedule.dt, "tol": schedule.tol}
+             "h_min": h_min, "h_max": h_max}
     return SolutionTrajectory(
         times=ts, phi=Y[..., 0, :], theta=Y[..., 1, :], zeta=Z, xi=XI, dphi=DY[..., 0, :],
         dtheta=DY[..., 1, :], ell_minus_alpha=ctx.dm, stats=stats, initial=initial)

@@ -20,7 +20,10 @@ constants spelled out:
          + 8 gamma^2 T ||eta*||^2
 
 The factor 2 converts the halved gradient/time-derivative terms produced by
-the absorption steps back into E1.  Sharpness is never asserted.
+the absorption steps back into E1.  Sharpness is never asserted.  The
+monitor names each figure it computes once, in its ``EnergyReport``: the
+columns of plot.csv in ``series``, and each figure of report.json's
+``energy`` block as a field of that name.
 
 The continuous-dependence sweep requires alpha = ell.  It builds the base
 data and every perturbed member as one coefficient stack, each member the
@@ -57,7 +60,7 @@ differences measure the time error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -148,46 +151,33 @@ def gronwall_bound(params, initial, ts):
 
 @dataclass(frozen=True, eq=False)
 class EnergyReport:
-    times: np.ndarray
-    e1: np.ndarray
-    bound: np.ndarray
-    components: dict          # the five terms of E1, in plot.csv column order
+    """The figures of :func:`energy_monitor`, each named once.  ``series``
+    maps each column of plot.csv, in order, to its values at the saves: the
+    time, E1, the Gronwall bound, the five terms of E1, the selection norm
+    and the graph's dissipation integral.  Every other field is one figure
+    of report.json's ``energy`` block, under its name there, as
+    :meth:`to_dict` gives them."""
+
+    series: dict
+    e1_max: float
+    bound_min: float
+    gronwall_ok: bool
+    gronwall_margin_min: float
+    gronwall_margin_t: float
     laplacian_phi_l2: float
     dt_eta_l2: float
     grad_eta_final: float
     laplacian_eta_l2: float
-    zeta_norms: np.ndarray
     selection_margin: float
     selection_ok: bool
-    dissipation: np.ndarray
     dissipation_min: float
     envelope_initial: float
     q_eps: float
     constants: dict
-    gronwall_ok: bool
-    gronwall_margin_min: float
-    gronwall_margin_t: float
     quadrature_warning: bool
 
     def to_dict(self):
-        return {
-            "e1_max": float(np.max(self.e1)),
-            "bound_min": float(np.min(self.bound)),
-            "gronwall_ok": bool(self.gronwall_ok),
-            "gronwall_margin_min": self.gronwall_margin_min,
-            "gronwall_margin_t": self.gronwall_margin_t,
-            "laplacian_phi_l2": self.laplacian_phi_l2,
-            "dt_eta_l2": self.dt_eta_l2,
-            "grad_eta_final": self.grad_eta_final,
-            "laplacian_eta_l2": self.laplacian_eta_l2,
-            "selection_margin": self.selection_margin,
-            "selection_ok": bool(self.selection_ok),
-            "dissipation_min": self.dissipation_min,
-            "envelope_initial": self.envelope_initial,
-            "q_eps": self.q_eps,
-            "constants": {k: float(v) for k, v in self.constants.items()},
-            "quadrature_warning": bool(self.quadrature_warning),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "series"}
 
     @property
     def failures(self):
@@ -232,13 +222,11 @@ def energy_monitor(traj, params):
     dphi_h2 = np.sum(traj.dphi * traj.dphi, axis=1)
     env = envelope_integral(params, traj.phi)
 
+    eta_h2_half = 0.5 * eta_h2
     grad_eta_int = params.k * _cumtrapz(ts, eta_dir)
     dphi_int = _cumtrapz(ts, dphi_h2)
-    e1 = (0.5 * eta_h2
-          + grad_eta_int
-          + dphi_int
-          + 0.5 * params.nu * phi_v2
-          + env)
+    phi_v2_scaled = 0.5 * params.nu * phi_v2
+    e1 = eta_h2_half + grad_eta_int + dphi_int + phi_v2_scaled + env
 
     d, c5 = gronwall_bound(params, initial, ts)
     with np.errstate(over="ignore"):
@@ -276,36 +264,38 @@ def energy_monitor(traj, params):
     dissipation = _cumtrapz(ts, pairing)
     dissipation_min = float(np.min(dissipation))
 
-    constants = dict(first_estimate_constants(params))
-    constants.update({"gron_" + k: v for k, v in stability_constants(params).items()})
-    constants["D"] = d
+    constants = {**first_estimate_constants(params),
+                 **{"gron_" + k: v for k, v in stability_constants(params).items()},
+                 "D": d}
 
     return EnergyReport(
-        times=ts,
-        e1=e1,
-        bound=bound,
-        components={
-            "eta_h2_half": 0.5 * eta_h2,
+        series={
+            "t": ts,
+            "e1": e1,
+            "bound": bound,
+            "eta_h2_half": eta_h2_half,
             "grad_eta_int": grad_eta_int,
             "dphi_int": dphi_int,
-            "phi_v2_scaled": 0.5 * params.nu * phi_v2,
+            "phi_v2_scaled": phi_v2_scaled,
             "envelope": env,
+            "zeta_norm": zeta_norms,
+            "dissipation": dissipation,
         },
+        e1_max=float(np.max(e1)),
+        bound_min=float(np.min(bound)),
+        gronwall_ok=gronwall_ok,
+        gronwall_margin_min=float(margins[worst]),
+        gronwall_margin_t=float(ts[worst]),
         laplacian_phi_l2=laplacian_phi_l2,
         dt_eta_l2=dt_eta_l2,
         grad_eta_final=grad_eta_final,
         laplacian_eta_l2=laplacian_eta_l2,
-        zeta_norms=zeta_norms,
         selection_margin=selection_margin,
         selection_ok=selection_ok,
-        dissipation=dissipation,
         dissipation_min=dissipation_min,
         envelope_initial=float(env[0]),
         q_eps=initial.q_eps,
-        constants=constants,
-        gronwall_ok=gronwall_ok,
-        gronwall_margin_min=float(margins[worst]),
-        gronwall_margin_t=float(ts[worst]),
+        constants={k: float(v) for k, v in constants.items()},
         quadrature_warning=len(ts) < MIN_SAMPLES_FOR_QUADRATURE,
     )
 
@@ -504,7 +494,6 @@ def _solve_named(params, initial, schedule, values):
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    axis: str
     values: np.ndarray
     consecutive_phi: np.ndarray
     consecutive_eta: np.ndarray
@@ -523,7 +512,6 @@ class ConvergenceReport:
 
     def to_dict(self):
         out = {
-            "axis": self.axis,
             "values": self.values.tolist(),
             "consecutive_phi": self.consecutive_phi.tolist(),
             "consecutive_eta": self.consecutive_eta.tolist(),
@@ -537,7 +525,7 @@ class ConvergenceReport:
         return out
 
 
-def _ladder_report(axis, values, bases, series, overshoot):
+def _ladder_report(values, bases, series, overshoot):
     """Report a ladder from each member's basis and its ``(phi, eta)``
     coefficients at the saves, each of shape (saves, modes)."""
     def diffs(i, j):
@@ -558,7 +546,7 @@ def _ladder_report(axis, values, bases, series, overshoot):
     else:
         rate = None
     return ConvergenceReport(
-        axis=axis, values=np.asarray(values, dtype=float),
+        values=np.asarray(values, dtype=float),
         consecutive_phi=cons_phi, consecutive_eta=cons_eta,
         consecutive_total=total,
         to_reference_total=np.array([sum(diffs(i, last)) for i in range(last)]),
@@ -616,7 +604,7 @@ def _convergence(axis, cfg, values):
     overshoot = None
     if adds_overshoot and members[0][0].potential.variant == "obstacle":
         overshoot = np.array([constraint_overshoot(phi, b) for (phi, _), b in zip(series, bases)])
-    return _ladder_report(axis, values, bases, series, overshoot)
+    return _ladder_report(values, bases, series, overshoot)
 
 
 def galerkin_convergence(cfg, ns):

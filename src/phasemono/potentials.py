@@ -99,10 +99,9 @@ def envelope(spec, eps, r):
 
     where R_eps is the resolvent of the subdifferential.  Globally finite,
     differentiable with derivative equal to the Yosida map, and squeezed
-    between 0 and beta_hat on the effective domain.
+    between 0 and beta_hat on the effective domain.  The resolvent refuses
+    an eps that is not positive with ValueError.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     graph = spec.beta_graph()
     r_arr = np.asarray(r, dtype=float)
     prox = np.asarray(graph.resolvent(eps, r_arr), dtype=float)

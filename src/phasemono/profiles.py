@@ -11,9 +11,10 @@ A profile is given as a whitespace-separated string:
     csv PATH                  -- (x, value) rows, x strictly increasing,
                                  interpolated (1D only)
 
-Random-smooth fields draw a fixed-size master coefficient block from the
-generator the caller passes, so the same seed produces the same field at
-every truncation level.  Every value of a
+Random-smooth fields draw a fixed-size master coefficient block, 256
+modes along each axis, from the generator the caller passes, and modes past
+it are 0, so the same seed produces the same field at every truncation
+level.  Every value of a
 profile must be finite, and a profile with more or fewer arguments than its
 line above shows, or a csv file that cannot be read, holds no rows or has an
 x column that is not strictly increasing, is an error like any malformed
@@ -69,21 +70,18 @@ _DECAY_CAP = 746.0
 
 def _random_smooth(basis, amp, decay, rng):
     # normalize against the full master block so the field is the same
-    # underlying function at every truncation level
+    # underlying function at every truncation level; modes past it are 0
     decay = min(decay, _DECAY_CAP)
-    if basis.dims == 1:
-        master = rng.standard_normal(_MASTER_MODES)
-        full = master * np.exp(-decay * np.arange(_MASTER_MODES))
-        ch = full[: basis.n]
-    else:
-        master = rng.standard_normal((_MASTER_MODES, _MASTER_MODES))
-        i = np.arange(_MASTER_MODES)
-        full = master * np.exp(-decay * np.add.outer(i, i))
-        ch = full[: basis.n, : basis.n].ravel()
+    i = np.arange(_MASTER_MODES)
+    index = i if basis.dims == 1 else np.add.outer(i, i)
+    full = rng.standard_normal(index.shape) * np.exp(-decay * index)
+    kept = (slice(min(basis.n, _MASTER_MODES)),) * basis.dims
+    ch = np.zeros((basis.n,) * basis.dims)
+    ch[kept] = full[kept]
     nrm = float(np.sqrt(np.sum(full * full)))
     if nrm > 0:
         ch = ch * (amp / nrm)
-    return spectral.to_grid(basis, ch)
+    return spectral.to_grid(basis, ch.ravel())
 
 
 def profile_grid(basis, text, rng=None):

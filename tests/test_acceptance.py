@@ -187,7 +187,7 @@ class TestCriterion4EnergyEstimate:
         rep = energy_monitor(traj, params)
         assert rep.gronwall_ok
         assert rep.dissipation_min >= -1e-9
-        margin = float(np.min(rep.bound - rep.e1))
+        margin = float(np.min(rep.series["bound"] - rep.series["e1"]))
         report(f"4 (energy, {name}): PASS  min(bound - E1) = {margin:.3g}, "
                f"dissipation >= {rep.dissipation_min:.2e}")
 

@@ -23,6 +23,7 @@ from phasemono.config import (
     serialize_config,
 )
 from phasemono.dynamics import solve
+from phasemono.estimates import energy_monitor
 from phasemono.monotone import ResolventError, ScalarSign, SubdiffBetaHat
 from phasemono.scenarios import SCENARIOS, get_scenario, scenario_names
 
@@ -245,8 +246,19 @@ class TestRun:
         assert cli.main(["run", "--scenario", scenario, "--out", str(out)]) == 0
         block = json.loads((out / "report.json").read_text())["trajectory"]
         stats = solve(*build_problem(get_scenario(scenario))).stats
-        for key in ("steps", "rejected", "rhs_evals", "rhs_evals_saves", "h_min", "h_max"):
+        for key in stats:
             assert block[key] == stats[key], key
+
+    def test_the_outputs_name_the_energy_report_figures(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--scenario", "tanh_front", "--out", str(out)]) == 0
+        params, initial, schedule = build_problem(get_scenario("tanh_front"))
+        rep = energy_monitor(solve(params, initial, schedule), params)
+        header = (out / "plot.csv").read_text().splitlines()[0]
+        assert header.split(",") == list(rep.series)
+        energy = json.loads((out / "report.json").read_text())["energy"]
+        assert sorted(energy) == sorted(f.name for f in dataclasses.fields(rep)
+                                        if f.name != "series")
 
     def test_zero_scenario_all_zero_outputs(self, tmp_path):
         out = tmp_path / "zero"

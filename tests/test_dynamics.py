@@ -492,6 +492,13 @@ class TestForcing:
         assert np.all(np.isnan(f.at(0.5)))
         assert np.all(np.isnan(f.at(np.array([0.0, 0.5, 2.0]))))
 
+    def test_equal_infinite_samples_are_held_exactly(self):
+        # the slope between two equal samples is 0, not inf - inf; building
+        # the forcing warns of no invalid value
+        f = Forcing.constant([np.inf, 1.0], 1.0)
+        assert np.array_equal(f.at(0.5), [np.inf, 1.0])
+        assert np.array_equal(f.at(np.array([0.0, 0.5, 2.0])), [[np.inf, 1.0]] * 3)
+
     @pytest.mark.parametrize("name", scenario_names())
     def test_a_config_forcing_is_constant_in_time(self, name):
         # a config names one profile for f, so its forcing spans [0, T] with

@@ -83,9 +83,9 @@ class TestEnergyMonitor:
     def test_zero_trajectory_components_vanish(self):
         params, _, _, traj = run_scenario("zero")
         rep = energy_monitor(traj, params)
-        assert np.all(rep.e1 == 0.0)
-        for series in rep.components.values():
-            assert np.all(series == 0.0)
+        assert np.all(rep.series["e1"] == 0.0)
+        for name in ("eta_h2_half", "grad_eta_int", "dphi_int", "phi_v2_scaled", "envelope"):
+            assert np.all(rep.series[name] == 0.0)
         assert rep.dissipation_min == 0.0
         assert rep.gronwall_ok
 
@@ -93,7 +93,7 @@ class TestEnergyMonitor:
         # single decaying mode: 1/2|eta(t)|^2 + k int |grad eta|^2 is conserved
         params, _, _, traj = run_scenario("heat_decay")
         rep = energy_monitor(traj, params)
-        combo = rep.components["eta_h2_half"] + rep.components["grad_eta_int"]
+        combo = rep.series["eta_h2_half"] + rep.series["grad_eta_int"]
         assert np.max(np.abs(combo - combo[0])) <= 1e-3 * combo[0]
 
     def test_obstacle_envelope_equals_overshoot_integral(self):
@@ -103,7 +103,7 @@ class TestEnergyMonitor:
             grid = spectral.to_grid(params.basis, traj.phi[j])
             overshoot = np.maximum(np.abs(grid) - 1.0, 0.0)
             direct = spectral.grid_integral(params.basis, overshoot ** 2) / (2 * params.eps)
-            assert rep.components["envelope"][j] == pytest.approx(direct, abs=1e-12)
+            assert rep.series["envelope"][j] == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["regular_sign", "log_sign", "obstacle_sign",
                                       "stefan_power", "tanh_front"])
@@ -111,7 +111,7 @@ class TestEnergyMonitor:
         params, _, _, traj = run_scenario(name)
         rep = energy_monitor(traj, params)
         assert rep.gronwall_ok
-        assert np.all(rep.e1 <= rep.bound)
+        assert np.all(rep.series["e1"] <= rep.series["bound"])
         assert rep.gronwall_margin_min >= 0.0
 
     @pytest.mark.parametrize("name", ["regular_sign", "obstacle_sign", "stefan_power"])
@@ -121,7 +121,7 @@ class TestEnergyMonitor:
         assert rep.selection_ok
         c = params.graph.growth_constant
         eta_h = np.sqrt(np.sum(traj.eta ** 2, axis=1))
-        assert np.all(rep.zeta_norms <= c * (1 + eta_h) + 1e-9)
+        assert np.all(rep.series["zeta_norm"] <= c * (1 + eta_h) + 1e-9)
 
     @pytest.mark.parametrize("name", ["regular_sign", "log_sign", "obstacle_sign"])
     def test_graph_dissipation_nonnegative(self, name):
@@ -132,7 +132,7 @@ class TestEnergyMonitor:
     @pytest.mark.parametrize("name", scenario_names())
     def test_envelope_series_matches_the_per_save_quadrature(self, name):
         params, _, _, traj = run_scenario(name)
-        got = energy_monitor(traj, params).components["envelope"]
+        got = energy_monitor(traj, params).series["envelope"]
         alone = np.array([envelope_integral(params, phi) for phi in traj.phi])
         # within a few ulps of an order-one energy; the obstacle well's
         # envelope is the square of |phi| - 1, which cancels, so the bound
@@ -185,7 +185,7 @@ class TestEnergyMonitor:
         assert rep.gronwall_margin_min == pytest.approx(
             math.log(2.0 * d) - math.log(e1_0), rel=1e-12)
         assert rep.gronwall_margin_min == pytest.approx(
-            float(np.min(np.log(rep.bound) - np.log(rep.e1))), rel=1e-12)
+            float(np.min(np.log(rep.series["bound"]) - np.log(rep.series["e1"]))), rel=1e-12)
         report = rep.to_dict()
         assert (report["gronwall_margin_min"], report["gronwall_margin_t"]) == (
             rep.gronwall_margin_min, 0.0)
@@ -231,7 +231,7 @@ class TestEnergyMonitor:
         d, c5 = gronwall_bound(params, initial, traj.times)
         assert d > 0 and c5 > 0
         rep = energy_monitor(traj, params)
-        assert np.all(np.diff(rep.bound) >= 0)
+        assert np.all(np.diff(rep.series["bound"]) >= 0)
 
 
 class TestContraction:
@@ -466,7 +466,7 @@ class TestLadders:
             traj = solve(params, initial, schedule)
             rep = energy_monitor(traj, params)
             # L = 1, so the H-norm of a pointwise-bounded selection is <= 1
-            assert np.max(rep.zeta_norms) <= 1.0 + 1e-9
+            assert np.max(rep.series["zeta_norm"]) <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("case", ["obstacle_sign", "weighted_random"])
     def test_stacked_eps_ladder_matches_the_member_solves(self, tmp_path, case):
@@ -492,7 +492,7 @@ class TestLadders:
         if members[0][0].potential.variant == "obstacle":
             overshoot = np.array([constraint_overshoot(tr.phi, basis) for tr in trajs])
         ref = estimates._ladder_report(
-            "eps", values, [basis] * 3, [(tr.phi, tr.eta) for tr in trajs], overshoot)
+            values, [basis] * 3, [(tr.phi, tr.eta) for tr in trajs], overshoot)
         assert (rep.overshoot is None) == (overshoot is None)
         for name in ("consecutive_phi", "consecutive_eta", "to_reference_total", "overshoot"):
             if getattr(ref, name) is not None:
@@ -509,7 +509,7 @@ class TestLadders:
         members = [build_problem(dataclasses.replace(cfg, modes=n, quadrature=None))
                    for n in ns]
         trajs = [solve(*member) for member in members]
-        ref = estimates._ladder_report("n", ns, [p.basis for p, _, _ in members],
+        ref = estimates._ladder_report(ns, [p.basis for p, _, _ in members],
                                        [(tr.phi, tr.eta) for tr in trajs], None)
         assert galerkin_convergence(cfg, ns).to_dict() == ref.to_dict()
 

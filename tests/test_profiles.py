@@ -63,16 +63,15 @@ class TestRandomSmooth:
         with pytest.raises(ValueError, match="needs a seeded generator"):
             profile_grid(basis, "random-smooth 0.5")
 
-    def test_truncation_consistent_across_levels(self):
+    @pytest.mark.parametrize("coarse, fine", [(8, 16), (256, 300)])
+    def test_truncation_consistent_across_levels(self, coarse, fine):
         # the same seed describes the same underlying field; a finer basis
-        # only resolves more of it
-        b8 = spectral.build_basis(1, 1.0, 8)
-        b16 = spectral.build_basis(1, 1.0, 16)
-        f8 = spectral.from_grid(b8, profile_grid(b8, "random-smooth 0.5",
-                                                 np.random.default_rng(5)))
-        f16 = spectral.from_grid(b16, profile_grid(b16, "random-smooth 0.5",
-                                                   np.random.default_rng(5)))
-        assert np.allclose(f8, f16[:8], atol=1e-12)
+        # only resolves more of it, and nothing past the 256-mode master block
+        fc, ff = (spectral.from_grid(b, profile_grid(b, "random-smooth 0.5",
+                                                     np.random.default_rng(5)))
+                  for b in (spectral.build_basis(1, 1.0, n) for n in (coarse, fine)))
+        assert np.max(np.abs(fc - ff[:coarse])) <= 1e-12
+        assert np.max(np.abs(ff[256:]), initial=0.0) <= 1e-12
 
     def test_2d_truncation_consistent_across_levels(self):
         b4 = spectral.build_basis(2, (1.0, 1.0), 4)

@@ -9,11 +9,20 @@ each run and sweep operation then runs once, in this process, in a
 temporary directory.  The JSON object printed maps ``KEY/FILE`` (say
 ``tanh_front/trajectory.csv`` or ``sweep_eps/sweep.csv``) to the digest of
 that file, and ``selftest`` to the digest of ``run_selftest(SEED)``'s rows.
-Two trees write the same bytes exactly when their objects are equal:
+Its ``environment`` entry names what the floats' bits may depend on: the
+Python and numpy versions, the BLAS numpy was built with and its version,
+and the machine type.  On one machine, two trees write the same bytes
+exactly when their objects are equal:
 
     python tools/output_digests.py OLD_CHECKOUT 5 > old.json
     python tools/output_digests.py . 5 > new.json
     diff old.json new.json
+
+``tests/golden/seed5.json`` holds this script's output for the checkout at
+seed 5, and a test compares a fresh run with it wherever the environment
+matches.  A change that alters an output on purpose regenerates it:
+
+    python tools/output_digests.py . 5 > tests/golden/seed5.json
 
 An operation that exits nonzero stops the script with exit status 1.
 """
@@ -24,9 +33,12 @@ import argparse
 import contextlib
 import hashlib
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # importing the checkout's modules leaves no bytecode cache in it
 sys.dont_write_bytecode = True
@@ -50,6 +62,14 @@ def _import_tree(root):
             raise SystemExit(f"{module.__name__} imported from {module.__file__}, "
                              f"not from {root / home}")
     return workloads
+
+
+def environment():
+    """The versions and machine type that the output digests may depend on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "machine": platform.machine()}
 
 
 def output_digests(root, seed):
@@ -76,6 +96,7 @@ def output_digests(root, seed):
     table = [[r.suite, r.variant, r.prop, bool(r.passed), float(r.worst), r.detail]
              for r in rows]
     digests["selftest"] = _sha256(json.dumps(table).encode())
+    digests["environment"] = environment()
     return digests
 
 
