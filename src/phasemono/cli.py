@@ -9,9 +9,10 @@ collapse, or a resolvent root-find that does not converge).
 All deterministic outputs (trajectory.csv, plot.csv, report.json, sweep.*)
 are byte-identical across repeated runs with the same config and seed; wall
 clock timings go to the separate timing.json, which is excluded from that
-guarantee.  Every float of a CSV table is written as repr writes it: a
-float table by the numpy kernel of _floatfmt, which gives the same bytes,
-and the list rows of sweep.csv through str.  The rows of a large CSV table
+guarantee.  The reports name the columns: plot.csv's are the energy
+report's ``series``, sweep.csv's the sweep report's ``columns``.  Every
+float is written as repr writes it: a float table's by the numpy kernel of
+_floatfmt, a sweep.csv row's through str.  The rows of a large CSV table
 are sent down a pipe to one niced forked child, which formats and writes
 them, those of a large trajectory.csv while the solve runs (see
 _TableWriter); its bytes do not change.  Every output file is written
@@ -32,6 +33,7 @@ import sys
 import time
 from dataclasses import replace
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -387,18 +389,12 @@ def _cmd_sweep(args):
         # delta that rounds away, refused before any solve; a failed build or
         # solve of a member is a LadderMemberError
         raise ConfigError(str(exc)) from exc
-    payload = rep.to_dict()
-    payload["axis"] = args.axis
-    payload["config"] = serialize_config(cfg)
-    payload["tool_version"] = __version__
+    payload = {**rep.to_dict(), "axis": args.axis, "config": serialize_config(cfg),
+               "tool_version": __version__}
     _json_dump(out / "sweep.json", payload)
-
-    # every list of the payload is a per-member or per-pair column
-    keys = [k for k, v in payload.items() if isinstance(v, list)]
-    depth = max(len(payload[k]) for k in keys) if keys else 0
-    _write_csv(out / "sweep.csv", keys,
-               [[payload[k][j] if j < len(payload[k]) else "" for k in keys]
-                for j in range(depth)])
+    # one row per member or pair, a shorter column padded with blanks
+    _write_csv(out / "sweep.csv", list(rep.columns),
+               list(zip_longest(*(payload[k] for k in rep.columns), fillvalue="")))
 
     print(f"sweep over {args.axis}: {values}")
     for key in ("consecutive_total", "overshoot", "c_observed", "slope"):

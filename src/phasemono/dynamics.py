@@ -89,8 +89,9 @@ class Forcing:
     ``times`` and ``coeffs`` are kept as float arrays.  The interpolation
     slopes are computed once, when the forcing is built, and so is
     ``is_constant``: whether all samples are equal (NaN samples never are).
-    Two equal neighbouring samples, infinite ones included, have slope 0, so
-    the forcing between them is that sample exactly.  The right-hand side
+    At each sample's time the forcing is that sample exactly, and so it is
+    between two equal samples, infinite ones included, after an infinite
+    sample up to the next one, and outside the times.  The right-hand side
     of :func:`solve` reads a constant forcing once, and looks up no time."""
 
     times: np.ndarray
@@ -98,23 +99,27 @@ class Forcing:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0):
+        # a NaN time fails the comparison too
+        if t.ndim != 1 or len(t) < 2 or not np.all(np.diff(t) > 0):
             raise ValueError("forcing needs at least two strictly increasing times")
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape[0] != len(t):
             raise ValueError("forcing samples and times disagree")
         widths = np.diff(t)
         tail = (1,) * (c.ndim - 1)
-        # the rise between equal samples is 0, never inf - inf
-        rise = np.subtract(c[1:], c[:-1], out=np.zeros_like(c[1:]), where=c[1:] != c[:-1])
+        # the rise between equal samples, or from an infinite one, is 0
+        rise = np.subtract(c[1:], c[:-1], out=np.zeros_like(c[1:]),
+                           where=(c[1:] != c[:-1]) & np.isfinite(c[:-1]))
         # derived once here; the dataclass is frozen
         put = object.__setattr__
         put(self, "times", t)
         put(self, "coeffs", c)
         put(self, "is_constant", bool(np.all(c == c[0])))
-        put(self, "_widths", widths)
+        # from the last sample's time on, width and slope 0 hold that sample
+        put(self, "_widths", np.append(widths, 0.0))
         put(self, "_tail", tail)
-        put(self, "_slopes", rise / widths.reshape((-1,) + tail))
+        put(self, "_slopes", np.concatenate((rise / widths.reshape((-1,) + tail),
+                                             np.zeros_like(c[:1]))))
 
     @staticmethod
     def constant(coeffs, t_final):
@@ -126,10 +131,14 @@ class Forcing:
     def at(self, t):
         """The forcing at time t, or at each time of an array t: one row of
         ``coeffs`` per time, shaped (len(t), ...) for a vector of times."""
-        i = np.searchsorted(self.times, t, side="right") - 1
-        i = np.minimum(np.maximum(i, 0), len(self.times) - 2)
+        i = np.maximum(np.searchsorted(self.times, t, side="right") - 1, 0)
         dt = np.minimum(np.maximum(t - self.times[i], 0.0), self._widths[i])
-        return self.coeffs[i] + np.reshape(dt, np.shape(dt) + self._tail) * self._slopes[i]
+        dt = np.reshape(dt, np.shape(dt) + self._tail)
+        # a sample is returned as itself, since 0 * inf would be NaN; take
+        # copies, so the step is formed and added in place
+        c, step, off = np.take(self.coeffs, i, axis=0), np.take(self._slopes, i, axis=0), dt != 0
+        np.multiply(dt, step, out=step, where=off)
+        return np.add(c, step, out=c, where=off)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,18 +20,19 @@ constants spelled out:
          + 8 gamma^2 T ||eta*||^2
 
 The factor 2 converts the halved gradient/time-derivative terms produced by
-the absorption steps back into E1.  Sharpness is never asserted.  The
-monitor names each figure it computes once, in its ``EnergyReport``: the
-columns of plot.csv in ``series``, and each figure of report.json's
-``energy`` block as a field of that name.
+the absorption steps back into E1.  Sharpness is never asserted.  Each
+report names each figure once, computed when it is built: the
+``EnergyReport`` holds plot.csv's columns in ``series`` and each figure of
+report.json's ``energy`` block as a field, a sweep report sweep.csv's
+columns in ``columns`` and each other figure of sweep.json as a field.
 
 The continuous-dependence sweep requires alpha = ell.  It builds the base
 data and every perturbed member as one coefficient stack, each member the
 base with its delta added to one coefficient of phi0, integrates the stack
-as one solve and reports one column per member: the four data differences
-over the stack, the four solution differences from the base, the minima of
-the two pair-dissipation integrals, and the observed stability constant,
-solution over data differences.  The Gronwall-derived constant
+as one solve and reports per member the four data differences over the
+stack, the four solution differences from the base, the minima of the two
+pair-dissipation integrals, and the observed stability constant, solution
+over data differences.  The Gronwall-derived constant
 
     M  = max((4 gamma^2 k ell^2 + 2 nu C_pi) / nu, 1/2)
     C0 = max(1/2, k ell^2 / (2 nu)),   C1 = exp(T M)
@@ -60,7 +61,7 @@ differences measure the time error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -300,16 +301,58 @@ def energy_monitor(traj, params):
     )
 
 
-def _contraction_reports(params, initial, traj):
+def _log_slope(x, y):
+    """The slope of the least-squares line through (log x, log y); None
+    unless there are two points or more and every y is positive."""
+    if len(y) > 1 and np.all(y > 0):
+        return float(np.polyfit(np.log(np.asarray(x, dtype=float)), np.log(y), 1)[0])
+    return None
+
+
+def _sweep_figures(report):
+    """sweep.json's figures of a sweep report: each column as a list, then
+    each other field not marked unwritten."""
+    out = {k: v.tolist() for k, v in report.columns.items()}
+    out.update((f.name, getattr(report, f.name)) for f in fields(report)
+               if f.name != "columns" and not f.metadata.get("unwritten"))
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class ContractionSweepReport:
+    """``columns``, one entry per delta: the deltas, the solution and data
+    totals, ``c_observed`` (their quotient, NaN where the data do not
+    differ) and the (zeta, eta) and (xi, phi) pair-dissipation minima.  The
+    unwritten rows of the totals: ``data_diffs`` (4, M), of f, eta*, eta0
+    and phi0, and ``sol_diffs`` (4, M), sup-H and L2-V of eta, then of phi."""
+
+    columns: dict
+    slope: float | None
+    c_spread: float
+    data_diffs: np.ndarray = field(metadata={"unwritten": True})
+    sol_diffs: np.ndarray = field(metadata={"unwritten": True})
+
+    to_dict = _sweep_figures
+
+    @property
+    def failures(self):
+        """One message per delta at which a pair-dissipation integral went
+        negative, those of (zeta, eta) first."""
+        deltas = self.columns["deltas"].tolist()
+        return tuple(
+            f"pair dissipation of ({pair}) went negative ({m:.3e}) at delta {d!r}"
+            for pair, u in (("zeta, eta", "eta"), ("xi, phi", "phi"))
+            for d, m in zip(deltas, self.columns[f"pair_dissipation_{u}_min"].tolist())
+            if m < -_INVARIANT_TOL)
+
+
+def _contraction_report(deltas, params, initial, traj):
     """Compare each member of a stacked solve with its base: row 0 of the
     stacked ``initial`` and of ``traj`` holds the base, rows 1.. the members
-    in order.  Returns one column per member in each of three arrays: the
-    data differences (4, M), of f, eta*, eta0 and phi0, with f and eta*
-    broadcast over the rows; the solution differences (4, M), sup-H and L2-V
-    of eta, then of phi; and the pair-dissipation minima (2, M), of (zeta,
-    eta), then of (xi, phi).  Time series are reduced over contiguous rows
-    of shape (members, saves), which sums each member in the order of a
-    standalone one-dimensional reduction."""
+    of ``deltas`` in order.  The data differences broadcast f and eta* over
+    the rows.  Time series are reduced over contiguous rows of shape
+    (members, saves), which sums each member in the order of a standalone
+    one-dimensional reduction."""
     basis = params.basis
     ts = traj.times
     eta = traj.eta
@@ -334,72 +377,23 @@ def _contraction_reports(params, initial, traj):
         return np.min(_cumtrapz(ts, rows(pair)), axis=-1)
 
     f = apart(np.broadcast_to(params.forcing.at(ts)[:, None], (len(ts), *shape)))
-    data = (np.sqrt(np.trapezoid(rows(np.sum(f * f, axis=-1)), ts, axis=-1)),
-            spectral.w_norm(basis, apart(np.broadcast_to(params.eta_star.coeffs, shape))),
-            spectral.h_norm(basis, apart(initial.eta0.coeffs)),
-            spectral.h_norm(basis, apart(initial.phi0.coeffs)))
-    return (np.array(data),
-            np.array([*diff_norms(eta), *diff_norms(traj.phi)]),
-            np.array([pair_dissipation_min(traj.zeta, eta),
-                      pair_dissipation_min(traj.xi, traj.phi)]))
-
-
-@dataclass(frozen=True, eq=False)
-class ContractionSweepReport:
-    """One column per delta, in the order of ``deltas``, in the three arrays
-    of :func:`_contraction_reports`."""
-
-    deltas: np.ndarray
-    data_diffs: np.ndarray
-    sol_diffs: np.ndarray
-    pair_dissipation_min: np.ndarray
-
+    data = np.array([np.sqrt(np.trapezoid(rows(np.sum(f * f, axis=-1)), ts, axis=-1)),
+                     spectral.w_norm(basis, apart(np.broadcast_to(params.eta_star.coeffs, shape))),
+                     spectral.h_norm(basis, apart(initial.eta0.coeffs)),
+                     spectral.h_norm(basis, apart(initial.phi0.coeffs))])
+    sol = np.array([*diff_norms(eta), *diff_norms(traj.phi)])
     # the totals add their rows left to right, as a scalar sum of the four would
-    @property
-    def sol_totals(self):
-        return sum(self.sol_diffs)
-
-    @property
-    def data_totals(self):
-        return sum(self.data_diffs)
-
-    @property
-    def c_observed(self):
-        """Observed stability constant, solution over data differences; NaN
-        where the data do not differ."""
-        data = self.data_totals
-        return np.divide(self.sol_totals, data, out=np.full_like(data, np.nan), where=data > 0)
-
-    @property
-    def slope(self):
-        """Log-log slope of the solution differences against the deltas."""
-        return float(np.polyfit(np.log(self.deltas), np.log(self.sol_totals), 1)[0])
-
-    @property
-    def c_spread(self):
-        c_obs = self.c_observed
-        return float(np.max(c_obs) / np.min(c_obs))
-
-    @property
-    def failures(self):
-        """One message per delta at which a pair-dissipation integral went
-        negative, those of (zeta, eta) first."""
-        return tuple(
-            f"pair dissipation of ({pair}) went negative ({m:.3e}) at delta {d!r}"
-            for pair, mins in zip(("zeta, eta", "xi, phi"), self.pair_dissipation_min)
-            for d, m in zip(self.deltas.tolist(), mins.tolist()) if m < -_INVARIANT_TOL)
-
-    def to_dict(self):
-        return {
-            "deltas": self.deltas.tolist(),
-            "sol_totals": self.sol_totals.tolist(),
-            "data_totals": self.data_totals.tolist(),
-            "c_observed": self.c_observed.tolist(),
-            "pair_dissipation_eta_min": self.pair_dissipation_min[0].tolist(),
-            "pair_dissipation_phi_min": self.pair_dissipation_min[1].tolist(),
-            "slope": self.slope,
-            "c_spread": self.c_spread,
-        }
+    sol_totals, data_totals = sum(sol), sum(data)
+    c_observed = np.divide(sol_totals, data_totals, out=np.full_like(data_totals, np.nan),
+                           where=data_totals > 0)
+    return ContractionSweepReport(
+        columns={"deltas": np.array(deltas), "sol_totals": sol_totals,
+                 "data_totals": data_totals, "c_observed": c_observed,
+                 "pair_dissipation_eta_min": pair_dissipation_min(traj.zeta, eta),
+                 "pair_dissipation_phi_min": pair_dissipation_min(traj.xi, traj.phi)},
+        slope=_log_slope(deltas, sol_totals),
+        c_spread=float(np.max(c_observed) / np.min(c_observed)),
+        data_diffs=data, sol_diffs=sol)
 
 
 def contraction_sweep(cfg, deltas):
@@ -442,8 +436,7 @@ def contraction_sweep(cfg, deltas):
                         phi0=FieldCoeffs(phi0),
                         q_eps=np.array([initial.q_eps, *_run_many(budget, deltas)]))
     traj = _solve_named(params, stack, schedule, [deltas[0], *deltas])
-    return ContractionSweepReport(np.array(deltas),
-                                  *_contraction_reports(params, stack, traj))
+    return _contraction_report(deltas, params, stack, traj)
 
 
 class LadderMemberError(RuntimeError):
@@ -494,40 +487,24 @@ def _solve_named(params, initial, schedule, values):
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    values: np.ndarray
-    consecutive_phi: np.ndarray
-    consecutive_eta: np.ndarray
-    consecutive_total: np.ndarray
-    to_reference_total: np.ndarray
+    """``columns``: the members' values, per consecutive pair the
+    C0([0,T];H) differences of phi, of eta and their total, per member but
+    the last its total difference to the last, and on the obstacle well's
+    eps ladder each member's overshoot.  ``rate`` fits the pair totals."""
+
+    columns: dict
     rate: float | None
-    overshoot: np.ndarray | None
+    decreasing: bool
 
     # a ladder of convergence differences certifies no invariant
     failures = ()
-
-    @property
-    def decreasing(self):
-        d = self.consecutive_total
-        return bool(np.all(d[1:] < d[:-1])) if len(d) > 1 else True
-
-    def to_dict(self):
-        out = {
-            "values": self.values.tolist(),
-            "consecutive_phi": self.consecutive_phi.tolist(),
-            "consecutive_eta": self.consecutive_eta.tolist(),
-            "consecutive_total": self.consecutive_total.tolist(),
-            "to_reference_total": self.to_reference_total.tolist(),
-            "rate": self.rate,
-            "decreasing": self.decreasing,
-        }
-        if self.overshoot is not None:
-            out["overshoot"] = self.overshoot.tolist()
-        return out
+    to_dict = _sweep_figures
 
 
 def _ladder_report(values, bases, series, overshoot):
     """Report a ladder from each member's basis and its ``(phi, eta)``
-    coefficients at the saves, each of shape (saves, modes)."""
+    coefficients at the saves, each of shape (saves, modes), and the
+    members' overshoot, or None."""
     def diffs(i, j):
         """C0([0,T];H) differences of phi and of eta between members i and
         j, in the basis of member j."""
@@ -540,17 +517,14 @@ def _ladder_report(values, bases, series, overshoot):
     last = len(values) - 1
     cons_phi, cons_eta = np.array([diffs(i, i + 1) for i in range(last)]).T
     total = cons_phi + cons_eta
-    if len(total) > 1 and np.all(total > 0):
-        rate = float(np.polyfit(np.log(np.asarray(values[:-1], float)),
-                                np.log(total), 1)[0])
-    else:
-        rate = None
-    return ConvergenceReport(
-        values=np.asarray(values, dtype=float),
-        consecutive_phi=cons_phi, consecutive_eta=cons_eta,
-        consecutive_total=total,
-        to_reference_total=np.array([sum(diffs(i, last)) for i in range(last)]),
-        rate=rate, overshoot=overshoot)
+    columns = {"values": np.asarray(values, dtype=float),
+               "consecutive_phi": cons_phi, "consecutive_eta": cons_eta,
+               "consecutive_total": total,
+               "to_reference_total": np.array([sum(diffs(i, last)) for i in range(last)])}
+    if overshoot is not None:
+        columns["overshoot"] = overshoot
+    return ConvergenceReport(columns, rate=_log_slope(values[:-1], total),
+                             decreasing=bool(np.all(total[1:] < total[:-1])))
 
 
 # axis -> value kind, plural, override, descending, obstacle overshoot

@@ -81,7 +81,7 @@ def run_scenario(name, **overrides):
 
 
 def assert_n_ladder(name, cfg):
-    diffs = galerkin_convergence(cfg, [8, 16, 32, 64]).consecutive_total
+    diffs = galerkin_convergence(cfg, [8, 16, 32, 64]).columns["consecutive_total"]
     assert np.all(diffs[1:] < diffs[:-1]), diffs
     assert diffs[-1] <= 1e-3
     report(f"5 (n-ladder, {name}): PASS  diffs "
@@ -91,9 +91,9 @@ def assert_n_ladder(name, cfg):
 
 def assert_eps_ladder(name, cfg):
     rep = yosida_convergence(cfg, [1e-1, 1e-2, 1e-3, 1e-4])
-    over = rep.overshoot
+    over = rep.columns["overshoot"]
     assert np.all(np.diff(over) < 0), over
-    diffs = rep.consecutive_total
+    diffs = rep.columns["consecutive_total"]
     assert np.all(diffs[1:] < diffs[:-1]), diffs
     assert diffs[-1] <= 2e-2
     report(f"6 (eps-ladder, {name}): PASS  overshoot "
@@ -107,7 +107,8 @@ def assert_dyadic_sweep(name, cfg):
     assert abs(rep.slope - 1.0) <= 0.15
     assert rep.c_spread <= 2.0
     report(f"7 (contraction sweep, {name}): PASS  slope {rep.slope:.4f}, "
-           f"C_obs in [{np.min(rep.c_observed):.3f}, {np.max(rep.c_observed):.3f}]")
+           f"C_obs in [{np.min(rep.columns['c_observed']):.3f}, "
+           f"{np.max(rep.columns['c_observed']):.3f}]")
 
 
 class TestCriterion1ResolventOracle:
@@ -193,7 +194,8 @@ class TestCriterion4EnergyEstimate:
 
     def test_pair_dissipation(self):
         rep = contraction_sweep(get_scenario("contraction_base"), [0.05, 0.025])
-        eta_min, phi_min = np.min(rep.pair_dissipation_min, axis=1)
+        eta_min, phi_min = (np.min(rep.columns[f"pair_dissipation_{u}_min"])
+                            for u in ("eta", "phi"))
         assert eta_min >= -1e-9
         assert phi_min >= -1e-9
         report(f"4 (pair dissipation): PASS  eta {eta_min:.2e}, phi {phi_min:.2e}")

@@ -139,17 +139,22 @@ class TestConfig:
             parse_config(text)
         assert "k" in str(err.value)
 
-    def test_validation_failures(self):
-        cfg = get_scenario("zero")
-        for kw in ({"gamma": -1.0}, {"modes": 0}, {"method": "euler"},
-                   {"potential": "sextic"}, {"dims": 3}):
-            with pytest.raises(ConfigError):
-                dataclasses.replace(cfg, **kw)
-
     @pytest.mark.parametrize("kw, message", [
         ({"modes": 0}, "need at least one mode"),
         ({"dims": 3}, "domain dims must be 1 or 2"),
         ({"gamma": -1.0}, "model gamma must be nonnegative"),
+        ({"dims": 2}, "domain needs one length per dimension"),
+        ({"lengths": (0.0,)}, "domain lengths must be positive"),
+        ({"modes": 16, "quadrature": 31}, r"quadrature must supply at least 2\*modes points"),
+        ({"t_final": 0.0}, "model t_final must be positive"),
+        ({"method": "euler"}, "unknown integrator method 'euler'"),
+        ({"potential": "sextic"}, "unknown potential variant 'sextic'"),
+        ({"graph": "bogus"}, "unknown graph variant 'bogus'"),
+        ({"eps": 0.0}, "regularization eps must be positive"),
+        ({"dt": 0.0}, "integrator dt and tol must be positive"),
+        ({"tol": -1.0}, "integrator dt and tol must be positive"),
+        ({"saves": 1}, "integrator saves must be at least 2"),
+        ({"seed": -1}, "seed must be nonnegative"),
         # a value of the wrong type does not read back from its own text
         ({"modes": 2.5}, r"\[domain\] modes has the wrong type"),
         ({"seed": 1.5}, r"\[run\] seed has the wrong type"),
@@ -160,7 +165,9 @@ class TestConfig:
         # NaN and inf keep the number check's wording
         ({"ell": float("nan")}, r"\[model\] ell must be a finite number, got nan"),
         ({"lengths": (float("inf"),)}, r"\[domain\] lengths must be a finite number, got inf"),
-    ], ids=["modes", "dims", "gamma", "modes-float", "seed-float", "dims-bool",
+    ], ids=["modes", "dims", "gamma", "lengths-count", "lengths-zero", "quadrature-low",
+            "t_final", "method", "potential", "graph", "eps", "dt", "tol", "saves", "seed",
+            "modes-float", "seed-float", "dims-bool",
             "quadrature-float", "lengths-list", "ell-str", "ell-nan", "lengths-inf"])
     def test_a_config_is_validated_when_it_is_made(self, kw, message):
         with pytest.raises(ConfigError, match=message):
@@ -375,6 +382,26 @@ class TestRun:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli.main(["run", "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["run", "--config", "{cfg}"], edited_config("zero", [("domain", "lengths", "")]),
+         "bad value for lengths: empty length list"),
+        (["run", "--config", "{cfg}"], "[model\nk = 1.0\n", "config syntax error"),
+        (["run", "--config", "{cfg}", "--scenario", "zero"], serialize_config(ScenarioConfig()),
+         "give either --config or --scenario, not both"),
+        (["sweep", "--scenario", "tanh_front", "--axis", "n", "--values", " , "], None,
+         "--values is empty"),
+    ], ids=["empty-lengths", "syntax", "config-and-scenario", "empty-values"])
+    def test_refused_inputs_exit_2_naming_the_rule(self, tmp_path, capsys, argv, text,
+                                                   message):
+        cfg = tmp_path / "in.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        argv = [a.format(cfg=cfg) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
 
     def test_blowup_exit_code(self, tmp_path):
         cfg = dataclasses.replace(get_scenario("tanh_front"), method="rk4", dt=0.05)
@@ -957,6 +984,34 @@ class TestSweep:
         for i, key in enumerate(header):
             column = [str(v) for v in payload[key]]
             assert [row[i] for row in rows] == column + [""] * (depth - len(column)), key
+
+    @pytest.mark.parametrize("axis, scenario, values, figures", [
+        ("n", "tanh_front", "8 16 32", ("rate", "decreasing")),
+        ("eps", "obstacle_sign", "1e-1 1e-2", ("rate", "decreasing")),
+        ("eps", "regular_sign", "1e-1 1e-2", ("rate", "decreasing")),
+        ("delta", "contraction_base", "0.01 0.005", ("slope", "c_spread")),
+    ], ids=("n", "eps-obstacle", "eps-regular", "delta"))
+    def test_the_outputs_name_the_sweep_report_figures(self, tmp_path, monkeypatch, axis,
+                                                       scenario, values, figures):
+        ladder = cli._SWEEPS[axis][1]
+        built, reports = getattr(cli, ladder), []
+
+        def kept(*args):
+            reports.append(built(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, ladder, kept)
+        out = tmp_path / "s"
+        assert cli.main(["sweep", "--scenario", scenario, "--axis", axis,
+                         "--values", values, "--out", str(out)]) == 0
+        [rep] = reports
+        # only the obstacle well's eps ladder adds the overshoot column
+        assert ("overshoot" in rep.columns) == (scenario == "obstacle_sign")
+        payload = json.loads((out / "sweep.json").read_text())
+        assert sorted(payload) == sorted([*rep.columns, *figures,
+                                          "axis", "config", "tool_version"])
+        header = (out / "sweep.csv").read_text().splitlines()[0]
+        assert header.split(",") == list(rep.columns)
 
     def test_delta_sweep_requires_matched_coefficients(self, tmp_path):
         code = cli.main(["sweep", "--scenario", "regular_sign", "--axis", "delta",

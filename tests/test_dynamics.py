@@ -461,6 +461,27 @@ class TestForcing:
         with pytest.raises(ValueError):
             Forcing(np.array([0.0, 0.0]), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan, 1.0], [0.0, 1.0, np.nan]])
+    def test_a_nan_time_is_refused(self, times):
+        with pytest.raises(ValueError, match="strictly increasing times"):
+            Forcing(np.array(times), np.zeros((len(times), 2)))
+
+    @pytest.mark.parametrize("samples", [
+        [[1.0], [np.inf]],
+        [[1.0], [np.inf], [2.0]],
+        [[-np.inf, 3.0], [2.0, np.inf], [np.inf, -1.0]],
+    ], ids=["rise_to_inf", "inf_between_finite", "mixed"])
+    def test_each_sample_is_exact_at_its_own_time(self, samples):
+        # at a sample no 0 * inf is formed, and after an infinite sample no
+        # inf - inf: the forcing is the sample, and NaN nowhere
+        times = np.arange(float(len(samples)))
+        f = Forcing(times, np.array(samples))
+        for t, c in zip(times, samples):
+            assert np.array_equal(f.at(t), c)
+        assert np.array_equal(f.at(times), samples)
+        assert np.array_equal(f.at(times[-1] + 1.0), samples[-1])
+        assert not np.any(np.isnan(f.at(np.linspace(-1.0, len(samples), 41))))
+
     def test_constant_forcing_takes_a_stack(self):
         stack = np.arange(12.0).reshape(3, 4)
         f = Forcing.constant(stack, 2.0)
@@ -484,8 +505,8 @@ class TestForcing:
             flat = f.coeffs.reshape(len(times), -1)
             ref = np.stack([np.interp(ts, times, col) for col in flat.T], axis=-1)
             assert np.max(np.abs(rows.reshape(len(ts), -1) - ref)) <= 1e-15 * np.max(np.abs(ref))
-            # the samples themselves are hit exactly, left of the last one
-            assert np.array_equal(f.at(times[:-1]), f.coeffs[:-1])
+            # the samples themselves are hit exactly, the last one included
+            assert np.array_equal(f.at(times), f.coeffs)
 
     def test_nan_samples_stay_nan(self):
         f = Forcing(np.array([0.0, 1.0]), np.full((2, 3), np.nan))

@@ -264,12 +264,14 @@ class TestContraction:
         params, initial, schedule, _ = run_scenario("contraction_base")
         stack = stack_of(initial, [0.0])
         traj = solve(params, stack, schedule)
-        columns = estimates._contraction_reports(params, stack, traj)
-        assert [c.shape for c in columns] == [(4, 1), (4, 1), (2, 1)]
-        rep = ContractionSweepReport(np.array([0.01]), *columns)
-        assert rep.data_totals.tolist() == [0.0]
-        assert rep.sol_totals.tolist() == [0.0]
-        assert np.isnan(rep.c_observed).tolist() == [True]
+        rep = estimates._contraction_report([0.01], params, stack, traj)
+        assert [rep.data_diffs.shape, rep.sol_diffs.shape] == [(4, 1), (4, 1)]
+        assert [len(c) for c in rep.columns.values()] == [1] * 6
+        assert rep.columns["data_totals"].tolist() == [0.0]
+        assert rep.columns["sol_totals"].tolist() == [0.0]
+        assert np.isnan(rep.columns["c_observed"]).tolist() == [True]
+        # no log-log slope through one point, nor through a zero difference
+        assert rep.slope is None
 
     def test_members_are_the_base_plus_delta_e1(self, monkeypatch):
         # row 0 is the base exactly; row j adds the j-th delta, in decreasing
@@ -335,15 +337,17 @@ class TestContraction:
     def test_pair_dissipations_nonnegative(self):
         cfg = get_scenario("contraction_base")
         rep = contraction_sweep(cfg, [0.05, 0.025])
-        eta_mins, phi_mins = rep.pair_dissipation_min
+        eta_mins = rep.columns["pair_dissipation_eta_min"]
+        phi_mins = rep.columns["pair_dissipation_phi_min"]
         assert np.all(eta_mins >= -1e-9)
         assert np.all(phi_mins >= -1e-9)
 
     def test_failures_name_each_negative_pair_dissipation(self):
         rep = ContractionSweepReport(
-            deltas=np.array([0.02, 0.01]), data_diffs=np.ones((4, 2)),
-            sol_diffs=np.ones((4, 2)),
-            pair_dissipation_min=np.array([[-1e-9, -2e-9], [-3e-9, 0.0]]))
+            columns={"deltas": np.array([0.02, 0.01]),
+                     "pair_dissipation_eta_min": np.array([-1e-9, -2e-9]),
+                     "pair_dissipation_phi_min": np.array([-3e-9, 0.0])},
+            slope=1.0, c_spread=1.0, data_diffs=np.ones((4, 2)), sol_diffs=np.ones((4, 2)))
         assert rep.failures == (
             "pair dissipation of (zeta, eta) went negative (-2.000e-09) at delta 0.01",
             "pair dissipation of (xi, phi) went negative (-3.000e-09) at delta 0.02")
@@ -354,7 +358,7 @@ class TestContraction:
         rep = contraction_sweep(cfg, deltas)
         assert rep.slope == pytest.approx(1.0, abs=0.15)
         assert rep.c_spread <= 2.0
-        assert np.all(np.isfinite(rep.c_observed))
+        assert np.all(np.isfinite(rep.columns["c_observed"]))
 
     def test_sweep_rows_match_pairwise_checks(self):
         # the stacked sweep solves the base once; each member's report equals
@@ -379,9 +383,10 @@ class TestContraction:
             # the member shares f and eta* with the base: those differences are 0
             data_total = (spectral.h_norm(basis, initial.eta0.coeffs - member.eta0.coeffs)
                           + spectral.h_norm(basis, initial.phi0.coeffs - member.phi0.coeffs))
-            assert rep.sol_totals[j] == pytest.approx(sol_total, rel=1e-12, abs=0)
-            assert rep.data_totals[j] == data_total
-            assert rep.c_observed[j] == pytest.approx(sol_total / data_total, rel=1e-12, abs=0)
+            assert rep.columns["sol_totals"][j] == pytest.approx(sol_total, rel=1e-12, abs=0)
+            assert rep.columns["data_totals"][j] == data_total
+            assert rep.columns["c_observed"][j] == pytest.approx(sol_total / data_total,
+                                                                 rel=1e-12, abs=0)
 
     def test_sweep_is_one_stacked_solve(self, monkeypatch):
         cfg = get_scenario("contraction_base")
@@ -434,7 +439,7 @@ class TestLadders:
         # heat decay lives in the first two modes: refining changes nothing
         rep = galerkin_convergence(get_scenario("heat_decay"), [4, 8])
         # zero up to projection roundoff on the two quadrature grids
-        assert np.all(rep.consecutive_total <= 1e-13)
+        assert np.all(rep.columns["consecutive_total"] <= 1e-13)
         assert rep.failures == ()
 
     def test_tanh_front_ladder_decreases(self):
@@ -449,11 +454,11 @@ class TestLadders:
                                   phi0="cosine 0.3 1", eta0="cosine 0.2 1",
                                   gamma=0.1, t_final=0.1)
         rep = yosida_convergence(cfg, [1e-1, 1e-2, 1e-3])
-        assert np.all(rep.consecutive_total == 0.0)
+        assert np.all(rep.columns["consecutive_total"] == 0.0)
 
     def test_obstacle_overshoot_decreases(self):
         rep = yosida_convergence(get_scenario("obstacle_sign"), [1e-1, 1e-2, 1e-3])
-        over = rep.overshoot
+        over = rep.columns["overshoot"]
         assert np.all(np.diff(over) < 0)
         assert rep.decreasing
 
@@ -493,13 +498,13 @@ class TestLadders:
             overshoot = np.array([constraint_overshoot(tr.phi, basis) for tr in trajs])
         ref = estimates._ladder_report(
             values, [basis] * 3, [(tr.phi, tr.eta) for tr in trajs], overshoot)
-        assert (rep.overshoot is None) == (overshoot is None)
+        assert ("overshoot" in rep.columns) == (overshoot is not None)
         for name in ("consecutive_phi", "consecutive_eta", "to_reference_total", "overshoot"):
-            if getattr(ref, name) is not None:
-                assert np.allclose(getattr(rep, name), getattr(ref, name),
+            if name in ref.columns:
+                assert np.allclose(rep.columns[name], ref.columns[name],
                                    rtol=1e-12, atol=0.0), name
         assert rep.rate == pytest.approx(ref.rate, rel=1e-10)
-        assert np.array_equal(rep.values, values)
+        assert np.array_equal(rep.columns["values"], values)
 
     def test_n_ladder_reports_its_members_standalone_solves_bit_for_bit(self):
         # each n member is a group of one, solved as itself with its float
